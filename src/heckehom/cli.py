@@ -12,6 +12,7 @@ import io
 import json
 import sys
 
+from .engine import SpecError
 from .exprparse import ParseError, parse_hecke
 from .hh0 import reduce_to_hh0
 from . import spectral as sp
@@ -187,7 +188,7 @@ def main(argv=None) -> int:
         if args.command == "table":
             return _cmd_table(args)
         return _cmd_reduce(args)
-    except (ConfigError, _UsageError, ParseError) as err:
+    except (ConfigError, _UsageError, ParseError, SpecError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as err:

@@ -1,12 +1,16 @@
 """Exact Hochschild and cyclic homology of small unital algebras.
 
-An algebra is given by structure constants over the rationals; the engine
-builds the chain spaces A^(x)(p+1), the face and cyclic structure maps, the
-boundary b and the Connes operator B = (1 - t) s N on the unnormalized
-complex, and computes homology by exact sparse elimination.  Cyclic
-homology comes from the (b, B) mixed complex; the S, B, I maps between the
-computed groups are produced on explicit homology bases, so exactness of
-the long sequence can be verified by rank counting.
+An algebra is given by structure constants, stored as ints where they are
+integral (as in every built-in algebra) and as Fractions otherwise; the
+engine builds the chain spaces A^(x)(p+1), the face and cyclic structure
+maps, the boundary b and the Connes operator B = (1 - t) s N on the
+unnormalized complex, and computes homology by exact sparse elimination in
+that integer-first arithmetic.  Each boundary map is eliminated once: the
+pass that finds the cycles in degree p also yields the echelon basis of
+the boundaries in degree p - 1.  Cyclic homology comes from the (b, B)
+mixed complex; the S, B, I maps between the computed groups are produced
+on explicit homology bases, so exactness of the long sequence can be
+verified by rank counting.
 
 Chains one degree above the report cutoff are always built, so every
 reported dimension is unaffected by the truncation.
@@ -15,14 +19,25 @@ reported dimension is unaffected by the truncation.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .laurent import _rat
-from .linalg import GaussianBasis, QuotientSpace, kernel_vectors, vec_add_scaled
+from .linalg import (
+    GaussianBasis,
+    QuotientSpace,
+    kernel_vectors,
+    span_basis,
+    vec_add_scaled,
+)
 
 
-class NotAssociative(ValueError):
+class SpecError(ValueError):
+    """An algebra spec that cannot be loaded: malformed, out of range or invalid."""
+
+
+class NotAssociative(SpecError):
     """Structure constants fail associativity; carries a witness triple."""
 
     def __init__(self, witness: tuple[int, int, int]):
@@ -30,7 +45,7 @@ class NotAssociative(ValueError):
         super().__init__(f"associativity fails on basis triple {witness}")
 
 
-class NoUnit(ValueError):
+class NoUnit(SpecError):
     """Missing or invalid unit vector."""
 
 
@@ -39,6 +54,8 @@ class TooLarge(ValueError):
 
 
 CHAIN_GUARD = 100_000
+
+Coeff = int | Fraction
 
 
 @dataclass
@@ -52,15 +69,15 @@ class AlgebraSpec:
 
     name: str
     dim: int
-    products: dict[tuple[int, int], dict[int, Fraction]]
-    unit: dict[int, Fraction] | None
+    products: dict[tuple[int, int], dict[int, Coeff]]
+    unit: dict[int, Coeff] | None
     group_table: list[list[int]] | None = None
 
-    def product_vec(self, i: int, j: int) -> dict[int, Fraction]:
+    def product_vec(self, i: int, j: int) -> dict[int, Coeff]:
         return self.products.get((i, j), {})
 
-    def multiply(self, a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
+    def multiply(self, a: dict[int, Coeff], b: dict[int, Coeff]) -> dict[int, Coeff]:
+        out: dict[int, Coeff] = {}
         for i, ca in a.items():
             for j, cb in b.items():
                 coeff = ca * cb
@@ -78,20 +95,20 @@ class AlgebraSpec:
 def load_algebra(spec: AlgebraSpec) -> AlgebraSpec:
     """Validate associativity and unitality; return the spec unchanged."""
     if spec.dim < 1:
-        raise ValueError("dim must be positive")
+        raise SpecError("dim must be positive")
     if not spec.unit:
         raise NoUnit(f"algebra {spec.name!r} has no unit vector")
     unit = spec.unit
     for i in range(spec.dim):
-        e = {i: Fraction(1)}
+        e = {i: 1}
         if spec.multiply(unit, e) != e or spec.multiply(e, unit) != e:
             raise NoUnit(f"unit vector of {spec.name!r} is not a two-sided identity")
     for i in range(spec.dim):
         for j in range(spec.dim):
             ij = spec.product_vec(i, j)
             for k in range(spec.dim):
-                left = spec.multiply(ij, {k: Fraction(1)})
-                right = spec.multiply({i: Fraction(1)}, spec.product_vec(j, k))
+                left = spec.multiply(ij, {k: 1})
+                right = spec.multiply({i: 1}, spec.product_vec(j, k))
                 if left != right:
                     raise NotAssociative((i, j, k))
     return spec
@@ -106,8 +123,8 @@ def ground_field() -> AlgebraSpec:
         AlgebraSpec(
             name="ground_field",
             dim=1,
-            products={(0, 0): {0: Fraction(1)}},
-            unit={0: Fraction(1)},
+            products={(0, 0): {0: 1}},
+            unit={0: 1},
             group_table=[[0]],
         )
     )
@@ -120,11 +137,11 @@ def dual_numbers() -> AlgebraSpec:
             name="dual_numbers",
             dim=2,
             products={
-                (0, 0): {0: Fraction(1)},
-                (0, 1): {1: Fraction(1)},
-                (1, 0): {1: Fraction(1)},
+                (0, 0): {0: 1},
+                (0, 1): {1: 1},
+                (1, 0): {1: 1},
             },
-            unit={0: Fraction(1)},
+            unit={0: 1},
         )
     )
 
@@ -135,14 +152,14 @@ def group_algebra(m: int) -> AlgebraSpec:
         raise ValueError("m must be a positive integer")
     table = [[(i + j) % m for j in range(m)] for i in range(m)]
     products = {
-        (i, j): {table[i][j]: Fraction(1)} for i in range(m) for j in range(m)
+        (i, j): {table[i][j]: 1} for i in range(m) for j in range(m)
     }
     return load_algebra(
         AlgebraSpec(
             name=f"cyclic_{m}",
             dim=m,
             products=products,
-            unit={0: Fraction(1)},
+            unit={0: 1},
             group_table=table,
         )
     )
@@ -155,12 +172,12 @@ def upper_triangular_2() -> AlgebraSpec:
             name="upper_triangular_2",
             dim=3,
             products={
-                (0, 0): {0: Fraction(1)},
-                (0, 1): {1: Fraction(1)},
-                (1, 2): {1: Fraction(1)},
-                (2, 2): {2: Fraction(1)},
+                (0, 0): {0: 1},
+                (0, 1): {1: 1},
+                (1, 2): {1: 1},
+                (2, 2): {2: 1},
             },
-            unit={0: Fraction(1), 2: Fraction(1)},
+            unit={0: 1, 2: 1},
         )
     )
 
@@ -193,18 +210,62 @@ def spec_to_json(spec: AlgebraSpec) -> str:
     )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _spec_coefficient(value, where: str) -> Coeff:
+    """An exact coefficient from an int or a rational string; int when integral."""
+    if not (_is_int(value) or isinstance(value, str)):
+        raise SpecError(f"{where}: coefficient {value!r} is not an integer or a string")
+    try:
+        exact = Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise SpecError(f"{where}: coefficient {value!r} is not an exact rational") from None
+    return exact.numerator if exact.denominator == 1 else exact
+
+
+def _spec_vector(values, dim: int, where: str) -> dict[int, Coeff]:
+    if not isinstance(values, list) or len(values) != dim:
+        raise SpecError(f"{where} must be a list of dim = {dim} coefficients")
+    coeffs = (_spec_coefficient(c, f"{where}[{k}]") for k, c in enumerate(values))
+    return {k: c for k, c in enumerate(coeffs) if c}
+
+
 def spec_from_json(text: str) -> AlgebraSpec:
-    data = json.loads(text)
-    dim = int(data["dim"])
+    """Parse and validate a spec; every defect raises SpecError."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise SpecError(f"not valid JSON: {err}") from None
+    if not isinstance(data, dict):
+        raise SpecError("a spec must be a JSON object")
+    dim = data.get("dim")
+    if not _is_int(dim) or dim < 1:
+        raise SpecError(f"dim must be a positive integer, got {dim!r}")
     unit_list = data.get("unit")
     unit = None
     if unit_list is not None:
-        unit = {k: _rat(c) for k, c in enumerate(unit_list) if _rat(c)}
-    products: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for entry in data.get("products", []):
-        vec = {k: _rat(c) for k, c in enumerate(entry["coeffs"]) if _rat(c)}
+        unit = _spec_vector(unit_list, dim, "unit")
+    entries = data.get("products", [])
+    if not isinstance(entries, list):
+        raise SpecError("products must be a list")
+    products: dict[tuple[int, int], dict[int, Coeff]] = {}
+    seen = set()
+    for n, entry in enumerate(entries):
+        where = f"products[{n}]"
+        if not isinstance(entry, dict):
+            raise SpecError(f"{where} must be an object with i, j and coeffs")
+        pair = (entry.get("i"), entry.get("j"))
+        for name, index in zip("ij", pair):
+            if not _is_int(index) or not 0 <= index < dim:
+                raise SpecError(f"{where}: {name} = {index!r} is not a basis index below dim = {dim}")
+        if pair in seen:
+            raise SpecError(f"{where}: the product e_{pair[0]} * e_{pair[1]} is given twice")
+        seen.add(pair)
+        vec = _spec_vector(entry.get("coeffs"), dim, f"{where}.coeffs")
         if vec:
-            products[(int(entry["i"]), int(entry["j"]))] = vec
+            products[pair] = vec
     spec = AlgebraSpec(
         name=str(data.get("name", "algebra")), dim=dim, products=products, unit=unit
     )
@@ -212,8 +273,16 @@ def spec_from_json(text: str) -> AlgebraSpec:
 
 
 def load_algebra_file(path) -> AlgebraSpec:
+    """Load a spec file; a spec defect raises SpecError naming the file."""
     with open(path, "r", encoding="utf-8") as handle:
-        return spec_from_json(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as err:
+            raise SpecError(f"{path}: not UTF-8 text ({err.reason})") from None
+    try:
+        return spec_from_json(text)
+    except SpecError as err:
+        raise SpecError(f"{path}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +314,10 @@ class ChainStack:
             index = index * base + part
         return index
 
-    def face(self, p: int, i: int, index: int) -> dict[int, Fraction]:
+    def face(self, p: int, i: int, index: int) -> dict[int, Coeff]:
         """d_i on a basis tuple; d_p multiplies the last entry into the first."""
         parts = self.decode(p, index)
-        out: dict[int, Fraction] = {}
+        out: dict[int, Coeff] = {}
         if i < p:
             merged = self.spec.product_vec(parts[i], parts[i + 1])
             rest = parts[:i] + parts[i + 1 :]
@@ -269,26 +338,26 @@ class ChainStack:
         sign = -1 if (signed and p % 2 == 1) else 1
         return self.encode(rotated), sign
 
-    def boundary(self, p: int, index: int) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
+    def boundary(self, p: int, index: int) -> dict[int, Coeff]:
+        out: dict[int, Coeff] = {}
         for i in range(p + 1):
             sign = 1 if i % 2 == 0 else -1
             for key, c in self.face(p, i, index).items():
                 _add(out, key, sign * c)
         return out
 
-    def extra_degeneracy(self, p: int, index: int) -> dict[int, Fraction]:
+    def extra_degeneracy(self, p: int, index: int) -> dict[int, Coeff]:
         """Insert the unit in front: C_p -> C_{p+1}."""
         parts = self.decode(p, index)
-        out: dict[int, Fraction] = {}
+        out: dict[int, Coeff] = {}
         for k, c in self.spec.unit.items():
             _add(out, self.encode((k,) + parts), c)
         return out
 
-    def connes_B(self, p: int, index: int) -> dict[int, Fraction]:
+    def connes_B(self, p: int, index: int) -> dict[int, Coeff]:
         """B = (1 - t) s N on the unnormalized complex."""
         # N = sum of signed cyclic powers on C_p
-        norm: dict[int, Fraction] = {}
+        norm: dict[int, Coeff] = {}
         current = index
         sign = 1
         step = -1 if p % 2 == 1 else 1
@@ -298,19 +367,19 @@ class ChainStack:
                 sign *= step
             _add(norm, current, sign)
         # s, then (1 - t) on C_{p+1}
-        inserted: dict[int, Fraction] = {}
+        inserted: dict[int, Coeff] = {}
         for key, c in norm.items():
             for skey, sc in self.extra_degeneracy(p, key).items():
                 _add(inserted, skey, c * sc)
-        out: dict[int, Fraction] = {}
+        out: dict[int, Coeff] = {}
         for key, c in inserted.items():
             _add(out, key, c)
             rotated, rsign = self.cyclic(p + 1, key, signed=True)
             _add(out, rotated, -c * rsign)
         return out
 
-    def apply_linear(self, op, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
+    def apply_linear(self, op, vec: dict[int, Coeff]) -> dict[int, Coeff]:
+        out: dict[int, Coeff] = {}
         for index, coeff in vec.items():
             for key, c in op(index).items():
                 _add(out, key, coeff * c)
@@ -396,25 +465,35 @@ def _guard(spec: AlgebraSpec, cutoff: int) -> None:
         )
 
 
+def _homology(dims: list[int], boundary, cutoff: int) -> list[QuotientSpace]:
+    """H_0..H_cutoff of a complex with dims[p] = dim C_p for p <= cutoff + 1.
+
+    boundary(p, i) is the image in C_{p-1} of basis element i of C_p.  Each
+    map is eliminated once: the kernel pass of the boundary on C_p gives the
+    cycles of degree p, and its echelon rows are the boundary basis of
+    degree p - 1; only the top map gets a pass of its own, without payloads.
+    """
+    quotients = []
+    cycles = [{i: 1} for i in range(dims[0])]
+    for p in range(1, cutoff + 2):
+        images = ((i, boundary(p, i)) for i in range(dims[p]))
+        if p <= cutoff:
+            next_cycles, boundaries = kernel_vectors(images)
+        else:
+            next_cycles, boundaries = None, span_basis(vec for _, vec in images)
+        quotients.append(QuotientSpace(boundaries, cycles))
+        cycles = next_cycles
+    return quotients
+
+
 def compute_hochschild(spec: AlgebraSpec, cutoff: int) -> HomologyReport:
     """Exact HH_0..HH_cutoff with representative cycles."""
     _guard(spec, cutoff)
     stack = ChainStack(spec, cutoff + 1)
     report = HomologyReport(algebra=spec.name, cutoff=cutoff, hh_dims=[], _stack=stack)
-    for p in range(cutoff + 1):
-        if p == 0:
-            cycles = [{i: Fraction(1)} for i in range(stack.dim_chain(0))]
-        else:
-            images = (
-                (i, stack.boundary(p, i)) for i in range(stack.dim_chain(p))
-            )
-            cycles = kernel_vectors(images)
-        boundaries = (
-            stack.boundary(p + 1, i) for i in range(stack.dim_chain(p + 1))
-        )
-        quotient = QuotientSpace(boundaries, cycles)
-        report._hh.append(quotient)
-        report.hh_dims.append(quotient.dim)
+    dims = [stack.dim_chain(p) for p in range(cutoff + 2)]
+    report._hh = _homology(dims, stack.boundary, cutoff)
+    report.hh_dims = [quotient.dim for quotient in report._hh]
     return report
 
 
@@ -430,16 +509,21 @@ def _tot_offsets(stack: ChainStack, n: int) -> list[int]:
     return offsets
 
 
+def _tot_dim(stack: ChainStack, offsets: list[int], n: int) -> int:
+    return offsets[-1] + stack.dim_chain(n - 2 * (len(offsets) - 1))
+
+
+def _tot_slot(offsets: list[int], index: int) -> tuple[int, int]:
+    """(slot, local): a Tot_n index is basis element local of C_{n - 2 slot}."""
+    slot = bisect_right(offsets, index) - 1
+    return slot, index - offsets[slot]
+
+
 def _tot_boundary(stack: ChainStack, n: int, offsets, target_offsets, index: int):
     """(b + B) on a Tot_n basis element, expressed in Tot_{n-1} indices."""
-    slot = 0
-    for j in range(len(offsets) - 1, -1, -1):
-        if index >= offsets[j]:
-            slot = j
-            break
-    local = index - offsets[slot]
+    slot, local = _tot_slot(offsets, index)
     p = n - 2 * slot
-    out: dict[int, Fraction] = {}
+    out: dict[int, Coeff] = {}
     if p >= 1:
         for key, c in stack.boundary(p, local).items():
             _add(out, target_offsets[slot] + key, c)
@@ -453,27 +537,15 @@ def compute_cyclic(spec: AlgebraSpec, cutoff: int) -> HomologyReport:
     """HH and HC through the cutoff, with S, B, I on homology bases."""
     report = compute_hochschild(spec, cutoff)
     stack = report._stack
-    report.hc_dims = []
-    for n in range(cutoff + 1):
-        offsets = _tot_offsets(stack, n)
-        report._tot_offsets[n] = offsets
-        dim_tot = offsets[-1] + stack.dim_chain(n - 2 * (len(offsets) - 1))
-        below = _tot_offsets(stack, n - 1) if n >= 1 else []
-        if n == 0:
-            cycles = [{i: Fraction(1)} for i in range(dim_tot)]
-        else:
-            images = (
-                (i, _tot_boundary(stack, n, offsets, below, i)) for i in range(dim_tot)
-            )
-            cycles = kernel_vectors(images)
-        above = _tot_offsets(stack, n + 1)
-        dim_above = above[-1] + stack.dim_chain(n + 1 - 2 * (len(above) - 1))
-        boundaries = (
-            _tot_boundary(stack, n + 1, above, offsets, i) for i in range(dim_above)
-        )
-        quotient = QuotientSpace(boundaries, cycles)
-        report._hc.append(quotient)
-        report.hc_dims.append(quotient.dim)
+    offsets = [_tot_offsets(stack, n) for n in range(cutoff + 2)]
+    report._tot_offsets = dict(enumerate(offsets[: cutoff + 1]))
+    dims = [_tot_dim(stack, offsets[n], n) for n in range(cutoff + 2)]
+
+    def tot_boundary(n: int, index: int):
+        return _tot_boundary(stack, n, offsets[n], offsets[n - 1], index)
+
+    report._hc = _homology(dims, tot_boundary, cutoff)
+    report.hc_dims = [quotient.dim for quotient in report._hc]
     _build_sbi_maps(report)
     return report
 
@@ -494,29 +566,18 @@ def _build_sbi_maps(report: HomologyReport) -> None:
         offsets = report._tot_offsets[n]
 
         # I: HH_n -> HC_n, inclusion as the leading Tot component
-        def include(rep, _offsets=offsets):
-            return dict(rep)
-
-        report.i_maps[n] = _matrix_of(
-            report._hh[n].representatives, include, report._hc[n]
-        )
+        report.i_maps[n] = _matrix_of(report._hh[n].representatives, dict, report._hc[n])
 
         # S: HC_n -> HC_{n-2}, drop the leading component
         if n >= 2:
             target_offsets = report._tot_offsets[n - 2]
 
             def drop(rep, _offsets=offsets, _target=target_offsets):
-                out: dict[int, Fraction] = {}
+                out: dict[int, Coeff] = {}
                 for index, coeff in rep.items():
-                    slot = 0
-                    for j in range(len(_offsets) - 1, -1, -1):
-                        if index >= _offsets[j]:
-                            slot = j
-                            break
-                    if slot == 0:
-                        continue
-                    local = index - _offsets[slot]
-                    out[_target[slot - 1] + local] = coeff
+                    slot, local = _tot_slot(_offsets, index)
+                    if slot:
+                        out[_target[slot - 1] + local] = coeff
                 return out
 
             report.s_maps[n] = _matrix_of(
@@ -647,7 +708,7 @@ class ClassFunctionAction:
             g = self.spec.group_table[g][h]
         return self.values.get(g, Fraction(0))
 
-    def apply(self, stack: ChainStack, p: int, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+    def apply(self, stack: ChainStack, p: int, vec: dict[int, Coeff]) -> dict[int, Coeff]:
         out = {}
         for index, coeff in vec.items():
             c = coeff * self.factor(stack, p, index)
@@ -665,7 +726,7 @@ class ClassFunctionAction:
                         face = stack.face(p, i, index)
                         left = {k: c * f_here for k, c in face.items()}
                         right = self.apply(stack, p - 1, face)
-                        if _strip(left) != _strip(right):
+                        if _strip(left) != right:
                             return False
                 rotated, _ = stack.cyclic(p, index)
                 if self.factor(stack, p, rotated) != f_here:
@@ -674,7 +735,7 @@ class ClassFunctionAction:
                     image = stack.connes_B(p, index)
                     left = {k: c * f_here for k, c in image.items()}
                     right = self.apply(stack, p + 1, image)
-                    if _strip(left) != _strip(right):
+                    if _strip(left) != right:
                         return False
         return True
 
@@ -692,14 +753,9 @@ class ClassFunctionAction:
         offsets = report._tot_offsets[n]
 
         def act(rep):
-            out: dict[int, Fraction] = {}
+            out: dict[int, Coeff] = {}
             for index, coeff in rep.items():
-                slot = 0
-                for j in range(len(offsets) - 1, -1, -1):
-                    if index >= offsets[j]:
-                        slot = j
-                        break
-                local = index - offsets[slot]
+                slot, local = _tot_slot(offsets, index)
                 c = coeff * self.factor(stack, n - 2 * slot, local)
                 if c:
                     out[index] = c

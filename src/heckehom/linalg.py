@@ -1,13 +1,23 @@
 """Sparse exact Gaussian elimination over an exact field.
 
 Vectors are dicts {column: coefficient} with no stored zeros.  Coefficients
-may be Fractions or any field type supporting +, -, *, /, bool and ==.
+are ints or Fractions, or any other exact field type supporting +, -, *, /,
+bool and ==.  Arithmetic stays in the integers as long as it can: a row is
+normalised by its lead only when that lead is not 1, a lead of -1 negates,
+and only a division by any other lead promotes to Fraction (an integral
+quotient is stored as an int again).  No float ever enters.
+
 Pivot choice is always the minimum column of the residue, so every stored
 row has its pivot at its minimum column; reductions therefore clear columns
-left to right and terminate.  All results are deterministic.
+left to right and terminate.  The pivot columns present in a residue are
+kept in a heap, so each reduction step pops the next one instead of
+rescanning the residue.  All results are deterministic.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 
 def vec_add_scaled(target: dict, source: dict, coeff) -> None:
@@ -24,6 +34,21 @@ def vec_add_scaled(target: dict, source: dict, coeff) -> None:
 
 def vec_scale(vec: dict, coeff) -> dict:
     return {col: coeff * val for col, val in vec.items()} if coeff else {}
+
+
+def _divided(vec: dict, lead) -> dict:
+    """vec / lead, exactly; vec itself when lead is 1."""
+    if lead == 1:
+        return vec
+    if lead == -1:
+        return {col: -val for col, val in vec.items()}
+    if isinstance(lead, (int, Fraction)):
+        out = {}
+        for col, val in vec.items():
+            quotient = Fraction(val, lead)
+            out[col] = quotient.numerator if quotient.denominator == 1 else quotient
+        return out
+    return {col: val / lead for col, val in vec.items()}
 
 
 class GaussianBasis:
@@ -51,31 +76,48 @@ class GaussianBasis:
     def row(self, pivot):
         return self._rows[pivot]
 
+    def without_payloads(self) -> GaussianBasis:
+        """The same rows (shared, not copied) with every payload dropped."""
+        out = GaussianBasis()
+        out._rows = {pivot: (row, None) for pivot, (row, _) in self._rows.items()}
+        return out
+
     def reduce(self, vec: dict):
         """Return (residue, combo): vec = residue + sum(combo-of-payload rows).
 
         combo accumulates coeff * payload over the rows that were subtracted
         (rows without payloads contribute nothing to combo).
         """
+        rows = self._rows
         residue = dict(vec)
         combo: dict = {}
-        while True:
-            hits = [col for col in residue if col in self._rows]
-            if not hits:
-                return residue, combo
-            col = min(hits)
-            coeff = residue.pop(col)
-            row, payload = self._rows[col]
+        # every pivot column of the residue is in the heap; a column that
+        # cancelled after it was pushed is stale and skipped when popped
+        heap = [col for col in residue if col in rows]
+        heapify(heap)
+        while heap:
+            col = heappop(heap)
+            coeff = residue.pop(col, None)
+            if coeff is None:
+                continue
+            row, payload = rows[col]
             for c, v in row.items():
                 if c == col:
                     continue
-                new = residue.get(c, 0) - coeff * v
-                if new:
-                    residue[c] = new
+                old = residue.get(c)
+                if old is None:
+                    residue[c] = -coeff * v
+                    if c in rows:
+                        heappush(heap, c)
                 else:
-                    residue.pop(c, None)
+                    new = old - coeff * v
+                    if new:
+                        residue[c] = new
+                    else:
+                        del residue[c]
             if payload is not None:
                 vec_add_scaled(combo, payload, coeff)
+        return residue, combo
 
     def insert(self, vec: dict, payload: dict | None = None):
         """Insert a vector; return (pivot, residue_payload).
@@ -94,11 +136,8 @@ class GaussianBasis:
             return None, dependency
         pivot = min(residue)
         lead = residue[pivot]
-        row = {c: v / lead for c, v in residue.items()}
-        stored_payload = None
-        if dependency is not None:
-            stored_payload = {c: v / lead for c, v in dependency.items()}
-        self._rows[pivot] = (row, stored_payload)
+        stored_payload = None if dependency is None else _divided(dependency, lead)
+        self._rows[pivot] = (_divided(residue, lead), stored_payload)
         return pivot, None
 
     def contains(self, vec: dict) -> bool:
@@ -106,31 +145,33 @@ class GaussianBasis:
         return not residue
 
 
-def span_dim(vectors) -> int:
+def span_basis(vectors) -> GaussianBasis:
+    """Echelon basis, without payloads, of the span of the vectors."""
     basis = GaussianBasis()
     for vec in vectors:
         basis.insert(vec)
-    return basis.rank
+    return basis
 
 
-def kernel_vectors(images) -> list[dict]:
-    """Kernel of a linear map given as (source_index, image_vector) pairs.
+def span_dim(vectors) -> int:
+    return span_basis(vectors).rank
 
-    Returns coefficient vectors over the source indices spanning the kernel.
+
+def kernel_vectors(images) -> tuple[list[dict], GaussianBasis]:
+    """Kernel and image of a linear map given as (source_index, image_vector) pairs.
+
+    Returns the coefficient vectors over the source indices spanning the
+    kernel, and the echelon basis of the image without payloads.  The image
+    basis is the one span_basis builds from the same vectors in the same
+    order, since payloads never change the rows.
     """
     basis = GaussianBasis()
     kernel = []
     for idx, vec in images:
-        pivot, dependency = basis.insert(vec, payload={idx: _unit_for(vec)})
+        pivot, dependency = basis.insert(vec, payload={idx: 1})
         if pivot is None and dependency:
             kernel.append(dependency)
-    return kernel
-
-
-def _unit_for(vec: dict):
-    for val in vec.values():
-        return val / val  # the field's 1, without naming the type
-    return 1
+    return kernel, basis.without_payloads()
 
 
 def intersect_with_columns(vectors, keep) -> list[dict]:
@@ -157,15 +198,15 @@ def intersect_with_columns(vectors, keep) -> list[dict]:
 class QuotientSpace:
     """Quotient of a span of cycles by a span of boundaries.
 
+    ``boundaries`` is the echelon basis of the boundary span, with no
+    payloads; the quotient takes it over and extends it by the cycles.
     Homology representatives are the reduced cycle rows; coords() expresses
     any vector of cycles+boundaries in that representative basis.
     """
 
-    def __init__(self, boundaries, cycles):
-        self._basis = GaussianBasis()
-        for vec in boundaries:
-            self._basis.insert(vec)
-        self.boundary_rank = self._basis.rank
+    def __init__(self, boundaries: GaussianBasis, cycles):
+        self._basis = boundaries
+        self.boundary_rank = boundaries.rank
         self.representatives: list[dict] = []
         for vec in cycles:
             pivot, _ = self._basis.insert(vec)

@@ -24,10 +24,10 @@ from math import factorial
 
 from .laurent import _rat
 from .linalg import (
-    GaussianBasis,
     QuotientSpace,
     intersect_with_columns,
     kernel_vectors,
+    span_basis,
 )
 
 ChainKey = tuple[tuple[int, ...], ...]
@@ -494,12 +494,12 @@ def _invariant_sector_dims(rank: int, degree: int, window: int):
         cycles = [{key: Fraction(1)} for key in keys]
     else:
         images = ((key, _fraction_vec(boundary_key(key))) for key in keys)
-        cycles = kernel_vectors(images)
+        cycles, _ = kernel_vectors(images)
     source = sector_keys(rank, degree + 1, window, zero)
     raw_boundaries = (_fraction_vec(boundary_key(key)) for key in source)
     window_pred = lambda key: _in_window(key, window)
     boundaries = intersect_with_columns(raw_boundaries, window_pred)
-    quotient = QuotientSpace(boundaries, cycles)
+    quotient = QuotientSpace(span_basis(boundaries), cycles)
     return cycles, quotient
 
 
@@ -599,13 +599,10 @@ def compact_part_of_b_image_is_boundary(rank: int, degree: int, window: int) -> 
         cycle_vecs = [{key: Fraction(1)} for key in normalized]
     else:
         images = ((key, _fraction_vec(boundary_key(key))) for key in normalized)
-        cycle_vecs = kernel_vectors(images)
+        cycle_vecs, _ = kernel_vectors(images)
     source = sector_keys(rank, degree + 2, window, zero)
     raw = (_fraction_vec(boundary_key(key)) for key in source)
-    boundaries = intersect_with_columns(raw, lambda key: _in_window(key, window))
-    basis = GaussianBasis()
-    for vec in boundaries:
-        basis.insert(vec)
+    basis = span_basis(intersect_with_columns(raw, lambda key: _in_window(key, window)))
     for vec in cycle_vecs:
         chain = _chain_of_vec(rank, degree, vec)
         image = class_action(connes_B(chain))

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from heckehom import engine as eg
+from heckehom.linalg import QuotientSpace, kernel_vectors, span_basis
 
 
 def test_load_validates_examples():
@@ -172,3 +173,63 @@ def test_shipped_spec_files():
         built = eg.BUILTIN_ALGEBRAS[name]()
         assert spec.dim == built.dim and spec.products == built.products
         assert json.loads(data)["name"] == name
+
+
+def _two_pass_quotients(dims, boundary, cutoff):
+    """Reference route: for each degree, a kernel pass for the cycles and a
+    second pass over every boundary image, in Fraction arithmetic."""
+
+    def image(p, i):
+        return {k: Fraction(c) for k, c in boundary(p, i).items()}
+
+    quotients = []
+    for p in range(cutoff + 1):
+        if p == 0:
+            cycles = [{i: Fraction(1)} for i in range(dims[0])]
+        else:
+            cycles, _ = kernel_vectors((i, image(p, i)) for i in range(dims[p]))
+        boundaries = span_basis(image(p + 1, i) for i in range(dims[p + 1]))
+        quotients.append(QuotientSpace(boundaries, cycles))
+    return quotients
+
+
+def _same_columns(left, right):
+    assert len(left) == len(right)
+    for a, b in zip(left, right):
+        assert list(a.items()) == list(b.items())
+
+
+@pytest.mark.parametrize(
+    "name", ["ground_field", "dual_numbers", "cyclic_2", "cyclic_3", "upper_triangular_2"]
+)
+def test_single_pass_homology_matches_two_pass_oracle(name):
+    cutoff = 3
+    spec = eg.BUILTIN_ALGEBRAS[name]()
+    report = eg.compute_cyclic(spec, cutoff)
+    stack = report._stack
+    hh_dims = [stack.dim_chain(p) for p in range(cutoff + 2)]
+    offsets = [eg._tot_offsets(stack, n) for n in range(cutoff + 2)]
+    tot_dims = [eg._tot_dim(stack, offsets[n], n) for n in range(cutoff + 2)]
+
+    def tot_boundary(n, i):
+        return eg._tot_boundary(stack, n, offsets[n], offsets[n - 1], i)
+
+    oracle = eg.HomologyReport(algebra=name, cutoff=cutoff, hh_dims=[], _stack=stack)
+    oracle._hh = _two_pass_quotients(hh_dims, stack.boundary, cutoff)
+    oracle._hc = _two_pass_quotients(tot_dims, tot_boundary, cutoff)
+    oracle._tot_offsets = dict(enumerate(offsets[: cutoff + 1]))
+    eg._build_sbi_maps(oracle)
+
+    assert [q.dim for q in oracle._hh] == report.hh_dims
+    assert [q.dim for q in oracle._hc] == report.hc_dims
+    for mine, theirs in zip(report._hh + report._hc, oracle._hh + oracle._hc):
+        assert mine.boundary_rank == theirs.boundary_rank
+        _same_columns(mine.representatives, theirs.representatives)
+    for maps, oracle_maps in (
+        (report.i_maps, oracle.i_maps),
+        (report.s_maps, oracle.s_maps),
+        (report.b_maps, oracle.b_maps),
+    ):
+        assert maps.keys() == oracle_maps.keys()
+        for n in maps:
+            _same_columns(maps[n], oracle_maps[n])

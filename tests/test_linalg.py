@@ -1,0 +1,194 @@
+"""Sparse exact elimination: heap-ordered pivots against a rescanning reference."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from heckehom import engine as eg
+from heckehom.linalg import (
+    GaussianBasis,
+    kernel_vectors,
+    span_basis,
+    vec_add_scaled,
+)
+
+
+class RescanBasis:
+    """Reference elimination: rescans the residue for its least pivot column
+    on every step and normalises every row by exact Fraction division."""
+
+    def __init__(self):
+        self._rows = {}
+
+    def reduce(self, vec):
+        residue = dict(vec)
+        combo = {}
+        while True:
+            hits = [col for col in residue if col in self._rows]
+            if not hits:
+                return residue, combo
+            col = min(hits)
+            coeff = residue.pop(col)
+            row, payload = self._rows[col]
+            for c, v in row.items():
+                if c == col:
+                    continue
+                new = residue.get(c, 0) - coeff * v
+                if new:
+                    residue[c] = new
+                else:
+                    residue.pop(c, None)
+            if payload is not None:
+                vec_add_scaled(combo, payload, coeff)
+
+    def insert(self, vec, payload=None):
+        residue, combo = self.reduce(vec)
+        if payload is None:
+            dependency = None
+        else:
+            dependency = dict(payload)
+            vec_add_scaled(dependency, combo, -1)
+        if not residue:
+            return None, dependency
+        pivot = min(residue)
+        lead = Fraction(residue[pivot])
+        row = {c: v / lead for c, v in residue.items()}
+        stored = None
+        if dependency is not None:
+            stored = {c: v / lead for c, v in dependency.items()}
+        self._rows[pivot] = (row, stored)
+        return pivot, None
+
+
+def _random_matrix(rng, n_rows, n_cols, rational):
+    """Sparse rows over columns 0..n_cols-1; about a third are combinations
+    of earlier rows, so dependent inserts and cancellations occur."""
+
+    def entry():
+        value = rng.choice([-3, -2, -1, 1, 1, 1, 2, 3])
+        return Fraction(value, rng.randint(1, 3)) if rational else value
+
+    rows = []
+    for _ in range(n_rows):
+        if rows and rng.random() < 0.35:
+            vec = {}
+            for _ in range(rng.randint(1, 3)):
+                vec_add_scaled(vec, rng.choice(rows), entry())
+        else:
+            cols = rng.sample(range(n_cols), rng.randint(1, 6))
+            vec = {c: entry() for c in cols}
+        rows.append(vec)
+    return rows
+
+
+def _same(left: dict, right: dict) -> bool:
+    """Equal values with equal key order."""
+    return list(left.items()) == list(right.items())
+
+
+def _assert_exact(vec: dict):
+    for value in vec.values():
+        assert type(value) in (int, Fraction), f"{value!r} is a {type(value).__name__}"
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["int", "fraction"])
+@pytest.mark.parametrize("seed", range(6))
+def test_heap_reduce_matches_rescanning_reference(seed, rational):
+    rng = random.Random(1000 * seed + rational)
+    basis, reference = GaussianBasis(), RescanBasis()
+    for idx, vec in enumerate(_random_matrix(rng, 40, 24, rational)):
+        residue, combo = basis.reduce(vec)
+        ref_residue, ref_combo = reference.reduce(vec)
+        assert _same(residue, ref_residue) and _same(combo, ref_combo)
+        pivot, dependency = basis.insert(vec, payload={idx: 1})
+        ref_pivot, ref_dependency = reference.insert(vec, payload={idx: 1})
+        assert pivot == ref_pivot
+        assert (dependency is None) == (ref_dependency is None)
+        if dependency is not None:
+            assert _same(dependency, ref_dependency)
+    assert list(basis.pivots) == list(reference._rows)
+    for pivot, (ref_row, ref_payload) in reference._rows.items():
+        row, payload = basis.row(pivot)
+        assert _same(row, ref_row) and _same(payload, ref_payload)
+        assert min(row) == pivot and row[pivot] == 1
+    for vec in _random_matrix(rng, 20, 30, rational):
+        residue, combo = basis.reduce(vec)
+        ref_residue, ref_combo = reference.reduce(vec)
+        assert _same(residue, ref_residue) and _same(combo, ref_combo)
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["int", "fraction"])
+def test_coefficients_are_never_float(rational):
+    rng = random.Random(7 + rational)
+    vectors = _random_matrix(rng, 50, 20, rational)
+    images = list(enumerate(vectors))
+    kernel, image = kernel_vectors(images)
+    assert kernel
+    for vec in kernel:
+        _assert_exact(vec)
+    basis = GaussianBasis()
+    for idx, vec in images:
+        basis.insert(vec, payload={idx: 1})
+    for pivot in basis.pivots:
+        row, payload = basis.row(pivot)
+        _assert_exact(row)
+        _assert_exact(payload)
+    for pivot in image.pivots:
+        row, payload = image.row(pivot)
+        _assert_exact(row)
+        assert payload is None
+
+
+def test_engine_homology_coefficients_are_exact():
+    report = eg.compute_cyclic(eg.upper_triangular_2(), 2)
+    eg.sbi_exactness_check(report)
+    for quotient in report._hh + report._hc:
+        for pivot in quotient._basis.pivots:
+            row, payload = quotient._basis.row(pivot)
+            _assert_exact(row)
+            if payload is not None:
+                _assert_exact(payload)
+    for maps in (report.i_maps, report.s_maps, report.b_maps):
+        for cols in maps.values():
+            for col in cols:
+                _assert_exact(col)
+
+
+def test_integer_leads_stay_integral():
+    basis = GaussianBasis()
+    basis.insert({0: 1, 1: 3})
+    basis.insert({1: -1, 2: 4})
+    basis.insert({2: 2, 3: 4})
+    rows = {pivot: basis.row(pivot)[0] for pivot in basis.pivots}
+    assert rows == {0: {0: 1, 1: 3}, 1: {1: 1, 2: -4}, 2: {2: 1, 3: 2}}
+    assert all(type(v) is int for row in rows.values() for v in row.values())
+    basis.insert({3: 3, 4: 1})
+    assert basis.row(3)[0] == {3: 1, 4: Fraction(1, 3)}
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["int", "fraction"])
+def test_kernel_pass_image_equals_boundary_pass(rational):
+    """The image basis of a kernel pass is the span basis of the same
+    vectors, row for row and in key order: payloads never change rows."""
+    rng = random.Random(31 + rational)
+    vectors = _random_matrix(rng, 45, 25, rational)
+    _, image = kernel_vectors(enumerate(vectors))
+    span = span_basis(vectors)
+    assert list(image.pivots) == list(span.pivots)
+    for pivot in span.pivots:
+        assert _same(image.row(pivot)[0], span.row(pivot)[0])
+        assert image.row(pivot)[1] is None
+
+
+def test_kernel_vectors_span_the_kernel():
+    rng = random.Random(5)
+    vectors = _random_matrix(rng, 30, 12, rational=False)
+    kernel, _ = kernel_vectors(enumerate(vectors))
+    rank = span_basis(vectors).rank
+    assert len(kernel) == len(vectors) - rank
+    for combo in kernel:
+        total = {}
+        for idx, coeff in combo.items():
+            vec_add_scaled(total, vectors[idx], coeff)
+        assert not total

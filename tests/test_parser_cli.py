@@ -136,3 +136,36 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "[E(1)]"
+
+
+_FIELD_PRODUCT = {"i": 0, "j": 0, "coeffs": ["1"]}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            json.dumps({"dim": 1, "unit": ["1"], "products": [_FIELD_PRODUCT, {"i": 3, "j": 0, "coeffs": ["1"]}]}),
+            "i = 3 is not a basis index",
+        ),
+        (
+            json.dumps({"dim": 1, "unit": ["1"], "products": [{"i": 0, "j": 0, "coeffs": ["1", "0"]}]}),
+            "coeffs must be a list of dim = 1",
+        ),
+        (
+            json.dumps({"dim": 2, "unit": ["0", "1"], "products": [{"i": 0, "j": 0, "coeffs": ["1", "0"]}]}),
+            "is not a two-sided identity",
+        ),
+        ('{"dim": 1, "unit": ["1"],', "not valid JSON"),
+    ],
+    ids=["index-out-of-range", "coeffs-too-long", "no-unit", "malformed-json"],
+)
+def test_bad_spec_file_exits_2_with_one_line(tmp_path, capsys, text, message):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    assert main(["verify", "engine", "--engine-cutoff", "1", "--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {path}: ") and message in lines[0]
