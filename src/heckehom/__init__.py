@@ -3,6 +3,7 @@ small-scale Hochschild/cyclic homology, with verification suites.
 
 Subpackages by topic:
 
+    sparse     zero-dropping accumulation and the base of every element type
     laurent    exact rationals and sparse Laurent polynomials in q
     weyl       the infinite dihedral Weyl group
     hecke      the Hecke algebra, basis inverses, R-polynomials
@@ -26,7 +27,7 @@ from .hecke import (
     t_inverse,
     t_mul,
 )
-from .hh0 import HH0Class, class_of_word, hh0_scale, reduce_to_hh0
+from .hh0 import HH0Class, class_of_word, reduce_to_hh0
 from .spectral import (
     LambdaElement,
     chi_m,

@@ -24,13 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .laurent import _rat
-from .linalg import (
-    GaussianBasis,
-    QuotientSpace,
-    kernel_vectors,
-    span_basis,
-    vec_add_scaled,
-)
+from .linalg import GaussianBasis, QuotientSpace, kernel_vectors, span_basis
+from .sparse import add_into, add_term
 
 
 class SpecError(ValueError):
@@ -80,15 +75,7 @@ class AlgebraSpec:
         out: dict[int, Coeff] = {}
         for i, ca in a.items():
             for j, cb in b.items():
-                coeff = ca * cb
-                if not coeff:
-                    continue
-                for k, ck in self.product_vec(i, j).items():
-                    v = out.get(k, 0) + coeff * ck
-                    if v:
-                        out[k] = v
-                    else:
-                        out.pop(k, None)
+                add_into(out, self.product_vec(i, j), ca * cb)
         return out
 
 
@@ -322,14 +309,12 @@ class ChainStack:
             merged = self.spec.product_vec(parts[i], parts[i + 1])
             rest = parts[:i] + parts[i + 1 :]
             for k, c in merged.items():
-                key = self.encode(rest[:i] + (k,) + rest[i + 1 :])
-                _add(out, key, c)
+                add_term(out, self.encode(rest[:i] + (k,) + rest[i + 1 :]), c)
         else:
             merged = self.spec.product_vec(parts[p], parts[0])
             middle = parts[1:p]
             for k, c in merged.items():
-                key = self.encode((k,) + middle)
-                _add(out, key, c)
+                add_term(out, self.encode((k,) + middle), c)
         return out
 
     def cyclic(self, p: int, index: int, signed: bool = False) -> tuple[int, int]:
@@ -341,9 +326,7 @@ class ChainStack:
     def boundary(self, p: int, index: int) -> dict[int, Coeff]:
         out: dict[int, Coeff] = {}
         for i in range(p + 1):
-            sign = 1 if i % 2 == 0 else -1
-            for key, c in self.face(p, i, index).items():
-                _add(out, key, sign * c)
+            add_into(out, self.face(p, i, index), -1 if i % 2 else None)
         return out
 
     def extra_degeneracy(self, p: int, index: int) -> dict[int, Coeff]:
@@ -351,7 +334,7 @@ class ChainStack:
         parts = self.decode(p, index)
         out: dict[int, Coeff] = {}
         for k, c in self.spec.unit.items():
-            _add(out, self.encode((k,) + parts), c)
+            add_term(out, self.encode((k,) + parts), c)
         return out
 
     def connes_B(self, p: int, index: int) -> dict[int, Coeff]:
@@ -365,24 +348,22 @@ class ChainStack:
             if j:
                 current, _ = self.cyclic(p, current)
                 sign *= step
-            _add(norm, current, sign)
+            add_term(norm, current, sign)
         # s, then (1 - t) on C_{p+1}
         inserted: dict[int, Coeff] = {}
         for key, c in norm.items():
-            for skey, sc in self.extra_degeneracy(p, key).items():
-                _add(inserted, skey, c * sc)
+            add_into(inserted, self.extra_degeneracy(p, key), c)
         out: dict[int, Coeff] = {}
         for key, c in inserted.items():
-            _add(out, key, c)
+            add_term(out, key, c)
             rotated, rsign = self.cyclic(p + 1, key, signed=True)
-            _add(out, rotated, -c * rsign)
+            add_term(out, rotated, -c * rsign)
         return out
 
     def apply_linear(self, op, vec: dict[int, Coeff]) -> dict[int, Coeff]:
         out: dict[int, Coeff] = {}
         for index, coeff in vec.items():
-            for key, c in op(index).items():
-                _add(out, key, coeff * c)
+            add_into(out, op(index), coeff)
         return out
 
     def verify_structure_identities(self, up_to: int | None = None) -> None:
@@ -407,14 +388,6 @@ class ChainStack:
                             lambda x: self.face(p - 1, j - 1, x), self.face(p, i, index)
                         )
                         assert left == right, f"d_{i} d_{j} != d_{j - 1} d_{i} at degree {p}"
-
-
-def _add(out: dict, key, value) -> None:
-    v = out.get(key, 0) + value
-    if v:
-        out[key] = v
-    else:
-        out.pop(key, None)
 
 
 # ---------------------------------------------------------------------------
@@ -526,10 +499,10 @@ def _tot_boundary(stack: ChainStack, n: int, offsets, target_offsets, index: int
     out: dict[int, Coeff] = {}
     if p >= 1:
         for key, c in stack.boundary(p, local).items():
-            _add(out, target_offsets[slot] + key, c)
+            add_term(out, target_offsets[slot] + key, c)
     if slot >= 1:
         for key, c in stack.connes_B(p, local).items():
-            _add(out, target_offsets[slot - 1] + key, c)
+            add_term(out, target_offsets[slot - 1] + key, c)
     return out
 
 
@@ -612,7 +585,7 @@ def _mat_compose(second: list[dict], first: list[dict]) -> list[dict]:
     for col in first:
         total: dict = {}
         for row, coeff in col.items():
-            vec_add_scaled(total, second[row], coeff)
+            add_into(total, second[row], coeff)
         out.append(total)
     return out
 
@@ -724,18 +697,14 @@ class ClassFunctionAction:
                 if p >= 1:
                     for i in range(p + 1):
                         face = stack.face(p, i, index)
-                        left = {k: c * f_here for k, c in face.items()}
-                        right = self.apply(stack, p - 1, face)
-                        if _strip(left) != right:
+                        if add_into({}, face, f_here) != self.apply(stack, p - 1, face):
                             return False
                 rotated, _ = stack.cyclic(p, index)
                 if self.factor(stack, p, rotated) != f_here:
                     return False
                 if p + 1 <= stack.top_degree:
                     image = stack.connes_B(p, index)
-                    left = {k: c * f_here for k, c in image.items()}
-                    right = self.apply(stack, p + 1, image)
-                    if _strip(left) != right:
+                    if add_into({}, image, f_here) != self.apply(stack, p + 1, image):
                         return False
         return True
 
@@ -764,10 +733,6 @@ class ClassFunctionAction:
         return _matrix_of(report._hc[n].representatives, act, report._hc[n])
 
 
-def _strip(vec: dict) -> dict:
-    return {k: v for k, v in vec.items() if v}
-
-
 def class_function_action(
     spec: AlgebraSpec, values: dict[int, Fraction], stack: ChainStack
 ) -> ClassFunctionAction:
@@ -790,14 +755,9 @@ def idempotent_commutator_square_is_zero(
         f_mat = f_action.induced_tot_matrix(report, n)
         ef = _mat_compose(e_mat, f_mat)
         fe = _mat_compose(f_mat, e_mat)
-        commutator = [_sub(a, b) for a, b in zip(ef, fe)]
+        commutator = [add_into(dict(a), b, -1) for a, b in zip(ef, fe)]
         square = _mat_compose(commutator, commutator)
         if not _mat_is_zero(square):
             return False
     return True
 
-
-def _sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    vec_add_scaled(out, b, -1)
-    return out

@@ -5,13 +5,17 @@ elements:
 
     expr   := term (("+" | "-") term)*
     term   := factor (("*" | "/") factor)*
-    factor := "-" factor | atom
+    factor := "-"* atom
     atom   := INTEGER | "q" ["^" INTEGER] | "T[" word "]" | "(" expr ")"
 
 Division is exact and only defined between scalars (the "a/b" rational
 notation).  Every value is carried as a Hecke element; parse_laurent and
 parse_scalar refuse inputs that use more of the language than their
 grammar allows.  Errors carry the offending position.
+
+Parentheses nest at most MAX_NESTING deep, which keeps the recursive
+descent well inside the interpreter's recursion limit; a run of unary
+minus signs is read in a loop and nests nothing.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from fractions import Fraction
 from .laurent import LaurentQ, qpow
 from .weyl import WeylWord
 from .hecke import HeckeElement, basis
+
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -109,6 +115,7 @@ class _Value:
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _Tokenizer(text)
+        self.depth = 0
 
     def parse(self) -> HeckeElement:
         value = self._expr()
@@ -144,11 +151,12 @@ class _Parser:
                 return value
 
     def _factor(self) -> _Value:
-        kind, _, _ = self.tokens.peek()
-        if kind == "-":
+        negate = False
+        while self.tokens.peek()[0] == "-":
             self.tokens.advance()
-            return _neg(self._factor())
-        return self._atom()
+            negate = not negate
+        value = self._atom()
+        return _neg(value) if negate else value
 
     def _atom(self) -> _Value:
         kind, text, position = self.tokens.peek()
@@ -172,8 +180,12 @@ class _Parser:
                 raise ParseError(str(err), position) from None
             return _Value.of_element(basis(word))
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", position)
             self.tokens.advance()
+            self.depth += 1
             value = self._expr()
+            self.depth -= 1
             self.tokens.expect(")")
             return value
         raise ParseError(f"unexpected token {text or 'end of input'!r}", position)

@@ -15,67 +15,32 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .laurent import LaurentQ, ONE, ZERO, Q, qpow
+from .sparse import Sparse, add_into, add_term
 from .weyl import E, WeylWord, bruhat_leq, word_mul, _OTHER
 
 _Q_MINUS_1 = Q - 1
 
 
-class HeckeElement:
+def _laurent(coeff) -> LaurentQ:
+    return coeff if isinstance(coeff, LaurentQ) else LaurentQ.const(coeff)
+
+
+class HeckeElement(Sparse):
     """Finite formal sum of basis elements T_w with LaurentQ coefficients.
 
     >>> basis(WeylWord(1, "s")) * basis(WeylWord(1, "s"))
     q*T[e] + (-1 + q)*T[s]
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for word, coeff in terms.items():
-                c = coeff if isinstance(coeff, LaurentQ) else LaurentQ.const(coeff)
-                if c:
-                    data[word] = c
-        self._terms = data
-
-    @property
-    def terms(self) -> dict[WeylWord, LaurentQ]:
-        return dict(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
+    _coerce = staticmethod(_laurent)
 
     def coefficient(self, word: WeylWord) -> LaurentQ:
         return self._terms.get(word, ZERO)
 
     def support(self) -> list[WeylWord]:
         return sorted(self._terms, key=_word_key)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __add__(self, other: HeckeElement) -> HeckeElement:
-        out = dict(self._terms)
-        for word, c in other._terms.items():
-            v = out.get(word, ZERO) + c
-            if v:
-                out[word] = v
-            else:
-                out.pop(word, None)
-        result = HeckeElement.__new__(HeckeElement)
-        result._terms = out
-        return result
-
-    def __neg__(self) -> HeckeElement:
-        result = HeckeElement.__new__(HeckeElement)
-        result._terms = {w: -c for w, c in self._terms.items()}
-        return result
-
-    def __sub__(self, other: HeckeElement) -> HeckeElement:
-        return self + (-other)
 
     def __mul__(self, other) -> HeckeElement:
         if isinstance(other, HeckeElement):
@@ -84,10 +49,6 @@ class HeckeElement:
 
     def __rmul__(self, other) -> HeckeElement:
         return self.scale(other)
-
-    def scale(self, coeff) -> HeckeElement:
-        c = coeff if isinstance(coeff, LaurentQ) else LaurentQ.const(coeff)
-        return HeckeElement({w: c * v for w, v in self._terms.items()})
 
     def render(self) -> str:
         if not self._terms:
@@ -98,10 +59,6 @@ class HeckeElement:
         ]
         return _join_signed(parts)
 
-    __str__ = render
-
-    def __repr__(self) -> str:
-        return self.render()
 
 
 def _word_key(word: WeylWord):
@@ -156,33 +113,22 @@ def _mul_generator(terms: dict[WeylWord, LaurentQ], letter: str) -> dict:
     for word, coeff in terms.items():
         wg = word_mul(word, g)
         if wg.length > word.length:
-            _accum(out, wg, coeff)
+            add_term(out, wg, coeff)
         else:
-            _accum(out, word, coeff * _Q_MINUS_1)
-            _accum(out, wg, coeff * Q)
+            add_term(out, word, coeff * _Q_MINUS_1)
+            add_term(out, wg, coeff * Q)
     return out
-
-
-def _accum(out: dict, word: WeylWord, coeff: LaurentQ) -> None:
-    v = out.get(word, ZERO) + coeff
-    if v:
-        out[word] = v
-    else:
-        out.pop(word, None)
 
 
 def t_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """Bilinear product, peeling the right factor generator by generator."""
     total: dict[WeylWord, LaurentQ] = {}
     for word, coeff in b._terms.items():
-        cur = dict(a._terms)
+        cur = a._terms
         for letter in word.letters:
             cur = _mul_generator(cur, letter)
-        for w, c in cur.items():
-            _accum(total, w, c * coeff)
-    result = HeckeElement.__new__(HeckeElement)
-    result._terms = total
-    return result
+        add_into(total, cur, coeff)
+    return HeckeElement._new(total)
 
 
 # T_g^{-1} = q^{-1} T_g - (1 - q^{-1}) T_e, forced by the quadratic relation

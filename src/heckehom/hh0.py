@@ -16,33 +16,33 @@ Each quadratic step reduces length by two, so the rewriting terminates.
 from __future__ import annotations
 
 from .laurent import LaurentQ, ONE, ZERO, Q
+from .sparse import Sparse
 from .weyl import WeylWord, _OTHER
-from .hecke import HeckeElement
+from .hecke import HeckeElement, _join_signed, _laurent, _render_coeff_token
 
 _Q_MINUS_1 = Q - 1
 
 
-class HH0Class:
+class HH0Class(Sparse):
     """Element of HH0 in the canonical basis.
 
-    Stored as the [T_s] coefficient, the [T_t] coefficient, and a sparse
-    mapping n -> coefficient of [T_{(st)^n}] (n = 0 is the class of T_e).
+    Keyed by "s" for [T_s], "t" for [T_t] and n >= 0 for [T_{(st)^n}]
+    (n = 0 is the class of T_e), with LaurentQ coefficients.
     """
 
-    __slots__ = ("coeff_s", "coeff_t", "_even")
+    __slots__ = ()
+
+    _coerce = staticmethod(_laurent)
 
     def __init__(self, coeff_s=ZERO, coeff_t=ZERO, even=None):
-        self.coeff_s = coeff_s if isinstance(coeff_s, LaurentQ) else LaurentQ.const(coeff_s)
-        self.coeff_t = coeff_t if isinstance(coeff_t, LaurentQ) else LaurentQ.const(coeff_t)
-        data = {}
-        if even:
-            for n, coeff in even.items():
-                c = coeff if isinstance(coeff, LaurentQ) else LaurentQ.const(coeff)
-                if n < 0:
-                    raise ValueError("even-part index must be nonnegative")
-                if c:
-                    data[int(n)] = c
-        self._even = data
+        super().__init__({"s": coeff_s, "t": coeff_t, **(even or {})})
+
+    def _key(self, key):
+        if key in ("s", "t"):
+            return key
+        if key < 0:
+            raise ValueError("even-part index must be nonnegative")
+        return int(key)
 
     @classmethod
     def zero(cls) -> HH0Class:
@@ -61,70 +61,30 @@ class HH0Class:
         return cls(even={n: ONE})
 
     @property
-    def even(self) -> dict[int, LaurentQ]:
-        return dict(self._even)
-
-    def even_coefficient(self, n: int) -> LaurentQ:
-        return self._even.get(n, ZERO)
+    def coeff_s(self) -> LaurentQ:
+        return self._terms.get("s", ZERO)
 
     @property
-    def is_zero(self) -> bool:
-        return not (self.coeff_s or self.coeff_t or self._even)
+    def coeff_t(self) -> LaurentQ:
+        return self._terms.get("t", ZERO)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HH0Class):
-            return NotImplemented
-        return (
-            self.coeff_s == other.coeff_s
-            and self.coeff_t == other.coeff_t
-            and self._even == other._even
-        )
+    @property
+    def even(self) -> dict[int, LaurentQ]:
+        return {n: c for n, c in self._terms.items() if n not in ("s", "t")}
 
-    def __add__(self, other: HH0Class) -> HH0Class:
-        even = dict(self._even)
-        for n, c in other._even.items():
-            v = even.get(n, ZERO) + c
-            if v:
-                even[n] = v
-            else:
-                even.pop(n, None)
-        return HH0Class(self.coeff_s + other.coeff_s, self.coeff_t + other.coeff_t, even)
-
-    def __neg__(self) -> HH0Class:
-        return HH0Class(-self.coeff_s, -self.coeff_t, {n: -c for n, c in self._even.items()})
-
-    def __sub__(self, other: HH0Class) -> HH0Class:
-        return self + (-other)
-
-    def scale(self, coeff) -> HH0Class:
-        c = coeff if isinstance(coeff, LaurentQ) else LaurentQ.const(coeff)
-        return HH0Class(
-            c * self.coeff_s, c * self.coeff_t, {n: c * v for n, v in self._even.items()}
-        )
+    def even_coefficient(self, n: int) -> LaurentQ:
+        return self._terms.get(n, ZERO)
 
     def render(self) -> str:
-        from .hecke import _render_coeff_token, _join_signed
-
         if self.is_zero:
             return "0"
-        parts = []
-        for n in sorted(self._even):
-            parts.append(_render_coeff_token(self._even[n], f"[E({n})]"))
+        even = self.even
+        parts = [_render_coeff_token(even[n], f"[E({n})]") for n in sorted(even)]
         if self.coeff_s:
             parts.append(_render_coeff_token(self.coeff_s, "[Ts]"))
         if self.coeff_t:
             parts.append(_render_coeff_token(self.coeff_t, "[Tt]"))
         return _join_signed(parts)
-
-    __str__ = render
-
-    def __repr__(self) -> str:
-        return self.render()
-
-
-def hh0_scale(coeff, x: HH0Class) -> HH0Class:
-    """Coefficientwise scaling, normalized."""
-    return x.scale(coeff)
 
 
 _WORD_CLASS_CACHE: dict[WeylWord, HH0Class] = {}

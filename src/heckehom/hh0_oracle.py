@@ -18,6 +18,7 @@ from .weyl import E, WeylWord, all_words, st_power
 from .hecke import HeckeElement, basis, t_mul
 from .hh0 import HH0Class
 from .linalg import GaussianBasis
+from .sparse import add_term
 
 
 def _ordinary(poly: LaurentQ) -> dict[int, object]:
@@ -37,12 +38,7 @@ def _poly_divmod(a: dict, b: dict) -> tuple[dict, dict]:
         e = da - db
         quot[e] = c
         for be, bc in b.items():
-            k = be + e
-            v = rem.get(k, 0) - c * bc
-            if v:
-                rem[k] = v
-            else:
-                rem.pop(k, None)
+            add_term(rem, be + e, -c * bc)
     return quot, rem
 
 
@@ -196,7 +192,6 @@ class TruncatedTraceOracle:
     def _reduce_canonical_tokens(self):
         """Residues of the canonical basis tokens; verified independent."""
         solver = GaussianBasis()
-        reduced = []
         for token, element in self._canonical_tokens():
             residue, _ = self._basis.reduce(self._vector(element))
             pivot, _ = solver.insert(residue, payload={token: QFrac.of(1)})
@@ -204,7 +199,6 @@ class TruncatedTraceOracle:
                 raise RuntimeError(
                     f"canonical token {token!r} is dependent in the truncated quotient"
                 )
-            reduced.append((token, residue))
         return solver
 
     def class_of_word(self, word: WeylWord) -> HH0Class:

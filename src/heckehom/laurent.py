@@ -1,14 +1,20 @@
 """Exact rational scalars and sparse Laurent polynomials in the parameter q.
 
-Every coefficient in this package is a ``fractions.Fraction``; no floating
-point is used anywhere.  Laurent polynomials are stored as sparse mappings
-{exponent: coefficient} with zero coefficients dropped, so equality of
-normalized mappings is exact equality of values.
+No float enters any coefficient in this package.  Laurent polynomials in q
+(and so the Hecke-algebra, HH0 and H(Lambda) elements built on them) have
+``fractions.Fraction`` coefficients.  The lattice types (``MultiLaurent``
+here, chains and forms in ``torus``), the linear algebra and the engine
+keep ints as ints and reach Fractions only through an exact division or a
+rational input.  Every element is a sparse mapping with zero coefficients
+dropped (see ``sparse``), so equality of mappings is exact equality of
+values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .sparse import Sparse, add_into, add_term
 
 
 class NotDivisible(ArithmeticError):
@@ -23,7 +29,16 @@ def _rat(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-class LaurentQ:
+def _exact(value):
+    """An int or Fraction as given, a string parsed to a Fraction; never a float."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    if isinstance(value, str):
+        return Fraction(value)
+    raise TypeError(f"not an exact rational: {value!r}")
+
+
+class LaurentQ(Sparse):
     """Sparse Laurent polynomial in q with Fraction coefficients.
 
     >>> (Q - 1) * (Q + 1) == Q**2 - 1
@@ -32,16 +47,10 @@ class LaurentQ:
     1
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for exp, coeff in terms.items():
-                c = _rat(coeff)
-                if c:
-                    data[int(exp)] = c
-        self._terms = data
+    _key = staticmethod(int)
+    _coerce = staticmethod(_rat)
 
     @classmethod
     def const(cls, value) -> LaurentQ:
@@ -50,14 +59,6 @@ class LaurentQ:
     @classmethod
     def monomial(cls, coeff, exp: int) -> LaurentQ:
         return cls({exp: _rat(coeff)})
-
-    @property
-    def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def degree(self) -> int:
         if not self._terms:
@@ -89,41 +90,19 @@ class LaurentQ:
         other = _as_laurent(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for exp, c in other._terms.items():
-            v = out.get(exp, 0) + c
-            if v:
-                out[exp] = v
-            else:
-                out.pop(exp, None)
-        result = LaurentQ.__new__(LaurentQ)
-        result._terms = out
-        return result
+        return self._like(add_into(dict(self._terms), other._terms))
 
     __radd__ = __add__
 
-    def __neg__(self) -> LaurentQ:
-        result = LaurentQ.__new__(LaurentQ)
-        result._terms = {e: -c for e, c in self._terms.items()}
-        return result
-
-    def __sub__(self, other) -> LaurentQ:
-        other = _as_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
     def __rsub__(self, other) -> LaurentQ:
-        other = _as_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other) -> LaurentQ:
         other = _as_laurent(other)
         if other is NotImplemented:
             return NotImplemented
         out: dict[int, Fraction] = {}
+        # inline, not add_term: ~10^5 calls per hecke-deep run, most of its time
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = e1 + e2
@@ -132,9 +111,7 @@ class LaurentQ:
                     out[e] = v
                 else:
                     out.pop(e, None)
-        result = LaurentQ.__new__(LaurentQ)
-        result._terms = out
-        return result
+        return self._like(out)
 
     __rmul__ = __mul__
 
@@ -177,6 +154,7 @@ class LaurentQ:
         dd = max(den)
         dlead = den[dd]
         quot: dict[int, Fraction] = {}
+        # inline, not add_term, for the same reason as __mul__
         while rem:
             rd = max(rem)
             if rd < dd:
@@ -220,10 +198,6 @@ class LaurentQ:
                 parts.append(("+ " if coeff > 0 else "- ") + body)
         return " ".join(parts)
 
-    __str__ = render
-
-    def __repr__(self) -> str:
-        return self.render()
 
 
 def _render_term(coeff: Fraction, exp: int) -> str:
@@ -253,29 +227,31 @@ ONE = LaurentQ.const(1)
 Q = qpow(1)
 
 
-class MultiLaurent:
-    """Sparse Laurent polynomial in r commuting variables over Fractions.
+
+
+class MultiLaurent(Sparse):
+    """Sparse Laurent polynomial in r commuting variables, exact coefficients.
 
     Terms are keyed by integer exponent vectors of length ``rank``; this is
     the group algebra of the lattice Z^r in coordinates.
     """
 
-    __slots__ = ("rank", "_terms")
+    __slots__ = ("rank",)
+
+    _shape = ("rank",)
+    _coerce = staticmethod(_exact)
 
     def __init__(self, rank: int, terms=None):
         if rank < 1:
             raise ValueError("rank must be a positive integer")
         self.rank = rank
-        data = {}
-        if terms:
-            for vec, coeff in terms.items():
-                key = tuple(int(v) for v in vec)
-                if len(key) != rank:
-                    raise ValueError(f"exponent vector {key} has length != {rank}")
-                c = _rat(coeff)
-                if c:
-                    data[key] = c
-        self._terms = data
+        super().__init__(terms)
+
+    def _key(self, vec) -> tuple[int, ...]:
+        key = tuple(int(v) for v in vec)
+        if len(key) != self.rank:
+            raise ValueError(f"exponent vector {key} has length != {self.rank}")
+        return key
 
     @classmethod
     def monomial(cls, rank: int, vec, coeff=1) -> MultiLaurent:
@@ -285,70 +261,19 @@ class MultiLaurent:
     def one(cls, rank: int) -> MultiLaurent:
         return cls(rank, {(0,) * rank: 1})
 
-    @property
-    def terms(self) -> dict[tuple[int, ...], Fraction]:
-        return dict(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiLaurent):
-            return NotImplemented
-        return self.rank == other.rank and self._terms == other._terms
-
     def __hash__(self) -> int:
         return hash((self.rank, tuple(sorted(self._terms.items()))))
 
-    def _check(self, other: MultiLaurent):
-        if not isinstance(other, MultiLaurent) or other.rank != self.rank:
-            raise ValueError("rank mismatch")
-
-    def __add__(self, other: MultiLaurent) -> MultiLaurent:
-        self._check(other)
-        out = dict(self._terms)
-        for vec, c in other._terms.items():
-            v = out.get(vec, 0) + c
-            if v:
-                out[vec] = v
-            else:
-                out.pop(vec, None)
-        result = MultiLaurent.__new__(MultiLaurent)
-        result.rank = self.rank
-        result._terms = out
-        return result
-
-    def __neg__(self) -> MultiLaurent:
-        result = MultiLaurent.__new__(MultiLaurent)
-        result.rank = self.rank
-        result._terms = {v: -c for v, c in self._terms.items()}
-        return result
-
-    def __sub__(self, other: MultiLaurent) -> MultiLaurent:
-        return self + (-other)
-
     def __mul__(self, other: MultiLaurent) -> MultiLaurent:
-        self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        if not self._same_shape(other):
+            return NotImplemented
+        out: dict[tuple[int, ...], object] = {}
         for v1, c1 in self._terms.items():
             for v2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(v1, v2))
-                v = out.get(key, 0) + c1 * c2
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        result = MultiLaurent.__new__(MultiLaurent)
-        result.rank = self.rank
-        result._terms = out
-        return result
+                add_term(out, tuple(a + b for a, b in zip(v1, v2)), c1 * c2)
+        return self._like(out)
 
-    def scale(self, coeff) -> MultiLaurent:
-        c = _rat(coeff)
-        return MultiLaurent(self.rank, {v: c * x for v, x in self._terms.items()})
-
-    def __repr__(self) -> str:
+    def render(self) -> str:
         if not self._terms:
             return "0"
         parts = [f"{c}*x^{list(v)}" for v, c in sorted(self._terms.items())]

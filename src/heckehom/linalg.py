@@ -19,21 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-
-def vec_add_scaled(target: dict, source: dict, coeff) -> None:
-    """target += coeff * source, dropping exact zeros in place."""
-    if not coeff:
-        return
-    for col, val in source.items():
-        new = target.get(col, 0) + coeff * val
-        if new:
-            target[col] = new
-        else:
-            target.pop(col, None)
-
-
-def vec_scale(vec: dict, coeff) -> dict:
-    return {col: coeff * val for col, val in vec.items()} if coeff else {}
+from .sparse import add_into
 
 
 def _divided(vec: dict, lead) -> dict:
@@ -101,6 +87,7 @@ class GaussianBasis:
             if coeff is None:
                 continue
             row, payload = rows[col]
+            # inline, not add_into: most of engine-spec's time; also feeds the heap
             for c, v in row.items():
                 if c == col:
                     continue
@@ -116,7 +103,7 @@ class GaussianBasis:
                     else:
                         del residue[c]
             if payload is not None:
-                vec_add_scaled(combo, payload, coeff)
+                add_into(combo, payload, coeff)
         return residue, combo
 
     def insert(self, vec: dict, payload: dict | None = None):
@@ -130,8 +117,7 @@ class GaussianBasis:
         if payload is None:
             dependency = None
         else:
-            dependency = dict(payload)
-            vec_add_scaled(dependency, combo, -1)
+            dependency = add_into(dict(payload), combo, -1)
         if not residue:
             return None, dependency
         pivot = min(residue)

@@ -1,0 +1,154 @@
+"""Finite formal sums with exact coefficients: the one sparse-vector idea.
+
+A sparse vector is a dict {key: coefficient} that stores no zero, so two
+vectors are equal exactly when their dicts are.  ``add_term`` and
+``add_into`` are the package's accumulation loops: they add into such a
+dict in place and delete every entry that cancels to an exact zero.
+Coefficients may be ints, Fractions, Laurent polynomials or any other
+exact type with +, * and truth testing; no float is ever created here.
+
+``Sparse`` is the base of every element type (Laurent polynomials, Hecke
+elements, HH0 classes, elements of H(Lambda), lattice chains and forms).
+A subclass declares its shape attributes (such as rank and degree), how a
+key is validated and how a coefficient is coerced; the vector-space
+operations are shared.  Elements are immutable: every operation returns a
+new element, and ``_like`` wraps a freshly built dict without copying it.
+"""
+
+from __future__ import annotations
+
+
+def add_term(target: dict, key, value) -> None:
+    """target[key] += value, deleting the entry when it cancels."""
+    old = target.get(key)
+    if old is None:
+        if value:
+            target[key] = value
+        return
+    new = old + value
+    if new:
+        target[key] = new
+    else:
+        del target[key]
+
+
+def add_into(target: dict, source: dict, coeff=None) -> dict:
+    """target += coeff * source in place (plain source when coeff is None).
+
+    Entries that cancel are deleted and zero products are never stored.
+    Returns target.
+    """
+    get = target.get
+    if coeff is None:
+        for key, value in source.items():
+            old = get(key)
+            new = value if old is None else old + value
+            if new:
+                target[key] = new
+            elif old is not None:
+                del target[key]
+        return target
+    if not coeff:
+        return target
+    for key, value in source.items():
+        old = get(key)
+        new = coeff * value if old is None else old + coeff * value
+        if new:
+            target[key] = new
+        elif old is not None:
+            del target[key]
+    return target
+
+
+class Sparse:
+    """Immutable finite formal sum over a key set, with no stored zero.
+
+    Subclasses set ``_shape`` to the names of their shape attributes, may
+    override ``_key`` (validate a key) and ``_coerce`` (make a value an
+    exact coefficient), and define ``render``, which str() and repr() use.
+    Operands of +, - and == must have the same type; a shape mismatch
+    raises ValueError.
+    """
+
+    __slots__ = ("_terms",)
+
+    _shape: tuple[str, ...] = ()
+
+    def __init__(self, terms=None):
+        data = {}
+        if terms:
+            key_of, coerce = self._key, self._coerce
+            for key, coeff in terms.items():
+                key = key_of(key)
+                c = coerce(coeff)
+                if c:
+                    data[key] = c
+        self._terms = data
+
+    def _key(self, key):
+        return key
+
+    @staticmethod
+    def _coerce(coeff):
+        return coeff
+
+    @classmethod
+    def _new(cls, terms: dict, **shape):
+        """An element on a zero-free dict of valid keys, taken without a copy."""
+        result = object.__new__(cls)
+        result._terms = terms
+        for name, value in shape.items():
+            setattr(result, name, value)
+        return result
+
+    def _like(self, terms: dict):
+        """An element of this type and shape on terms, taken without a copy."""
+        result = object.__new__(type(self))
+        result._terms = terms
+        for name in self._shape:
+            setattr(result, name, getattr(self, name))
+        return result
+
+    def _same_shape(self, other) -> bool:
+        """Whether other has this type; ValueError if its shape differs."""
+        if type(other) is not type(self):
+            return False
+        for name in self._shape:
+            if getattr(self, name) != getattr(other, name):
+                raise ValueError(f"{name} mismatch")
+        return True
+
+    @property
+    def terms(self) -> dict:
+        return dict(self._terms)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._terms == other._terms and all(
+            getattr(self, name) == getattr(other, name) for name in self._shape
+        )
+
+    def __add__(self, other):
+        if not self._same_shape(other):
+            return NotImplemented
+        return self._like(add_into(dict(self._terms), other._terms))
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __repr__(self) -> str:
+        return self.render()
+
+    def scale(self, coeff):
+        c = self._coerce(coeff)
+        if not c:
+            return self._like({})
+        return self._like({key: c * v for key, v in self._terms.items()})

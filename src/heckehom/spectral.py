@@ -18,24 +18,27 @@ R-polynomial closed form are verified against this definition.
 from __future__ import annotations
 
 from .laurent import LaurentQ, ONE, ZERO, Q, qpow
+from .sparse import Sparse
 from .weyl import E, st_power, ts_power
-from .hecke import HeckeElement, basis, t_inverse, r_polynomial
+from .hecke import (
+    HeckeElement,
+    _join_signed,
+    _laurent,
+    _render_coeff_token,
+    basis,
+    r_polynomial,
+    t_inverse,
+)
 from .hh0 import HH0Class, reduce_to_hh0
 
 
-class LambdaElement:
+class LambdaElement(Sparse):
     """Element of the rank-one Laurent group algebra with LaurentQ coefficients."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for n, coeff in terms.items():
-                c = coeff if isinstance(coeff, LaurentQ) else LaurentQ.const(coeff)
-                if c:
-                    data[int(n)] = c
-        self._terms = data
+    _key = staticmethod(int)
+    _coerce = staticmethod(_laurent)
 
     @classmethod
     def monomial(cls, n: int, coeff=1) -> LambdaElement:
@@ -45,49 +48,10 @@ class LambdaElement:
     def zero(cls) -> LambdaElement:
         return cls()
 
-    @property
-    def terms(self) -> dict[int, LaurentQ]:
-        return dict(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def coefficient(self, n: int) -> LaurentQ:
         return self._terms.get(n, ZERO)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LambdaElement):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __add__(self, other: LambdaElement) -> LambdaElement:
-        out = dict(self._terms)
-        for n, c in other._terms.items():
-            v = out.get(n, ZERO) + c
-            if v:
-                out[n] = v
-            else:
-                out.pop(n, None)
-        result = LambdaElement.__new__(LambdaElement)
-        result._terms = out
-        return result
-
-    def __neg__(self) -> LambdaElement:
-        result = LambdaElement.__new__(LambdaElement)
-        result._terms = {n: -c for n, c in self._terms.items()}
-        return result
-
-    def __sub__(self, other: LambdaElement) -> LambdaElement:
-        return self + (-other)
-
-    def scale(self, coeff) -> LambdaElement:
-        c = coeff if isinstance(coeff, LaurentQ) else LaurentQ.const(coeff)
-        return LambdaElement({n: c * v for n, v in self._terms.items()})
-
     def render(self) -> str:
-        from .hecke import _render_coeff_token, _join_signed
-
         if not self._terms:
             return "0"
         parts = []
@@ -105,10 +69,6 @@ class LambdaElement:
                 parts.append(_render_coeff_token(coeff, token))
         return _join_signed(parts)
 
-    __str__ = render
-
-    def __repr__(self) -> str:
-        return self.render()
 
 
 def pind_hecke(x: LambdaElement) -> HeckeElement:

@@ -14,6 +14,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .laurent import LaurentQ, ONE, Q, qpow
 from .weyl import E, WeylWord, all_words, bruhat_leq, st_power, word_mul
@@ -108,6 +109,13 @@ class SuiteConfig:
         for name in self.engine_algebras:
             if name not in eg.BUILTIN_ALGEBRAS:
                 raise ConfigError(f"unknown builtin algebra {name!r}")
+        # load every spec file now: a bad one stops the run before any suite
+        self.engine_specs
+
+    @cached_property
+    def engine_specs(self) -> list[eg.AlgebraSpec]:
+        """The algebras of engine_spec_files, each file loaded once."""
+        return [eg.load_algebra_file(path) for path in self.engine_spec_files]
 
 
 @dataclass
@@ -748,8 +756,7 @@ def suite_engine(cfg: SuiteConfig) -> SuiteReport:
     )
 
     algebras = [eg.BUILTIN_ALGEBRAS[name]() for name in cfg.engine_algebras]
-    for path in cfg.engine_spec_files:
-        algebras.append(eg.load_algebra_file(path))
+    algebras += cfg.engine_specs
 
     for spec in algebras:
         cutoff = cfg.engine_cutoff

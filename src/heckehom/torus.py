@@ -22,22 +22,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .laurent import _rat
+from .laurent import _exact
 from .linalg import (
     QuotientSpace,
     intersect_with_columns,
     kernel_vectors,
     span_basis,
 )
+from .sparse import Sparse, add_into, add_term
 
 ChainKey = tuple[tuple[int, ...], ...]
 FormKey = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-class LatticeChain:
-    """Degree-p Hochschild chain of the group algebra of Z^rank."""
+class _LatticeElement(Sparse):
+    """A sum over basis keys of one rank and one degree, exact coefficients."""
 
-    __slots__ = ("rank", "degree", "_terms")
+    __slots__ = ("rank", "degree")
+
+    _shape = ("rank", "degree")
+    _coerce = staticmethod(_exact)
 
     def __init__(self, rank: int, degree: int, terms=None):
         if rank < 1:
@@ -46,16 +50,19 @@ class LatticeChain:
             raise ValueError("degree must be nonnegative")
         self.rank = rank
         self.degree = degree
-        data: dict[ChainKey, Fraction] = {}
-        if terms:
-            for key, coeff in terms.items():
-                key = tuple(tuple(int(x) for x in vec) for vec in key)
-                if len(key) != degree + 1 or any(len(vec) != rank for vec in key):
-                    raise ValueError(f"bad chain key {key} for degree {degree}, rank {rank}")
-                c = _rat(coeff)
-                if c:
-                    data[key] = c
-        self._terms = data
+        super().__init__(terms)
+
+
+class LatticeChain(_LatticeElement):
+    """Degree-p Hochschild chain of the group algebra of Z^rank."""
+
+    __slots__ = ()
+
+    def _key(self, key) -> ChainKey:
+        key = tuple(tuple(int(x) for x in vec) for vec in key)
+        if len(key) != self.degree + 1 or any(len(vec) != self.rank for vec in key):
+            raise ValueError(f"bad chain key {key} for degree {self.degree}, rank {self.rank}")
+        return key
 
     @classmethod
     def from_key(cls, rank: int, key: ChainKey, coeff=1) -> LatticeChain:
@@ -67,139 +74,39 @@ class LatticeChain:
         factors = list(factors)
         if not factors:
             raise ValueError("need at least one tensor factor")
-        rank = factors[0].rank
-        terms: dict[ChainKey, Fraction] = {}
+        terms: dict[ChainKey, object] = {}
         for combo in itertools.product(*(f.terms.items() for f in factors)):
-            key = tuple(vec for vec, _ in combo)
-            coeff = Fraction(1)
+            coeff = 1
             for _, c in combo:
                 coeff *= c
-            if coeff:
-                terms[key] = terms.get(key, 0) + coeff
-        return cls(rank, len(factors) - 1, {k: v for k, v in terms.items() if v})
+            add_term(terms, tuple(vec for vec, _ in combo), coeff)
+        return cls(factors[0].rank, len(factors) - 1, terms)
 
-    @property
-    def terms(self) -> dict[ChainKey, Fraction]:
-        return dict(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LatticeChain):
-            return NotImplemented
-        return (
-            self.rank == other.rank
-            and self.degree == other.degree
-            and self._terms == other._terms
-        )
-
-    def __add__(self, other: LatticeChain) -> LatticeChain:
-        if self.rank != other.rank or self.degree != other.degree:
-            raise ValueError("rank/degree mismatch")
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-        result = LatticeChain.__new__(LatticeChain)
-        result.rank, result.degree, result._terms = self.rank, self.degree, out
-        return result
-
-    def __neg__(self) -> LatticeChain:
-        result = LatticeChain.__new__(LatticeChain)
-        result.rank, result.degree = self.rank, self.degree
-        result._terms = {k: -c for k, c in self._terms.items()}
-        return result
-
-    def __sub__(self, other: LatticeChain) -> LatticeChain:
-        return self + (-other)
-
-    def scale(self, coeff) -> LatticeChain:
-        c = _rat(coeff)
-        return LatticeChain(
-            self.rank, self.degree, {k: c * v for k, v in self._terms.items()}
-        )
-
-    def __repr__(self) -> str:
+    def render(self) -> str:
         if not self._terms:
             return "0"
         bits = [f"{c}*{key}" for key, c in sorted(self._terms.items())]
         return " + ".join(bits)
 
 
-class TorusForm:
+class TorusForm(_LatticeElement):
     """Differential form on the dual torus, in monomial/dlog coordinates."""
 
-    __slots__ = ("rank", "degree", "_terms")
+    __slots__ = ()
 
-    def __init__(self, rank: int, degree: int, terms=None):
-        if rank < 1:
-            raise ValueError("rank must be positive")
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        self.rank = rank
-        self.degree = degree
-        data: dict[FormKey, Fraction] = {}
-        if terms:
-            for (exps, idx), coeff in terms.items():
-                exps = tuple(int(x) for x in exps)
-                idx = tuple(int(i) for i in idx)
-                if len(exps) != rank or len(idx) != degree:
-                    raise ValueError("bad form key")
-                if any(a >= b for a, b in zip(idx, idx[1:])) or any(
-                    i < 0 or i >= rank for i in idx
-                ):
-                    raise ValueError("index set must be strictly increasing within range")
-                c = _rat(coeff)
-                if c:
-                    data[(exps, idx)] = c
-        self._terms = data
+    def _key(self, key) -> FormKey:
+        exps, idx = key
+        exps = tuple(int(x) for x in exps)
+        idx = tuple(int(i) for i in idx)
+        if len(exps) != self.rank or len(idx) != self.degree:
+            raise ValueError("bad form key")
+        if any(a >= b for a, b in zip(idx, idx[1:])) or any(
+            i < 0 or i >= self.rank for i in idx
+        ):
+            raise ValueError("index set must be strictly increasing within range")
+        return exps, idx
 
-    @property
-    def terms(self) -> dict[FormKey, Fraction]:
-        return dict(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TorusForm):
-            return NotImplemented
-        return (
-            self.rank == other.rank
-            and self.degree == other.degree
-            and self._terms == other._terms
-        )
-
-    def __add__(self, other: TorusForm) -> TorusForm:
-        if self.rank != other.rank or self.degree != other.degree:
-            raise ValueError("rank/degree mismatch")
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-        result = TorusForm.__new__(TorusForm)
-        result.rank, result.degree, result._terms = self.rank, self.degree, out
-        return result
-
-    def __neg__(self) -> TorusForm:
-        result = TorusForm.__new__(TorusForm)
-        result.rank, result.degree = self.rank, self.degree
-        result._terms = {k: -c for k, c in self._terms.items()}
-        return result
-
-    def __sub__(self, other: TorusForm) -> TorusForm:
-        return self + (-other)
-
-    def __repr__(self) -> str:
+    def render(self) -> str:
         if not self._terms:
             return "0"
         bits = []
@@ -231,13 +138,7 @@ def boundary_key(key: ChainKey) -> dict[ChainKey, int]:
     """Alternating face sum on a single basis tuple."""
     out: dict[ChainKey, int] = {}
     for i in range(len(key)):
-        face = _face_key(key, i)
-        sign = 1 if i % 2 == 0 else -1
-        v = out.get(face, 0) + sign
-        if v:
-            out[face] = v
-        else:
-            out.pop(face, None)
+        add_term(out, _face_key(key, i), 1 if i % 2 == 0 else -1)
     return out
 
 
@@ -267,12 +168,7 @@ def connes_b_key(key: ChainKey) -> dict[ChainKey, int]:
         if j:
             rotated = _rotate_right(rotated)
             sign *= step
-        new_key = (zero,) + rotated
-        v = out.get(new_key, 0) + sign
-        if v:
-            out[new_key] = v
-        else:
-            out.pop(new_key, None)
+        add_term(out, (zero,) + rotated, sign)
     return out
 
 
@@ -322,107 +218,62 @@ def de_rham_d_key(rank: int, fkey: FormKey) -> dict[FormKey, int]:
     return out
 
 
-def _lift_chain(rank, degree, keyed: dict) -> LatticeChain:
-    result = LatticeChain.__new__(LatticeChain)
-    result.rank, result.degree = rank, degree
-    result._terms = {k: v for k, v in keyed.items() if v}
-    return result
-
-
 def hochschild_b(chain: LatticeChain) -> LatticeChain:
     """Alternating face-map boundary; undefined in degree zero."""
     if chain.degree < 1:
         raise ValueError("the boundary is not defined on degree-0 chains")
-    out: dict[ChainKey, Fraction] = {}
+    out: dict[ChainKey, object] = {}
     for key, coeff in chain._terms.items():
-        for face, sign in boundary_key(key).items():
-            v = out.get(face, 0) + coeff * sign
-            if v:
-                out[face] = v
-            else:
-                out.pop(face, None)
-    return _lift_chain(chain.rank, chain.degree - 1, out)
+        add_into(out, boundary_key(key), coeff)
+    return LatticeChain._new(out, rank=chain.rank, degree=chain.degree - 1)
 
 
 def cyclic_t(chain: LatticeChain) -> LatticeChain:
     """Rotate each tuple right by one, with sign (-1)^degree."""
     sign = 1 if chain.degree % 2 == 0 else -1
-    out = {_rotate_right(key): sign * coeff for key, coeff in chain._terms.items()}
-    return _lift_chain(chain.rank, chain.degree, out)
+    return chain._like({_rotate_right(key): sign * c for key, c in chain._terms.items()})
 
 
 def normalize_chain(chain: LatticeChain) -> LatticeChain:
     """Project onto the normalized complex: drop tuples with an interior zero."""
-    out = {k: c for k, c in chain._terms.items() if not _is_degenerate(k)}
-    return _lift_chain(chain.rank, chain.degree, out)
+    return chain._like({k: c for k, c in chain._terms.items() if not _is_degenerate(k)})
 
 
 def connes_B(chain: LatticeChain) -> LatticeChain:
     """Normalized Connes operator, degree p -> p+1."""
-    out: dict[ChainKey, Fraction] = {}
+    out: dict[ChainKey, object] = {}
     for key, coeff in chain._terms.items():
-        if _is_degenerate(key):
-            continue
-        for new_key, sign in connes_b_key(key).items():
-            v = out.get(new_key, 0) + coeff * sign
-            if v:
-                out[new_key] = v
-            else:
-                out.pop(new_key, None)
-    return _lift_chain(chain.rank, chain.degree + 1, out)
+        if not _is_degenerate(key):
+            add_into(out, connes_b_key(key), coeff)
+    return LatticeChain._new(out, rank=chain.rank, degree=chain.degree + 1)
 
 
 def hkr(chain: LatticeChain) -> TorusForm:
     out: dict[FormKey, Fraction] = {}
     for key, coeff in chain._terms.items():
-        for fkey, value in hkr_key(chain.rank, key).items():
-            v = out.get(fkey, 0) + coeff * value
-            if v:
-                out[fkey] = v
-            else:
-                out.pop(fkey, None)
-    form = TorusForm.__new__(TorusForm)
-    form.rank, form.degree = chain.rank, chain.degree
-    form._terms = out
-    return form
+        add_into(out, hkr_key(chain.rank, key), coeff)
+    return TorusForm._new(out, rank=chain.rank, degree=chain.degree)
 
 
 def pi0(form: TorusForm) -> TorusForm:
     """Projection onto translation-invariant forms (trivial monomial part)."""
     zero = (0,) * form.rank
-    out = {k: c for k, c in form._terms.items() if k[0] == zero}
-    result = TorusForm.__new__(TorusForm)
-    result.rank, result.degree, result._terms = form.rank, form.degree, out
-    return result
+    return form._like({k: c for k, c in form._terms.items() if k[0] == zero})
 
 
 def de_rham_d(form: TorusForm) -> TorusForm:
-    out: dict[FormKey, Fraction] = {}
+    out: dict[FormKey, object] = {}
     for fkey, coeff in form._terms.items():
-        for new_key, value in de_rham_d_key(form.rank, fkey).items():
-            v = out.get(new_key, 0) + coeff * value
-            if v:
-                out[new_key] = v
-            else:
-                out.pop(new_key, None)
-    result = TorusForm.__new__(TorusForm)
-    result.rank, result.degree, result._terms = form.rank, form.degree + 1, out
-    return result
+        add_into(out, de_rham_d_key(form.rank, fkey), coeff)
+    return TorusForm._new(out, rank=form.rank, degree=form.degree + 1)
 
 
-def class_action(chain: LatticeChain, indicator_of_zero: bool = True) -> LatticeChain:
-    """Action of a class function on chains.
-
-    With indicator_of_zero the function is the characteristic function of
-    the trivial subgroup (the compact part of a lattice), so exactly the
-    tuples whose entries sum to zero survive; otherwise the function is the
-    constant 1 and the chain is returned unchanged.
-    """
-    if not indicator_of_zero:
-        return chain
+def class_action(chain: LatticeChain) -> LatticeChain:
+    """Action of the characteristic function of the trivial subgroup (the
+    compact part of a lattice) on chains: exactly the tuples whose entries
+    sum to zero survive."""
     zero = (0,) * chain.rank
-    out = {k: c for k, c in chain._terms.items() if _total(k) == zero}
-    return _lift_chain(chain.rank, chain.degree, out)
+    return chain._like({k: c for k, c in chain._terms.items() if _total(k) == zero})
 
 
 # ---------------------------------------------------------------------------
@@ -491,24 +342,15 @@ def _invariant_sector_dims(rank: int, degree: int, window: int):
     zero = (0,) * rank
     keys = list(sector_keys(rank, degree, window, zero))
     if degree == 0:
-        cycles = [{key: Fraction(1)} for key in keys]
+        cycles = [{key: 1} for key in keys]
     else:
-        images = ((key, _fraction_vec(boundary_key(key))) for key in keys)
-        cycles, _ = kernel_vectors(images)
+        cycles, _ = kernel_vectors((key, boundary_key(key)) for key in keys)
     source = sector_keys(rank, degree + 1, window, zero)
-    raw_boundaries = (_fraction_vec(boundary_key(key)) for key in source)
+    raw_boundaries = (boundary_key(key) for key in source)
     window_pred = lambda key: _in_window(key, window)
     boundaries = intersect_with_columns(raw_boundaries, window_pred)
     quotient = QuotientSpace(span_basis(boundaries), cycles)
     return cycles, quotient
-
-
-def _fraction_vec(int_vec: dict) -> dict:
-    return {k: Fraction(v) for k, v in int_vec.items()}
-
-
-def _chain_of_vec(rank: int, degree: int, vec: dict) -> LatticeChain:
-    return _lift_chain(rank, degree, dict(vec))
 
 
 def check_square_on_key(rank: int, key: ChainKey) -> bool:
@@ -535,15 +377,14 @@ def measure_hkr_b_constant(rank: int, degree: int, window: int):
                 return None, False
             continue
         ratio = None
-        for fkey, value in right.terms.items():
-            lvalue = left.terms.get(fkey, Fraction(0))
-            r = lvalue / value
+        for fkey, value in right._terms.items():
+            r = Fraction(left._terms.get(fkey, 0), value)
             if ratio is None:
                 ratio = r
             elif ratio != r:
                 return None, False
         # left may not have extra support beyond right
-        if any(fkey not in right.terms for fkey in left.terms):
+        if any(fkey not in right._terms for fkey in left._terms):
             return None, False
         if constant is None:
             constant = ratio
@@ -596,18 +437,17 @@ def compact_part_of_b_image_is_boundary(rank: int, degree: int, window: int) -> 
     keys = list(sector_keys(rank, degree, window, zero))
     normalized = [k for k in keys if not _is_degenerate(k)]
     if degree == 0:
-        cycle_vecs = [{key: Fraction(1)} for key in normalized]
+        cycle_vecs = [{key: 1} for key in normalized]
     else:
-        images = ((key, _fraction_vec(boundary_key(key))) for key in normalized)
-        cycle_vecs, _ = kernel_vectors(images)
+        cycle_vecs, _ = kernel_vectors((key, boundary_key(key)) for key in normalized)
     source = sector_keys(rank, degree + 2, window, zero)
-    raw = (_fraction_vec(boundary_key(key)) for key in source)
+    raw = (boundary_key(key) for key in source)
     basis = span_basis(intersect_with_columns(raw, lambda key: _in_window(key, window)))
     for vec in cycle_vecs:
-        chain = _chain_of_vec(rank, degree, vec)
+        chain = LatticeChain._new(vec, rank=rank, degree=degree)
         image = class_action(connes_B(chain))
         if image.is_zero:
             continue
-        if not basis.contains(image.terms):
+        if not basis.contains(image._terms):
             return False
     return True

@@ -6,12 +6,8 @@ from fractions import Fraction
 import pytest
 
 from heckehom import engine as eg
-from heckehom.linalg import (
-    GaussianBasis,
-    kernel_vectors,
-    span_basis,
-    vec_add_scaled,
-)
+from heckehom.linalg import GaussianBasis, kernel_vectors, span_basis
+from heckehom.sparse import add_into
 
 
 class RescanBasis:
@@ -40,7 +36,7 @@ class RescanBasis:
                 else:
                     residue.pop(c, None)
             if payload is not None:
-                vec_add_scaled(combo, payload, coeff)
+                add_into(combo, payload, coeff)
 
     def insert(self, vec, payload=None):
         residue, combo = self.reduce(vec)
@@ -48,7 +44,7 @@ class RescanBasis:
             dependency = None
         else:
             dependency = dict(payload)
-            vec_add_scaled(dependency, combo, -1)
+            add_into(dependency, combo, -1)
         if not residue:
             return None, dependency
         pivot = min(residue)
@@ -74,7 +70,7 @@ def _random_matrix(rng, n_rows, n_cols, rational):
         if rows and rng.random() < 0.35:
             vec = {}
             for _ in range(rng.randint(1, 3)):
-                vec_add_scaled(vec, rng.choice(rows), entry())
+                add_into(vec, rng.choice(rows), entry())
         else:
             cols = rng.sample(range(n_cols), rng.randint(1, 6))
             vec = {c: entry() for c in cols}
@@ -190,5 +186,28 @@ def test_kernel_vectors_span_the_kernel():
     for combo in kernel:
         total = {}
         for idx, coeff in combo.items():
-            vec_add_scaled(total, vectors[idx], coeff)
+            add_into(total, vectors[idx], coeff)
         assert not total
+
+
+def test_torus_coefficients_are_never_float():
+    """Lattice chains and forms, the torus sector rows and the HKR/B
+    constant stay in ints and Fractions."""
+    from heckehom import torus as tr
+
+    for key in tr.windowed_keys(2, 1, 1):
+        chain = tr.LatticeChain.from_key(2, key, 3)
+        for value in (tr.hochschild_b(chain), tr.connes_B(chain), tr.cyclic_t(chain),
+                      tr.hkr(chain), tr.de_rham_d(tr.hkr(chain)), chain.scale(Fraction(1, 2))):
+            _assert_exact(value.terms)
+    for degree in (0, 1, 2):
+        cycles, quotient = tr._invariant_sector_dims(2, degree, 1)
+        for vec in cycles:
+            _assert_exact(vec)
+        for pivot in quotient._basis.pivots:
+            row, payload = quotient._basis.row(pivot)
+            _assert_exact(row)
+            if payload is not None:
+                _assert_exact(payload)
+    constant, consistent = tr.measure_hkr_b_constant(2, 1, 1)
+    assert consistent and type(constant) is Fraction

@@ -1,14 +1,16 @@
 """Expression parsing, report formats, CLI behaviour and exit codes."""
 
 import json
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from heckehom.exprparse import ParseError, parse_hecke, parse_laurent, parse_scalar
+from heckehom.exprparse import MAX_NESTING, ParseError, parse_hecke, parse_laurent, parse_scalar
 from heckehom.hecke import basis, one
 from heckehom.laurent import Q, qpow
 from heckehom.weyl import S, T, WeylWord
@@ -49,6 +51,26 @@ def test_parse_errors_carry_position():
         parse_laurent("T[s]")
     with pytest.raises(ParseError):
         parse_scalar("q")
+
+
+def test_parse_nesting_is_bounded(capsys):
+    nested = "(" * 50 + "q*T[s]" + ")" * 50
+    assert parse_hecke(nested) == basis(S).scale(Q)
+    too_deep = "(" * (MAX_NESTING + 1) + "T[s]" + ")" * (MAX_NESTING + 1)
+    with pytest.raises(ParseError) as err:
+        parse_hecke(too_deep)
+    assert err.value.position == MAX_NESTING
+    assert main(["reduce", "(" * 3000 + "T[s]" + ")" * 3000]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: parentheses nested deeper than")
+
+
+def test_long_unary_minus_chain_parses():
+    assert parse_hecke("-" * 3000 + "T[s]") == basis(S)
+    assert parse_hecke("-" * 3001 + "2*T[s]") == basis(S).scale(-2)
+    assert parse_scalar("-" * 2999 + "3/4") == Fraction(-3, 4)
 
 
 def test_reduce_command(capsys):
@@ -129,10 +151,14 @@ def test_engine_spec_file_flag(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, "-m", "heckehom.cli", "reduce", "T[ts]"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "[E(1)]"
@@ -169,3 +195,19 @@ def test_bad_spec_file_exits_2_with_one_line(tmp_path, capsys, text, message):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"error: {path}: ") and message in lines[0]
+
+
+def test_bad_spec_file_stops_verify_all_before_any_suite(tmp_path, capsys, monkeypatch):
+    from heckehom import suites
+
+    entered = []
+    for name in suites._SUITES:
+        monkeypatch.setitem(suites._SUITES, name, lambda cfg, name=name: entered.append(name))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"dim": 1, "unit": ["1"], "products": [{"i": 3, "j": 0, "coeffs": ["1"]}]}))
+    assert main(["verify", "all", "--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+    assert entered == []

@@ -1,0 +1,136 @@
+"""The shared sparse-vector operations on every element type of the package."""
+
+from fractions import Fraction
+
+import pytest
+
+from heckehom.hecke import HeckeElement
+from heckehom.hh0 import HH0Class
+from heckehom.laurent import LaurentQ, MultiLaurent, Q
+from heckehom.spectral import LambdaElement
+from heckehom.sparse import add_into, add_term
+from heckehom.torus import LatticeChain, TorusForm
+from heckehom.weyl import E, S, T
+
+# per type: (a, b, key that cancels in a + b, elements of another shape)
+CASES = {
+    "LaurentQ": (
+        LaurentQ({0: 1, 2: Fraction(1, 2)}),
+        LaurentQ({2: Fraction(-1, 2), 3: 4}),
+        2,
+        [],
+    ),
+    "MultiLaurent": (
+        MultiLaurent(2, {(1, 0): 1, (0, 1): 2}),
+        MultiLaurent(2, {(0, 1): -2, (1, 1): Fraction(1, 3)}),
+        (0, 1),
+        [MultiLaurent(3, {(0, 1, 0): 1})],
+    ),
+    "HeckeElement": (
+        HeckeElement({S: Q, E: 1}),
+        HeckeElement({S: -Q, T: 2}),
+        S,
+        [],
+    ),
+    "LambdaElement": (
+        LambdaElement({1: Q, 0: 1}),
+        LambdaElement({1: -Q, -1: 2}),
+        1,
+        [],
+    ),
+    "HH0Class": (
+        HH0Class(coeff_s=Q, even={0: 1}),
+        HH0Class(coeff_s=-Q, coeff_t=2),
+        "s",
+        [],
+    ),
+    "LatticeChain": (
+        LatticeChain(1, 1, {((1,), (2,)): 1, ((0,), (1,)): 2}),
+        LatticeChain(1, 1, {((1,), (2,)): -1, ((3,), (1,)): Fraction(1, 3)}),
+        ((1,), (2,)),
+        [LatticeChain(2, 1, {((1, 0), (0, 1)): 1}), LatticeChain(1, 2, {((1,), (2,), (3,)): 1})],
+    ),
+    "TorusForm": (
+        TorusForm(1, 1, {((2,), (0,)): 1, ((1,), (0,)): 3}),
+        TorusForm(1, 1, {((2,), (0,)): -1}),
+        ((2,), (0,)),
+        [TorusForm(2, 1, {((2, 0), (0,)): 1}), TorusForm(1, 0, {((2,), ()): 1})],
+    ),
+}
+NAMES = list(CASES)
+
+
+def _shape(x):
+    return tuple(getattr(x, name) for name in type(x)._shape)
+
+
+def _assert_clean(result, like):
+    assert type(result) is type(like)
+    assert _shape(result) == _shape(like)
+    assert all(result.terms.values()), "a zero coefficient was stored"
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_operations_drop_zeros_and_keep_type_and_shape(name):
+    a, b, cancelled, mismatched = CASES[name]
+    total = a + b
+    _assert_clean(total, a)
+    assert cancelled in a.terms and cancelled in b.terms
+    assert cancelled not in total.terms
+    assert total - b == a
+    _assert_clean(total - b, a)
+    _assert_clean(-a, a)
+    assert (-a + a).is_zero and (a - a).is_zero
+    _assert_clean(a - a, a)
+    assert a.scale(0).is_zero
+    _assert_clean(a.scale(0), a)
+    assert a.scale(2) == a + a
+    _assert_clean(a.scale(2), a)
+    assert a == a + b - b and a != b
+    for other in mismatched:
+        with pytest.raises(ValueError):
+            a + other
+        with pytest.raises(ValueError):
+            a - other
+        assert a != other
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_cross_type_equality_is_not_implemented(name):
+    a = CASES[name][0]
+    other = CASES[NAMES[(NAMES.index(name) + 1) % len(NAMES)]][0]
+    assert a.__eq__(other) is NotImplemented
+    assert a != other and not (a == other)
+
+
+def test_accumulation_helpers():
+    target = {1: 2, 2: Fraction(1, 2)}
+    add_term(target, 2, Fraction(-1, 2))
+    add_term(target, 3, 0)
+    add_term(target, 4, 5)
+    assert list(target.items()) == [(1, 2), (4, 5)]
+    assert add_into(target, {1: 1, 4: 1}, -2) is target
+    assert target == {4: 3}
+    assert add_into(target, {4: -3, 5: 1}) == {5: 1}
+    assert add_into(target, {5: 7}, 0) == {5: 1}
+    source = {6: LaurentQ({0: 1})}
+    add_into(target, source)
+    assert target[6] is source[6]  # the plain form stores the value, no product by 1
+
+
+def test_laurent_types_stay_hashable():
+    assert len({LaurentQ({1: 2}), LaurentQ({1: Fraction(2)}), CASES["LaurentQ"][0]}) == 2
+    assert len({MultiLaurent(1, {(1,): 2}), MultiLaurent(1, {(1,): 2}), MultiLaurent(2)}) == 2
+
+
+def test_lattice_types_store_exact_values_as_given():
+    chain = LatticeChain(1, 0, {((1,),): 2, ((2,),): Fraction(1, 2), ((3,),): "3/4"})
+    assert [type(v) for v in chain.terms.values()] == [int, Fraction, Fraction]
+    for build in (
+        lambda: LatticeChain(1, 0, {((1,),): 0.5}),
+        lambda: TorusForm(1, 0, {((1,), ()): 1.0}),
+        lambda: MultiLaurent(1, {(1,): 2.0}),
+        lambda: chain.scale(0.5),
+    ):
+        with pytest.raises(TypeError):
+            build()

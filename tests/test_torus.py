@@ -67,8 +67,7 @@ def test_class_action_examples():
     assert tr.class_action(keep) == keep
     drop = chain(1, {((1,), (1,)): 1})
     assert tr.class_action(drop).is_zero
-    assert tr.class_action(tr.LatticeChain(1, 1), indicator_of_zero=True).is_zero
-    assert tr.class_action(drop, indicator_of_zero=False) == drop
+    assert tr.class_action(tr.LatticeChain(1, 1)).is_zero
 
 
 def test_de_rham_examples():
