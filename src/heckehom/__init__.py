@@ -11,9 +11,12 @@ Subpackages by topic:
     hh0_oracle truncated commutator-space oracle over Q(q)
     spectral   induction/restriction operators and the compact-restriction
                identity in degree zero
+    hochschild the Hochschild complex on tuple keys: faces, b, t, the
+               normalized complex and Connes' B, for any product
     torus      lattice Hochschild chains, differential forms, the
                invariant-forms projection
-    engine     Hochschild/cyclic homology of algebras by structure constants
+    engine     Hochschild/cyclic homology of algebras by structure constants,
+               on the normalized complex
     suites     the verification case lists behind the CLI
 """
 

@@ -2,15 +2,17 @@
 
 An algebra is given by structure constants, stored as ints where they are
 integral (as in every built-in algebra) and as Fractions otherwise; the
-engine builds the chain spaces A^(x)(p+1), the face and cyclic structure
-maps, the boundary b and the Connes operator B = (1 - t) s N on the
-unnormalized complex, and computes homology by exact sparse elimination in
-that integer-first arithmetic.  Each boundary map is eliminated once: the
+engine builds the normalized Hochschild complex A (x) (A/k)^(x)p on tuple
+keys, with the boundary b and the normalized Connes operator B = s N of
+``hochschild`` (after a change of basis that makes the unit a basis
+vector), and computes homology by exact sparse elimination in that
+integer-first arithmetic.  Each boundary map is eliminated once: the
 pass that finds the cycles in degree p also yields the echelon basis of
 the boundaries in degree p - 1.  Cyclic homology comes from the (b, B)
 mixed complex; the S, B, I maps between the computed groups are produced
 on explicit homology bases, so exactness of the long sequence can be
-verified by rank counting.
+verified by rank counting.  A basis key of Tot_n is (j, key) for a basis
+key of C_{n-2j}.
 
 Chains one degree above the report cutoff are always built, so every
 reported dimension is unaffected by the truncation.
@@ -19,13 +21,14 @@ reported dimension is unaffected by the truncation.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
+from . import hochschild as hh
 from .laurent import _rat
 from .linalg import GaussianBasis, QuotientSpace, kernel_vectors, span_basis
-from .sparse import add_into, add_term
+from .sparse import add_into, linear
 
 
 class SpecError(ValueError):
@@ -201,15 +204,20 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _exact_quotient(v, d) -> Coeff:
+    """v / d as an exact rational, an int when integral."""
+    q = Fraction(v, d)
+    return q.numerator if q.denominator == 1 else q
+
+
 def _spec_coefficient(value, where: str) -> Coeff:
     """An exact coefficient from an int or a rational string; int when integral."""
     if not (_is_int(value) or isinstance(value, str)):
         raise SpecError(f"{where}: coefficient {value!r} is not an integer or a string")
     try:
-        exact = Fraction(value)
+        return _exact_quotient(Fraction(value), 1)
     except (ValueError, ZeroDivisionError):
         raise SpecError(f"{where}: coefficient {value!r} is not an exact rational") from None
-    return exact.numerator if exact.denominator == 1 else exact
 
 
 def _spec_vector(values, dim: int, where: str) -> dict[int, Coeff]:
@@ -276,117 +284,89 @@ def load_algebra_file(path) -> AlgebraSpec:
 # chain spaces and structure maps
 
 
+def unit_basis(spec: AlgebraSpec) -> AlgebraSpec:
+    """The spec in a basis whose vector k, the first label of the unit, is the unit.
+
+    Basis vector k becomes the unit u = sum_j u_j e_j and the others stay,
+    so e_k = (u - sum_{j != k} u_j e_j) / u_k.  The spec is returned as it is
+    when its unit is already e_k.
+    """
+    unit = spec.unit
+    k = min(unit)
+    if unit == {k: 1}:
+        return spec
+    u_k = unit[k]
+
+    def coords(vec: dict[int, Coeff]) -> dict[int, Coeff]:
+        c_k = vec.get(k, 0)
+        scaled = {j: vec.get(j, 0) * u_k - c_k * unit.get(j, 0) for j in range(spec.dim)}
+        scaled[k] = c_k
+        return {j: _exact_quotient(v, u_k) for j, v in scaled.items() if v}
+
+    vectors = [unit if i == k else {i: 1} for i in range(spec.dim)]
+    products = {}
+    for i, a in enumerate(vectors):
+        for j, b in enumerate(vectors):
+            vec = coords(spec.multiply(a, b))
+            if vec:
+                products[(i, j)] = vec
+    return AlgebraSpec(name=spec.name, dim=spec.dim, products=products, unit={k: 1})
+
+
 class ChainStack:
-    """Chain spaces A^(x)(p+1) with their structure maps, up to top_degree."""
+    """The normalized Hochschild complex of an algebra, up to top_degree.
+
+    C_p is spanned by the tuples (a_0, ..., a_p) of basis labels with no
+    unit after the first entry; b and B are those of ``hochschild`` with
+    the spec's product.  The spec is first put in a basis in which the unit
+    is a basis vector (``unit_basis``); dimensions and ranks do not depend
+    on the basis.
+    """
 
     def __init__(self, spec: AlgebraSpec, top_degree: int):
-        self.spec = spec
+        self.spec = unit_basis(spec)
+        self.unit = next(iter(self.spec.unit))
         self.top_degree = top_degree
 
     def dim_chain(self, p: int) -> int:
-        return self.spec.dim ** (p + 1)
+        """The dimension of the normalized C_p."""
+        return self.spec.dim * (self.spec.dim - 1) ** p
 
-    def decode(self, p: int, index: int) -> tuple[int, ...]:
-        base = self.spec.dim
-        out = []
-        for _ in range(p + 1):
-            out.append(index % base)
-            index //= base
-        return tuple(reversed(out))
+    def keys(self, p: int) -> list[tuple[int, ...]]:
+        """The basis of the normalized C_p, in increasing order."""
+        labels = range(self.spec.dim)
+        bar = [a for a in labels if a != self.unit]
+        return [(a,) + rest for a in labels for rest in product(bar, repeat=p)]
 
-    def encode(self, parts) -> int:
-        base = self.spec.dim
-        index = 0
-        for part in parts:
-            index = index * base + part
-        return index
+    def tuples(self, p: int):
+        """Every (p+1)-tuple of basis labels, degenerate ones included."""
+        return product(range(self.spec.dim), repeat=p + 1)
 
-    def face(self, p: int, i: int, index: int) -> dict[int, Coeff]:
-        """d_i on a basis tuple; d_p multiplies the last entry into the first."""
-        parts = self.decode(p, index)
-        out: dict[int, Coeff] = {}
-        if i < p:
-            merged = self.spec.product_vec(parts[i], parts[i + 1])
-            rest = parts[:i] + parts[i + 1 :]
-            for k, c in merged.items():
-                add_term(out, self.encode(rest[:i] + (k,) + rest[i + 1 :]), c)
-        else:
-            merged = self.spec.product_vec(parts[p], parts[0])
-            middle = parts[1:p]
-            for k, c in merged.items():
-                add_term(out, self.encode((k,) + middle), c)
-        return out
+    def boundary(self, key: tuple[int, ...]) -> dict:
+        return hh.normalize(hh.boundary(key, self.spec.product_vec), self.unit)
 
-    def cyclic(self, p: int, index: int, signed: bool = False) -> tuple[int, int]:
-        parts = self.decode(p, index)
-        rotated = parts[-1:] + parts[:-1]
-        sign = -1 if (signed and p % 2 == 1) else 1
-        return self.encode(rotated), sign
-
-    def boundary(self, p: int, index: int) -> dict[int, Coeff]:
-        out: dict[int, Coeff] = {}
-        for i in range(p + 1):
-            add_into(out, self.face(p, i, index), -1 if i % 2 else None)
-        return out
-
-    def extra_degeneracy(self, p: int, index: int) -> dict[int, Coeff]:
-        """Insert the unit in front: C_p -> C_{p+1}."""
-        parts = self.decode(p, index)
-        out: dict[int, Coeff] = {}
-        for k, c in self.spec.unit.items():
-            add_term(out, self.encode((k,) + parts), c)
-        return out
-
-    def connes_B(self, p: int, index: int) -> dict[int, Coeff]:
-        """B = (1 - t) s N on the unnormalized complex."""
-        # N = sum of signed cyclic powers on C_p
-        norm: dict[int, Coeff] = {}
-        current = index
-        sign = 1
-        step = -1 if p % 2 == 1 else 1
-        for j in range(p + 1):
-            if j:
-                current, _ = self.cyclic(p, current)
-                sign *= step
-            add_term(norm, current, sign)
-        # s, then (1 - t) on C_{p+1}
-        inserted: dict[int, Coeff] = {}
-        for key, c in norm.items():
-            add_into(inserted, self.extra_degeneracy(p, key), c)
-        out: dict[int, Coeff] = {}
-        for key, c in inserted.items():
-            add_term(out, key, c)
-            rotated, rsign = self.cyclic(p + 1, key, signed=True)
-            add_term(out, rotated, -c * rsign)
-        return out
-
-    def apply_linear(self, op, vec: dict[int, Coeff]) -> dict[int, Coeff]:
-        out: dict[int, Coeff] = {}
-        for index, coeff in vec.items():
-            add_into(out, op(index), coeff)
-        return out
+    def connes_B(self, key: tuple[int, ...]) -> dict:
+        return hh.connes_B(key, self.unit)
 
     def verify_structure_identities(self, up_to: int | None = None) -> None:
-        """Simplicial identities d_i d_j = d_{j-1} d_i (i < j) and t^(p+1) = 1.
+        """Simplicial identities d_i d_j = d_{j-1} d_i (i < j) and t^(p+1) = 1
+        on every tuple, degenerate ones included.
 
         Raises AssertionError with a witness on any failure.
         """
         top = self.top_degree if up_to is None else up_to
+        mul = self.spec.product_vec
         for p in range(1, top + 1):
-            for index in range(self.dim_chain(p)):
-                current = index
+            for key in self.tuples(p):
+                current, sign = key, 1
                 for _ in range(p + 1):
-                    current, _ = self.cyclic(p, current)
-                assert current == index, f"t^{p + 1} != 1 at degree {p}, index {index}"
-            for j in range(1, p + 1):
-                for i in range(j):
-                    for index in range(self.dim_chain(p)):
-                        left = self.apply_linear(
-                            lambda x: self.face(p - 1, i, x), self.face(p, j, index)
-                        )
-                        right = self.apply_linear(
-                            lambda x: self.face(p - 1, j - 1, x), self.face(p, i, index)
-                        )
+                    current, step = hh.cyclic(current)
+                    sign *= step
+                assert (current, sign) == (key, 1), f"t^{p + 1} != 1 at degree {p}, tuple {key}"
+                for j in range(1, p + 1):
+                    for i in range(j):
+                        left = linear(lambda x: hh.face(x, i, mul), hh.face(key, j, mul))
+                        right = linear(lambda x: hh.face(x, j - 1, mul), hh.face(key, i, mul))
                         assert left == right, f"d_{i} d_{j} != d_{j - 1} d_{i} at degree {p}"
 
 
@@ -416,10 +396,10 @@ class HomologyReport:
     hh_dims: list[int]
     hc_dims: list[int] | None = None
     exactness: list[ExactnessNode] = field(default_factory=list)
+    chain_dims: list[int] = field(default_factory=list)
     _stack: ChainStack | None = field(default=None, repr=False)
     _hh: list[QuotientSpace] = field(default_factory=list, repr=False)
     _hc: list[QuotientSpace] = field(default_factory=list, repr=False)
-    _tot_offsets: dict[int, list[int]] = field(default_factory=dict, repr=False)
     i_maps: dict[int, list[dict]] = field(default_factory=dict, repr=False)
     s_maps: dict[int, list[dict]] = field(default_factory=dict, repr=False)
     b_maps: dict[int, list[dict]] = field(default_factory=dict, repr=False)
@@ -438,18 +418,18 @@ def _guard(spec: AlgebraSpec, cutoff: int) -> None:
         )
 
 
-def _homology(dims: list[int], boundary, cutoff: int) -> list[QuotientSpace]:
-    """H_0..H_cutoff of a complex with dims[p] = dim C_p for p <= cutoff + 1.
+def _homology(bases: list[list], boundary, cutoff: int) -> list[QuotientSpace]:
+    """H_0..H_cutoff of a complex with basis keys bases[p] of C_p, p <= cutoff + 1.
 
-    boundary(p, i) is the image in C_{p-1} of basis element i of C_p.  Each
-    map is eliminated once: the kernel pass of the boundary on C_p gives the
+    boundary(key) is the image in C_{p-1} of a basis key of C_p.  Each map
+    is eliminated once: the kernel pass of the boundary on C_p gives the
     cycles of degree p, and its echelon rows are the boundary basis of
     degree p - 1; only the top map gets a pass of its own, without payloads.
     """
     quotients = []
-    cycles = [{i: 1} for i in range(dims[0])]
+    cycles = [{key: 1} for key in bases[0]]
     for p in range(1, cutoff + 2):
-        images = ((i, boundary(p, i)) for i in range(dims[p]))
+        images = ((key, boundary(key)) for key in bases[p])
         if p <= cutoff:
             next_cycles, boundaries = kernel_vectors(images)
         else:
@@ -464,45 +444,26 @@ def compute_hochschild(spec: AlgebraSpec, cutoff: int) -> HomologyReport:
     _guard(spec, cutoff)
     stack = ChainStack(spec, cutoff + 1)
     report = HomologyReport(algebra=spec.name, cutoff=cutoff, hh_dims=[], _stack=stack)
-    dims = [stack.dim_chain(p) for p in range(cutoff + 2)]
-    report._hh = _homology(dims, stack.boundary, cutoff)
+    report.chain_dims = [stack.dim_chain(p) for p in range(cutoff + 2)]
+    bases = [stack.keys(p) for p in range(cutoff + 2)]
+    report._hh = _homology(bases, stack.boundary, cutoff)
     report.hh_dims = [quotient.dim for quotient in report._hh]
     return report
 
 
-def _tot_offsets(stack: ChainStack, n: int) -> list[int]:
-    """Offsets of the components C_{n-2j} inside Tot_n."""
-    offsets = []
-    total = 0
-    j = 0
-    while n - 2 * j >= 0:
-        offsets.append(total)
-        total += stack.dim_chain(n - 2 * j)
-        j += 1
-    return offsets
+def _tot_keys(stack: ChainStack, n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The basis of Tot_n: (j, key) for the basis keys of C_{n - 2j}."""
+    return [(j, key) for j in range(n // 2 + 1) for key in stack.keys(n - 2 * j)]
 
 
-def _tot_dim(stack: ChainStack, offsets: list[int], n: int) -> int:
-    return offsets[-1] + stack.dim_chain(n - 2 * (len(offsets) - 1))
-
-
-def _tot_slot(offsets: list[int], index: int) -> tuple[int, int]:
-    """(slot, local): a Tot_n index is basis element local of C_{n - 2 slot}."""
-    slot = bisect_right(offsets, index) - 1
-    return slot, index - offsets[slot]
-
-
-def _tot_boundary(stack: ChainStack, n: int, offsets, target_offsets, index: int):
-    """(b + B) on a Tot_n basis element, expressed in Tot_{n-1} indices."""
-    slot, local = _tot_slot(offsets, index)
-    p = n - 2 * slot
-    out: dict[int, Coeff] = {}
-    if p >= 1:
-        for key, c in stack.boundary(p, local).items():
-            add_term(out, target_offsets[slot] + key, c)
-    if slot >= 1:
-        for key, c in stack.connes_B(p, local).items():
-            add_term(out, target_offsets[slot - 1] + key, c)
+def _tot_boundary(stack: ChainStack, tot_key) -> dict:
+    """(b + B) on a basis key of Tot_n, in Tot_{n-1}."""
+    j, key = tot_key
+    out = {}
+    if len(key) > 1:
+        out = {(j, image): c for image, c in stack.boundary(key).items()}
+    if j:
+        out.update(((j - 1, image), c) for image, c in stack.connes_B(key).items())
     return out
 
 
@@ -510,14 +471,8 @@ def compute_cyclic(spec: AlgebraSpec, cutoff: int) -> HomologyReport:
     """HH and HC through the cutoff, with S, B, I on homology bases."""
     report = compute_hochschild(spec, cutoff)
     stack = report._stack
-    offsets = [_tot_offsets(stack, n) for n in range(cutoff + 2)]
-    report._tot_offsets = dict(enumerate(offsets[: cutoff + 1]))
-    dims = [_tot_dim(stack, offsets[n], n) for n in range(cutoff + 2)]
-
-    def tot_boundary(n: int, index: int):
-        return _tot_boundary(stack, n, offsets[n], offsets[n - 1], index)
-
-    report._hc = _homology(dims, tot_boundary, cutoff)
+    bases = [_tot_keys(stack, n) for n in range(cutoff + 2)]
+    report._hc = _homology(bases, lambda key: _tot_boundary(stack, key), cutoff)
     report.hc_dims = [quotient.dim for quotient in report._hc]
     _build_sbi_maps(report)
     return report
@@ -525,51 +480,30 @@ def compute_cyclic(spec: AlgebraSpec, cutoff: int) -> HomologyReport:
 
 def _matrix_of(domain_reps, apply_map, codomain: QuotientSpace) -> list[dict]:
     """Columns of the induced map on homology bases."""
-    cols = []
-    for rep in domain_reps:
-        image = apply_map(rep)
-        cols.append(codomain.coords(image))
-    return cols
+    return [codomain.coords(apply_map(rep)) for rep in domain_reps]
 
 
 def _build_sbi_maps(report: HomologyReport) -> None:
+    """I includes C_n as the j = 0 part of Tot_n, S drops j by one and B
+    applies the Connes operator to the j = 0 part."""
     stack = report._stack
-    cutoff = report.cutoff
-    for n in range(cutoff + 1):
-        offsets = report._tot_offsets[n]
 
-        # I: HH_n -> HC_n, inclusion as the leading Tot component
-        report.i_maps[n] = _matrix_of(report._hh[n].representatives, dict, report._hc[n])
+    def include(rep):
+        return {(0, key): c for key, c in rep.items()}
 
-        # S: HC_n -> HC_{n-2}, drop the leading component
+    def drop(rep):
+        return {(j - 1, key): c for (j, key), c in rep.items() if j}
+
+    def bmap(rep):
+        return linear(stack.connes_B, {key: c for (j, key), c in rep.items() if not j})
+
+    for n in range(report.cutoff + 1):
+        hc_reps = report._hc[n].representatives
+        report.i_maps[n] = _matrix_of(report._hh[n].representatives, include, report._hc[n])
         if n >= 2:
-            target_offsets = report._tot_offsets[n - 2]
-
-            def drop(rep, _offsets=offsets, _target=target_offsets):
-                out: dict[int, Coeff] = {}
-                for index, coeff in rep.items():
-                    slot, local = _tot_slot(_offsets, index)
-                    if slot:
-                        out[_target[slot - 1] + local] = coeff
-                return out
-
-            report.s_maps[n] = _matrix_of(
-                report._hc[n].representatives, drop, report._hc[n - 2]
-            )
-
-        # B: HC_n -> HH_{n+1}, Connes operator on the leading component
-        if n + 1 <= cutoff:
-
-            def bmap(rep, _n=n, _offsets=offsets):
-                limit = (
-                    _offsets[1] if len(_offsets) > 1 else stack.dim_chain(_n)
-                )
-                lead = {i: c for i, c in rep.items() if i < limit}
-                return stack.apply_linear(lambda x: stack.connes_B(_n, x), lead)
-
-            report.b_maps[n] = _matrix_of(
-                report._hc[n].representatives, bmap, report._hh[n + 1]
-            )
+            report.s_maps[n] = _matrix_of(hc_reps, drop, report._hc[n - 2])
+        if n + 1 <= report.cutoff:
+            report.b_maps[n] = _matrix_of(hc_reps, bmap, report._hh[n + 1])
 
 
 def _mat_rank(cols: list[dict]) -> int:
@@ -581,17 +515,7 @@ def _mat_rank(cols: list[dict]) -> int:
 
 def _mat_compose(second: list[dict], first: list[dict]) -> list[dict]:
     """(second . first) where first's entries index second's columns."""
-    out = []
-    for col in first:
-        total: dict = {}
-        for row, coeff in col.items():
-            add_into(total, second[row], coeff)
-        out.append(total)
-    return out
-
-
-def _mat_is_zero(cols: list[dict]) -> bool:
-    return all(not col for col in cols)
+    return [linear(second.__getitem__, col) for col in first]
 
 
 def sbi_exactness_check(report: HomologyReport) -> list[ExactnessNode]:
@@ -604,56 +528,30 @@ def sbi_exactness_check(report: HomologyReport) -> list[ExactnessNode]:
         raise ValueError("run compute_cyclic first")
     cutoff = report.cutoff
     nodes: list[ExactnessNode] = []
-    zero_map: list[dict] = []
 
-    for n in range(cutoff + 1):
-        b_in = report.b_maps.get(n - 1, zero_map if n >= 1 else [])
-        i_out = report.i_maps[n]
-        composite = _mat_compose(i_out, b_in) if b_in else []
+    def node(name, incoming, into, outgoing, out_of, dim):
+        composite = _mat_compose(out_of, into) if into and out_of else []
         nodes.append(
             ExactnessNode(
-                node=f"HH_{n}",
-                incoming=f"B: HC_{n - 1} -> HH_{n}",
-                outgoing=f"I: HH_{n} -> HC_{n}",
-                rank_in=_mat_rank(b_in),
-                rank_out=_mat_rank(i_out),
-                dim=report.hh_dims[n],
-                composite_zero=_mat_is_zero(composite),
+                node=name,
+                incoming=incoming,
+                outgoing=outgoing,
+                rank_in=_mat_rank(into),
+                rank_out=_mat_rank(out_of),
+                dim=dim,
+                composite_zero=not any(composite),
             )
         )
 
     for n in range(cutoff + 1):
-        i_in = report.i_maps[n]
-        s_out = report.s_maps.get(n, [])
-        composite = _mat_compose(s_out, i_in) if s_out else []
-        nodes.append(
-            ExactnessNode(
-                node=f"HC_{n} (after I)",
-                incoming=f"I: HH_{n} -> HC_{n}",
-                outgoing=f"S: HC_{n} -> HC_{n - 2}",
-                rank_in=_mat_rank(i_in),
-                rank_out=_mat_rank(s_out),
-                dim=report.hc_dims[n],
-                composite_zero=_mat_is_zero(composite),
-            )
-        )
-
+        node(f"HH_{n}", f"B: HC_{n - 1} -> HH_{n}", report.b_maps.get(n - 1, []),
+             f"I: HH_{n} -> HC_{n}", report.i_maps[n], report.hh_dims[n])
+    for n in range(cutoff + 1):
+        node(f"HC_{n} (after I)", f"I: HH_{n} -> HC_{n}", report.i_maps[n],
+             f"S: HC_{n} -> HC_{n - 2}", report.s_maps.get(n, []), report.hc_dims[n])
     for m in range(cutoff - 1):
-        s_in = report.s_maps.get(m + 2, [])
-        b_out = report.b_maps.get(m, [])
-        composite = _mat_compose(b_out, s_in) if s_in and b_out else []
-        nodes.append(
-            ExactnessNode(
-                node=f"HC_{m} (after S)",
-                incoming=f"S: HC_{m + 2} -> HC_{m}",
-                outgoing=f"B: HC_{m} -> HH_{m + 1}",
-                rank_in=_mat_rank(s_in),
-                rank_out=_mat_rank(b_out),
-                dim=report.hc_dims[m],
-                composite_zero=_mat_is_zero(composite),
-            )
-        )
-
+        node(f"HC_{m} (after S)", f"S: HC_{m + 2} -> HC_{m}", report.s_maps.get(m + 2, []),
+             f"B: HC_{m} -> HH_{m + 1}", report.b_maps.get(m, []), report.hc_dims[m])
     report.exactness = nodes
     return nodes
 
@@ -674,62 +572,37 @@ class ClassFunctionAction:
         self.spec = spec
         self.values = {k: _rat(v) for k, v in values.items()}
 
-    def factor(self, stack: ChainStack, p: int, index: int) -> Fraction:
-        parts = stack.decode(p, index)
-        g = parts[0]
-        for h in parts[1:]:
+    def factor(self, key: tuple[int, ...]) -> Fraction:
+        """F of the product g_0 ... g_p of a tuple of group elements."""
+        g = key[0]
+        for h in key[1:]:
             g = self.spec.group_table[g][h]
         return self.values.get(g, Fraction(0))
 
-    def apply(self, stack: ChainStack, p: int, vec: dict[int, Coeff]) -> dict[int, Coeff]:
-        out = {}
-        for index, coeff in vec.items():
-            c = coeff * self.factor(stack, p, index)
-            if c:
-                out[index] = c
-        return out
+    def apply(self, vec: dict, tot: bool = False) -> dict:
+        """The action on a chain, or on a Tot chain with (j, key) keys when tot."""
+        scaled = ((k, c * self.factor(k[1] if tot else k)) for k, c in vec.items())
+        return {k: c for k, c in scaled if c}
 
     def commutes_with_structure_maps(self, stack: ChainStack, up_to: int) -> bool:
-        """Chain-level commutation with every d_i, with t, and with B."""
+        """Chain-level commutation with every d_i, with t, and with B, on
+        every tuple of degree <= up_to."""
+        mul = stack.spec.product_vec
         for p in range(up_to + 1):
-            for index in range(stack.dim_chain(p)):
-                f_here = self.factor(stack, p, index)
-                if p >= 1:
-                    for i in range(p + 1):
-                        face = stack.face(p, i, index)
-                        if add_into({}, face, f_here) != self.apply(stack, p - 1, face):
-                            return False
-                rotated, _ = stack.cyclic(p, index)
-                if self.factor(stack, p, rotated) != f_here:
-                    return False
+            for key in stack.tuples(p):
+                f_here = self.factor(key)
+                faces = [hh.face(key, i, mul) for i in range(p + 1)] if p else []
                 if p + 1 <= stack.top_degree:
-                    image = stack.connes_B(p, index)
-                    if add_into({}, image, f_here) != self.apply(stack, p + 1, image):
+                    faces.append(stack.connes_B(key))
+                for image in faces:
+                    if add_into({}, image, f_here) != self.apply(image):
                         return False
+                if self.factor(hh.cyclic(key)[0]) != f_here:
+                    return False
         return True
 
-    def induced_matrix(self, stack: ChainStack, p: int, quotient: QuotientSpace) -> list[dict]:
-        return _matrix_of(
-            quotient.representatives,
-            lambda rep: self.apply(stack, p, rep),
-            quotient,
-        )
-
-    def induced_tot_matrix(
-        self, report: HomologyReport, n: int
-    ) -> list[dict]:
-        stack = report._stack
-        offsets = report._tot_offsets[n]
-
-        def act(rep):
-            out: dict[int, Coeff] = {}
-            for index, coeff in rep.items():
-                slot, local = _tot_slot(offsets, index)
-                c = coeff * self.factor(stack, n - 2 * slot, local)
-                if c:
-                    out[index] = c
-            return out
-
+    def induced_tot_matrix(self, report: HomologyReport, n: int) -> list[dict]:
+        act = lambda rep: self.apply(rep, tot=True)
         return _matrix_of(report._hc[n].representatives, act, report._hc[n])
 
 
@@ -757,7 +630,7 @@ def idempotent_commutator_square_is_zero(
         fe = _mat_compose(f_mat, e_mat)
         commutator = [add_into(dict(a), b, -1) for a, b in zip(ef, fe)]
         square = _mat_compose(commutator, commutator)
-        if not _mat_is_zero(square):
+        if any(square):
             return False
     return True
 

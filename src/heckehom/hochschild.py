@@ -1,0 +1,89 @@
+"""The Hochschild complex of a unital algebra, on tuple keys.
+
+An algebra enters through the product of two basis labels,
+``mul(a, b) -> {label: coeff}``, and the label of its unit.  A degree-p
+chain is a sparse dict over (p+1)-tuples of labels.  This module holds the
+structure every such algebra shares (Loday, *Cyclic Homology*, ch. 1-2):
+
+- the faces d_i and the alternating boundary b = sum (-1)^i d_i, on any
+  tuple;
+- the signed cyclic operator t;
+- the degeneracy test and the projection onto the normalized complex
+  C(A)/D, spanned by the tuples with no unit after the first entry;
+- the normalized Connes operator B = s N, which puts the unit in front of
+  the signed cyclic norm.
+
+On the lattice Z (labels are integers, the product is addition, the unit
+is 0):
+
+>>> add = lambda a, b: {a + b: 1}
+>>> boundary((1, 2, 3), add)
+{(3, 3): 1, (1, 5): -1, (4, 2): 1}
+>>> boundary((1, -1), add)
+{}
+>>> connes_B((1, 2), 0)
+{(0, 1, 2): 1, (0, 2, 1): -1}
+>>> connes_B((0, 2), 0)
+{}
+"""
+
+from __future__ import annotations
+
+from .sparse import add_term
+
+
+def _split(key: tuple, i: int) -> tuple[tuple, object, object, tuple]:
+    """(head, a, b, tail): d_i puts the product a b between head and tail."""
+    p = len(key) - 1
+    if i < p:
+        return key[:i], key[i], key[i + 1], key[i + 2 :]
+    return (), key[p], key[0], key[1:p]
+
+
+def face(key: tuple, i: int, mul) -> dict:
+    """d_i on one tuple: entries i and i + 1 multiplied; d_p multiplies the
+    last entry into the first."""
+    head, a, b, tail = _split(key, i)
+    return {head + (label,) + tail: c for label, c in mul(a, b).items()}
+
+
+def boundary(key: tuple, mul) -> dict:
+    """b = sum_i (-1)^i d_i on one tuple; zero in degree 0."""
+    out: dict = {}
+    p = len(key) - 1
+    for i in range(p + 1) if p else ():
+        head, a, b, tail = _split(key, i)
+        for label, c in mul(a, b).items():
+            add_term(out, head + (label,) + tail, -c if i % 2 else c)
+    return out
+
+
+def cyclic(key: tuple) -> tuple[tuple, int]:
+    """t on one tuple: (the tuple rotated right by one, the sign (-1)^p)."""
+    return key[-1:] + key[:-1], (-1 if len(key) % 2 == 0 else 1)
+
+
+def is_degenerate(key: tuple, unit) -> bool:
+    """True when the unit sits after the first entry, so the tuple lies in D."""
+    return unit in key[1:]
+
+
+def normalize(vec: dict, unit) -> dict:
+    """The projection onto the normalized complex: drop the degenerate tuples."""
+    return {key: c for key, c in vec.items() if unit not in key[1:]}
+
+
+def connes_B(key: tuple, unit) -> dict:
+    """Normalized B = s N on one tuple, degree p -> p + 1.
+
+    Zero on a tuple containing the unit: every rotation of it with the unit
+    in front has the unit in an interior slot.
+    """
+    if unit in key:
+        return {}
+    p = len(key) - 1
+    out: dict = {}
+    for j in range(p + 1):
+        # the rotation t^j, carrying the sign (-1)^(p j)
+        add_term(out, (unit,) + key[p + 1 - j :] + key[: p + 1 - j], -1 if p * j % 2 else 1)
+    return out

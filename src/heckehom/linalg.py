@@ -139,10 +139,6 @@ def span_basis(vectors) -> GaussianBasis:
     return basis
 
 
-def span_dim(vectors) -> int:
-    return span_basis(vectors).rank
-
-
 def kernel_vectors(images) -> tuple[list[dict], GaussianBasis]:
     """Kernel and image of a linear map given as (source_index, image_vector) pairs.
 

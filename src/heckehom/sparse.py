@@ -3,7 +3,8 @@
 A sparse vector is a dict {key: coefficient} that stores no zero, so two
 vectors are equal exactly when their dicts are.  ``add_term`` and
 ``add_into`` are the package's accumulation loops: they add into such a
-dict in place and delete every entry that cancels to an exact zero.
+dict in place and delete every entry that cancels to an exact zero;
+``linear`` extends a map on keys linearly.
 Coefficients may be ints, Fractions, Laurent polynomials or any other
 exact type with +, * and truth testing; no float is ever created here.
 
@@ -58,6 +59,14 @@ def add_into(target: dict, source: dict, coeff=None) -> dict:
         elif old is not None:
             del target[key]
     return target
+
+
+def linear(op, vec: dict) -> dict:
+    """The linear extension of ``op``, a map from keys to sparse vectors, at vec."""
+    out: dict = {}
+    for key, coeff in vec.items():
+        add_into(out, op(key), coeff)
+    return out
 
 
 class Sparse:

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 
 from .laurent import LaurentQ, ONE, Q, qpow
 from .weyl import E, WeylWord, all_words, bruhat_leq, st_power, word_mul
@@ -631,7 +632,7 @@ def suite_torus(cfg: SuiteConfig) -> SuiteReport:
                 f"torus/invariant-dim/r{rank}/p{p}",
                 "the invariant part of windowed HH_p has dimension C(rank, p)",
                 {"rank": rank, "window": cfg.torus_window, "degree": p},
-                _binomial(rank, p),
+                comb(rank, p),
                 square.dim_invariant,
             )
             vacuous = p >= rank
@@ -698,12 +699,6 @@ def _class_action_commutes(rank: int, chain: tr.LatticeChain, op: str) -> bool:
         left = tr.connes_B(tr.class_action(chain))
         right = tr.class_action(tr.connes_B(chain))
     return left == right
-
-
-def _binomial(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k)
 
 
 def suite_engine(cfg: SuiteConfig) -> SuiteReport:

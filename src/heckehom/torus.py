@@ -1,12 +1,14 @@
 """Hochschild chains of the group algebra of a lattice and the torus picture.
 
 Chains of degree p over the lattice Z^r are spanned by (p+1)-tuples of
-integer vectors; the boundary b adds adjacent entries (group
-multiplication, written additively), the cyclic operator rotates with sign,
-and the normalized Connes operator B inserts the zero vector in front of
-the cyclic norm.  The comparison side is the algebra of differential forms
-on the dual torus: a p-form is a combination of monomial times
-dlog(z_{i_1}) ^ ... ^ dlog(z_{i_p}), reached through the map
+integer vectors.  The Hochschild structure is the one of ``hochschild``,
+with lattice addition as the product of two basis vectors and the zero
+vector as the unit: the boundary b adds adjacent entries, the cyclic
+operator rotates with sign, and the normalized Connes operator B inserts
+the zero vector in front of the cyclic norm.  The comparison side is the
+algebra of differential forms on the dual torus: a p-form is a combination
+of monomial times dlog(z_{i_1}) ^ ... ^ dlog(z_{i_p}), reached through the
+map
 
     f0 (x) f1 (x) ... (x) fp  ->  (1/p!) f0 df1 ^ ... ^ dfp.
 
@@ -21,7 +23,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import add
 
+from . import hochschild as hh
 from .laurent import _exact
 from .linalg import (
     QuotientSpace,
@@ -29,7 +33,7 @@ from .linalg import (
     kernel_vectors,
     span_basis,
 )
-from .sparse import Sparse, add_into, add_term
+from .sparse import Sparse, add_term, linear
 
 ChainKey = tuple[tuple[int, ...], ...]
 FormKey = tuple[tuple[int, ...], tuple[int, ...]]
@@ -117,7 +121,7 @@ class TorusForm(_LatticeElement):
 
 
 def _vec_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _total(key: ChainKey) -> tuple[int, ...]:
@@ -127,49 +131,24 @@ def _total(key: ChainKey) -> tuple[int, ...]:
     return total
 
 
-def _face_key(key: ChainKey, i: int) -> ChainKey:
-    p = len(key) - 1
-    if i < p:
-        return key[:i] + (_vec_add(key[i], key[i + 1]),) + key[i + 2 :]
-    return (_vec_add(key[p], key[0]),) + key[1:p]
+def _lattice_mul(a: tuple[int, ...], b: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The product of two basis vectors of the group algebra: lattice addition."""
+    return {_vec_add(a, b): 1}
 
 
 def boundary_key(key: ChainKey) -> dict[ChainKey, int]:
-    """Alternating face sum on a single basis tuple."""
-    out: dict[ChainKey, int] = {}
-    for i in range(len(key)):
-        add_term(out, _face_key(key, i), 1 if i % 2 == 0 else -1)
-    return out
-
-
-def _rotate_right(key: ChainKey) -> ChainKey:
-    return key[-1:] + key[:-1]
+    """Alternating face sum on a single basis tuple (unnormalized)."""
+    return hh.boundary(key, _lattice_mul)
 
 
 def _is_degenerate(key: ChainKey) -> bool:
-    zero = (0,) * len(key[0])
-    return any(vec == zero for vec in key[1:])
+    return hh.is_degenerate(key, (0,) * len(key[0]))
 
 
 def connes_b_key(key: ChainKey) -> dict[ChainKey, int]:
-    """Normalized Connes operator on a basis tuple: insert the zero vector
-    in front of the signed cyclic norm, then discard degenerate tuples."""
-    rank = len(key[0])
-    zero = (0,) * rank
-    if any(vec == zero for vec in key):
-        # every rotation would place the zero entry in an interior slot
-        return {}
-    p = len(key) - 1
-    step = 1 if p % 2 == 0 else -1
-    out: dict[ChainKey, int] = {}
-    rotated = key
-    sign = 1
-    for j in range(p + 1):
-        if j:
-            rotated = _rotate_right(rotated)
-            sign *= step
-        add_term(out, (zero,) + rotated, sign)
-    return out
+    """Normalized Connes operator on a basis tuple: the zero vector in front
+    of the signed cyclic norm, zero on a tuple containing the zero vector."""
+    return hh.connes_B(key, (0,) * len(key[0]))
 
 
 def hkr_key(rank: int, key: ChainKey) -> dict[FormKey, Fraction]:
@@ -222,36 +201,34 @@ def hochschild_b(chain: LatticeChain) -> LatticeChain:
     """Alternating face-map boundary; undefined in degree zero."""
     if chain.degree < 1:
         raise ValueError("the boundary is not defined on degree-0 chains")
-    out: dict[ChainKey, object] = {}
-    for key, coeff in chain._terms.items():
-        add_into(out, boundary_key(key), coeff)
-    return LatticeChain._new(out, rank=chain.rank, degree=chain.degree - 1)
+    return LatticeChain._new(
+        linear(boundary_key, chain._terms), rank=chain.rank, degree=chain.degree - 1
+    )
 
 
 def cyclic_t(chain: LatticeChain) -> LatticeChain:
     """Rotate each tuple right by one, with sign (-1)^degree."""
-    sign = 1 if chain.degree % 2 == 0 else -1
-    return chain._like({_rotate_right(key): sign * c for key, c in chain._terms.items()})
+    out = {}
+    for key, c in chain._terms.items():
+        rotated, sign = hh.cyclic(key)
+        out[rotated] = sign * c
+    return chain._like(out)
 
 
 def normalize_chain(chain: LatticeChain) -> LatticeChain:
     """Project onto the normalized complex: drop tuples with an interior zero."""
-    return chain._like({k: c for k, c in chain._terms.items() if not _is_degenerate(k)})
+    return chain._like(hh.normalize(chain._terms, (0,) * chain.rank))
 
 
 def connes_B(chain: LatticeChain) -> LatticeChain:
     """Normalized Connes operator, degree p -> p+1."""
-    out: dict[ChainKey, object] = {}
-    for key, coeff in chain._terms.items():
-        if not _is_degenerate(key):
-            add_into(out, connes_b_key(key), coeff)
-    return LatticeChain._new(out, rank=chain.rank, degree=chain.degree + 1)
+    return LatticeChain._new(
+        linear(connes_b_key, chain._terms), rank=chain.rank, degree=chain.degree + 1
+    )
 
 
 def hkr(chain: LatticeChain) -> TorusForm:
-    out: dict[FormKey, Fraction] = {}
-    for key, coeff in chain._terms.items():
-        add_into(out, hkr_key(chain.rank, key), coeff)
+    out = linear(lambda key: hkr_key(chain.rank, key), chain._terms)
     return TorusForm._new(out, rank=chain.rank, degree=chain.degree)
 
 
@@ -262,9 +239,7 @@ def pi0(form: TorusForm) -> TorusForm:
 
 
 def de_rham_d(form: TorusForm) -> TorusForm:
-    out: dict[FormKey, object] = {}
-    for fkey, coeff in form._terms.items():
-        add_into(out, de_rham_d_key(form.rank, fkey), coeff)
+    out = linear(lambda fkey: de_rham_d_key(form.rank, fkey), form._terms)
     return TorusForm._new(out, rank=form.rank, degree=form.degree + 1)
 
 

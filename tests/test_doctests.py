@@ -7,6 +7,7 @@ import heckehom.weyl
 import heckehom.hecke
 import heckehom.hh0
 import heckehom.exprparse
+import heckehom.hochschild
 
 
 def test_doctests():
@@ -16,6 +17,7 @@ def test_doctests():
         heckehom.hecke,
         heckehom.hh0,
         heckehom.exprparse,
+        heckehom.hochschild,
     ):
         failures, tested = doctest.testmod(module, verbose=False)
         assert failures == 0, module.__name__

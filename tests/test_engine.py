@@ -1,12 +1,15 @@
 """The structure-constants homology engine on the toy algebra zoo."""
 
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
 from heckehom import engine as eg
+from heckehom import hochschild as hh
 from heckehom.linalg import QuotientSpace, kernel_vectors, span_basis
+from heckehom.sparse import add_into, add_term, linear
 
 
 def test_load_validates_examples():
@@ -56,31 +59,47 @@ def test_precyclic_identities():
 
 
 def test_mixed_complex_identities():
-    stack = eg.ChainStack(eg.dual_numbers(), 4)
-    for p in range(2, 4):
-        for index in range(stack.dim_chain(p)):
-            assert not stack.apply_linear(
-                lambda x: stack.boundary(p - 1, x), stack.boundary(p, index)
-            )
-    for p in range(0, 3):
-        for index in range(stack.dim_chain(p)):
-            assert not stack.apply_linear(
-                lambda x: stack.connes_B(p + 1, x), stack.connes_B(p, index)
-            )
-    for p in range(1, 3):
-        for index in range(stack.dim_chain(p)):
-            anti = stack.apply_linear(
-                lambda x: stack.boundary(p + 1, x), stack.connes_B(p, index)
-            )
-            for key, coeff in stack.apply_linear(
-                lambda x: stack.connes_B(p - 1, x), stack.boundary(p, index)
-            ).items():
-                value = anti.get(key, 0) + coeff
-                if value:
-                    anti[key] = value
-                else:
-                    anti.pop(key, None)
-            assert not anti
+    """b^2 = 0, B^2 = 0 and bB + Bb = 0 on the normalized complex."""
+    for spec in (eg.dual_numbers(), eg.upper_triangular_2()):
+        stack = eg.ChainStack(spec, 4)
+        b, B = stack.boundary, stack.connes_B
+        for p in range(4):
+            for key in stack.keys(p):
+                if p >= 2:
+                    assert not linear(b, b(key)), key
+                if p <= 2:
+                    assert not linear(B, B(key)), key
+                    assert not add_into(linear(b, B(key)), linear(B, b(key))), key
+
+
+def test_unit_basis():
+    # upper_triangular_2: e11 is replaced by the unit e11 + e22
+    stack = eg.ChainStack(eg.upper_triangular_2(), 2)
+    assert stack.spec.unit == {0: 1} and stack.unit == 0
+    assert stack.spec.products == {
+        (0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (1, 0): {1: 1},
+        (1, 2): {1: 1}, (2, 0): {2: 1}, (2, 2): {2: 1},
+    }
+    # the unit e0 / 2 becomes the basis vector; integral coefficients are ints
+    changed = eg.unit_basis(_half_unit_dual_numbers())
+    assert changed.unit == {0: 1}
+    assert changed.products == {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}
+    for vec in changed.products.values():
+        assert all(type(c) is int for c in vec.values())
+    # a unit that is already a basis vector keeps the spec as it is
+    spec = eg.dual_numbers()
+    assert eg.unit_basis(spec) is spec
+
+
+def test_chain_dims_are_normalized():
+    report = eg.compute_hochschild(eg.group_algebra(5), 3)
+    stack = report._stack
+    assert report.chain_dims == [5, 20, 80, 320, 1280]
+    for p in range(5):
+        keys = stack.keys(p)
+        assert len(keys) == stack.dim_chain(p) == len(set(keys))
+        assert keys == sorted(keys)
+        assert not any(hh.is_degenerate(key, stack.unit) for key in keys)
 
 
 def test_hochschild_dimensions():
@@ -124,18 +143,14 @@ def test_class_function_action():
     # F = 1 acts as the identity in every degree
     ones = eg.ClassFunctionAction(spec, {0: Fraction(1), 1: Fraction(1)})
     for p in range(3):
-        for index in range(stack.dim_chain(p)):
-            assert ones.factor(stack, p, index) == 1
+        for key in stack.tuples(p):
+            assert ones.factor(key) == 1
     # degree 1: keeps exactly the tuples (g0, g1) with g0 g1 = e
-    kept = [
-        index
-        for index in range(stack.dim_chain(1))
-        if action.factor(stack, 1, index)
-    ]
-    assert [stack.decode(1, index) for index in kept] == [(0, 0), (1, 1)]
+    kept = [key for key in stack.tuples(1) if action.factor(key)]
+    assert kept == [(0, 0), (1, 1)]
     # idempotence: the action squares to itself pointwise
-    for index in range(stack.dim_chain(1)):
-        factor = action.factor(stack, 1, index)
+    for key in stack.tuples(1):
+        factor = action.factor(key)
         assert factor * factor == factor
     assert action.commutes_with_structure_maps(stack, 2)
     with pytest.raises(ValueError):
@@ -175,20 +190,20 @@ def test_shipped_spec_files():
         assert json.loads(data)["name"] == name
 
 
-def _two_pass_quotients(dims, boundary, cutoff):
+def _two_pass_quotients(bases, boundary, cutoff):
     """Reference route: for each degree, a kernel pass for the cycles and a
     second pass over every boundary image, in Fraction arithmetic."""
 
-    def image(p, i):
-        return {k: Fraction(c) for k, c in boundary(p, i).items()}
+    def image(key):
+        return {k: Fraction(c) for k, c in boundary(key).items()}
 
     quotients = []
     for p in range(cutoff + 1):
         if p == 0:
-            cycles = [{i: Fraction(1)} for i in range(dims[0])]
+            cycles = [{key: Fraction(1)} for key in bases[0]]
         else:
-            cycles, _ = kernel_vectors((i, image(p, i)) for i in range(dims[p]))
-        boundaries = span_basis(image(p + 1, i) for i in range(dims[p + 1]))
+            cycles, _ = kernel_vectors((key, image(key)) for key in bases[p])
+        boundaries = span_basis(image(key) for key in bases[p + 1])
         quotients.append(QuotientSpace(boundaries, cycles))
     return quotients
 
@@ -207,17 +222,14 @@ def test_single_pass_homology_matches_two_pass_oracle(name):
     spec = eg.BUILTIN_ALGEBRAS[name]()
     report = eg.compute_cyclic(spec, cutoff)
     stack = report._stack
-    hh_dims = [stack.dim_chain(p) for p in range(cutoff + 2)]
-    offsets = [eg._tot_offsets(stack, n) for n in range(cutoff + 2)]
-    tot_dims = [eg._tot_dim(stack, offsets[n], n) for n in range(cutoff + 2)]
-
-    def tot_boundary(n, i):
-        return eg._tot_boundary(stack, n, offsets[n], offsets[n - 1], i)
+    hh_bases = [stack.keys(p) for p in range(cutoff + 2)]
+    tot_bases = [eg._tot_keys(stack, n) for n in range(cutoff + 2)]
 
     oracle = eg.HomologyReport(algebra=name, cutoff=cutoff, hh_dims=[], _stack=stack)
-    oracle._hh = _two_pass_quotients(hh_dims, stack.boundary, cutoff)
-    oracle._hc = _two_pass_quotients(tot_dims, tot_boundary, cutoff)
-    oracle._tot_offsets = dict(enumerate(offsets[: cutoff + 1]))
+    oracle._hh = _two_pass_quotients(hh_bases, stack.boundary, cutoff)
+    oracle._hc = _two_pass_quotients(
+        tot_bases, lambda key: eg._tot_boundary(stack, key), cutoff
+    )
     eg._build_sbi_maps(oracle)
 
     assert [q.dim for q in oracle._hh] == report.hh_dims
@@ -233,3 +245,93 @@ def test_single_pass_homology_matches_two_pass_oracle(name):
         assert maps.keys() == oracle_maps.keys()
         for n in maps:
             _same_columns(maps[n], oracle_maps[n])
+
+
+def _half_unit_dual_numbers():
+    # basis e0, e1 with e0 e0 = 2 e0, e0 e1 = e1 e0 = 2 e1, e1 e1 = 0:
+    # the unit is e0 / 2, not a basis vector
+    return eg.load_algebra(
+        eg.AlgebraSpec(
+            name="half_unit_dual_numbers",
+            dim=2,
+            products={(0, 0): {0: 2}, (0, 1): {1: 2}, (1, 0): {1: 2}},
+            unit={0: Fraction(1, 2)},
+        )
+    )
+
+
+def _unnormalized_oracle(spec, cutoff):
+    """HH/HC dims and the S, B, I ranks from the unnormalized complex: every
+    tuple, b from spec.product_vec, B = (1 - t) s N, no change of basis."""
+
+    def tuples(p):
+        return list(itertools.product(range(spec.dim), repeat=p + 1))
+
+    def b(key):
+        p = len(key) - 1
+        out = {}
+        for i in range(p):
+            for k, c in spec.product_vec(key[i], key[i + 1]).items():
+                add_term(out, key[:i] + (k,) + key[i + 2 :], (-1) ** i * c)
+        for k, c in spec.product_vec(key[p], key[0]).items():
+            add_term(out, (k,) + key[1:p], (-1) ** p * c)
+        return out
+
+    def t(key):
+        return key[-1:] + key[:-1], (-1) ** (len(key) - 1)
+
+    def B(key):
+        norm, current, sign = {}, key, 1
+        for _ in range(len(key)):
+            add_term(norm, current, sign)
+            current, step = t(current)
+            sign *= step
+        out = {}
+        for k, c in norm.items():
+            for u, cu in spec.unit.items():
+                inserted = (u,) + k
+                rotated, step = t(inserted)
+                add_term(out, inserted, c * cu)
+                add_term(out, rotated, -step * c * cu)
+        return out
+
+    def tot_boundary(tot_key):
+        j, key = tot_key
+        out = {(j, k): c for k, c in b(key).items()} if len(key) > 1 else {}
+        out.update(((j - 1, k), c) for k, c in (B(key).items() if j else ()))
+        return out
+
+    hh_q = _two_pass_quotients([tuples(p) for p in range(cutoff + 2)], b, cutoff)
+    tot = [[(j, k) for j in range(n // 2 + 1) for k in tuples(n - 2 * j)] for n in range(cutoff + 2)]
+    hc_q = _two_pass_quotients(tot, tot_boundary, cutoff)
+    ranks = {}
+    for n in range(cutoff + 1):
+        hc_reps = hc_q[n].representatives
+        include = lambda rep: {(0, k): c for k, c in rep.items()}
+        ranks["I", n] = eg._mat_rank(eg._matrix_of(hh_q[n].representatives, include, hc_q[n]))
+        if n >= 2:
+            drop = lambda rep: {(j - 1, k): c for (j, k), c in rep.items() if j}
+            ranks["S", n] = eg._mat_rank(eg._matrix_of(hc_reps, drop, hc_q[n - 2]))
+        if n + 1 <= cutoff:
+            bmap = lambda rep: linear(B, {k: c for (j, k), c in rep.items() if not j})
+            ranks["B", n] = eg._mat_rank(eg._matrix_of(hc_reps, bmap, hh_q[n + 1]))
+    return [q.dim for q in hh_q], [q.dim for q in hc_q], ranks
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["ground_field", "dual_numbers", "cyclic_2", "cyclic_3", "upper_triangular_2",
+     "half_unit_dual_numbers"],
+)
+def test_normalized_engine_matches_unnormalized_oracle(name):
+    cutoff = 3
+    builders = {**eg.BUILTIN_ALGEBRAS, "half_unit_dual_numbers": _half_unit_dual_numbers}
+    spec = builders[name]()
+    report = eg.compute_cyclic(spec, cutoff)
+    hh_dims, hc_dims, ranks = _unnormalized_oracle(spec, cutoff)
+    assert report.hh_dims == hh_dims
+    assert report.hc_dims == hc_dims
+    mine = {}
+    for name, maps in (("I", report.i_maps), ("S", report.s_maps), ("B", report.b_maps)):
+        mine.update(((name, n), eg._mat_rank(cols)) for n, cols in maps.items())
+    assert mine == ranks

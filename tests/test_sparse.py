@@ -8,7 +8,7 @@ from heckehom.hecke import HeckeElement
 from heckehom.hh0 import HH0Class
 from heckehom.laurent import LaurentQ, MultiLaurent, Q
 from heckehom.spectral import LambdaElement
-from heckehom.sparse import add_into, add_term
+from heckehom.sparse import add_into, add_term, linear
 from heckehom.torus import LatticeChain, TorusForm
 from heckehom.weyl import E, S, T
 
@@ -116,6 +116,12 @@ def test_accumulation_helpers():
     source = {6: LaurentQ({0: 1})}
     add_into(target, source)
     assert target[6] is source[6]  # the plain form stores the value, no product by 1
+
+
+def test_linear_extension():
+    double = lambda key: {key: 1, 2 * key: 1}
+    assert linear(double, {1: 3, 2: -3}) == {1: 3, 4: -3}  # the 2s cancel
+    assert linear(double, {}) == {}
 
 
 def test_laurent_types_stay_hashable():
