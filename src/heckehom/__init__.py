@@ -16,7 +16,8 @@ Subpackages by topic:
     torus      lattice Hochschild chains, differential forms, the
                invariant-forms projection
     engine     Hochschild/cyclic homology of algebras by structure constants,
-               on the normalized complex
+               on the normalized complex; the built-in algebras are the
+               shipped algebras/*.json files
     suites     the verification case lists behind the CLI
 """
 
@@ -60,15 +61,13 @@ from .engine import (
     NoUnit,
     NotAssociative,
     TooLarge,
+    builtin_algebra,
     compute_cyclic,
     compute_hochschild,
     class_function_action,
-    dual_numbers,
-    ground_field,
     group_algebra,
     load_algebra,
     sbi_exactness_check,
-    upper_triangular_2,
 )
 from .exprparse import ParseError, parse_hecke, parse_laurent
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -39,24 +40,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    verify = sub.add_parser("verify", help="run a verification suite")
+    # options left out stay off the namespace, so SuiteConfig supplies the defaults
+    verify = sub.add_parser(
+        "verify", help="run a verification suite", argument_default=argparse.SUPPRESS
+    )
     verify.add_argument("target", choices=("all",) + SUITE_TARGETS)
-    verify.add_argument("--nmax", type=int, default=20)
-    verify.add_argument("--lmax", type=int, default=14)
-    verify.add_argument("--oracle-cutoff", type=int, default=8, dest="oracle_cutoff")
+    verify.add_argument("--nmax", type=int)
+    verify.add_argument("--lmax", type=int)
+    verify.add_argument("--oracle-cutoff", type=int, dest="reduce_oracle_cutoff")
     verify.add_argument(
-        "--rank", type=int, action="append", dest="ranks", help="torus rank (repeatable)"
+        "--rank", type=int, action="append", dest="torus_ranks", help="torus rank (repeatable)"
     )
-    verify.add_argument("--window", type=int, default=2)
+    verify.add_argument("--window", type=int, dest="torus_window")
     verify.add_argument(
-        "--degree", type=int, action="append", dest="degrees", help="torus degree (repeatable)"
+        "--degree", type=int, action="append", dest="torus_degrees", help="torus degree (repeatable)"
     )
-    verify.add_argument("--engine-cutoff", type=int, default=4)
+    verify.add_argument("--engine-cutoff", type=int)
     verify.add_argument(
-        "--spec", action="append", dest="spec_files", default=[],
+        "--spec", action="append", dest="engine_spec_files",
         help="extra algebra spec file for the engine suite (repeatable)",
     )
-    verify.add_argument("--seed", type=int, default=20260810)
+    verify.add_argument("--seed", type=int)
     _output_options(verify)
 
     table = sub.add_parser("table", help="print a table of computed values")
@@ -72,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--out", help="write the report to a file instead of stdout")
+    parser.add_argument("--out", default=None, help="write the report to a file instead of stdout")
 
 
 def _parse_range(text: str) -> range:
@@ -98,17 +102,9 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _cmd_verify(args) -> int:
-    cfg = SuiteConfig(
-        nmax=args.nmax,
-        lmax=args.lmax,
-        reduce_oracle_cutoff=args.oracle_cutoff,
-        torus_ranks=tuple(args.ranks) if args.ranks else (1, 2),
-        torus_window=args.window,
-        torus_degrees=tuple(args.degrees) if args.degrees else None,
-        engine_cutoff=args.engine_cutoff,
-        engine_spec_files=tuple(args.spec_files),
-        seed=args.seed,
-    )
+    fields = {f.name for f in dataclasses.fields(SuiteConfig)}
+    given = {k: v for k, v in vars(args).items() if k in fields}
+    cfg = SuiteConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in given.items()})
     report = run_suite(args.target, cfg)
     _emit(report.render(args.format), args.out)
     return EXIT_PASS if report.passed else EXIT_FAIL

@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 from . import hochschild as hh
 from .laurent import _rat
@@ -105,35 +106,31 @@ def load_algebra(spec: AlgebraSpec) -> AlgebraSpec:
 
 
 # ---------------------------------------------------------------------------
-# built-in algebras
+# built-in algebras: the spec files shipped in algebras/
+
+_ALGEBRA_DIR = Path(__file__).with_name("algebras")
+
+BUILTIN_ALGEBRAS = tuple(sorted(path.stem for path in _ALGEBRA_DIR.glob("*.json")))
 
 
-def ground_field() -> AlgebraSpec:
-    return load_algebra(
-        AlgebraSpec(
-            name="ground_field",
-            dim=1,
-            products={(0, 0): {0: 1}},
-            unit={0: 1},
-            group_table=[[0]],
-        )
-    )
+def builtin_algebra(name: str) -> AlgebraSpec:
+    """A shipped algebra, with its group_table when its basis is a group.
 
+    The table is set when every product e_i * e_j is one basis vector with
+    coefficient 1, which among the shipped files holds exactly for the
+    group algebras.  It is derived for the shipped files only: a user's
+    spec file is taken as it is written.
 
-def dual_numbers() -> AlgebraSpec:
-    # basis 1, x with x^2 = 0
-    return load_algebra(
-        AlgebraSpec(
-            name="dual_numbers",
-            dim=2,
-            products={
-                (0, 0): {0: 1},
-                (0, 1): {1: 1},
-                (1, 0): {1: 1},
-            },
-            unit={0: 1},
-        )
-    )
+    >>> builtin_algebra("cyclic_3").group_table
+    [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    """
+    if name not in BUILTIN_ALGEBRAS:
+        raise SpecError(f"unknown built-in algebra {name!r}")
+    spec = load_algebra_file(_ALGEBRA_DIR / f"{name}.json")
+    vecs = [[spec.product_vec(i, j) for j in range(spec.dim)] for i in range(spec.dim)]
+    if all(list(vec.values()) == [1] for row in vecs for vec in row):
+        spec.group_table = [[min(vec) for vec in row] for row in vecs]
+    return spec
 
 
 def group_algebra(m: int) -> AlgebraSpec:
@@ -152,51 +149,6 @@ def group_algebra(m: int) -> AlgebraSpec:
             unit={0: 1},
             group_table=table,
         )
-    )
-
-
-def upper_triangular_2() -> AlgebraSpec:
-    # basis e11, e12, e22 of the 2x2 upper-triangular matrices
-    return load_algebra(
-        AlgebraSpec(
-            name="upper_triangular_2",
-            dim=3,
-            products={
-                (0, 0): {0: 1},
-                (0, 1): {1: 1},
-                (1, 2): {1: 1},
-                (2, 2): {2: 1},
-            },
-            unit={0: 1, 2: 1},
-        )
-    )
-
-
-BUILTIN_ALGEBRAS = {
-    "ground_field": ground_field,
-    "dual_numbers": dual_numbers,
-    "cyclic_2": lambda: group_algebra(2),
-    "cyclic_3": lambda: group_algebra(3),
-    "cyclic_4": lambda: group_algebra(4),
-    "cyclic_5": lambda: group_algebra(5),
-    "cyclic_6": lambda: group_algebra(6),
-    "upper_triangular_2": upper_triangular_2,
-}
-
-
-def spec_to_json(spec: AlgebraSpec) -> str:
-    entries = []
-    for (i, j), vec in sorted(spec.products.items()):
-        coeffs = ["0"] * spec.dim
-        for k, c in vec.items():
-            coeffs[k] = str(c)
-        entries.append({"i": i, "j": j, "coeffs": coeffs})
-    unit = ["0"] * spec.dim
-    for k, c in (spec.unit or {}).items():
-        unit[k] = str(c)
-    return json.dumps(
-        {"name": spec.name, "dim": spec.dim, "unit": unit, "products": entries},
-        indent=2,
     )
 
 

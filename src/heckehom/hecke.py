@@ -5,9 +5,10 @@ Basis elements T_w are indexed by Weyl words; multiplication is fixed by
     T_w T_w' = T_{ww'}        when l(ww') = l(w) + l(w'),
     T_g^2    = (q-1) T_g + q  for the generators g in {s, t},
 
-over exact Laurent polynomials in q.  Inverses of basis elements and the
-R-polynomials extracted from them are computed here as well, together with
-the descent recursion that serves as an independent check.
+over exact Laurent polynomials in q.  Inverses of basis elements are
+computed here as well.  R-polynomials have a closed form, because R_{x,w}
+depends only on l(w) - l(x); the extraction from the inverse basis elements
+and the descent recursion are kept as its two independent checks.
 """
 
 from __future__ import annotations
@@ -164,14 +165,32 @@ def t_inverse(word: WeylWord) -> HeckeElement:
 
 
 def r_polynomial(x: WeylWord, w: WeylWord) -> LaurentQ:
+    """R_{x,w} in closed form, in O(d) for d = l(w) - l(x):
+
+        R_{x,w} = 0 unless x <= w in the Bruhat order;  R_0 = 1;
+        R_d = (q-1)(q^(d-1) - q^(d-2) + ... + (-1)^(d-1))   for d >= 1
+
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 5).
+
+    >>> r_polynomial(E, WeylWord(2, "s"))
+    1 - 2*q + q^2
+    >>> r_polynomial(WeylWord(1, "t"), WeylWord(4, "s"))
+    -1 + 2*q - 2*q^2 + q^3
+    """
+    if not bruhat_leq(x, w):
+        return ZERO
+    d = w.length - x.length
+    if d == 0:
+        return ONE
+    return _Q_MINUS_1 * LaurentQ({j: (-1) ** (d - 1 - j) for j in range(d)})
+
+
+def r_polynomial_from_inverse(x: WeylWord, w: WeylWord) -> LaurentQ:
     """R_{x,w}, extracted from the expansion of the inverse basis element:
 
         R_{x,w} = (-1)^(l(x)+l(w)) * q^l(w) * [coefficient of T_x in T_{w^-1}^{-1}]
 
-    Vanishes unless x <= w in the Bruhat order.
-
-    >>> r_polynomial(E, WeylWord(2, "s"))
-    1 - 2*q + q^2
+    Vanishes unless x <= w in the Bruhat order.  An oracle for the closed form.
     """
     if not bruhat_leq(x, w):
         return ZERO
@@ -184,7 +203,7 @@ _R_RECURSIVE_CACHE: dict[tuple[WeylWord, WeylWord], LaurentQ] = {}
 
 
 def r_polynomial_recursive(x: WeylWord, w: WeylWord) -> LaurentQ:
-    """R_{x,w} by the descent recursion, independent of any inversion:
+    """R_{x,w} by the descent recursion, independent of any inversion (an oracle):
 
         R_{x,x} = 1;  R_{x,w} = 0 unless x <= w;  and for sw < w:
         R_{x,w} = R_{sx,sw}                         if sx < x,

@@ -72,9 +72,6 @@ class HH0Class(Sparse):
     def even(self) -> dict[int, LaurentQ]:
         return {n: c for n, c in self._terms.items() if n not in ("s", "t")}
 
-    def even_coefficient(self, n: int) -> LaurentQ:
-        return self._terms.get(n, ZERO)
-
     def render(self) -> str:
         if self.is_zero:
             return "0"

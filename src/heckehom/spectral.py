@@ -11,8 +11,8 @@ the degree-zero identity
 
     one_gc = 1 - opind . chi_m . pres,
 
-and its explicit basis values, the commutator with pind, and the
-R-polynomial closed form are verified against this definition.
+and its explicit basis values and the commutator with pind are verified
+against this definition.
 """
 
 from __future__ import annotations
@@ -147,14 +147,6 @@ def commutator_direct(n: int) -> HH0Class:
     """one_gc(pind(lambda^n)) - pind(one_mc(lambda^n))."""
     x = LambdaElement.monomial(n)
     return one_gc(pind_map(x)) - pind_map(one_mc(x))
-
-
-def r1_even_closed_form(n: int) -> LaurentQ:
-    """(q-1)(q^{2n-1} - q^{2n-2} + ... + q - 1), the closed form of R_{1,(st)^n}."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    alternating = LaurentQ({j: 1 if j % 2 == 1 else -1 for j in range(2 * n)})
-    return (Q - 1) * alternating
 
 
 def commutator_closed_form(n: int) -> HH0Class:

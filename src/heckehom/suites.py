@@ -25,6 +25,7 @@ from .hecke import (
     evaluate_at_one,
     one as hecke_one,
     r_polynomial,
+    r_polynomial_from_inverse,
     r_polynomial_recursive,
     t_inverse,
     t_mul,
@@ -327,7 +328,7 @@ def suite_rpoly(cfg: SuiteConfig) -> SuiteReport:
     witness_r = witness_v = witness_d = witness_x = ""
     for w in words:
         for x in words:
-            extracted = r_polynomial(x, w)
+            extracted = r_polynomial_from_inverse(x, w)
             if extracted != r_polynomial_recursive(x, w):
                 recursion_ok, witness_r = False, f"x={x}, w={w}"
             if not bruhat_leq(x, w):
@@ -373,8 +374,8 @@ def suite_rpoly(cfg: SuiteConfig) -> SuiteReport:
             f"rpoly/closed-form/{n}",
             "R_{1,(st)^n} = (q-1)(q^{2n-1} - q^{2n-2} + ... - 1)",
             {"n": n},
-            sp.r1_even_closed_form(n),
             r_polynomial(E, st_power(n)),
+            r_polynomial_from_inverse(E, st_power(n)),
         )
 
     for n in range(1, min(cfg.nmax, 10) + 1):
@@ -750,7 +751,7 @@ def suite_engine(cfg: SuiteConfig) -> SuiteReport:
         guarded,
     )
 
-    algebras = [eg.BUILTIN_ALGEBRAS[name]() for name in cfg.engine_algebras]
+    algebras = [eg.builtin_algebra(name) for name in cfg.engine_algebras]
     algebras += cfg.engine_specs
 
     for spec in algebras:

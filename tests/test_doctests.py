@@ -7,6 +7,7 @@ import heckehom.weyl
 import heckehom.hecke
 import heckehom.hh0
 import heckehom.exprparse
+import heckehom.engine
 import heckehom.hochschild
 
 
@@ -17,6 +18,7 @@ def test_doctests():
         heckehom.hecke,
         heckehom.hh0,
         heckehom.exprparse,
+        heckehom.engine,
         heckehom.hochschild,
     ):
         failures, tested = doctest.testmod(module, verbose=False)

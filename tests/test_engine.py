@@ -13,8 +13,8 @@ from heckehom.sparse import add_into, add_term, linear
 
 
 def test_load_validates_examples():
-    assert eg.load_algebra(eg.ground_field()).dim == 1
-    assert eg.load_algebra(eg.dual_numbers()).dim == 2
+    assert eg.load_algebra(eg.builtin_algebra("ground_field")).dim == 1
+    assert eg.load_algebra(eg.builtin_algebra("dual_numbers")).dim == 2
     bad = eg.AlgebraSpec(
         name="bad",
         dim=3,
@@ -53,15 +53,15 @@ def test_size_guard():
 
 
 def test_precyclic_identities():
-    for spec in (eg.dual_numbers(), eg.group_algebra(2), eg.upper_triangular_2()):
-        stack = eg.ChainStack(spec, 3)
+    for name in ("dual_numbers", "cyclic_2", "upper_triangular_2"):
+        stack = eg.ChainStack(eg.builtin_algebra(name), 3)
         stack.verify_structure_identities()
 
 
 def test_mixed_complex_identities():
     """b^2 = 0, B^2 = 0 and bB + Bb = 0 on the normalized complex."""
-    for spec in (eg.dual_numbers(), eg.upper_triangular_2()):
-        stack = eg.ChainStack(spec, 4)
+    for name in ("dual_numbers", "upper_triangular_2"):
+        stack = eg.ChainStack(eg.builtin_algebra(name), 4)
         b, B = stack.boundary, stack.connes_B
         for p in range(4):
             for key in stack.keys(p):
@@ -74,7 +74,7 @@ def test_mixed_complex_identities():
 
 def test_unit_basis():
     # upper_triangular_2: e11 is replaced by the unit e11 + e22
-    stack = eg.ChainStack(eg.upper_triangular_2(), 2)
+    stack = eg.ChainStack(eg.builtin_algebra("upper_triangular_2"), 2)
     assert stack.spec.unit == {0: 1} and stack.unit == 0
     assert stack.spec.products == {
         (0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (1, 0): {1: 1},
@@ -87,7 +87,7 @@ def test_unit_basis():
     for vec in changed.products.values():
         assert all(type(c) is int for c in vec.values())
     # a unit that is already a basis vector keeps the spec as it is
-    spec = eg.dual_numbers()
+    spec = eg.builtin_algebra("dual_numbers")
     assert eg.unit_basis(spec) is spec
 
 
@@ -103,18 +103,18 @@ def test_chain_dims_are_normalized():
 
 
 def test_hochschild_dimensions():
-    assert eg.compute_hochschild(eg.ground_field(), 4).hh_dims == [1, 0, 0, 0, 0]
+    assert eg.compute_hochschild(eg.builtin_algebra("ground_field"), 4).hh_dims == [1, 0, 0, 0, 0]
     assert eg.compute_hochschild(eg.group_algebra(2), 3).hh_dims == [2, 0, 0, 0]
-    assert eg.compute_hochschild(eg.dual_numbers(), 3).hh_dims == [2, 1, 1, 1]
-    assert eg.compute_hochschild(eg.upper_triangular_2(), 3).hh_dims == [2, 0, 0, 0]
+    assert eg.compute_hochschild(eg.builtin_algebra("dual_numbers"), 3).hh_dims == [2, 1, 1, 1]
+    assert eg.compute_hochschild(eg.builtin_algebra("upper_triangular_2"), 3).hh_dims == [2, 0, 0, 0]
 
 
 def test_cyclic_dimensions_and_degree_zero():
-    field = eg.compute_cyclic(eg.ground_field(), 4)
+    field = eg.compute_cyclic(eg.builtin_algebra("ground_field"), 4)
     assert field.hc_dims == [1, 0, 1, 0, 1]
     two = eg.compute_cyclic(eg.group_algebra(2), 4)
     assert two.hc_dims == [2, 0, 2, 0, 2]
-    dual = eg.compute_cyclic(eg.dual_numbers(), 4)
+    dual = eg.compute_cyclic(eg.builtin_algebra("dual_numbers"), 4)
     # forced by exactness given the HH dims, with HC_1 = (forms)/(exact) = 0
     assert dual.hc_dims == [2, 0, 2, 0, 2]
     for report in (field, two, dual):
@@ -122,15 +122,15 @@ def test_cyclic_dimensions_and_degree_zero():
 
 
 def test_sbi_exactness():
-    report = eg.compute_cyclic(eg.ground_field(), 4)
+    report = eg.compute_cyclic(eg.builtin_algebra("ground_field"), 4)
     nodes = eg.sbi_exactness_check(report)
     assert nodes and all(node.exact for node in nodes)
     assert report.sbi_exact
     # S: HC_2 -> HC_0 is an isomorphism for the ground field
     s_matrix = report.s_maps[2]
     assert eg._mat_rank(s_matrix) == 1 == report.hc_dims[2] == report.hc_dims[0]
-    for spec in (eg.group_algebra(3), eg.upper_triangular_2(), eg.dual_numbers()):
-        result = eg.compute_cyclic(spec, 3)
+    for name in ("cyclic_3", "upper_triangular_2", "dual_numbers"):
+        result = eg.compute_cyclic(eg.builtin_algebra(name), 3)
         assert all(node.exact for node in eg.sbi_exactness_check(result))
 
 
@@ -154,7 +154,7 @@ def test_class_function_action():
         assert factor * factor == factor
     assert action.commutes_with_structure_maps(stack, 2)
     with pytest.raises(ValueError):
-        eg.ClassFunctionAction(eg.dual_numbers(), indicator)
+        eg.ClassFunctionAction(eg.builtin_algebra("dual_numbers"), indicator)
 
 
 def test_idempotent_commutator_square_zero():
@@ -166,28 +166,30 @@ def test_idempotent_commutator_square_zero():
     assert eg.idempotent_commutator_square_is_zero(report, indicator, indicator)
 
 
-def test_spec_json_round_trip(tmp_path):
-    for name, builder in eg.BUILTIN_ALGEBRAS.items():
-        spec = builder()
-        text = eg.spec_to_json(spec)
-        again = eg.spec_from_json(text)
-        assert again.dim == spec.dim
-        assert again.products == spec.products
-        assert again.unit == spec.unit
-    path = tmp_path / "field.json"
-    path.write_text(eg.spec_to_json(eg.ground_field()))
-    assert eg.load_algebra_file(path).dim == 1
-
-
-def test_shipped_spec_files():
-    import importlib.resources as resources
-
+def test_shipped_file_names():
+    assert eg.BUILTIN_ALGEBRAS == tuple(sorted(eg.BUILTIN_ALGEBRAS))
     for name in eg.BUILTIN_ALGEBRAS:
-        data = resources.files("heckehom").joinpath(f"algebras/{name}.json").read_text()
-        spec = eg.spec_from_json(data)
-        built = eg.BUILTIN_ALGEBRAS[name]()
-        assert spec.dim == built.dim and spec.products == built.products
-        assert json.loads(data)["name"] == name
+        text = (eg._ALGEBRA_DIR / f"{name}.json").read_text()
+        assert json.loads(text)["name"] == name
+        assert eg.builtin_algebra(name).name == name
+
+
+def test_builtin_cyclic_matches_group_algebra():
+    for m in range(2, 7):
+        assert eg.builtin_algebra(f"cyclic_{m}") == eg.group_algebra(m)
+
+
+def test_builtin_group_tables():
+    assert eg.builtin_algebra("ground_field").group_table == [[0]]
+    assert eg.builtin_algebra("dual_numbers").group_table is None
+    assert eg.builtin_algebra("upper_triangular_2").group_table is None
+    with pytest.raises(eg.SpecError):
+        eg.builtin_algebra("nonsense")
+
+
+def test_spec_file_gets_no_group_table():
+    # only built-ins derive a table; a user's file is taken as it is written
+    assert eg.load_algebra_file(eg._ALGEBRA_DIR / "cyclic_5.json").group_table is None
 
 
 def _two_pass_quotients(bases, boundary, cutoff):
@@ -219,7 +221,7 @@ def _same_columns(left, right):
 )
 def test_single_pass_homology_matches_two_pass_oracle(name):
     cutoff = 3
-    spec = eg.BUILTIN_ALGEBRAS[name]()
+    spec = eg.builtin_algebra(name)
     report = eg.compute_cyclic(spec, cutoff)
     stack = report._stack
     hh_bases = [stack.keys(p) for p in range(cutoff + 2)]
@@ -325,8 +327,10 @@ def _unnormalized_oracle(spec, cutoff):
 )
 def test_normalized_engine_matches_unnormalized_oracle(name):
     cutoff = 3
-    builders = {**eg.BUILTIN_ALGEBRAS, "half_unit_dual_numbers": _half_unit_dual_numbers}
-    spec = builders[name]()
+    if name == "half_unit_dual_numbers":
+        spec = _half_unit_dual_numbers()
+    else:
+        spec = eg.builtin_algebra(name)
     report = eg.compute_cyclic(spec, cutoff)
     hh_dims, hc_dims, ranks = _unnormalized_oracle(spec, cutoff)
     assert report.hh_dims == hh_dims

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 from heckehom.laurent import LaurentQ, ONE, Q, ZERO, qpow
 from heckehom.weyl import E, S, T, WeylWord, all_words, bruhat_leq, st_power, word_mul
+from heckehom import hecke, suites
 from heckehom.hecke import (
     HeckeElement,
     basis,
     evaluate_at_one,
     one,
     r_polynomial,
+    r_polynomial_from_inverse,
     r_polynomial_recursive,
     t_inverse,
     t_mul,
@@ -92,9 +94,12 @@ def test_r_polynomial_examples():
 
 
 def test_r_polynomial_against_recursion():
-    for w in all_words(8):
-        for x in all_words(8):
-            assert r_polynomial(x, w) == r_polynomial_recursive(x, w)
+    # closed form, extraction from the inverse and descent recursion agree
+    for w in all_words(20):
+        for x in all_words(20):
+            closed = r_polynomial(x, w)
+            assert closed == r_polynomial_from_inverse(x, w), (x, w)
+            assert closed == r_polynomial_recursive(x, w), (x, w)
 
 
 def test_r_polynomial_degree_and_vanishing():
@@ -121,6 +126,23 @@ def test_inverse_expansion_identity():
                 sign = 1 if x.length % 2 == 0 else -1
                 terms[x] = value * qpow(-n) * sign
         assert lhs == HeckeElement(terms), n
+
+
+def test_inverse_expansion_case_detects_a_wrong_inverse(monkeypatch):
+    # add q*T[e] to every T_w^-1 with l(w) = 4: the closed-form side of
+    # rpoly/inverse-expansion/2 does not see it, the inverse side does
+    correct = hecke.t_inverse
+
+    def wrong(word):
+        inv = correct(word)
+        return inv + one().scale(Q) if word.length == 4 else inv
+
+    monkeypatch.setattr(hecke, "_INVERSE_CACHE", {})
+    monkeypatch.setattr(hecke, "t_inverse", wrong)
+    monkeypatch.setattr(suites, "t_inverse", wrong)
+    report = suites.suite_rpoly(suites.SuiteConfig(lmax=6, nmax=4))
+    case = next(c for c in report.cases if c.id == "rpoly/inverse-expansion/2")
+    assert not case.passed
 
 
 def test_specialization_at_q_equals_one():

@@ -137,7 +137,7 @@ def test_coefficients_are_never_float(rational):
 
 
 def test_engine_homology_coefficients_are_exact():
-    report = eg.compute_cyclic(eg.upper_triangular_2(), 2)
+    report = eg.compute_cyclic(eg.builtin_algebra("upper_triangular_2"), 2)
     eg.sbi_exactness_check(report)
     for quotient in report._hh + report._hc:
         for pivot in quotient._basis.pivots:

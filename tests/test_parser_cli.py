@@ -139,11 +139,29 @@ def test_verify_exit_code_on_failure(monkeypatch):
     assert main(["verify", "hecke"]) == 1
 
 
+def test_verify_options_fill_suite_config(monkeypatch):
+    from heckehom import cli, suites
+
+    seen = []
+
+    def capture(target, cfg):
+        seen.append(cfg)
+        return suites.SuiteReport(target, cfg.seed)
+
+    monkeypatch.setattr(cli, "run_suite", capture)
+    assert main(["verify", "hecke"]) == 0
+    assert main(["verify", "torus", "--rank", "1", "--window", "1", "--degree", "0"]) == 0
+    assert seen == [
+        SuiteConfig(),
+        SuiteConfig(torus_ranks=(1,), torus_window=1, torus_degrees=(0,)),
+    ]
+
+
 def test_engine_spec_file_flag(tmp_path, capsys):
     from heckehom import engine as eg
 
     path = tmp_path / "field.json"
-    path.write_text(eg.spec_to_json(eg.ground_field()))
+    path.write_text((eg._ALGEBRA_DIR / "ground_field.json").read_text())
     cfg = SuiteConfig(engine_algebras=(), engine_spec_files=(str(path),), engine_cutoff=2)
     report = run_suite("engine", cfg)
     assert report.passed

@@ -1,8 +1,8 @@
 """Induction/restriction operators and the compact-restriction identities."""
 
 from heckehom.laurent import LaurentQ, ONE, Q, qpow
-from heckehom.weyl import st_power, ts_power
-from heckehom.hecke import basis, t_inverse, t_mul
+from heckehom.weyl import E, st_power, ts_power
+from heckehom.hecke import basis, r_polynomial, t_inverse, t_mul
 from heckehom.hh0 import HH0Class, reduce_to_hh0
 from heckehom.spectral import (
     LambdaElement,
@@ -17,7 +17,6 @@ from heckehom.spectral import (
     pind_hecke,
     pind_map,
     pres_map,
-    r1_even_closed_form,
 )
 
 
@@ -115,8 +114,8 @@ def test_commutator_identity_range():
 
 
 def test_r1_closed_form():
-    assert r1_even_closed_form(1) == (Q - 1) * (Q - 1)
-    assert r1_even_closed_form(2) == (Q - 1) * (Q**3 - Q**2 + Q - 1)
+    assert r_polynomial(E, st_power(1)) == (Q - 1) * (Q - 1)
+    assert r_polynomial(E, st_power(2)) == (Q - 1) * (Q**3 - Q**2 + Q - 1)
 
 
 def test_geometric_lemma_identity():
