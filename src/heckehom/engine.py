@@ -27,9 +27,8 @@ from itertools import product
 from pathlib import Path
 
 from . import hochschild as hh
-from .laurent import _rat
 from .linalg import GaussianBasis, QuotientSpace, kernel_vectors, span_basis
-from .sparse import add_into, linear
+from .sparse import add_into, exact, exact_quotient, linear
 
 
 class SpecError(ValueError):
@@ -156,18 +155,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _exact_quotient(v, d) -> Coeff:
-    """v / d as an exact rational, an int when integral."""
-    q = Fraction(v, d)
-    return q.numerator if q.denominator == 1 else q
-
-
 def _spec_coefficient(value, where: str) -> Coeff:
     """An exact coefficient from an int or a rational string; int when integral."""
     if not (_is_int(value) or isinstance(value, str)):
         raise SpecError(f"{where}: coefficient {value!r} is not an integer or a string")
     try:
-        return _exact_quotient(Fraction(value), 1)
+        return exact(value)
     except (ValueError, ZeroDivisionError):
         raise SpecError(f"{where}: coefficient {value!r} is not an exact rational") from None
 
@@ -253,7 +246,7 @@ def unit_basis(spec: AlgebraSpec) -> AlgebraSpec:
         c_k = vec.get(k, 0)
         scaled = {j: vec.get(j, 0) * u_k - c_k * unit.get(j, 0) for j in range(spec.dim)}
         scaled[k] = c_k
-        return {j: _exact_quotient(v, u_k) for j, v in scaled.items() if v}
+        return {j: exact_quotient(v, u_k) for j, v in scaled.items() if v}
 
     vectors = [unit if i == k else {i: 1} for i in range(spec.dim)]
     products = {}
@@ -518,18 +511,18 @@ class ClassFunctionAction:
     In degree p the basis tuple (g_0, ..., g_p) is scaled by F(g_0 ... g_p).
     """
 
-    def __init__(self, spec: AlgebraSpec, values: dict[int, Fraction]):
+    def __init__(self, spec: AlgebraSpec, values: dict[int, Coeff]):
         if spec.group_table is None:
             raise ValueError("class-function actions need a group algebra")
         self.spec = spec
-        self.values = {k: _rat(v) for k, v in values.items()}
+        self.values = {k: exact(v) for k, v in values.items()}
 
-    def factor(self, key: tuple[int, ...]) -> Fraction:
+    def factor(self, key: tuple[int, ...]) -> Coeff:
         """F of the product g_0 ... g_p of a tuple of group elements."""
         g = key[0]
         for h in key[1:]:
             g = self.spec.group_table[g][h]
-        return self.values.get(g, Fraction(0))
+        return self.values.get(g, 0)
 
     def apply(self, vec: dict, tot: bool = False) -> dict:
         """The action on a chain, or on a Tot chain with (j, key) keys when tot."""
@@ -559,7 +552,7 @@ class ClassFunctionAction:
 
 
 def class_function_action(
-    spec: AlgebraSpec, values: dict[int, Fraction], stack: ChainStack
+    spec: AlgebraSpec, values: dict[int, Coeff], stack: ChainStack
 ) -> ClassFunctionAction:
     """Build the diagonal action and verify it is a chain map."""
     action = ClassFunctionAction(spec, values)
@@ -569,7 +562,7 @@ def class_function_action(
 
 
 def idempotent_commutator_square_is_zero(
-    report: HomologyReport, e_values: dict[int, Fraction], f_values: dict[int, Fraction]
+    report: HomologyReport, e_values: dict[int, Coeff], f_values: dict[int, Coeff]
 ) -> bool:
     """[e, F]^2 = 0 on every computed cyclic homology group."""
     spec = report._stack.spec

@@ -20,9 +20,8 @@ minus signs is read in a loop and nests nothing.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .laurent import LaurentQ, qpow
+from .sparse import exact_quotient
 from .weyl import WeylWord
 from .hecke import HeckeElement, basis
 
@@ -99,12 +98,12 @@ class _Value:
 
     __slots__ = ("element", "scalar")
 
-    def __init__(self, element: HeckeElement, scalar: Fraction | None):
+    def __init__(self, element: HeckeElement, scalar):
         self.element = element
         self.scalar = scalar
 
     @classmethod
-    def of_scalar(cls, value: Fraction) -> _Value:
+    def of_scalar(cls, value) -> _Value:
         return cls(HeckeElement({WeylWord.identity(): LaurentQ.const(value)}), value)
 
     @classmethod
@@ -162,7 +161,7 @@ class _Parser:
         kind, text, position = self.tokens.peek()
         if kind == "int":
             self.tokens.advance()
-            return _Value.of_scalar(Fraction(int(text)))
+            return _Value.of_scalar(int(text))
         if kind == "q":
             self.tokens.advance()
             exponent = 1
@@ -222,7 +221,7 @@ def _div(a: _Value, b: _Value, position: int) -> _Value:
         raise ParseError("'/' is only defined between scalars", position)
     if b.scalar == 0:
         raise ParseError("division by zero", position)
-    return _Value.of_scalar(a.scalar / b.scalar)
+    return _Value.of_scalar(exact_quotient(a.scalar, b.scalar))
 
 
 def parse_hecke(text: str) -> HeckeElement:
@@ -244,11 +243,11 @@ def parse_laurent(text: str) -> LaurentQ:
     return element.coefficient(identity)
 
 
-def parse_scalar(text: str) -> Fraction:
+def parse_scalar(text: str):
     """Parse an exact rational scalar."""
     poly = parse_laurent(text)
     if poly.is_zero:
-        return Fraction(0)
+        return 0
     if set(poly.terms) != {0}:
         raise ParseError("expected a scalar, found powers of q", 0)
     return poly.coefficient(0)

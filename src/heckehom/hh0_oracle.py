@@ -18,7 +18,7 @@ from .weyl import E, WeylWord, all_words, st_power
 from .hecke import HeckeElement, basis, t_mul
 from .hh0 import HH0Class
 from .linalg import GaussianBasis
-from .sparse import add_term
+from .sparse import add_term, exact_quotient
 
 
 def _ordinary(poly: LaurentQ) -> dict[int, object]:
@@ -34,7 +34,7 @@ def _poly_divmod(a: dict, b: dict) -> tuple[dict, dict]:
     rem = dict(a)
     while rem and max(rem) >= db:
         da = max(rem)
-        c = rem[da] / lead
+        c = exact_quotient(rem[da], lead)
         e = da - db
         quot[e] = c
         for be, bc in b.items():
@@ -52,8 +52,7 @@ def poly_gcd(a: LaurentQ, b: LaurentQ) -> LaurentQ:
     while y:
         _, r = _poly_divmod(x, y)
         x, y = y, r
-    lead = x[max(x)]
-    return LaurentQ({e: c / lead for e, c in x.items()})
+    return _monic(LaurentQ(x))
 
 
 def _monic(p: LaurentQ) -> LaurentQ:
@@ -61,7 +60,7 @@ def _monic(p: LaurentQ) -> LaurentQ:
         return ZERO
     data = _ordinary(p)
     lead = data[max(data)]
-    return LaurentQ({e: c / lead for e, c in data.items()})
+    return LaurentQ({e: exact_quotient(c, lead) for e, c in data.items()})
 
 
 class QFrac:
@@ -86,9 +85,8 @@ class QFrac:
         # push the denominator's unit part (leading coeff and q-power) into num
         shift = den.valuation()
         lead = den.terms[den.degree()]
-        den = LaurentQ({e - shift: c / lead for e, c in den.terms.items()})
-        num = LaurentQ({e - shift: c / lead for e, c in num.terms.items()})
-        self.num, self.den = num, den
+        num = LaurentQ({e - shift: exact_quotient(c, lead) for e, c in num.terms.items()})
+        self.num, self.den = num, _monic(den)
 
     @classmethod
     def of(cls, value) -> QFrac:

@@ -1,45 +1,29 @@
-"""Exact rational scalars and sparse Laurent polynomials in the parameter q.
+"""Sparse Laurent polynomials in the parameter q, and in several variables.
 
-No float enters any coefficient in this package.  Laurent polynomials in q
-(and so the Hecke-algebra, HH0 and H(Lambda) elements built on them) have
-``fractions.Fraction`` coefficients.  The lattice types (``MultiLaurent``
-here, chains and forms in ``torus``), the linear algebra and the engine
-keep ints as ints and reach Fractions only through an exact division or a
-rational input.  Every element is a sparse mapping with zero coefficients
-dropped (see ``sparse``), so equality of mappings is exact equality of
-values.
+The Hecke algebra and everything built on it live over Z[q, q^-1], so the
+coefficients follow the one rule of ``sparse.exact``: ints stay ints, an
+integral Fraction is stored as an int, no float is ever accepted, and every
+division of coefficients is an ``exact_quotient``.  Integer inputs keep
+integer coefficients; a Fraction appears only from a rational input or a
+quotient that is not integral.  Every element is a sparse mapping with zero
+coefficients dropped (see ``sparse``), so equality of mappings is exact
+equality of values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .sparse import Sparse, add_into, add_term
+from .sparse import Sparse, add_into, add_term, exact, exact_quotient
 
 
 class NotDivisible(ArithmeticError):
     """Raised when no exact Laurent-polynomial quotient exists."""
 
 
-def _rat(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise TypeError(f"not an exact rational: {value!r}")
-
-
-def _exact(value):
-    """An int or Fraction as given, a string parsed to a Fraction; never a float."""
-    if isinstance(value, (int, Fraction)):
-        return value
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"not an exact rational: {value!r}")
-
-
 class LaurentQ(Sparse):
-    """Sparse Laurent polynomial in q with Fraction coefficients.
+    """Sparse Laurent polynomial in q whose coefficients follow ``sparse.exact``:
+    ints stay ints, integral Fractions become ints, and every quotient is exact.
 
     >>> (Q - 1) * (Q + 1) == Q**2 - 1
     True
@@ -50,15 +34,15 @@ class LaurentQ(Sparse):
     __slots__ = ()
 
     _key = staticmethod(int)
-    _coerce = staticmethod(_rat)
+    _coerce = staticmethod(exact)
 
     @classmethod
     def const(cls, value) -> LaurentQ:
-        return cls({0: _rat(value)})
+        return cls({0: value})
 
     @classmethod
     def monomial(cls, coeff, exp: int) -> LaurentQ:
-        return cls({exp: _rat(coeff)})
+        return cls({exp: coeff})
 
     def degree(self) -> int:
         if not self._terms:
@@ -70,18 +54,17 @@ class LaurentQ(Sparse):
             raise ValueError("zero polynomial has no valuation")
         return min(self._terms)
 
-    def coefficient(self, exp: int) -> Fraction:
-        return self._terms.get(exp, Fraction(0))
+    def coefficient(self, exp: int):
+        return self._terms.get(exp, 0)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, LaurentQ):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self._terms == LaurentQ.const(other)._terms
-        return NotImplemented
+        other = _as_laurent(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(self._terms.items())))
@@ -101,7 +84,7 @@ class LaurentQ(Sparse):
         other = _as_laurent(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[int, Fraction] = {}
+        out: dict = {}
         # inline, not add_term: ~10^5 calls per hecke-deep run, most of its time
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
@@ -119,10 +102,7 @@ class LaurentQ(Sparse):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            if len(self._terms) != 1:
-                raise NotDivisible(f"negative power of a non-unit: {self}")
-            ((exp, coeff),) = self._terms.items()
-            return LaurentQ.monomial(Fraction(1) / coeff, -exp) ** (-n)
+            return ONE.divide_exact(self) ** (-n)  # NotDivisible unless self is a unit
         result = ONE
         base = self
         while n:
@@ -153,13 +133,13 @@ class LaurentQ(Sparse):
         den = {e - other.valuation(): c for e, c in other._terms.items()}
         dd = max(den)
         dlead = den[dd]
-        quot: dict[int, Fraction] = {}
+        quot: dict = {}
         # inline, not add_term, for the same reason as __mul__
         while rem:
             rd = max(rem)
             if rd < dd:
                 raise NotDivisible(f"({self}) is not divisible by ({other})")
-            c = rem[rd] / dlead
+            c = exact_quotient(rem[rd], dlead)
             e = rd - dd
             quot[e] = c
             for de, dc in den.items():
@@ -173,7 +153,7 @@ class LaurentQ(Sparse):
 
     def evaluate(self, value) -> Fraction:
         """Substitute an exact rational value for q."""
-        x = _rat(value)
+        x = Fraction(exact(value))  # with an int x, x**-k would be a float
         total = Fraction(0)
         for exp, coeff in self._terms.items():
             total += coeff * x**exp
@@ -200,7 +180,7 @@ class LaurentQ(Sparse):
 
 
 
-def _render_term(coeff: Fraction, exp: int) -> str:
+def _render_term(coeff, exp: int) -> str:
     if exp == 0:
         return str(coeff)
     mono = "q" if exp == 1 else f"q^{exp}"
@@ -239,7 +219,7 @@ class MultiLaurent(Sparse):
     __slots__ = ("rank",)
 
     _shape = ("rank",)
-    _coerce = staticmethod(_exact)
+    _coerce = staticmethod(exact)
 
     def __init__(self, rank: int, terms=None):
         if rank < 1:

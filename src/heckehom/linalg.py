@@ -4,8 +4,8 @@ Vectors are dicts {column: coefficient} with no stored zeros.  Coefficients
 are ints or Fractions, or any other exact field type supporting +, -, *, /,
 bool and ==.  Arithmetic stays in the integers as long as it can: a row is
 normalised by its lead only when that lead is not 1, a lead of -1 negates,
-and only a division by any other lead promotes to Fraction (an integral
-quotient is stored as an int again).  No float ever enters.
+and any other lead divides through ``sparse.exact_quotient``, so an
+integral quotient stays an int.  No float ever enters.
 
 Pivot choice is always the minimum column of the residue, so every stored
 row has its pivot at its minimum column; reductions therefore clear columns
@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .sparse import add_into
+from .sparse import add_into, exact_quotient
 
 
 def _divided(vec: dict, lead) -> dict:
@@ -29,11 +29,7 @@ def _divided(vec: dict, lead) -> dict:
     if lead == -1:
         return {col: -val for col, val in vec.items()}
     if isinstance(lead, (int, Fraction)):
-        out = {}
-        for col, val in vec.items():
-            quotient = Fraction(val, lead)
-            out[col] = quotient.numerator if quotient.denominator == 1 else quotient
-        return out
+        return {col: exact_quotient(val, lead) for col, val in vec.items()}
     return {col: val / lead for col, val in vec.items()}
 
 

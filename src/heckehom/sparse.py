@@ -8,6 +8,11 @@ dict in place and delete every entry that cancels to an exact zero;
 Coefficients may be ints, Fractions, Laurent polynomials or any other
 exact type with +, * and truth testing; no float is ever created here.
 
+The package's one rule for scalar coefficients lives here too: ``exact``
+keeps ints, demotes integral Fractions to ints and refuses floats, and every
+division of scalars is an ``exact_quotient``, demoted in the same way; a
+Fraction comes only from a rational input or a non-integral quotient.
+
 ``Sparse`` is the base of every element type (Laurent polynomials, Hecke
 elements, HH0 classes, elements of H(Lambda), lattice chains and forms).
 A subclass declares its shape attributes (such as rank and degree), how a
@@ -17,6 +22,38 @@ new element, and ``_like`` wraps a freshly built dict without copying it.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+
+
+def exact(value):
+    """An exact scalar: an int, or a non-integral Fraction; a string is parsed.
+
+    >>> exact(6), exact(Fraction(4, 2)), exact("6/3")
+    (6, 2, 2)
+    >>> exact("3/4")
+    Fraction(3, 4)
+    >>> exact(0.5)
+    Traceback (most recent call last):
+    ...
+    TypeError: not an exact rational: 0.5
+    """
+    if isinstance(value, int):
+        return value
+    if isinstance(value, str):
+        value = Fraction(value)
+    elif not isinstance(value, Fraction):
+        raise TypeError(f"not an exact rational: {value!r}")
+    return value.numerator if value.denominator == 1 else value
+
+
+def exact_quotient(v, d):
+    """v / d for ints or Fractions, exactly, under the rule of ``exact``.
+
+    >>> exact_quotient(6, -3), exact_quotient(1, 2), exact_quotient(Fraction(1, 2), Fraction(1, 4))
+    (-2, Fraction(1, 2), 2)
+    """
+    return exact(Fraction(v, d))
 
 
 def add_term(target: dict, key, value) -> None:

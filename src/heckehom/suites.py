@@ -709,11 +709,9 @@ def suite_engine(cfg: SuiteConfig) -> SuiteReport:
     bad = eg.AlgebraSpec(
         name="bad",
         dim=3,
-        products={(0, 0): {0: Fraction(1)}, (0, 1): {1: Fraction(1)},
-                  (1, 0): {1: Fraction(1)}, (0, 2): {2: Fraction(1)},
-                  (2, 0): {2: Fraction(1)}, (1, 1): {2: Fraction(1)},
-                  (1, 2): {0: Fraction(1)}},
-        unit={0: Fraction(1)},
+        products={(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (0, 2): {2: 1},
+                  (2, 0): {2: 1}, (1, 1): {2: 1}, (1, 2): {0: 1}},
+        unit={0: 1},
     )
     try:
         eg.load_algebra(bad)
@@ -728,7 +726,7 @@ def suite_engine(cfg: SuiteConfig) -> SuiteReport:
     )
     try:
         eg.load_algebra(
-            eg.AlgebraSpec(name="nounit", dim=1, products={(0, 0): {0: Fraction(1)}}, unit=None)
+            eg.AlgebraSpec(name="nounit", dim=1, products={(0, 0): {0: 1}}, unit=None)
         )
         rejected = False
     except eg.NoUnit:
@@ -810,7 +808,7 @@ def suite_engine(cfg: SuiteConfig) -> SuiteReport:
             )
 
         if spec.group_table is not None:
-            indicator = {0: Fraction(1)}
+            indicator = {0: 1}
             action = eg.class_function_action(spec, indicator, result._stack)
             report.add_bool(
                 f"engine/{spec.name}/class-action-commutes",
@@ -818,7 +816,7 @@ def suite_engine(cfg: SuiteConfig) -> SuiteReport:
                 {"algebra": spec.name, "function": "indicator of the identity"},
                 action.commutes_with_structure_maps(result._stack, cutoff),
             )
-            everything = {g: Fraction(1) for g in range(spec.dim)}
+            everything = {g: 1 for g in range(spec.dim)}
             report.add_bool(
                 f"engine/{spec.name}/idempotent-commutator",
                 "[e, F]^2 = 0 on cyclic homology for class-function idempotents",

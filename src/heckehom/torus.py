@@ -26,14 +26,13 @@ from math import factorial
 from operator import add
 
 from . import hochschild as hh
-from .laurent import _exact
 from .linalg import (
     QuotientSpace,
     intersect_with_columns,
     kernel_vectors,
     span_basis,
 )
-from .sparse import Sparse, add_term, linear
+from .sparse import Sparse, add_term, exact, exact_quotient, linear
 
 ChainKey = tuple[tuple[int, ...], ...]
 FormKey = tuple[tuple[int, ...], tuple[int, ...]]
@@ -45,7 +44,7 @@ class _LatticeElement(Sparse):
     __slots__ = ("rank", "degree")
 
     _shape = ("rank", "degree")
-    _coerce = staticmethod(_exact)
+    _coerce = staticmethod(exact)
 
     def __init__(self, rank: int, degree: int, terms=None):
         if rank < 1:
@@ -151,21 +150,20 @@ def connes_b_key(key: ChainKey) -> dict[ChainKey, int]:
     return hh.connes_B(key, (0,) * len(key[0]))
 
 
-def hkr_key(rank: int, key: ChainKey) -> dict[FormKey, Fraction]:
+def hkr_key(rank: int, key: ChainKey) -> dict[FormKey, object]:
     """HKR value on a monomial tuple: (1/p!) f0 df1 ^ ... ^ dfp."""
     p = len(key) - 1
     total = _total(key)
     if p == 0:
-        return {(total, ()): Fraction(1)}
+        return {(total, ()): 1}
     if p > rank:
         return {}
     rows = key[1:]
-    scale = Fraction(1, factorial(p))
-    out: dict[FormKey, Fraction] = {}
+    out: dict[FormKey, object] = {}
     for idx in itertools.combinations(range(rank), p):
         det = _int_det([[row[j] for j in idx] for row in rows])
         if det:
-            out[(total, idx)] = scale * det
+            out[(total, idx)] = exact_quotient(det, factorial(p))
     return out
 
 
@@ -312,20 +310,26 @@ class SquareReport:
         }
 
 
-def _invariant_sector_dims(rank: int, degree: int, window: int):
-    """(cycles, boundaries, quotient, boundary_basis) in the zero-total sector."""
-    zero = (0,) * rank
-    keys = list(sector_keys(rank, degree, window, zero))
+def _sector_cycles(keys, degree: int) -> list[dict]:
+    """Spanning cycles of the span of the given degree-p basis tuples."""
     if degree == 0:
-        cycles = [{key: 1} for key in keys]
-    else:
-        cycles, _ = kernel_vectors((key, boundary_key(key)) for key in keys)
-    source = sector_keys(rank, degree + 1, window, zero)
-    raw_boundaries = (boundary_key(key) for key in source)
-    window_pred = lambda key: _in_window(key, window)
-    boundaries = intersect_with_columns(raw_boundaries, window_pred)
-    quotient = QuotientSpace(span_basis(boundaries), cycles)
-    return cycles, quotient
+        return [{key: 1} for key in keys]
+    cycles, _ = kernel_vectors((key, boundary_key(key)) for key in keys)
+    return cycles
+
+
+def _sector_boundary_basis(rank: int, degree: int, window: int):
+    """Echelon basis of the windowed degree-p boundaries of the zero-total
+    sector: b of its degree-(p+1) chains, intersected with the window."""
+    source = sector_keys(rank, degree + 1, window, (0,) * rank)
+    raw = (boundary_key(key) for key in source)
+    return span_basis(intersect_with_columns(raw, lambda key: _in_window(key, window)))
+
+
+def _invariant_sector_dims(rank: int, degree: int, window: int):
+    """(cycles, quotient by the boundaries) of the windowed zero-total sector."""
+    cycles = _sector_cycles(sector_keys(rank, degree, window, (0,) * rank), degree)
+    return cycles, QuotientSpace(_sector_boundary_basis(rank, degree, window), cycles)
 
 
 def check_square_on_key(rank: int, key: ChainKey) -> bool:
@@ -408,17 +412,10 @@ def compact_part_of_b_image_is_boundary(rank: int, degree: int, window: int) -> 
     sector one degree up.  This is the lattice instance of the vanishing of
     compact restriction composed with B.
     """
-    zero = (0,) * rank
-    keys = list(sector_keys(rank, degree, window, zero))
-    normalized = [k for k in keys if not _is_degenerate(k)]
-    if degree == 0:
-        cycle_vecs = [{key: 1} for key in normalized]
-    else:
-        cycle_vecs, _ = kernel_vectors((key, boundary_key(key)) for key in normalized)
-    source = sector_keys(rank, degree + 2, window, zero)
-    raw = (boundary_key(key) for key in source)
-    basis = span_basis(intersect_with_columns(raw, lambda key: _in_window(key, window)))
-    for vec in cycle_vecs:
+    keys = sector_keys(rank, degree, window, (0,) * rank)
+    cycles = _sector_cycles((k for k in keys if not _is_degenerate(k)), degree)
+    basis = _sector_boundary_basis(rank, degree + 1, window)
+    for vec in cycles:
         chain = LatticeChain._new(vec, rank=rank, degree=degree)
         image = class_action(connes_B(chain))
         if image.is_zero:

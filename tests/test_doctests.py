@@ -9,6 +9,7 @@ import heckehom.hh0
 import heckehom.exprparse
 import heckehom.engine
 import heckehom.hochschild
+import heckehom.sparse
 
 
 def test_doctests():
@@ -20,6 +21,7 @@ def test_doctests():
         heckehom.exprparse,
         heckehom.engine,
         heckehom.hochschild,
+        heckehom.sparse,
     ):
         failures, tested = doctest.testmod(module, verbose=False)
         assert failures == 0, module.__name__

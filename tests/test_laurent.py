@@ -63,6 +63,7 @@ def test_render_parse_round_trip(a):
 def test_evaluate():
     assert ((Q - 1) * (Q + 2)).evaluate(1) == 0
     assert qpow(-2).evaluate(Fraction(1, 2)) == 4
+    assert qpow(-2).evaluate(2) == Fraction(1, 4)
 
 
 def test_negative_power_of_unit():

@@ -211,3 +211,64 @@ def test_torus_coefficients_are_never_float():
                 _assert_exact(payload)
     constant, consistent = tr.measure_hkr_b_constant(2, 1, 1)
     assert consistent and type(constant) is Fraction
+
+
+def _scalars(value):
+    """Every scalar coefficient inside an element, a QFrac or a dict of them."""
+    from heckehom.hh0_oracle import QFrac
+    from heckehom.sparse import Sparse
+
+    if isinstance(value, QFrac):
+        yield from _scalars(value.num)
+        yield from _scalars(value.den)
+    elif isinstance(value, (Sparse, dict)):
+        for coeff in (value.terms if isinstance(value, Sparse) else value).values():
+            yield from _scalars(coeff)
+    else:
+        yield value
+
+
+def _assert_integer_first(value):
+    """Coefficients follow sparse.exact: an int, or a Fraction that is not integral."""
+    for c in _scalars(value):
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+def test_hecke_side_coefficients_are_integer_first():
+    """Integer inputs keep the Hecke side in ints through every division: the
+    inverse, exact division, negative powers, the trace reduction, the spectral
+    maps and the commutator-space oracle over Q(q)."""
+    from heckehom import spectral as sp
+    from heckehom.hecke import basis, t_inverse, t_mul
+    from heckehom.hh0 import reduce_to_hh0
+    from heckehom.hh0_oracle import TruncatedTraceOracle
+    from heckehom.laurent import Q, LaurentQ, qpow
+    from heckehom.weyl import all_words, st_power
+
+    words = list(all_words(5))
+    for x in words:
+        _assert_integer_first(t_inverse(x))
+        for y in words:
+            product = t_mul(basis(x), basis(y))
+            _assert_integer_first(product)
+            _assert_integer_first(reduce_to_hh0(product))
+    for num, den in [((Q - 1) ** 2, Q * (Q - 1)), (2 * Q**2 - 2, 2 * Q + 2), (Q + 1, 2 * Q),
+                     (3 * Q**3 - 3, LaurentQ.const(3))]:
+        _assert_integer_first(num.divide_exact(den))
+    for unit in (qpow(3), 2 * qpow(-1), LaurentQ({2: Fraction(1, 2)}), LaurentQ({1: -1})):
+        _assert_integer_first(unit**-1)
+        _assert_integer_first(unit**-2)
+    for n in range(-4, 5):
+        lam = sp.LambdaElement.monomial(n, Q - 1)
+        for value in (sp.pind_map(lam), sp.opind_map(lam), sp.one_mc(lam), sp.chi_m(lam)):
+            _assert_integer_first(value)
+    for n in range(6):
+        _assert_integer_first(sp.pres_map(sp.HH0Class.basis_even(n)))
+        _assert_integer_first(sp.commutator_direct(n))
+        _assert_integer_first(sp.commutator_closed_form(n))
+        _assert_integer_first(reduce_to_hh0(basis(st_power(n))))
+    oracle = TruncatedTraceOracle(cutoff=4)
+    for pivot in oracle._basis.pivots:
+        _assert_integer_first(oracle._basis.row(pivot)[0])
+    for word in all_words(4):
+        _assert_integer_first(oracle.class_of_word(word))

@@ -8,7 +8,7 @@ from heckehom.hecke import HeckeElement
 from heckehom.hh0 import HH0Class
 from heckehom.laurent import LaurentQ, MultiLaurent, Q
 from heckehom.spectral import LambdaElement
-from heckehom.sparse import add_into, add_term, linear
+from heckehom.sparse import add_into, add_term, exact, exact_quotient, linear
 from heckehom.torus import LatticeChain, TorusForm
 from heckehom.weyl import E, S, T
 
@@ -129,14 +129,42 @@ def test_laurent_types_stay_hashable():
     assert len({MultiLaurent(1, {(1,): 2}), MultiLaurent(1, {(1,): 2}), MultiLaurent(2)}) == 2
 
 
-def test_lattice_types_store_exact_values_as_given():
-    chain = LatticeChain(1, 0, {((1,),): 2, ((2,),): Fraction(1, 2), ((3,),): "3/4"})
-    assert [type(v) for v in chain.terms.values()] == [int, Fraction, Fraction]
-    for build in (
-        lambda: LatticeChain(1, 0, {((1,),): 0.5}),
-        lambda: TorusForm(1, 0, {((1,), ()): 1.0}),
-        lambda: MultiLaurent(1, {(1,): 2.0}),
-        lambda: chain.scale(0.5),
-    ):
+# per type: an element with one coefficient c, and that coefficient's scalar
+# (the Hecke-side types store LaurentQ coefficients, read at q^0)
+ONE_COEFFICIENT = {
+    "LaurentQ": (lambda c: LaurentQ({0: c}), lambda x: x.terms[0]),
+    "MultiLaurent": (lambda c: MultiLaurent(1, {(1,): c}), lambda x: x.terms[(1,)]),
+    "HeckeElement": (lambda c: HeckeElement({S: c}), lambda x: x.terms[S].terms[0]),
+    "LambdaElement": (lambda c: LambdaElement({1: c}), lambda x: x.terms[1].terms[0]),
+    "HH0Class": (lambda c: HH0Class(even={0: c}), lambda x: x.terms[0].terms[0]),
+    "LatticeChain": (lambda c: LatticeChain(1, 0, {((1,),): c}), lambda x: x.terms[((1,),)]),
+    "TorusForm": (lambda c: TorusForm(1, 0, {((1,), ()): c}), lambda x: x.terms[((1,), ())]),
+}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_coefficients_follow_one_rule(name):
+    """Integral values are stored as ints, others as Fractions, floats never."""
+    build, scalar = ONE_COEFFICIENT[name]
+    for value, stored in [
+        (2, int), (Fraction(4, 2), int), ("6/3", int), (Fraction(1, 2), Fraction),
+        ("3/4", Fraction), (exact_quotient(6, 3), int), (exact_quotient(3, 6), Fraction),
+        (exact_quotient(Fraction(1, 2), Fraction(1, 4)), int),
+    ]:
+        element = build(value)
+        assert type(scalar(element)) is stored and scalar(element) == exact(value)
+        assert type(scalar(element.scale(Fraction(3, 3)))) is stored
+    with pytest.raises(TypeError):
+        build(0.5)
+    with pytest.raises(TypeError):
+        build(1).scale(0.5)
+
+
+def test_exact_refuses_inexact_values():
+    for bad in (0.5, 1.0, None, [1]):
         with pytest.raises(TypeError):
-            build()
+            exact(bad)
+    with pytest.raises(TypeError):
+        exact_quotient(1.0, 2)
+    with pytest.raises(ZeroDivisionError):
+        exact_quotient(1, 0)
