@@ -6,18 +6,22 @@ Subpackages by topic:
     sparse     zero-dropping accumulation and the base of every element type
     laurent    exact rationals and sparse Laurent polynomials in q
     weyl       the infinite dihedral Weyl group
-    hecke      the Hecke algebra, basis inverses, R-polynomials
+    hecke      the Hecke algebra: basis products in closed form, basis
+               inverses, R-polynomials
     hh0        the trace quotient and its canonical basis
     hh0_oracle truncated commutator-space oracle over Q(q)
     spectral   induction/restriction operators and the compact-restriction
                identity in degree zero
     hochschild the Hochschild complex on tuple keys: faces, b, t, the
-               normalized complex and Connes' B, for any product
+               normalized complex and Connes' B, for any product; the
+               class-function action (compact restriction) and its check
     torus      lattice Hochschild chains, differential forms, the
-               invariant-forms projection
+               invariant-forms projection; compact restriction by the
+               shared class-function action
     engine     Hochschild/cyclic homology of algebras by structure constants,
-               on the normalized complex; the built-in algebras are the
-               shipped algebras/*.json files
+               on the normalized complex, and class-function actions on
+               group algebras by the shared action; the built-in algebras
+               are the shipped algebras/*.json files
     suites     the verification case lists behind the CLI
 """
 
@@ -58,13 +62,13 @@ from .torus import (
 )
 from .engine import (
     AlgebraSpec,
+    ClassFunctionAction,
     NoUnit,
     NotAssociative,
     TooLarge,
     builtin_algebra,
     compute_cyclic,
     compute_hochschild,
-    class_function_action,
     group_algebra,
     load_algebra,
     sbi_exactness_check,

@@ -12,7 +12,9 @@ the boundaries in degree p - 1.  Cyclic homology comes from the (b, B)
 mixed complex; the S, B, I maps between the computed groups are produced
 on explicit homology bases, so exactness of the long sequence can be
 verified by rank counting.  A basis key of Tot_n is (j, key) for a basis
-key of C_{n-2j}.
+key of C_{n-2j}.  On a group algebra, a class function F acts on chains
+and on Tot by the diagonal action of ``hochschild``, with the weight
+F(g_0 ... g_p), and is checked against the structure maps there.
 
 Chains one degree above the report cutoff are always built, so every
 reported dimension is unaffected by the truncation.
@@ -508,7 +510,8 @@ def sbi_exactness_check(report: HomologyReport) -> list[ExactnessNode]:
 class ClassFunctionAction:
     """Diagonal action of a function on group elements, degreewise.
 
-    In degree p the basis tuple (g_0, ..., g_p) is scaled by F(g_0 ... g_p).
+    In degree p the basis tuple (g_0, ..., g_p) is scaled by F(g_0 ... g_p),
+    through ``hochschild.class_action`` with ``factor`` as the weight.
     """
 
     def __init__(self, spec: AlgebraSpec, values: dict[int, Coeff]):
@@ -524,41 +527,20 @@ class ClassFunctionAction:
             g = self.spec.group_table[g][h]
         return self.values.get(g, 0)
 
-    def apply(self, vec: dict, tot: bool = False) -> dict:
-        """The action on a chain, or on a Tot chain with (j, key) keys when tot."""
-        scaled = ((k, c * self.factor(k[1] if tot else k)) for k, c in vec.items())
-        return {k: c for k, c in scaled if c}
-
     def commutes_with_structure_maps(self, stack: ChainStack, up_to: int) -> bool:
         """Chain-level commutation with every d_i, with t, and with B, on
-        every tuple of degree <= up_to."""
+        every tuple of degree <= up_to (``hochschild.class_action_commutes``)."""
         mul = stack.spec.product_vec
-        for p in range(up_to + 1):
-            for key in stack.tuples(p):
-                f_here = self.factor(key)
-                faces = [hh.face(key, i, mul) for i in range(p + 1)] if p else []
-                if p + 1 <= stack.top_degree:
-                    faces.append(stack.connes_B(key))
-                for image in faces:
-                    if add_into({}, image, f_here) != self.apply(image):
-                        return False
-                if self.factor(hh.cyclic(key)[0]) != f_here:
-                    return False
-        return True
+        return all(
+            hh.class_action_commutes(key, mul, stack.unit, self.factor)
+            for p in range(up_to + 1)
+            for key in stack.tuples(p)
+        )
 
     def induced_tot_matrix(self, report: HomologyReport, n: int) -> list[dict]:
-        act = lambda rep: self.apply(rep, tot=True)
+        """The action on HC_n, each Tot key (j, key) weighted by F of its key."""
+        act = lambda rep: hh.class_action(rep, lambda tot_key: self.factor(tot_key[1]))
         return _matrix_of(report._hc[n].representatives, act, report._hc[n])
-
-
-def class_function_action(
-    spec: AlgebraSpec, values: dict[int, Coeff], stack: ChainStack
-) -> ClassFunctionAction:
-    """Build the diagonal action and verify it is a chain map."""
-    action = ClassFunctionAction(spec, values)
-    if not action.commutes_with_structure_maps(stack, stack.top_degree - 1):
-        raise AssertionError("class-function action fails to commute with structure maps")
-    return action
 
 
 def idempotent_commutator_square_is_zero(

@@ -5,10 +5,12 @@ Basis elements T_w are indexed by Weyl words; multiplication is fixed by
     T_w T_w' = T_{ww'}        when l(ww') = l(w) + l(w'),
     T_g^2    = (q-1) T_g + q  for the generators g in {s, t},
 
-over exact Laurent polynomials in q.  Inverses of basis elements are
-computed here as well.  R-polynomials have a closed form, because R_{x,w}
-depends only on l(w) - l(x); the extraction from the inverse basis elements
-and the descent recursion are kept as its two independent checks.
+over exact Laurent polynomials in q.  The product of two basis elements
+follows from these in closed form, one quadratic relation per overlapping
+letter.  Inverses of basis elements are computed here as well.
+R-polynomials have a closed form, because R_{x,w} depends only on
+l(w) - l(x); the extraction from the inverse basis elements and the
+descent recursion are kept as its two independent checks.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .laurent import LaurentQ, ONE, ZERO, Q, qpow
-from .sparse import Sparse, add_into, add_term
+from .sparse import Sparse, add_into
 from .weyl import E, WeylWord, bruhat_leq, word_mul, _OTHER
 
 _Q_MINUS_1 = Q - 1
@@ -107,28 +109,26 @@ def zero() -> HeckeElement:
     return HeckeElement()
 
 
-def _mul_generator(terms: dict[WeylWord, LaurentQ], letter: str) -> dict:
-    """Right-multiply a term dict by T_g for a generator g."""
-    g = WeylWord(1, letter)
+def _basis_product(x: WeylWord, y: WeylWord) -> dict[WeylWord, LaurentQ]:
+    """T_x T_y by T_{ug} T_{gv} = (q-1) T_{ugv} + q T_u T_v (ugv reduced) on
+    each overlapping letter g: at most min(l(x), l(y)) steps."""
     out: dict[WeylWord, LaurentQ] = {}
-    for word, coeff in terms.items():
-        wg = word_mul(word, g)
-        if wg.length > word.length:
-            add_term(out, wg, coeff)
-        else:
-            add_term(out, word, coeff * _Q_MINUS_1)
-            add_term(out, wg, coeff * Q)
+    u, v, c = x, y, ONE
+    while u.length and v.length and u.last == v.first:
+        out[WeylWord(u.length + v.length - 1, u.first)] = c * _Q_MINUS_1
+        c = c * Q
+        u = WeylWord(u.length - 1, u.first) if u.length > 1 else E
+        v = WeylWord(v.length - 1, _OTHER[v.first]) if v.length > 1 else E
+    out[word_mul(u, v)] = c
     return out
 
 
 def t_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    """Bilinear product, peeling the right factor generator by generator."""
+    """Bilinear product of the basis products in closed form."""
     total: dict[WeylWord, LaurentQ] = {}
-    for word, coeff in b._terms.items():
-        cur = a._terms
-        for letter in word.letters:
-            cur = _mul_generator(cur, letter)
-        add_into(total, cur, coeff)
+    for x, cx in a._terms.items():
+        for y, cy in b._terms.items():
+            add_into(total, _basis_product(x, y), cx * cy)
     return HeckeElement._new(total)
 
 

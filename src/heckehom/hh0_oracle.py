@@ -4,7 +4,7 @@ Works in the truncated space span{T_v : l(v) <= M} modulo the subspace
 spanned by all commutators [T_x, T_y] with l(x) + l(y) <= M, by exact
 Gaussian elimination over the rational function field Q(q).  The class of
 T_w is solved for in terms of the canonical basis tokens and compared with
-the rewriting route; the truncation level M = cutoff + margin is part of
+the rewriting route; the truncation level M = cutoff + MARGIN is part of
 the oracle's definition.
 
 This module is deliberately independent of hh0.class_of_word: it never
@@ -19,6 +19,8 @@ from .hecke import HeckeElement, basis, t_mul
 from .hh0 import HH0Class
 from .linalg import GaussianBasis
 from .sparse import add_term, exact_quotient
+
+MARGIN = 2  # the truncation window extends the cutoff by this many letters
 
 
 def _ordinary(poly: LaurentQ) -> dict[int, object]:
@@ -151,13 +153,13 @@ class QFrac:
 class TruncatedTraceOracle:
     """Trace-quotient classes via commutator-space elimination.
 
-    cutoff is the largest word length the oracle is trusted for; margin
-    extends the truncation window (M = cutoff + margin).
+    cutoff is the largest word length the oracle is trusted for; the
+    truncation window is M = cutoff + MARGIN.
     """
 
-    def __init__(self, cutoff: int, margin: int = 2):
+    def __init__(self, cutoff: int):
         self.cutoff = cutoff
-        self.window = cutoff + margin
+        self.window = cutoff + MARGIN
         self._columns = {w: i for i, w in enumerate(all_words(self.window))}
         self._basis = GaussianBasis()
         self._build_commutator_rows()

@@ -11,7 +11,11 @@ structure every such algebra shares (Loday, *Cyclic Homology*, ch. 1-2):
 - the degeneracy test and the projection onto the normalized complex
   C(A)/D, spanned by the tuples with no unit after the first entry;
 - the normalized Connes operator B = s N, which puts the unit in front of
-  the signed cyclic norm.
+  the signed cyclic norm;
+- the diagonal action of a weight on tuples, and the check that it commutes
+  with the faces, t and B.  Restriction to compact subgroups acts on the
+  chains of a group algebra this way, with the weight F(g_0 ... g_p) for F
+  the indicator of the compact elements.
 
 On the lattice Z (labels are integers, the product is addition, the unit
 is 0):
@@ -87,3 +91,25 @@ def connes_B(key: tuple, unit) -> dict:
         # the rotation t^j, carrying the sign (-1)^(p j)
         add_term(out, (unit,) + key[p + 1 - j :] + key[: p + 1 - j], -1 if p * j % 2 else 1)
     return out
+
+
+def class_action(vec: dict, weight) -> dict:
+    """The diagonal action: each tuple scaled by weight(tuple), zeros dropped.
+
+    On the lattice Z only 0 is compact, so compact restriction keeps the
+    tuples whose entries sum to zero:
+
+    >>> class_action({(1, -1): 3, (1, 1): 2}, lambda key: int(sum(key) == 0))
+    {(1, -1): 3}
+    """
+    scaled = ((key, c * weight(key)) for key, c in vec.items())
+    return {key: c for key, c in scaled if c}
+
+
+def class_action_commutes(key: tuple, mul, unit, weight) -> bool:
+    """True when every face d_i, t and B send the tuple only to tuples of its
+    own weight, so the diagonal action commutes with them (and with b) on it."""
+    here = weight(key)
+    faces = [face(key, i, mul) for i in range(len(key))] if len(key) > 1 else []
+    images = faces + [connes_B(key, unit), {cyclic(key)[0]: 1}]
+    return all(weight(other) == here for vec in images for other in vec)

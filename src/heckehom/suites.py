@@ -31,10 +31,12 @@ from .hecke import (
     t_mul,
 )
 from .hh0 import HH0Class, class_of_word, reduce_to_hh0
-from .hh0_oracle import TruncatedTraceOracle
+from .hh0_oracle import MARGIN, TruncatedTraceOracle
 from . import spectral as sp
+from . import hochschild as hh
 from . import torus as tr
 from . import engine as eg
+from .sparse import add_into, linear
 
 SUITE_TARGETS = (
     "hecke",
@@ -89,7 +91,6 @@ class SuiteConfig:
     engine_cutoff: int = 4
     engine_algebras: tuple[str, ...] = DEFAULT_ENGINE_ALGEBRAS
     engine_spec_files: tuple[str, ...] = ()
-    trace_pairs: int = 500
     seed: int = 20260810
 
     def validate(self) -> None:
@@ -98,7 +99,6 @@ class SuiteConfig:
             ("lmax", self.lmax),
             ("reduce_oracle_cutoff", self.reduce_oracle_cutoff),
             ("torus_window", self.torus_window),
-            ("trace_pairs", self.trace_pairs),
         ]:
             if value < 1:
                 raise ConfigError(f"{name} must be positive, got {value}")
@@ -108,16 +108,31 @@ class SuiteConfig:
             raise ConfigError("torus ranks must be positive")
         if self.torus_degrees is not None and any(p < 0 for p in self.torus_degrees):
             raise ConfigError("torus degrees must be nonnegative")
+        for rank in self.torus_ranks:
+            for p in self.torus_degrees or ():
+                if p <= rank and not _torus_square_fits(rank, p, self.torus_window):
+                    raise ConfigError(
+                        f"torus square check at rank {rank}, degree {p}, window "
+                        f"{self.torus_window} exceeds {_TORUS_SQUARE_CAP} boundary sources"
+                    )
         for name in self.engine_algebras:
             if name not in eg.BUILTIN_ALGEBRAS:
                 raise ConfigError(f"unknown builtin algebra {name!r}")
-        # load every spec file now: a bad one stops the run before any suite
-        self.engine_specs
+        # load every algebra now: a bad spec file or an algebra too large for
+        # the cutoff stops the run before any suite
+        for spec in self.engine_specs:
+            try:
+                eg._guard(spec, self.engine_cutoff)
+            except eg.TooLarge as err:
+                raise ConfigError(
+                    f"algebra {spec.name!r} at engine cutoff {self.engine_cutoff}: {err}"
+                ) from None
 
     @cached_property
     def engine_specs(self) -> list[eg.AlgebraSpec]:
-        """The algebras of engine_spec_files, each file loaded once."""
-        return [eg.load_algebra_file(path) for path in self.engine_spec_files]
+        """The built-in algebras, then those of engine_spec_files, each loaded once."""
+        builtins = [eg.builtin_algebra(name) for name in self.engine_algebras]
+        return builtins + [eg.load_algebra_file(path) for path in self.engine_spec_files]
 
 
 @dataclass
@@ -397,6 +412,9 @@ def suite_rpoly(cfg: SuiteConfig) -> SuiteReport:
     return report
 
 
+_TRACE_PAIRS = 500  # seeded random pairs of the trace-property check
+
+
 def suite_hh0(cfg: SuiteConfig) -> SuiteReport:
     report = SuiteReport("hh0", cfg.seed)
     rng = random.Random(cfg.seed)
@@ -421,7 +439,7 @@ def suite_hh0(cfg: SuiteConfig) -> SuiteReport:
 
     trace_ok = True
     witness = ""
-    for k in range(cfg.trace_pairs):
+    for k in range(_TRACE_PAIRS):
         a = _random_hecke(rng, 8)
         b = _random_hecke(rng, 8)
         if reduce_to_hh0(t_mul(a, b)) != reduce_to_hh0(t_mul(b, a)):
@@ -430,7 +448,7 @@ def suite_hh0(cfg: SuiteConfig) -> SuiteReport:
     report.add_bool(
         "hh0/trace-property",
         "reduce(ab) = reduce(ba) for seeded random pairs, support length <= 8",
-        {"pairs": cfg.trace_pairs, "seed": cfg.seed},
+        {"pairs": _TRACE_PAIRS, "seed": cfg.seed},
         trace_ok,
         witness,
     )
@@ -452,12 +470,12 @@ def suite_hh0(cfg: SuiteConfig) -> SuiteReport:
         linear_ok,
     )
 
-    oracle = TruncatedTraceOracle(cfg.reduce_oracle_cutoff, margin=2)
+    oracle = TruncatedTraceOracle(cfg.reduce_oracle_cutoff)
     for w in all_words(cfg.reduce_oracle_cutoff):
         report.add(
             f"hh0/oracle/{w}",
             "rewriting reduction matches the truncated commutator-space oracle",
-            {"word": str(w), "cutoff": cfg.reduce_oracle_cutoff, "margin": 2},
+            {"word": str(w), "cutoff": cfg.reduce_oracle_cutoff, "margin": MARGIN},
             oracle.class_of_word(w),
             class_of_word(w),
         )
@@ -551,6 +569,13 @@ def suite_geomlemma(cfg: SuiteConfig) -> SuiteReport:
 
 
 _TORUS_SWEEP_CAP = 20_000  # exhaustive windowed sweeps stay below this basis size
+_TORUS_SQUARE_CAP = 1_000_000  # the square check's boundary sources stay below this
+
+
+def _torus_square_fits(rank: int, degree: int, window: int) -> bool:
+    """The square check at this degree enumerates few enough boundary
+    sources, its heaviest sweep."""
+    return (2 * window + 1) ** (rank * (degree + 2)) <= _TORUS_SQUARE_CAP
 
 
 def suite_torus(cfg: SuiteConfig) -> SuiteReport:
@@ -561,6 +586,7 @@ def suite_torus(cfg: SuiteConfig) -> SuiteReport:
     identity_windows = {1: 2}
     for rank in cfg.torus_ranks:
         window = identity_windows.get(rank, 1)
+        unit = (0,) * rank
         b2_ok = norm_ok = comm_ok = True
         swept = []
         for degree in range(rank + 2):
@@ -568,24 +594,19 @@ def suite_torus(cfg: SuiteConfig) -> SuiteReport:
                 continue
             swept.append(degree)
             for key in tr.windowed_keys(rank, degree, window):
-                chain = tr.LatticeChain.from_key(rank, key)
-                if degree >= 2:
-                    if not tr.hochschild_b(tr.hochschild_b(chain)).is_zero:
-                        b2_ok = False
-                if not tr._is_degenerate(key):
-                    if not tr.connes_B(tr.connes_B(chain)).is_zero:
+                b_image = tr.boundary_key(key)
+                if linear(tr.boundary_key, b_image):
+                    b2_ok = False
+                if not hh.is_degenerate(key, unit):
+                    B_image = tr.connes_b_key(key)
+                    if linear(tr.connes_b_key, B_image):
                         norm_ok = False
-                    left = tr.normalize_chain(tr.hochschild_b(tr.connes_B(chain)))
-                    right = (
-                        tr.connes_B(tr.normalize_chain(tr.hochschild_b(chain)))
-                        if degree >= 1
-                        else tr.LatticeChain(rank, 0)
-                    )
-                    if not (left + right).is_zero:
+                    bB = hh.normalize(linear(tr.boundary_key, B_image), unit)
+                    Bb = linear(tr.connes_b_key, hh.normalize(b_image, unit))
+                    if add_into(bB, Bb):
                         norm_ok = False
-                for op in ("b", "t", "B"):
-                    if not _class_action_commutes(rank, chain, op):
-                        comm_ok = False
+                if not hh.class_action_commutes(key, tr._lattice_mul, unit, tr._compact):
+                    comm_ok = False
         report.add_bool(
             f"torus/b-squared/r{rank}",
             "b^2 = 0 on all windowed chains",
@@ -605,22 +626,13 @@ def suite_torus(cfg: SuiteConfig) -> SuiteReport:
             comm_ok,
         )
 
-    explicit_degrees = cfg.torus_degrees is not None
     for rank in cfg.torus_ranks:
-        requested = cfg.torus_degrees if explicit_degrees else range(rank + 1)
-        wanted = []
-        for p in requested:
-            if p > rank:
-                continue
-            # the boundary-source enumeration is the heaviest sweep
-            if (2 * cfg.torus_window + 1) ** (rank * (p + 2)) > 1_000_000:
-                if explicit_degrees:
-                    raise ConfigError(
-                        f"torus square check at rank {rank}, degree {p} needs a "
-                        f"window smaller than {cfg.torus_window} to stay at desk scale"
-                    )
-                continue  # default degree selection sticks to feasible sweeps
-            wanted.append(p)
+        requested = range(rank + 1) if cfg.torus_degrees is None else cfg.torus_degrees
+        # explicit degrees were checked by validate; the default selection
+        # sticks to feasible sweeps
+        wanted = [
+            p for p in requested if p <= rank and _torus_square_fits(rank, p, cfg.torus_window)
+        ]
         for p in wanted:
             square = tr.homology_square_check(rank, cfg.torus_window, p)
             report.add_bool(
@@ -687,21 +699,6 @@ def suite_torus(cfg: SuiteConfig) -> SuiteReport:
     return report
 
 
-def _class_action_commutes(rank: int, chain: tr.LatticeChain, op: str) -> bool:
-    if op == "b":
-        if chain.degree == 0:
-            return True
-        left = tr.hochschild_b(tr.class_action(chain))
-        right = tr.class_action(tr.hochschild_b(chain))
-    elif op == "t":
-        left = tr.cyclic_t(tr.class_action(chain))
-        right = tr.class_action(tr.cyclic_t(chain))
-    else:
-        left = tr.connes_B(tr.class_action(chain))
-        right = tr.class_action(tr.connes_B(chain))
-    return left == right
-
-
 def suite_engine(cfg: SuiteConfig) -> SuiteReport:
     report = SuiteReport("engine", cfg.seed)
 
@@ -749,10 +746,7 @@ def suite_engine(cfg: SuiteConfig) -> SuiteReport:
         guarded,
     )
 
-    algebras = [eg.builtin_algebra(name) for name in cfg.engine_algebras]
-    algebras += cfg.engine_specs
-
-    for spec in algebras:
+    for spec in cfg.engine_specs:
         cutoff = cfg.engine_cutoff
         stack = eg.ChainStack(spec, min(cutoff + 1, 3))
         try:
@@ -809,7 +803,7 @@ def suite_engine(cfg: SuiteConfig) -> SuiteReport:
 
         if spec.group_table is not None:
             indicator = {0: 1}
-            action = eg.class_function_action(spec, indicator, result._stack)
+            action = eg.ClassFunctionAction(spec, indicator)
             report.add_bool(
                 f"engine/{spec.name}/class-action-commutes",
                 "the class-function idempotent commutes with every structure map",

@@ -5,7 +5,9 @@ integer vectors.  The Hochschild structure is the one of ``hochschild``,
 with lattice addition as the product of two basis vectors and the zero
 vector as the unit: the boundary b adds adjacent entries, the cyclic
 operator rotates with sign, and the normalized Connes operator B inserts
-the zero vector in front of the cyclic norm.  The comparison side is the
+the zero vector in front of the cyclic norm.  Compact restriction is the
+diagonal action of ``hochschild`` whose weight keeps the tuples with entries
+summing to zero.  The comparison side is the
 algebra of differential forms on the dual torus: a p-form is a combination
 of monomial times dlog(z_{i_1}) ^ ... ^ dlog(z_{i_p}), reached through the
 map
@@ -241,12 +243,16 @@ def de_rham_d(form: TorusForm) -> TorusForm:
     return TorusForm._new(out, rank=form.rank, degree=form.degree + 1)
 
 
+def _compact(key: ChainKey) -> int:
+    """1 when the entries of the tuple sum to zero, else 0: the indicator of
+    the trivial subgroup, the compact part of a lattice, at their product."""
+    return int(not any(_total(key)))
+
+
 def class_action(chain: LatticeChain) -> LatticeChain:
-    """Action of the characteristic function of the trivial subgroup (the
-    compact part of a lattice) on chains: exactly the tuples whose entries
-    sum to zero survive."""
-    zero = (0,) * chain.rank
-    return chain._like({k: c for k, c in chain._terms.items() if _total(k) == zero})
+    """Compact restriction on chains, ``hochschild.class_action`` with the
+    weight ``_compact``: exactly the tuples whose entries sum to zero survive."""
+    return chain._like(hh.class_action(chain._terms, _compact))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +298,7 @@ class SquareReport:
     dim_boundaries: int
     dim_invariant: int
     square_commutes: bool
-    hkr_b_constant: Fraction | None
+    hkr_b_constant: int | Fraction | None
     hkr_b_consistent: bool
     passed: bool
 
@@ -344,32 +350,20 @@ def measure_hkr_b_constant(rank: int, degree: int, window: int):
     Returns (constant, consistent): constant is None when both sides vanish
     identically on the window (the relation is then vacuous).
     """
-    constant = None
+    ratios = set()
     for key in windowed_keys(rank, degree, window):
         if _is_degenerate(key):
             continue
         chain = LatticeChain.from_key(rank, key)
-        left = hkr(connes_B(chain))
-        right = de_rham_d(hkr(chain))
-        if right.is_zero:
-            if not left.is_zero:
-                return None, False
-            continue
-        ratio = None
-        for fkey, value in right._terms.items():
-            r = Fraction(left._terms.get(fkey, 0), value)
-            if ratio is None:
-                ratio = r
-            elif ratio != r:
-                return None, False
-        # left may not have extra support beyond right
-        if any(fkey not in right._terms for fkey in left._terms):
+        left = hkr(connes_B(chain))._terms
+        right = de_rham_d(hkr(chain))._terms
+        # left may not have support beyond right
+        if left.keys() - right.keys():
             return None, False
-        if constant is None:
-            constant = ratio
-        elif constant != ratio:
+        ratios.update(exact_quotient(left.get(fkey, 0), value) for fkey, value in right.items())
+        if len(ratios) > 1:
             return None, False
-    return constant, True
+    return (ratios.pop() if ratios else None), True
 
 
 def homology_square_check(rank: int, window: int, degree: int) -> SquareReport:
@@ -415,11 +409,5 @@ def compact_part_of_b_image_is_boundary(rank: int, degree: int, window: int) -> 
     keys = sector_keys(rank, degree, window, (0,) * rank)
     cycles = _sector_cycles((k for k in keys if not _is_degenerate(k)), degree)
     basis = _sector_boundary_basis(rank, degree + 1, window)
-    for vec in cycles:
-        chain = LatticeChain._new(vec, rank=rank, degree=degree)
-        image = class_action(connes_B(chain))
-        if image.is_zero:
-            continue
-        if not basis.contains(image._terms):
-            return False
-    return True
+    images = (hh.class_action(linear(connes_b_key, vec), _compact) for vec in cycles)
+    return all(basis.contains(image) for image in images if image)

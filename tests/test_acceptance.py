@@ -106,7 +106,7 @@ def test_criterion_4_trace_quotient():
             for _ in range(500)
         )
     )
-    oracle = TruncatedTraceOracle(8, margin=2)
+    oracle = TruncatedTraceOracle(8)
     oracle_ok = all(oracle.class_of_word(w) == class_of_word(w) for w in all_words(8))
     _report(
         "criterion 4: trace property on 500 seeded pairs; oracle agreement for l(w) <= 8",
@@ -188,7 +188,7 @@ def test_criterion_7_engine_correctness():
             ok, detail = False, f"{name}: SBI sequence not exact"
             break
         if spec.group_table is not None:
-            action = eg.class_function_action(spec, {0: Fraction(1)}, report._stack)
+            action = eg.ClassFunctionAction(spec, {0: Fraction(1)})
             if not action.commutes_with_structure_maps(report._stack, 4):
                 ok, detail = False, f"{name}: class action fails to commute"
                 break

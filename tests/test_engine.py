@@ -139,7 +139,7 @@ def test_class_function_action():
     report = eg.compute_cyclic(spec, 3)
     stack = report._stack
     indicator = {0: Fraction(1)}
-    action = eg.class_function_action(spec, indicator, stack)
+    action = eg.ClassFunctionAction(spec, indicator)
     # F = 1 acts as the identity in every degree
     ones = eg.ClassFunctionAction(spec, {0: Fraction(1), 1: Fraction(1)})
     for p in range(3):

@@ -6,6 +6,7 @@ from fractions import Fraction
 from heckehom.laurent import LaurentQ, ONE, Q, ZERO, qpow
 from heckehom.weyl import E, S, T, WeylWord, all_words, bruhat_leq, st_power, word_mul
 from heckehom import hecke, suites
+from heckehom.sparse import add_into, add_term
 from heckehom.hecke import (
     HeckeElement,
     basis,
@@ -55,6 +56,43 @@ def test_associativity_random():
     for _ in range(40):
         a, b, c = (random_element(rng) for _ in range(3))
         assert t_mul(t_mul(a, b), c) == t_mul(a, t_mul(b, c))
+
+
+def _mul_generator(terms, letter):
+    """Right-multiply a term dict by T_g for a generator g."""
+    g = WeylWord(1, letter)
+    out = {}
+    for word, coeff in terms.items():
+        wg = word_mul(word, g)
+        if wg.length > word.length:
+            add_term(out, wg, coeff)
+        else:
+            add_term(out, word, coeff * (Q - 1))
+            add_term(out, wg, coeff * Q)
+    return out
+
+
+def _peeled_product(a, b):
+    """The oracle for t_mul: peel the right factor generator by generator."""
+    total = {}
+    for word, coeff in b.terms.items():
+        cur = a.terms
+        for letter in word.letters:
+            cur = _mul_generator(cur, letter)
+        add_into(total, cur, coeff)
+    return HeckeElement(total)
+
+
+def test_closed_form_product_matches_generator_peeling():
+    words = list(all_words(12))
+    assert len(words) ** 2 == 625
+    for x in words:
+        for y in words:
+            assert t_mul(basis(x), basis(y)) == _peeled_product(basis(x), basis(y)), (x, y)
+    rng = random.Random(23)
+    for _ in range(60):
+        a, b = random_element(rng, 9, 4), random_element(rng, 9, 4)
+        assert t_mul(a, b) == _peeled_product(a, b)
 
 
 def test_generator_inverse():

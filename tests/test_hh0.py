@@ -72,13 +72,13 @@ def test_poly_gcd_and_qfrac():
 
 
 def test_oracle_agreement():
-    oracle = TruncatedTraceOracle(6, margin=2)
+    oracle = TruncatedTraceOracle(6)
     for w in all_words(6):
         assert oracle.class_of_word(w) == class_of_word(w), w
 
 
 def test_oracle_on_elements():
-    oracle = TruncatedTraceOracle(5, margin=2)
+    oracle = TruncatedTraceOracle(5)
     rng = random.Random(97)
     for _ in range(10):
         x = random_element(rng, max_length=5)

@@ -1,0 +1,58 @@
+"""The class-function action on tuple keys and its commutation check."""
+
+import itertools
+
+import pytest
+
+from heckehom import engine as eg
+from heckehom import hochschild as hh
+from heckehom import suites
+from heckehom import torus as tr
+
+
+def _lattice_z():
+    """Tuples of Z with entries in [-2, 2], degrees 0..2, and F(product) for
+    F the indicator of 0."""
+    keys = [key for p in range(3) for key in itertools.product(range(-2, 3), repeat=p + 1)]
+    return keys, lambda a, b: {a + b: 1}, 0, lambda key: int(sum(key) == 0)
+
+
+def _cyclic_3():
+    """Tuples of Z/3, degrees 0..2, and F(product) for F the indicator of e."""
+    spec = eg.builtin_algebra("cyclic_3")
+    keys = [key for p in range(3) for key in itertools.product(range(3), repeat=p + 1)]
+    weight = eg.ClassFunctionAction(spec, {0: 1}).factor
+    return keys, spec.product_vec, 0, weight
+
+
+ALGEBRAS = {"lattice_Z": _lattice_z, "cyclic_3": _cyclic_3}
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_weight_of_the_product_commutes(name):
+    keys, mul, unit, weight = ALGEBRAS[name]()
+    assert all(hh.class_action_commutes(key, mul, unit, weight) for key in keys)
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_weight_of_the_first_entry_fails(name):
+    """Negative control: a weight that reads only the first entry is not
+    preserved by B, which puts the unit in front."""
+    keys, mul, unit, _ = ALGEBRAS[name]()
+    first = lambda key: int(key[0] == unit)
+    assert not all(hh.class_action_commutes(key, mul, unit, first) for key in keys)
+
+
+def test_class_action_drops_zero_weights():
+    vec = {(0, 1): 2, (1, 1): 5, (2, 1): -1}
+    assert hh.class_action(vec, lambda key: key[0]) == {(1, 1): 5, (2, 1): -2}
+    tot = {(0, (1, 2)): 3, (1, (1,)): 4}
+    assert hh.class_action(tot, lambda tot_key: len(tot_key[1]) - 1) == {(0, (1, 2)): 3}
+
+
+def test_torus_class_action_case_can_fail(monkeypatch):
+    monkeypatch.setattr(tr, "_compact", lambda key: int(not any(key[0])))
+    cfg = suites.SuiteConfig(torus_ranks=(1,), torus_window=1, torus_degrees=(0,))
+    cases = {case.id: case.passed for case in suites.suite_torus(cfg).cases}
+    assert cases["torus/b-squared/r1"] and cases["torus/normalized-identities/r1"]
+    assert not cases["torus/class-action-commutes/r1"]

@@ -229,3 +229,34 @@ def test_bad_spec_file_stops_verify_all_before_any_suite(tmp_path, capsys, monke
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
     assert entered == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "engine", "--engine-cutoff", "20"], "'dual_numbers' at engine cutoff 20"),
+        (["verify", "torus", "--rank", "3", "--degree", "3", "--window", "1"], "rank 3, degree 3"),
+    ],
+    ids=["engine-cutoff", "torus-degree"],
+)
+def test_oversized_config_exits_2_before_any_suite(capsys, monkeypatch, argv, message):
+    """Configs far too large to run: checked through main's exit code with
+    every suite stubbed out, so none of them ever starts."""
+    from heckehom import suites
+
+    entered = []
+    for name in suites._SUITES:
+        monkeypatch.setitem(suites._SUITES, name, lambda cfg, name=name: entered.append(name))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+    assert entered == []
+
+
+def test_default_torus_degrees_skip_oversized_sweeps():
+    SuiteConfig(torus_ranks=(3,), torus_window=1).validate()
+    SuiteConfig(torus_ranks=(3,), torus_window=1, torus_degrees=(2, 4)).validate()
+    with pytest.raises(ConfigError):
+        SuiteConfig(torus_ranks=(1, 3), torus_window=1, torus_degrees=(2, 3)).validate()
