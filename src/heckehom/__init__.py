@@ -3,8 +3,9 @@ small-scale Hochschild/cyclic homology, with verification suites.
 
 Subpackages by topic:
 
-    sparse     zero-dropping accumulation and the base of every element type
-    laurent    exact rationals and sparse Laurent polynomials in q
+    sparse     zero-dropping accumulation on dicts, the one coefficient
+               rule, and the base of the Hecke-side element types
+    laurent    sparse Laurent polynomials in q
     weyl       the infinite dihedral Weyl group
     hecke      the Hecke algebra: basis products in closed form, basis
                inverses, R-polynomials
@@ -15,9 +16,10 @@ Subpackages by topic:
     hochschild the Hochschild complex on tuple keys: faces, b, t, the
                normalized complex and Connes' B, for any product; the
                class-function action (compact restriction) and its check
-    torus      lattice Hochschild chains, differential forms, the
-               invariant-forms projection; compact restriction by the
-               shared class-function action
+    torus      Hochschild chains of a lattice and differential forms on
+               the dual torus, as tuple dicts: HKR, d, the invariant-forms
+               projection; compact restriction by the shared
+               class-function action
     engine     Hochschild/cyclic homology of algebras by structure constants,
                on the normalized complex, and class-function actions on
                group algebras by the shared action; the built-in algebras
@@ -25,7 +27,7 @@ Subpackages by topic:
     suites     the verification case lists behind the CLI
 """
 
-from .laurent import LaurentQ, MultiLaurent, NotDivisible, ONE, Q, ZERO, qpow
+from .laurent import LaurentQ, NotDivisible, ONE, Q, ZERO, qpow
 from .weyl import E, S, T, WeylWord, bruhat_leq, lengths_add, st_power, ts_power, word_mul
 from .hecke import (
     HeckeElement,
@@ -48,16 +50,11 @@ from .spectral import (
     pres_map,
 )
 from .torus import (
-    LatticeChain,
-    TorusForm,
-    class_action,
-    connes_B,
-    cyclic_t,
+    boundary_key,
+    connes_b_key,
     de_rham_d,
     hkr,
-    hochschild_b,
     homology_square_check,
-    normalize_chain,
     pi0,
 )
 from .engine import (

@@ -29,7 +29,7 @@ from itertools import product
 from pathlib import Path
 
 from . import hochschild as hh
-from .linalg import GaussianBasis, QuotientSpace, kernel_vectors, span_basis
+from .linalg import QuotientSpace, kernel_vectors, span_basis
 from .sparse import add_into, exact, exact_quotient, linear
 
 
@@ -453,13 +453,6 @@ def _build_sbi_maps(report: HomologyReport) -> None:
             report.b_maps[n] = _matrix_of(hc_reps, bmap, report._hh[n + 1])
 
 
-def _mat_rank(cols: list[dict]) -> int:
-    basis = GaussianBasis()
-    for col in cols:
-        basis.insert(col)
-    return basis.rank
-
-
 def _mat_compose(second: list[dict], first: list[dict]) -> list[dict]:
     """(second . first) where first's entries index second's columns."""
     return [linear(second.__getitem__, col) for col in first]
@@ -483,8 +476,8 @@ def sbi_exactness_check(report: HomologyReport) -> list[ExactnessNode]:
                 node=name,
                 incoming=incoming,
                 outgoing=outgoing,
-                rank_in=_mat_rank(into),
-                rank_out=_mat_rank(out_of),
+                rank_in=span_basis(into).rank,
+                rank_out=span_basis(out_of).rank,
                 dim=dim,
                 composite_zero=not any(composite),
             )

@@ -1,4 +1,4 @@
-"""Sparse Laurent polynomials in the parameter q, and in several variables.
+"""Sparse Laurent polynomials in the parameter q.
 
 The Hecke algebra and everything built on it live over Z[q, q^-1], so the
 coefficients follow the one rule of ``sparse.exact``: ints stay ints, an
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .sparse import Sparse, add_into, add_term, exact, exact_quotient
+from .sparse import Sparse, add_into, exact, exact_quotient
 
 
 class NotDivisible(ArithmeticError):
@@ -205,56 +205,3 @@ def qpow(exp: int) -> LaurentQ:
 ZERO = LaurentQ()
 ONE = LaurentQ.const(1)
 Q = qpow(1)
-
-
-
-
-class MultiLaurent(Sparse):
-    """Sparse Laurent polynomial in r commuting variables, exact coefficients.
-
-    Terms are keyed by integer exponent vectors of length ``rank``; this is
-    the group algebra of the lattice Z^r in coordinates.
-    """
-
-    __slots__ = ("rank",)
-
-    _shape = ("rank",)
-    _coerce = staticmethod(exact)
-
-    def __init__(self, rank: int, terms=None):
-        if rank < 1:
-            raise ValueError("rank must be a positive integer")
-        self.rank = rank
-        super().__init__(terms)
-
-    def _key(self, vec) -> tuple[int, ...]:
-        key = tuple(int(v) for v in vec)
-        if len(key) != self.rank:
-            raise ValueError(f"exponent vector {key} has length != {self.rank}")
-        return key
-
-    @classmethod
-    def monomial(cls, rank: int, vec, coeff=1) -> MultiLaurent:
-        return cls(rank, {tuple(vec): coeff})
-
-    @classmethod
-    def one(cls, rank: int) -> MultiLaurent:
-        return cls(rank, {(0,) * rank: 1})
-
-    def __hash__(self) -> int:
-        return hash((self.rank, tuple(sorted(self._terms.items()))))
-
-    def __mul__(self, other: MultiLaurent) -> MultiLaurent:
-        if not self._same_shape(other):
-            return NotImplemented
-        out: dict[tuple[int, ...], object] = {}
-        for v1, c1 in self._terms.items():
-            for v2, c2 in other._terms.items():
-                add_term(out, tuple(a + b for a, b in zip(v1, v2)), c1 * c2)
-        return self._like(out)
-
-    def render(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = [f"{c}*x^{list(v)}" for v, c in sorted(self._terms.items())]
-        return " + ".join(parts)

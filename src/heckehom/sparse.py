@@ -13,12 +13,13 @@ keeps ints, demotes integral Fractions to ints and refuses floats, and every
 division of scalars is an ``exact_quotient``, demoted in the same way; a
 Fraction comes only from a rational input or a non-integral quotient.
 
-``Sparse`` is the base of every element type (Laurent polynomials, Hecke
-elements, HH0 classes, elements of H(Lambda), lattice chains and forms).
-A subclass declares its shape attributes (such as rank and degree), how a
-key is validated and how a coefficient is coerced; the vector-space
-operations are shared.  Elements are immutable: every operation returns a
-new element, and ``_like`` wraps a freshly built dict without copying it.
+``Sparse`` is the base of every element type (Laurent polynomials in q,
+Hecke elements, HH0 classes and elements of H(Lambda)); Hochschild chains
+and forms, of the engine and of the torus, stay plain dicts.  A subclass
+declares how a key is validated and how a coefficient is coerced; the
+vector-space operations are shared.  Elements are immutable: every
+operation returns a new element, and ``_like`` wraps a freshly built dict
+without copying it.
 """
 
 from __future__ import annotations
@@ -109,16 +110,12 @@ def linear(op, vec: dict) -> dict:
 class Sparse:
     """Immutable finite formal sum over a key set, with no stored zero.
 
-    Subclasses set ``_shape`` to the names of their shape attributes, may
-    override ``_key`` (validate a key) and ``_coerce`` (make a value an
-    exact coefficient), and define ``render``, which str() and repr() use.
-    Operands of +, - and == must have the same type; a shape mismatch
-    raises ValueError.
+    Subclasses may override ``_key`` (validate a key) and ``_coerce`` (make
+    a value an exact coefficient), and define ``render``, which str() and
+    repr() use.  Operands of +, - and == must have the same type.
     """
 
     __slots__ = ("_terms",)
-
-    _shape: tuple[str, ...] = ()
 
     def __init__(self, terms=None):
         data = {}
@@ -139,30 +136,17 @@ class Sparse:
         return coeff
 
     @classmethod
-    def _new(cls, terms: dict, **shape):
+    def _new(cls, terms: dict):
         """An element on a zero-free dict of valid keys, taken without a copy."""
         result = object.__new__(cls)
         result._terms = terms
-        for name, value in shape.items():
-            setattr(result, name, value)
         return result
 
     def _like(self, terms: dict):
-        """An element of this type and shape on terms, taken without a copy."""
+        """An element of this type on terms, taken without a copy."""
         result = object.__new__(type(self))
         result._terms = terms
-        for name in self._shape:
-            setattr(result, name, getattr(self, name))
         return result
-
-    def _same_shape(self, other) -> bool:
-        """Whether other has this type; ValueError if its shape differs."""
-        if type(other) is not type(self):
-            return False
-        for name in self._shape:
-            if getattr(self, name) != getattr(other, name):
-                raise ValueError(f"{name} mismatch")
-        return True
 
     @property
     def terms(self) -> dict:
@@ -175,12 +159,10 @@ class Sparse:
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._terms == other._terms and all(
-            getattr(self, name) == getattr(other, name) for name in self._shape
-        )
+        return self._terms == other._terms
 
     def __add__(self, other):
-        if not self._same_shape(other):
+        if type(other) is not type(self):
             return NotImplemented
         return self._like(add_into(dict(self._terms), other._terms))
 

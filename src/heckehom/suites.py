@@ -93,7 +93,9 @@ class SuiteConfig:
     engine_spec_files: tuple[str, ...] = ()
     seed: int = 20260810
 
-    def validate(self) -> None:
+    def validate(self, targets: tuple[str, ...] = SUITE_TARGETS) -> None:
+        """Check every field, then the sizes of the suites in targets only:
+        the torus square check for "torus", the algebras for "engine"."""
         for name, value in [
             ("nmax", self.nmax),
             ("lmax", self.lmax),
@@ -108,25 +110,27 @@ class SuiteConfig:
             raise ConfigError("torus ranks must be positive")
         if self.torus_degrees is not None and any(p < 0 for p in self.torus_degrees):
             raise ConfigError("torus degrees must be nonnegative")
-        for rank in self.torus_ranks:
-            for p in self.torus_degrees or ():
-                if p <= rank and not _torus_square_fits(rank, p, self.torus_window):
-                    raise ConfigError(
-                        f"torus square check at rank {rank}, degree {p}, window "
-                        f"{self.torus_window} exceeds {_TORUS_SQUARE_CAP} boundary sources"
-                    )
         for name in self.engine_algebras:
             if name not in eg.BUILTIN_ALGEBRAS:
                 raise ConfigError(f"unknown builtin algebra {name!r}")
-        # load every algebra now: a bad spec file or an algebra too large for
-        # the cutoff stops the run before any suite
-        for spec in self.engine_specs:
-            try:
-                eg._guard(spec, self.engine_cutoff)
-            except eg.TooLarge as err:
-                raise ConfigError(
-                    f"algebra {spec.name!r} at engine cutoff {self.engine_cutoff}: {err}"
-                ) from None
+        if "torus" in targets:
+            for rank in self.torus_ranks:
+                for p in self.torus_degrees or ():
+                    if p <= rank and not _torus_square_fits(rank, p, self.torus_window):
+                        raise ConfigError(
+                            f"torus square check at rank {rank}, degree {p}, window "
+                            f"{self.torus_window} exceeds {_TORUS_SQUARE_CAP} boundary sources"
+                        )
+        if "engine" in targets:
+            # load every algebra now: a bad spec file or an algebra too large
+            # for the cutoff stops the run before any suite
+            for spec in self.engine_specs:
+                try:
+                    eg._guard(spec, self.engine_cutoff)
+                except eg.TooLarge as err:
+                    raise ConfigError(
+                        f"algebra {spec.name!r} at engine cutoff {self.engine_cutoff}: {err}"
+                    ) from None
 
     @cached_property
     def engine_specs(self) -> list[eg.AlgebraSpec]:
@@ -572,6 +576,12 @@ _TORUS_SWEEP_CAP = 20_000  # exhaustive windowed sweeps stay below this basis si
 _TORUS_SQUARE_CAP = 1_000_000  # the square check's boundary sources stay below this
 
 
+def _torus_sweep_fits(rank: int, degree: int, window: int) -> bool:
+    """An exhaustive sweep over every windowed tuple of this degree stays
+    below the basis-size cap."""
+    return (2 * window + 1) ** (rank * (degree + 1)) <= _TORUS_SWEEP_CAP
+
+
 def _torus_square_fits(rank: int, degree: int, window: int) -> bool:
     """The square check at this degree enumerates few enough boundary
     sources, its heaviest sweep."""
@@ -590,7 +600,7 @@ def suite_torus(cfg: SuiteConfig) -> SuiteReport:
         b2_ok = norm_ok = comm_ok = True
         swept = []
         for degree in range(rank + 2):
-            if (2 * window + 1) ** (rank * (degree + 1)) > _TORUS_SWEEP_CAP:
+            if not _torus_sweep_fits(rank, degree, window):
                 continue
             swept.append(degree)
             for key in tr.windowed_keys(rank, degree, window):
@@ -681,14 +691,13 @@ def suite_torus(cfg: SuiteConfig) -> SuiteReport:
         pi0_ok = True
         swept = []
         for p in wanted:
-            if (2 * cfg.torus_window + 1) ** (rank * (p + 1)) > _TORUS_SWEEP_CAP:
+            if not _torus_sweep_fits(rank, p, cfg.torus_window):
                 continue
             swept.append(p)
             for key in tr.windowed_keys(rank, p, cfg.torus_window):
                 if tr._is_degenerate(key):
                     continue
-                chain = tr.LatticeChain.from_key(rank, key)
-                if not tr.pi0(tr.hkr(tr.connes_B(chain))).is_zero:
+                if tr.pi0(tr.hkr(tr.connes_b_key(key))):
                     pi0_ok = False
         report.add_bool(
             f"torus/pi0-after-B/r{rank}",
@@ -833,14 +842,15 @@ _SUITES = {
 
 
 def run_suite(target: str, cfg: SuiteConfig) -> SuiteReport:
-    cfg.validate()
-    if target == "all":
-        combined = SuiteReport("all", cfg.seed)
-        for name in SUITE_TARGETS:
-            combined.extend(_SUITES[name](cfg))
-        return combined
-    if target not in _SUITES:
+    if target != "all" and target not in _SUITES:
         raise ConfigError(
             f"unknown suite {target!r}; choose from all, {', '.join(SUITE_TARGETS)}"
         )
+    names = SUITE_TARGETS if target == "all" else (target,)
+    cfg.validate(names)
+    if target == "all":
+        combined = SuiteReport("all", cfg.seed)
+        for name in names:
+            combined.extend(_SUITES[name](cfg))
+        return combined
     return _SUITES[target](cfg)

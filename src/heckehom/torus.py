@@ -1,16 +1,17 @@
 """Hochschild chains of the group algebra of a lattice and the torus picture.
 
-Chains of degree p over the lattice Z^r are spanned by (p+1)-tuples of
-integer vectors.  The Hochschild structure is the one of ``hochschild``,
-with lattice addition as the product of two basis vectors and the zero
-vector as the unit: the boundary b adds adjacent entries, the cyclic
-operator rotates with sign, and the normalized Connes operator B inserts
-the zero vector in front of the cyclic norm.  Compact restriction is the
-diagonal action of ``hochschild`` whose weight keeps the tuples with entries
-summing to zero.  The comparison side is the
-algebra of differential forms on the dual torus: a p-form is a combination
-of monomial times dlog(z_{i_1}) ^ ... ^ dlog(z_{i_p}), reached through the
-map
+A degree-p chain over the lattice Z^r is a sparse dict (see ``sparse``)
+over (p+1)-tuples of integer vectors of length r.  The Hochschild structure
+is the one of ``hochschild``, with lattice addition as the product of two
+basis vectors and the zero vector as the unit: the boundary b adds adjacent
+entries, the cyclic operator rotates with sign, and the normalized Connes
+operator B inserts the zero vector in front of the cyclic norm.  Compact
+restriction is ``hochschild.class_action`` with the weight ``_compact``,
+which keeps the tuples whose entries sum to zero.  The comparison side is
+the algebra of differential forms on the dual torus: a p-form is a sparse
+dict over keys (exps, idx), the monomial z^exps times
+dlog(z_{i_1}) ^ ... ^ dlog(z_{i_p}) for idx = (i_1 < ... < i_p), reached
+through the map
 
     f0 (x) f1 (x) ... (x) fp  ->  (1/p!) f0 df1 ^ ... ^ dfp.
 
@@ -34,91 +35,10 @@ from .linalg import (
     kernel_vectors,
     span_basis,
 )
-from .sparse import Sparse, add_term, exact, exact_quotient, linear
+from .sparse import exact_quotient, linear
 
 ChainKey = tuple[tuple[int, ...], ...]
 FormKey = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-class _LatticeElement(Sparse):
-    """A sum over basis keys of one rank and one degree, exact coefficients."""
-
-    __slots__ = ("rank", "degree")
-
-    _shape = ("rank", "degree")
-    _coerce = staticmethod(exact)
-
-    def __init__(self, rank: int, degree: int, terms=None):
-        if rank < 1:
-            raise ValueError("rank must be positive")
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        self.rank = rank
-        self.degree = degree
-        super().__init__(terms)
-
-
-class LatticeChain(_LatticeElement):
-    """Degree-p Hochschild chain of the group algebra of Z^rank."""
-
-    __slots__ = ()
-
-    def _key(self, key) -> ChainKey:
-        key = tuple(tuple(int(x) for x in vec) for vec in key)
-        if len(key) != self.degree + 1 or any(len(vec) != self.rank for vec in key):
-            raise ValueError(f"bad chain key {key} for degree {self.degree}, rank {self.rank}")
-        return key
-
-    @classmethod
-    def from_key(cls, rank: int, key: ChainKey, coeff=1) -> LatticeChain:
-        return cls(rank, len(key) - 1, {key: coeff})
-
-    @classmethod
-    def from_tensors(cls, factors) -> LatticeChain:
-        """Chain from a tuple of MultiLaurent group-algebra elements."""
-        factors = list(factors)
-        if not factors:
-            raise ValueError("need at least one tensor factor")
-        terms: dict[ChainKey, object] = {}
-        for combo in itertools.product(*(f.terms.items() for f in factors)):
-            coeff = 1
-            for _, c in combo:
-                coeff *= c
-            add_term(terms, tuple(vec for vec, _ in combo), coeff)
-        return cls(factors[0].rank, len(factors) - 1, terms)
-
-    def render(self) -> str:
-        if not self._terms:
-            return "0"
-        bits = [f"{c}*{key}" for key, c in sorted(self._terms.items())]
-        return " + ".join(bits)
-
-
-class TorusForm(_LatticeElement):
-    """Differential form on the dual torus, in monomial/dlog coordinates."""
-
-    __slots__ = ()
-
-    def _key(self, key) -> FormKey:
-        exps, idx = key
-        exps = tuple(int(x) for x in exps)
-        idx = tuple(int(i) for i in idx)
-        if len(exps) != self.rank or len(idx) != self.degree:
-            raise ValueError("bad form key")
-        if any(a >= b for a, b in zip(idx, idx[1:])) or any(
-            i < 0 or i >= self.rank for i in idx
-        ):
-            raise ValueError("index set must be strictly increasing within range")
-        return exps, idx
-
-    def render(self) -> str:
-        if not self._terms:
-            return "0"
-        bits = []
-        for (exps, idx), c in sorted(self._terms.items()):
-            wedge = "^".join(f"dlog{i + 1}" for i in idx) or "1"
-            bits.append(f"{c}*z^{list(exps)}*{wedge}")
-        return " + ".join(bits)
 
 
 def _vec_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -152,9 +72,9 @@ def connes_b_key(key: ChainKey) -> dict[ChainKey, int]:
     return hh.connes_B(key, (0,) * len(key[0]))
 
 
-def hkr_key(rank: int, key: ChainKey) -> dict[FormKey, object]:
+def hkr_key(key: ChainKey) -> dict[FormKey, object]:
     """HKR value on a monomial tuple: (1/p!) f0 df1 ^ ... ^ dfp."""
-    p = len(key) - 1
+    rank, p = len(key[0]), len(key) - 1
     total = _total(key)
     if p == 0:
         return {(total, ()): 1}
@@ -184,10 +104,19 @@ def _int_det(matrix: list[list[int]]) -> int:
     return total
 
 
-def de_rham_d_key(rank: int, fkey: FormKey) -> dict[FormKey, int]:
+def hkr(vec: dict) -> dict:
+    """The HKR map from chains to forms, linear in the tuples of the chain.
+
+    >>> hkr({((2,), (3,)): 1})
+    {((5,), (0,)): 3}
+    """
+    return linear(hkr_key, vec)
+
+
+def de_rham_d_key(fkey: FormKey) -> dict[FormKey, int]:
     exps, idx = fkey
     out: dict[FormKey, int] = {}
-    for j in range(rank):
+    for j in range(len(exps)):
         if exps[j] == 0 or j in idx:
             continue
         position = sum(1 for i in idx if i < j)
@@ -197,62 +126,20 @@ def de_rham_d_key(rank: int, fkey: FormKey) -> dict[FormKey, int]:
     return out
 
 
-def hochschild_b(chain: LatticeChain) -> LatticeChain:
-    """Alternating face-map boundary; undefined in degree zero."""
-    if chain.degree < 1:
-        raise ValueError("the boundary is not defined on degree-0 chains")
-    return LatticeChain._new(
-        linear(boundary_key, chain._terms), rank=chain.rank, degree=chain.degree - 1
-    )
+def de_rham_d(form: dict) -> dict:
+    """The de Rham differential on forms, p -> p + 1."""
+    return linear(de_rham_d_key, form)
 
 
-def cyclic_t(chain: LatticeChain) -> LatticeChain:
-    """Rotate each tuple right by one, with sign (-1)^degree."""
-    out = {}
-    for key, c in chain._terms.items():
-        rotated, sign = hh.cyclic(key)
-        out[rotated] = sign * c
-    return chain._like(out)
-
-
-def normalize_chain(chain: LatticeChain) -> LatticeChain:
-    """Project onto the normalized complex: drop tuples with an interior zero."""
-    return chain._like(hh.normalize(chain._terms, (0,) * chain.rank))
-
-
-def connes_B(chain: LatticeChain) -> LatticeChain:
-    """Normalized Connes operator, degree p -> p+1."""
-    return LatticeChain._new(
-        linear(connes_b_key, chain._terms), rank=chain.rank, degree=chain.degree + 1
-    )
-
-
-def hkr(chain: LatticeChain) -> TorusForm:
-    out = linear(lambda key: hkr_key(chain.rank, key), chain._terms)
-    return TorusForm._new(out, rank=chain.rank, degree=chain.degree)
-
-
-def pi0(form: TorusForm) -> TorusForm:
+def pi0(form: dict) -> dict:
     """Projection onto translation-invariant forms (trivial monomial part)."""
-    zero = (0,) * form.rank
-    return form._like({k: c for k, c in form._terms.items() if k[0] == zero})
-
-
-def de_rham_d(form: TorusForm) -> TorusForm:
-    out = linear(lambda fkey: de_rham_d_key(form.rank, fkey), form._terms)
-    return TorusForm._new(out, rank=form.rank, degree=form.degree + 1)
+    return {fkey: c for fkey, c in form.items() if not any(fkey[0])}
 
 
 def _compact(key: ChainKey) -> int:
     """1 when the entries of the tuple sum to zero, else 0: the indicator of
     the trivial subgroup, the compact part of a lattice, at their product."""
     return int(not any(_total(key)))
-
-
-def class_action(chain: LatticeChain) -> LatticeChain:
-    """Compact restriction on chains, ``hochschild.class_action`` with the
-    weight ``_compact``: exactly the tuples whose entries sum to zero survive."""
-    return chain._like(hh.class_action(chain._terms, _compact))
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +225,10 @@ def _invariant_sector_dims(rank: int, degree: int, window: int):
     return cycles, QuotientSpace(_sector_boundary_basis(rank, degree, window), cycles)
 
 
-def check_square_on_key(rank: int, key: ChainKey) -> bool:
+def check_square_on_key(key: ChainKey) -> bool:
     """hkr(class_action(x)) == pi0(hkr(x)) on a single basis tuple."""
-    chain = LatticeChain.from_key(rank, key)
-    return hkr(class_action(chain)) == pi0(hkr(chain))
+    chain = {key: 1}
+    return hkr(hh.class_action(chain, _compact)) == pi0(hkr(chain))
 
 
 def measure_hkr_b_constant(rank: int, degree: int, window: int):
@@ -354,9 +241,8 @@ def measure_hkr_b_constant(rank: int, degree: int, window: int):
     for key in windowed_keys(rank, degree, window):
         if _is_degenerate(key):
             continue
-        chain = LatticeChain.from_key(rank, key)
-        left = hkr(connes_B(chain))._terms
-        right = de_rham_d(hkr(chain))._terms
+        left = hkr(connes_b_key(key))
+        right = de_rham_d(hkr({key: 1}))
         # left may not have support beyond right
         if left.keys() - right.keys():
             return None, False
@@ -379,7 +265,7 @@ def homology_square_check(rank: int, window: int, degree: int) -> SquareReport:
     if rank < 1 or window < 1 or degree < 0 or degree > rank:
         raise ValueError("need rank >= 1, window >= 1, 0 <= degree <= rank")
     square_commutes = all(
-        check_square_on_key(rank, key) for key in windowed_keys(rank, degree, window)
+        check_square_on_key(key) for key in windowed_keys(rank, degree, window)
     )
     cycles, quotient = _invariant_sector_dims(rank, degree, window)
     constant, consistent = measure_hkr_b_constant(rank, degree, window)

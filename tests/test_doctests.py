@@ -10,6 +10,7 @@ import heckehom.exprparse
 import heckehom.engine
 import heckehom.hochschild
 import heckehom.sparse
+import heckehom.torus
 
 
 def test_doctests():
@@ -22,6 +23,7 @@ def test_doctests():
         heckehom.engine,
         heckehom.hochschild,
         heckehom.sparse,
+        heckehom.torus,
     ):
         failures, tested = doctest.testmod(module, verbose=False)
         assert failures == 0, module.__name__

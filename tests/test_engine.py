@@ -128,7 +128,7 @@ def test_sbi_exactness():
     assert report.sbi_exact
     # S: HC_2 -> HC_0 is an isomorphism for the ground field
     s_matrix = report.s_maps[2]
-    assert eg._mat_rank(s_matrix) == 1 == report.hc_dims[2] == report.hc_dims[0]
+    assert span_basis(s_matrix).rank == 1 == report.hc_dims[2] == report.hc_dims[0]
     for name in ("cyclic_3", "upper_triangular_2", "dual_numbers"):
         result = eg.compute_cyclic(eg.builtin_algebra(name), 3)
         assert all(node.exact for node in eg.sbi_exactness_check(result))
@@ -310,13 +310,13 @@ def _unnormalized_oracle(spec, cutoff):
     for n in range(cutoff + 1):
         hc_reps = hc_q[n].representatives
         include = lambda rep: {(0, k): c for k, c in rep.items()}
-        ranks["I", n] = eg._mat_rank(eg._matrix_of(hh_q[n].representatives, include, hc_q[n]))
+        ranks["I", n] = span_basis(eg._matrix_of(hh_q[n].representatives, include, hc_q[n])).rank
         if n >= 2:
             drop = lambda rep: {(j - 1, k): c for (j, k), c in rep.items() if j}
-            ranks["S", n] = eg._mat_rank(eg._matrix_of(hc_reps, drop, hc_q[n - 2]))
+            ranks["S", n] = span_basis(eg._matrix_of(hc_reps, drop, hc_q[n - 2])).rank
         if n + 1 <= cutoff:
             bmap = lambda rep: linear(B, {k: c for (j, k), c in rep.items() if not j})
-            ranks["B", n] = eg._mat_rank(eg._matrix_of(hc_reps, bmap, hh_q[n + 1]))
+            ranks["B", n] = span_basis(eg._matrix_of(hc_reps, bmap, hh_q[n + 1])).rank
     return [q.dim for q in hh_q], [q.dim for q in hc_q], ranks
 
 
@@ -337,5 +337,5 @@ def test_normalized_engine_matches_unnormalized_oracle(name):
     assert report.hc_dims == hc_dims
     mine = {}
     for name, maps in (("I", report.i_maps), ("S", report.s_maps), ("B", report.b_maps)):
-        mine.update(((name, n), eg._mat_rank(cols)) for n, cols in maps.items())
+        mine.update(((name, n), span_basis(cols).rank) for n, cols in maps.items())
     assert mine == ranks

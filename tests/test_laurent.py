@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from heckehom.laurent import LaurentQ, MultiLaurent, NotDivisible, ONE, Q, ZERO, qpow
+from heckehom.laurent import LaurentQ, NotDivisible, ONE, Q, ZERO, qpow
 from heckehom.exprparse import parse_laurent
 
 
@@ -71,19 +71,3 @@ def test_negative_power_of_unit():
     with pytest.raises(NotDivisible):
         (Q + 1) ** -1
 
-
-def test_multilaurent_arithmetic():
-    x = MultiLaurent.monomial(2, (1, 0))
-    y = MultiLaurent.monomial(2, (0, 1))
-    product = x * y
-    assert product == MultiLaurent.monomial(2, (1, 1))
-    assert x * MultiLaurent.one(2) == x
-    assert (x + y) - y == x
-    assert (x - x).is_zero
-    with pytest.raises(ValueError):
-        MultiLaurent(2, {(1,): 1})
-
-
-def test_multilaurent_rank_mismatch():
-    with pytest.raises(ValueError):
-        MultiLaurent.monomial(2, (1, 0)) * MultiLaurent.monomial(3, (1, 0, 0))

@@ -7,7 +7,7 @@ import pytest
 
 from heckehom import engine as eg
 from heckehom.linalg import GaussianBasis, kernel_vectors, span_basis
-from heckehom.sparse import add_into
+from heckehom.sparse import add_into, exact_quotient, linear
 
 
 class RescanBasis:
@@ -191,15 +191,30 @@ def test_kernel_vectors_span_the_kernel():
 
 
 def test_torus_coefficients_are_never_float():
-    """Lattice chains and forms and the torus sector rows stay in ints and
-    Fractions; the HKR/B constant follows sparse.exact."""
+    """The torus maps on chain and form dicts, and the torus sector rows, follow
+    sparse.exact: integer chains stay integral except for the 1/p! of HKR, a
+    Fraction chain gives the exact rational multiple of the integer image, and
+    the HKR/B constant is exact."""
+    from heckehom import hochschild as hh
     from heckehom import torus as tr
 
-    for key in tr.windowed_keys(2, 1, 1):
-        chain = tr.LatticeChain.from_key(2, key, 3)
-        for value in (tr.hochschild_b(chain), tr.connes_B(chain), tr.cyclic_t(chain),
-                      tr.hkr(chain), tr.de_rham_d(tr.hkr(chain)), chain.scale(Fraction(1, 2))):
-            _assert_exact(value.terms)
+    maps = (
+        lambda vec: linear(tr.boundary_key, vec),
+        lambda vec: linear(tr.connes_b_key, vec),
+        lambda vec: {hh.cyclic(key)[0]: hh.cyclic(key)[1] * c for key, c in vec.items()},
+        lambda vec: hh.class_action(vec, tr._compact),
+        tr.hkr,
+        lambda vec: tr.de_rham_d(tr.hkr(vec)),
+        lambda vec: tr.pi0(tr.hkr(vec)),
+    )
+    for degree in (1, 2):
+        for key in tr.windowed_keys(2, degree, 1):
+            for op in maps:
+                image = op({key: 3})
+                _assert_integer_first(image)
+                halved = op({key: Fraction(1, 2)})
+                _assert_exact(halved)
+                assert halved == {k: exact_quotient(c, 6) for k, c in image.items()}
     for degree in (0, 1, 2):
         cycles, quotient = tr._invariant_sector_dims(2, degree, 1)
         for vec in cycles:

@@ -236,8 +236,9 @@ def test_bad_spec_file_stops_verify_all_before_any_suite(tmp_path, capsys, monke
     [
         (["verify", "engine", "--engine-cutoff", "20"], "'dual_numbers' at engine cutoff 20"),
         (["verify", "torus", "--rank", "3", "--degree", "3", "--window", "1"], "rank 3, degree 3"),
+        (["verify", "all", "--engine-cutoff", "20"], "'dual_numbers' at engine cutoff 20"),
     ],
-    ids=["engine-cutoff", "torus-degree"],
+    ids=["engine-cutoff", "torus-degree", "all-engine-cutoff"],
 )
 def test_oversized_config_exits_2_before_any_suite(capsys, monkeypatch, argv, message):
     """Configs far too large to run: checked through main's exit code with
@@ -253,6 +254,31 @@ def test_oversized_config_exits_2_before_any_suite(capsys, monkeypatch, argv, me
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
     assert entered == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "clozel", "--nmax", "1", "--engine-cutoff", "20"],
+        ["verify", "hecke", "--engine-cutoff", "20"],
+        ["verify", "engine", "--rank", "3", "--degree", "3", "--window", "1", "--engine-cutoff", "2"],
+    ],
+    ids=["clozel-engine-cutoff", "hecke-engine-cutoff", "engine-torus-degree"],
+)
+def test_size_checks_skip_suites_that_do_not_run(capsys, argv):
+    """An option sized beyond the cap of a suite that is not the target does
+    not stop the target."""
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_only_the_engine_target_loads_algebras(monkeypatch):
+    from heckehom import suites
+
+    monkeypatch.setitem(suites._SUITES, "torus", lambda cfg: suites.SuiteReport("torus", cfg.seed))
+    cfg = SuiteConfig(engine_spec_files=("no-such-spec.json",))
+    assert run_suite("torus", cfg).passed
+    assert "engine_specs" not in vars(cfg)
 
 
 def test_default_torus_degrees_skip_oversized_sweeps():

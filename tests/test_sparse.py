@@ -6,73 +6,45 @@ import pytest
 
 from heckehom.hecke import HeckeElement
 from heckehom.hh0 import HH0Class
-from heckehom.laurent import LaurentQ, MultiLaurent, Q
+from heckehom.laurent import LaurentQ, Q
 from heckehom.spectral import LambdaElement
 from heckehom.sparse import add_into, add_term, exact, exact_quotient, linear
-from heckehom.torus import LatticeChain, TorusForm
 from heckehom.weyl import E, S, T
 
-# per type: (a, b, key that cancels in a + b, elements of another shape)
+# per type: (a, b, key that cancels in a + b)
 CASES = {
     "LaurentQ": (
         LaurentQ({0: 1, 2: Fraction(1, 2)}),
         LaurentQ({2: Fraction(-1, 2), 3: 4}),
         2,
-        [],
-    ),
-    "MultiLaurent": (
-        MultiLaurent(2, {(1, 0): 1, (0, 1): 2}),
-        MultiLaurent(2, {(0, 1): -2, (1, 1): Fraction(1, 3)}),
-        (0, 1),
-        [MultiLaurent(3, {(0, 1, 0): 1})],
     ),
     "HeckeElement": (
         HeckeElement({S: Q, E: 1}),
         HeckeElement({S: -Q, T: 2}),
         S,
-        [],
     ),
     "LambdaElement": (
         LambdaElement({1: Q, 0: 1}),
         LambdaElement({1: -Q, -1: 2}),
         1,
-        [],
     ),
     "HH0Class": (
         HH0Class(coeff_s=Q, even={0: 1}),
         HH0Class(coeff_s=-Q, coeff_t=2),
         "s",
-        [],
-    ),
-    "LatticeChain": (
-        LatticeChain(1, 1, {((1,), (2,)): 1, ((0,), (1,)): 2}),
-        LatticeChain(1, 1, {((1,), (2,)): -1, ((3,), (1,)): Fraction(1, 3)}),
-        ((1,), (2,)),
-        [LatticeChain(2, 1, {((1, 0), (0, 1)): 1}), LatticeChain(1, 2, {((1,), (2,), (3,)): 1})],
-    ),
-    "TorusForm": (
-        TorusForm(1, 1, {((2,), (0,)): 1, ((1,), (0,)): 3}),
-        TorusForm(1, 1, {((2,), (0,)): -1}),
-        ((2,), (0,)),
-        [TorusForm(2, 1, {((2, 0), (0,)): 1}), TorusForm(1, 0, {((2,), ()): 1})],
     ),
 }
 NAMES = list(CASES)
 
 
-def _shape(x):
-    return tuple(getattr(x, name) for name in type(x)._shape)
-
-
 def _assert_clean(result, like):
     assert type(result) is type(like)
-    assert _shape(result) == _shape(like)
     assert all(result.terms.values()), "a zero coefficient was stored"
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_operations_drop_zeros_and_keep_type_and_shape(name):
-    a, b, cancelled, mismatched = CASES[name]
+def test_operations_drop_zeros_and_keep_type(name):
+    a, b, cancelled = CASES[name]
     total = a + b
     _assert_clean(total, a)
     assert cancelled in a.terms and cancelled in b.terms
@@ -87,19 +59,13 @@ def test_operations_drop_zeros_and_keep_type_and_shape(name):
     assert a.scale(2) == a + a
     _assert_clean(a.scale(2), a)
     assert a == a + b - b and a != b
-    for other in mismatched:
-        with pytest.raises(ValueError):
-            a + other
-        with pytest.raises(ValueError):
-            a - other
-        assert a != other
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_cross_type_equality_is_not_implemented(name):
     a = CASES[name][0]
     other = CASES[NAMES[(NAMES.index(name) + 1) % len(NAMES)]][0]
-    assert a.__eq__(other) is NotImplemented
+    assert a.__eq__(other) is NotImplemented and a.__add__(other) is NotImplemented
     assert a != other and not (a == other)
 
 
@@ -126,19 +92,15 @@ def test_linear_extension():
 
 def test_laurent_types_stay_hashable():
     assert len({LaurentQ({1: 2}), LaurentQ({1: Fraction(2)}), CASES["LaurentQ"][0]}) == 2
-    assert len({MultiLaurent(1, {(1,): 2}), MultiLaurent(1, {(1,): 2}), MultiLaurent(2)}) == 2
 
 
 # per type: an element with one coefficient c, and that coefficient's scalar
 # (the Hecke-side types store LaurentQ coefficients, read at q^0)
 ONE_COEFFICIENT = {
     "LaurentQ": (lambda c: LaurentQ({0: c}), lambda x: x.terms[0]),
-    "MultiLaurent": (lambda c: MultiLaurent(1, {(1,): c}), lambda x: x.terms[(1,)]),
     "HeckeElement": (lambda c: HeckeElement({S: c}), lambda x: x.terms[S].terms[0]),
     "LambdaElement": (lambda c: LambdaElement({1: c}), lambda x: x.terms[1].terms[0]),
     "HH0Class": (lambda c: HH0Class(even={0: c}), lambda x: x.terms[0].terms[0]),
-    "LatticeChain": (lambda c: LatticeChain(1, 0, {((1,),): c}), lambda x: x.terms[((1,),)]),
-    "TorusForm": (lambda c: TorusForm(1, 0, {((1,), ()): c}), lambda x: x.terms[((1,), ())]),
 }
 
 

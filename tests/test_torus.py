@@ -1,110 +1,114 @@
-"""Lattice Hochschild chains, the forms picture, and windowed homology."""
+"""Lattice Hochschild chains, the forms picture, and windowed homology, on
+tuple dicts."""
 
 from fractions import Fraction
 
 import pytest
 
-from heckehom.laurent import MultiLaurent
+from heckehom import hochschild as hh
 from heckehom import torus as tr
+from heckehom.sparse import add_into, linear
 
 
-def chain(rank, terms):
-    degree = len(next(iter(terms))) - 1
-    return tr.LatticeChain(rank, degree, terms)
+def b(vec):
+    return linear(tr.boundary_key, vec)
+
+
+def B(vec):
+    return linear(tr.connes_b_key, vec)
+
+
+def t(vec):
+    out = {}
+    for key, c in vec.items():
+        rotated, sign = hh.cyclic(key)
+        out[rotated] = sign * c
+    return out
+
+
+def compact(vec):
+    return hh.class_action(vec, tr._compact)
 
 
 def test_boundary_examples():
-    pair = chain(1, {((2,), (3,)): 1})
-    assert tr.hochschild_b(pair).is_zero  # commutativity of the lattice
-    triple = chain(1, {((1,), (2,), (4,)): 1})
-    expected = chain(
-        1, {((3,), (4,)): 1, ((1,), (6,)): -1, ((5,), (2,)): 1}
-    )
-    assert tr.hochschild_b(triple) == expected
-    with pytest.raises(ValueError):
-        tr.hochschild_b(tr.LatticeChain(1, 0, {((1,),): 1}))
+    assert b({((2,), (3,)): 1}) == {}  # commutativity of the lattice
+    assert tr.boundary_key(((1,), (2,), (4,))) == {((3,), (4,)): 1, ((1,), (6,)): -1, ((5,), (2,)): 1}
+    assert tr.boundary_key(((1,),)) == {}  # zero in degree 0
 
 
 def test_cyclic_t_examples():
-    pair = chain(1, {((1,), (2,)): 1})
-    assert tr.cyclic_t(pair) == chain(1, {((2,), (1,)): -1})
-    point = chain(1, {((5,),): 1})
-    assert tr.cyclic_t(point) == point
-    value = chain(2, {((1, 0), (0, 1), (2, 2)): 1})
+    assert t({((1,), (2,)): 1}) == {((2,), (1,)): -1}
+    point = {((5,),): 1}
+    assert t(point) == point
+    value = {((1, 0), (0, 1), (2, 2)): 1}
     rotated = value
     for _ in range(3):
-        rotated = tr.cyclic_t(rotated)
+        rotated = t(rotated)
     assert rotated == value  # t^(p+1) = 1
 
 
 def test_connes_B_examples():
-    point = chain(1, {((3,),): 1})
-    assert tr.connes_B(point) == chain(1, {((0,), (3,)): 1})
-    assert tr.connes_B(chain(1, {((0,),): 1})).is_zero
-    assert tr.connes_B(tr.connes_B(point)).is_zero
-    assert tr.connes_B(tr.LatticeChain(1, 0)).is_zero
+    point = {((3,),): 1}
+    assert B(point) == {((0,), (3,)): 1}
+    assert tr.connes_b_key(((0,),)) == {}
+    assert B(B(point)) == {}
+    assert B({}) == {}
 
 
 def test_hkr_examples():
-    pair = chain(1, {((2,), (3,)): 1})
-    assert tr.hkr(pair) == tr.TorusForm(1, 1, {((5,), (0,)): 3})
-    point = chain(1, {((4,),): 1})
-    assert tr.hkr(point) == tr.TorusForm(1, 0, {((4,), ()): 1})
-    symmetrized = chain(1, {((2,), (3,)): 1, ((3,), (2,)): 1})
-    assert tr.hkr(symmetrized) == tr.TorusForm(1, 1, {((5,), (0,)): 5})
+    assert tr.hkr({((2,), (3,)): 1}) == {((5,), (0,)): 3}
+    assert tr.hkr({((4,),): 1}) == {((4,), ()): 1}
+    symmetrized = {((2,), (3,)): 1, ((3,), (2,)): 1}
+    assert tr.hkr(symmetrized) == {((5,), (0,)): 5}
+    assert tr.hkr({((1, 0), (0, 1), (1, 1)): 1}) == {((2, 2), (0, 1)): Fraction(-1, 2)}
+    assert tr.hkr({((1,), (1,), (1,)): 1}) == {}  # degree above the rank
 
 
 def test_pi0_examples():
-    form = tr.TorusForm(1, 1, {((3,), (0,)): 1})
-    assert tr.pi0(form).is_zero
-    invariant = tr.TorusForm(2, 2, {((0, 0), (0, 1)): 5})
+    assert tr.pi0({((3,), (0,)): 1}) == {}
+    invariant = {((0, 0), (0, 1)): 5}
     assert tr.pi0(invariant) == invariant
-    assert tr.pi0(tr.TorusForm(1, 0)).is_zero
+    assert tr.pi0({}) == {}
 
 
 def test_class_action_examples():
-    keep = chain(1, {((1,), (-1,)): 1})
-    assert tr.class_action(keep) == keep
-    drop = chain(1, {((1,), (1,)): 1})
-    assert tr.class_action(drop).is_zero
-    assert tr.class_action(tr.LatticeChain(1, 1)).is_zero
+    keep = {((1,), (-1,)): 1}
+    assert compact(keep) == keep
+    assert compact({((1,), (1,)): 1}) == {}
+    assert compact({}) == {}
 
 
 def test_de_rham_examples():
-    form = tr.hkr(chain(1, {((3,),): 1}))
-    assert tr.de_rham_d(form) == tr.TorusForm(1, 1, {((3,), (0,)): 3})
-    two_var = tr.TorusForm(2, 0, {((1, 2), ()): 1})
-    dd = tr.de_rham_d(tr.de_rham_d(two_var))
-    assert dd.is_zero
-    invariant = tr.TorusForm(2, 1, {((0, 0), (1,)): 7})
-    assert tr.de_rham_d(invariant).is_zero
+    form = tr.hkr({((3,),): 1})
+    assert tr.de_rham_d(form) == {((3,), (0,)): 3}
+    two_var = {((1, 2), ()): 1}
+    assert tr.de_rham_d(two_var) == {((1, 2), (0,)): 1, ((1, 2), (1,)): 2}
+    assert tr.de_rham_d(tr.de_rham_d(two_var)) == {}
+    invariant = {((0, 0), (1,)): 7}
+    assert tr.de_rham_d(invariant) == {}
 
 
 def test_chain_identities_windowed():
     for rank, window in ((1, 2), (2, 1)):
+        unit = (0,) * rank
         for degree in range(rank + 2):
             for key in tr.windowed_keys(rank, degree, window):
-                value = tr.LatticeChain.from_key(rank, key)
-                if degree >= 2:
-                    assert tr.hochschild_b(tr.hochschild_b(value)).is_zero
+                value = {key: 1}
+                assert b(b(value)) == {}
                 if tr._is_degenerate(key):
                     continue
-                assert tr.connes_B(tr.connes_B(value)).is_zero
-                left = tr.normalize_chain(tr.hochschild_b(tr.connes_B(value)))
-                right = (
-                    tr.connes_B(tr.normalize_chain(tr.hochschild_b(value)))
-                    if degree >= 1
-                    else tr.LatticeChain(rank, 0)
-                )
-                assert (left + right).is_zero
+                assert B(B(value)) == {}
+                left = hh.normalize(b(B(value)), unit)
+                right = B(hh.normalize(b(value), unit))
+                assert add_into(left, right) == {}
 
 
 def test_class_action_commutes_with_structure_maps():
     for key in tr.windowed_keys(1, 2, 1):
-        value = tr.LatticeChain.from_key(1, key)
-        assert tr.class_action(tr.hochschild_b(value)) == tr.hochschild_b(tr.class_action(value))
-        assert tr.class_action(tr.cyclic_t(value)) == tr.cyclic_t(tr.class_action(value))
-        assert tr.class_action(tr.connes_B(value)) == tr.connes_B(tr.class_action(value))
+        value = {key: 1}
+        assert compact(b(value)) == b(compact(value))
+        assert compact(t(value)) == t(compact(value))
+        assert compact(B(value)) == B(compact(value))
 
 
 def test_square_check_rank_one():
@@ -131,6 +135,15 @@ def test_square_check_rank_three_window_one():
         assert report.hkr_b_constant == Fraction(1)
 
 
+def test_square_check_can_fail(monkeypatch):
+    """Negative control: a compact part that reads only the first entry breaks
+    the square on tuples such as ((1,), (-1,))."""
+    monkeypatch.setattr(tr, "_compact", lambda key: int(not any(key[0])))
+    assert not tr.check_square_on_key(((1,), (-1,)))
+    report = tr.homology_square_check(1, 1, 1)
+    assert not report.square_commutes and not report.passed
+
+
 def test_square_check_validation():
     with pytest.raises(ValueError):
         tr.homology_square_check(1, 2, 2)
@@ -154,15 +167,6 @@ def test_compact_part_of_b_image_bounds():
     assert tr.compact_part_of_b_image_is_boundary(2, 0, 2)
 
 
-def test_chain_from_multilaurent_tensors():
-    x = MultiLaurent(1, {(1,): 1, (-1,): 1})
-    y = MultiLaurent.monomial(1, (2,), Fraction(1, 2))
-    built = tr.LatticeChain.from_tensors([x, y])
-    assert built == tr.LatticeChain(
-        1, 1, {((1,), (2,)): Fraction(1, 2), ((-1,), (2,)): Fraction(1, 2)}
-    )
-
-
 def test_normalize_chain():
-    mixed = tr.LatticeChain(1, 1, {((0,), (1,)): 1, ((1,), (0,)): 1})
-    assert tr.normalize_chain(mixed) == tr.LatticeChain(1, 1, {((0,), (1,)): 1})
+    mixed = {((0,), (1,)): 1, ((1,), (0,)): 1}
+    assert hh.normalize(mixed, (0,)) == {((0,), (1,)): 1}
