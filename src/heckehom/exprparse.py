@@ -21,7 +21,7 @@ minus signs is read in a loop and nests nothing.
 from __future__ import annotations
 
 from .laurent import LaurentQ, qpow
-from .sparse import exact_quotient
+from .sparse import exact, exact_quotient
 from .weyl import WeylWord
 from .hecke import HeckeElement, basis
 
@@ -244,10 +244,14 @@ def parse_laurent(text: str) -> LaurentQ:
 
 
 def parse_scalar(text: str):
-    """Parse an exact rational scalar."""
+    """Parse an exact rational scalar, under the rule of ``sparse.exact``.
+
+    >>> parse_scalar("1/2*2"), parse_scalar("3/2")
+    (1, Fraction(3, 2))
+    """
     poly = parse_laurent(text)
     if poly.is_zero:
         return 0
     if set(poly.terms) != {0}:
         raise ParseError("expected a scalar, found powers of q", 0)
-    return poly.coefficient(0)
+    return exact(poly.coefficient(0))

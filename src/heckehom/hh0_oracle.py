@@ -193,7 +193,7 @@ class TruncatedTraceOracle:
         """Residues of the canonical basis tokens; verified independent."""
         solver = GaussianBasis()
         for token, element in self._canonical_tokens():
-            residue, _ = self._basis.reduce(self._vector(element))
+            residue, _, _ = self._basis.reduce(self._vector(element))
             pivot, _ = solver.insert(residue, payload={token: QFrac.of(1)})
             if pivot is None:
                 raise RuntimeError(
@@ -210,8 +210,9 @@ class TruncatedTraceOracle:
         """
         if word.length > self.cutoff:
             raise ValueError(f"word length {word.length} exceeds oracle cutoff {self.cutoff}")
-        residue, _ = self._basis.reduce(self._vector(basis(word)))
-        leftover, combo = self._canonical.reduce(residue)
+        residue, _, _ = self._basis.reduce(self._vector(basis(word)))
+        # Q(q) rows are monic, so the scale of a reduction over Q(q) is 1
+        leftover, combo, _ = self._canonical.reduce(residue)
         if leftover:
             raise RuntimeError(f"class of T[{word}] does not lie in the canonical span")
         coeff_s = coeff_t = ZERO

@@ -1,11 +1,29 @@
-"""Sparse exact Gaussian elimination over an exact field.
+"""Sparse exact Gaussian elimination, fraction-free on rational inputs.
 
 Vectors are dicts {column: coefficient} with no stored zeros.  Coefficients
 are ints or Fractions, or any other exact field type supporting +, -, *, /,
-bool and ==.  Arithmetic stays in the integers as long as it can: a row is
-normalised by its lead only when that lead is not 1, a lead of -1 negates,
-and any other lead divides through ``sparse.exact_quotient``, so an
-integral quotient stays an int.  No float ever enters.
+bool and ==.  No float ever enters.
+
+On ints and Fractions the elimination stays in the integers, in the manner
+of Bareiss (Math. Comp. 22, 1968).  Every stored row is a primitive integer
+row with a positive lead: it is divided, together with its payload, only
+by the gcd of their combined content.  ``reduce`` clears a vector's
+denominators once, on entry, and then reduces it by cross-multiplication,
+``residue <- a*residue - b*row`` with a = lead/g and b = coeff/g for
+g = gcd(coeff, lead).  It tracks the product of the factors a as ``scale``,
+so that scale*vec = residue + the combination of rows.  The one division
+of coefficients is ``QuotientSpace.coords``, which returns combo / scale.
+Rows of any other field type are made monic; against a row with lead 1 the
+same step has a = 1 and b = coeff.
+
+    >>> basis = GaussianBasis()
+    >>> basis.insert({0: 4, 1: 2, 2: 6}), basis.row(0)
+    ((0, None), ({0: 2, 1: 1, 2: 3}, None))
+    >>> basis.reduce({0: 1, 1: 1})
+    ({1: 1, 2: -3}, {}, 2)
+    >>> space = QuotientSpace(GaussianBasis(), [{0: 2, 1: 1}])
+    >>> space.coords({0: 1, 1: Fraction(1, 2)}), space.coords({0: 4, 1: 2})
+    ({0: Fraction(1, 2)}, {0: 2})
 
 Pivot choice is always the minimum column of the residue, so every stored
 row has its pivot at its minimum column; reductions therefore clear columns
@@ -18,18 +36,52 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from .sparse import add_into, exact_quotient
 
 
+def _cleared(vec: dict) -> tuple[dict, int]:
+    """(den * vec, den) with den the lcm of the denominators of vec's Fractions.
+
+    A copy of vec with scale 1 when it holds no Fraction, so integer and
+    field-typed vectors pass unchanged.
+    """
+    dens = {v.denominator for v in vec.values() if type(v) is Fraction}
+    if not dens:
+        return dict(vec), 1
+    den = lcm(*dens)
+    return {col: (val * den).numerator for col, val in vec.items()}, den
+
+
+def _primitive(vecs: list[dict], sign: int = 1) -> list[dict]:
+    """The rational vectors vecs times one common factor, as integer vectors
+    whose combined content is 1; sign = -1 negates them as well.
+
+    Vectors of any other type are returned as they are.
+    """
+    dens = set()
+    for vec in vecs:
+        for val in vec.values():
+            if type(val) is Fraction:
+                dens.add(val.denominator)
+            elif type(val) is not int:
+                return vecs
+    if dens:
+        den = lcm(*dens)
+        vecs = [{col: (val * den).numerator for col, val in vec.items()} for vec in vecs]
+    divisor = sign * gcd(*(val for vec in vecs for val in vec.values()))
+    if divisor == 1:
+        return vecs
+    return [{col: val // divisor for col, val in vec.items()} for vec in vecs]
+
+
 def _divided(vec: dict, lead) -> dict:
-    """vec / lead, exactly; vec itself when lead is 1."""
+    """vec / lead in a field; vec itself when lead is 1."""
     if lead == 1:
         return vec
     if lead == -1:
         return {col: -val for col, val in vec.items()}
-    if isinstance(lead, (int, Fraction)):
-        return {col: exact_quotient(val, lead) for col, val in vec.items()}
     return {col: val / lead for col, val in vec.items()}
 
 
@@ -65,13 +117,14 @@ class GaussianBasis:
         return out
 
     def reduce(self, vec: dict):
-        """Return (residue, combo): vec = residue + sum(combo-of-payload rows).
+        """Return (residue, combo, scale): scale*vec = residue + the rows used.
 
-        combo accumulates coeff * payload over the rows that were subtracted
-        (rows without payloads contribute nothing to combo).
+        combo is the same combination of the rows' payloads (rows without
+        payloads contribute nothing to it).  scale is a positive integer: the
+        lcm of vec's denominators times every factor a of the steps.
         """
         rows = self._rows
-        residue = dict(vec)
+        residue, scale = _cleared(vec)
         combo: dict = {}
         # every pivot column of the residue is in the heap; a column that
         # cancelled after it was pushed is stale and skipped when popped
@@ -83,6 +136,16 @@ class GaussianBasis:
             if coeff is None:
                 continue
             row, payload = rows[col]
+            lead = row[col]
+            if type(lead) is int and lead != 1:
+                g = gcd(coeff, lead)
+                a, coeff = lead // g, coeff // g
+                if a != 1:
+                    scale *= a
+                    for c in residue:
+                        residue[c] *= a
+                    for c in combo:
+                        combo[c] *= a
             # inline, not add_into: most of engine-spec's time; also feeds the heap
             for c, v in row.items():
                 if c == col:
@@ -100,30 +163,37 @@ class GaussianBasis:
                         del residue[c]
             if payload is not None:
                 add_into(combo, payload, coeff)
-        return residue, combo
+        return residue, combo, scale
 
     def insert(self, vec: dict, payload: dict | None = None):
-        """Insert a vector; return (pivot, residue_payload).
+        """Insert a vector; return (pivot, dependency).
 
         pivot is None when vec is dependent on the stored rows.  In that
-        case residue_payload is payload - combo, i.e. the payload expression
-        of the dependency (a kernel element when payloads track preimages).
+        case dependency is scale*payload - combo, made primitive: the payload
+        expression of the dependency (a kernel element when payloads track
+        preimages).
         """
-        residue, combo = self.reduce(vec)
+        residue, combo, scale = self.reduce(vec)
         if payload is None:
             dependency = None
         else:
-            dependency = add_into(dict(payload), combo, -1)
+            dependency = add_into({k: scale * v for k, v in payload.items()}, combo, -1)
         if not residue:
+            if dependency:
+                dependency = _primitive([dependency])[0]
             return None, dependency
         pivot = min(residue)
         lead = residue[pivot]
-        stored_payload = None if dependency is None else _divided(dependency, lead)
-        self._rows[pivot] = (_divided(residue, lead), stored_payload)
+        vecs = [residue] if dependency is None else [residue, dependency]
+        if type(lead) is int:
+            vecs = _primitive(vecs, -1 if lead < 0 else 1)
+        else:
+            vecs = [_divided(vec, lead) for vec in vecs]
+        self._rows[pivot] = (vecs[0], None if dependency is None else vecs[1])
         return pivot, None
 
     def contains(self, vec: dict) -> bool:
-        residue, _ = self.reduce(vec)
+        residue, _, _ = self.reduce(vec)
         return not residue
 
 
@@ -140,8 +210,9 @@ def kernel_vectors(images) -> tuple[list[dict], GaussianBasis]:
 
     Returns the coefficient vectors over the source indices spanning the
     kernel, and the echelon basis of the image without payloads.  The image
-    basis is the one span_basis builds from the same vectors in the same
-    order, since payloads never change the rows.
+    basis has the pivots of the one span_basis builds from the same vectors
+    in the same order, each row a positive multiple of the row there: a row
+    is made primitive together with its payload.
     """
     basis = GaussianBasis()
     kernel = []
@@ -178,8 +249,9 @@ class QuotientSpace:
 
     ``boundaries`` is the echelon basis of the boundary span, with no
     payloads; the quotient takes it over and extends it by the cycles.
-    Homology representatives are the reduced cycle rows; coords() expresses
-    any vector of cycles+boundaries in that representative basis.
+    Homology representatives are the reduced cycle rows as stored (primitive
+    integer rows on rational input); coords() expresses any vector of
+    cycles+boundaries in that representative basis.
     """
 
     def __init__(self, boundaries: GaussianBasis, cycles):
@@ -204,7 +276,9 @@ class QuotientSpace:
 
         Raises ValueError if vec is not in cycles + boundaries.
         """
-        residue, combo = self._basis.reduce(vec)
+        residue, combo, scale = self._basis.reduce(vec)
         if residue:
             raise ValueError("vector does not lie in cycles + boundaries")
-        return combo
+        if scale == 1:
+            return combo
+        return {idx: exact_quotient(val, scale) for idx, val in combo.items()}

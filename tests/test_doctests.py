@@ -9,6 +9,7 @@ import heckehom.hh0
 import heckehom.exprparse
 import heckehom.engine
 import heckehom.hochschild
+import heckehom.linalg
 import heckehom.sparse
 import heckehom.torus
 
@@ -22,6 +23,7 @@ def test_doctests():
         heckehom.exprparse,
         heckehom.engine,
         heckehom.hochschild,
+        heckehom.linalg,
         heckehom.sparse,
         heckehom.torus,
     ):

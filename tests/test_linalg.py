@@ -1,7 +1,9 @@
 """Sparse exact elimination: heap-ordered pivots against a rescanning reference."""
 
+import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -83,6 +85,11 @@ def _same(left: dict, right: dict) -> bool:
     return list(left.items()) == list(right.items())
 
 
+def _over(vec: dict, divisor) -> dict:
+    """vec / divisor, exactly and in key order."""
+    return {key: exact_quotient(value, divisor) for key, value in vec.items()}
+
+
 def _assert_exact(vec: dict):
     for value in vec.values():
         assert type(value) in (int, Fraction), f"{value!r} is a {type(value).__name__}"
@@ -91,27 +98,69 @@ def _assert_exact(vec: dict):
 @pytest.mark.parametrize("rational", [False, True], ids=["int", "fraction"])
 @pytest.mark.parametrize("seed", range(6))
 def test_heap_reduce_matches_rescanning_reference(seed, rational):
+    """The fraction-free basis agrees with the monic reference up to scalars:
+    residue and combo over the scale, rows and payloads over the row's lead,
+    and dependencies up to a positive factor."""
     rng = random.Random(1000 * seed + rational)
     basis, reference = GaussianBasis(), RescanBasis()
-    for idx, vec in enumerate(_random_matrix(rng, 40, 24, rational)):
-        residue, combo = basis.reduce(vec)
+
+    def assert_reduce_matches(vec):
+        residue, combo, scale = basis.reduce(vec)
         ref_residue, ref_combo = reference.reduce(vec)
-        assert _same(residue, ref_residue) and _same(combo, ref_combo)
+        assert type(scale) is int and scale > 0
+        assert _same(_over(residue, scale), ref_residue)
+        assert _same(_over(combo, scale), ref_combo)
+
+    for idx, vec in enumerate(_random_matrix(rng, 40, 24, rational)):
+        assert_reduce_matches(vec)
         pivot, dependency = basis.insert(vec, payload={idx: 1})
         ref_pivot, ref_dependency = reference.insert(vec, payload={idx: 1})
         assert pivot == ref_pivot
         assert (dependency is None) == (ref_dependency is None)
-        if dependency is not None:
-            assert _same(dependency, ref_dependency)
+        if dependency:
+            first = next(iter(ref_dependency))
+            factor = exact_quotient(dependency[first], ref_dependency[first])
+            assert factor > 0 and _same(_over(dependency, factor), ref_dependency)
+        elif dependency is not None:
+            assert not ref_dependency
     assert list(basis.pivots) == list(reference._rows)
     for pivot, (ref_row, ref_payload) in reference._rows.items():
         row, payload = basis.row(pivot)
-        assert _same(row, ref_row) and _same(payload, ref_payload)
-        assert min(row) == pivot and row[pivot] == 1
+        lead = row[pivot]
+        assert min(row) == pivot and lead > 0
+        assert _same(_over(row, lead), ref_row) and _same(_over(payload, lead), ref_payload)
     for vec in _random_matrix(rng, 20, 30, rational):
-        residue, combo = basis.reduce(vec)
-        ref_residue, ref_combo = reference.reduce(vec)
-        assert _same(residue, ref_residue) and _same(combo, ref_combo)
+        assert_reduce_matches(vec)
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["int", "fraction"])
+@pytest.mark.parametrize("seed", range(4))
+def test_fraction_free_invariants(seed, rational):
+    """Stored rows are primitive integer rows with a positive lead, a row and
+    its payload have combined content 1, and scale * vec = residue + the
+    combination of rows, exactly, where a kernel-pass payload names the row
+    as a combination of the inserted vectors."""
+    rng = random.Random(50 + 10 * seed + rational)
+    vectors = _random_matrix(rng, 40, 24, rational)
+
+    def preimage(payload):
+        return linear(vectors.__getitem__, payload)
+
+    basis = GaussianBasis()
+    for idx, vec in enumerate(vectors):
+        basis.insert(vec, payload={idx: 1})
+    for pivot in basis.pivots:
+        row, payload = basis.row(pivot)
+        entries = [*row.values(), *payload.values()]
+        assert all(type(value) is int for value in entries)
+        assert row[pivot] > 0 and gcd(*entries) == 1
+        assert preimage(payload) == row
+    for vec in vectors + _random_matrix(rng, 20, 30, rational):
+        residue, combo, scale = basis.reduce(vec)
+        assert all(type(value) is int for value in (*residue.values(), *combo.values()))
+        assert {key: scale * value for key, value in vec.items()} == add_into(
+            dict(residue), preimage(combo)
+        )
 
 
 @pytest.mark.parametrize("rational", [False, True], ids=["int", "fraction"])
@@ -160,20 +209,22 @@ def test_integer_leads_stay_integral():
     assert rows == {0: {0: 1, 1: 3}, 1: {1: 1, 2: -4}, 2: {2: 1, 3: 2}}
     assert all(type(v) is int for row in rows.values() for v in row.values())
     basis.insert({3: 3, 4: 1})
-    assert basis.row(3)[0] == {3: 1, 4: Fraction(1, 3)}
+    assert basis.row(3)[0] == {3: 3, 4: 1}
 
 
 @pytest.mark.parametrize("rational", [False, True], ids=["int", "fraction"])
 def test_kernel_pass_image_equals_boundary_pass(rational):
     """The image basis of a kernel pass is the span basis of the same
-    vectors, row for row and in key order: payloads never change rows."""
+    vectors, row for row and in key order, up to each row's positive scalar:
+    a row is made primitive together with its payload."""
     rng = random.Random(31 + rational)
     vectors = _random_matrix(rng, 45, 25, rational)
     _, image = kernel_vectors(enumerate(vectors))
     span = span_basis(vectors)
     assert list(image.pivots) == list(span.pivots)
     for pivot in span.pivots:
-        assert _same(image.row(pivot)[0], span.row(pivot)[0])
+        row, span_row = image.row(pivot)[0], span.row(pivot)[0]
+        assert _same(_over(row, row[pivot]), _over(span_row, span_row[pivot]))
         assert image.row(pivot)[1] is None
 
 
@@ -288,3 +339,52 @@ def test_hecke_side_coefficients_are_integer_first():
         _assert_integer_first(oracle._basis.row(pivot)[0])
     for word in all_words(4):
         _assert_integer_first(oracle.class_of_word(word))
+
+
+def test_field_rows_stay_monic():
+    """Rows over Q(q), which has no gcd, are divided by their lead."""
+    from heckehom.hh0_oracle import QFrac, TruncatedTraceOracle
+
+    oracle = TruncatedTraceOracle(cutoff=3)
+    for basis in (oracle._basis, oracle._canonical):
+        assert basis.rank
+        for pivot in basis.pivots:
+            lead = basis.row(pivot)[0][pivot]
+            assert type(lead) is QFrac and lead == 1
+
+
+@pytest.mark.parametrize("name", eg.BUILTIN_ALGEBRAS)
+def test_quotient_coords_of_representatives(name):
+    """coords is the one division: each representative has coordinates
+    {i: 1}, half of it {i: 1/2}, and every S/B/I matrix entry follows
+    sparse.exact."""
+    report = eg.compute_cyclic(eg.builtin_algebra(name), 3)
+    for quotient in report._hh + report._hc:
+        for index, rep in enumerate(quotient.representatives):
+            coords = quotient.coords(rep)
+            assert coords == {index: 1} and type(coords[index]) is int
+            assert quotient.coords(_over(rep, 2)) == {index: Fraction(1, 2)}
+    for maps in (report.i_maps, report.s_maps, report.b_maps):
+        for cols in maps.values():
+            for col in cols:
+                _assert_integer_first(col)
+
+
+def _square_zero_spec(coeff: str) -> str:
+    """Q[x]/(x^3) on the basis 1, x, y with x * x = coeff * y."""
+    products = [{"i": 0, "j": j, "coeffs": ["1" if k == j else "0" for k in range(3)]}
+                for j in range(3)]
+    products += [{"i": i, "j": 0, "coeffs": ["1" if k == i else "0" for k in range(3)]}
+                 for i in (1, 2)]
+    products.append({"i": 1, "j": 1, "coeffs": ["0", "0", coeff]})
+    return json.dumps({"name": f"square_{coeff}", "dim": 3, "unit": ["1", "0", "0"],
+                       "products": products})
+
+
+def test_rational_structure_constant_matches_integer_rescaling():
+    """x * x = 3/2 y and, for 2x in place of x, x * x = 6 y are one algebra."""
+    rational = eg.compute_cyclic(eg.spec_from_json(_square_zero_spec("3/2")), 3)
+    integral = eg.compute_cyclic(eg.spec_from_json(_square_zero_spec("6")), 3)
+    assert rational.hh_dims == integral.hh_dims
+    assert rational.hc_dims == integral.hc_dims
+    assert sum(rational.hh_dims) > 4
