@@ -109,17 +109,23 @@ def zero() -> HeckeElement:
     return HeckeElement()
 
 
-def _basis_product(x: WeylWord, y: WeylWord) -> dict[WeylWord, LaurentQ]:
-    """T_x T_y by T_{ug} T_{gv} = (q-1) T_{ugv} + q T_u T_v (ugv reduced) on
-    each overlapping letter g: at most min(l(x), l(y)) steps."""
-    out: dict[WeylWord, LaurentQ] = {}
-    u, v, c = x, y, ONE
-    while u.length and v.length and u.last == v.first:
-        out[WeylWord(u.length + v.length - 1, u.first)] = c * _Q_MINUS_1
-        c = c * Q
-        u = WeylWord(u.length - 1, u.first) if u.length > 1 else E
-        v = WeylWord(v.length - 1, _OTHER[v.first]) if v.length > 1 else E
-    out[word_mul(u, v)] = c
+def _basis_product(x: WeylWord, y: WeylWord, c: LaurentQ) -> dict[WeylWord, LaurentQ]:
+    """c T_x T_y in closed form.
+
+    T_{ug} T_{gv} = (q-1) T_{ugv} + q T_u T_v (ugv reduced) on each of the
+    m = (l(x) + l(y) - l(xy)) / 2 letters that cancel in xy; unrolled, the
+    k-th term is c(q-1)q^k T_w with l(w) = l(x) + l(y) - 1 - 2k and w
+    starting like x, and the last is c q^m T_{xy}.  So a pair costs one
+    Laurent product, and every power of q is an exponent shift.
+    """
+    xy = word_mul(x, y)
+    m = (x.length + y.length - xy.length) // 2
+    if not m:
+        return {xy: c}
+    c1 = c * _Q_MINUS_1
+    top = x.length + y.length - 1
+    out = {WeylWord(top - 2 * k, x.first): c1.shift(k) for k in range(m)}
+    out[xy] = c.shift(m)
     return out
 
 
@@ -128,7 +134,7 @@ def t_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     total: dict[WeylWord, LaurentQ] = {}
     for x, cx in a._terms.items():
         for y, cy in b._terms.items():
-            add_into(total, _basis_product(x, y), cx * cy)
+            add_into(total, _basis_product(x, y, cx * cy))
     return HeckeElement._new(total)
 
 

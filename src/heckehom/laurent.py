@@ -98,6 +98,18 @@ class LaurentQ(Sparse):
 
     __rmul__ = __mul__
 
+    def shift(self, k: int) -> LaurentQ:
+        """q^k times self, by moving every exponent up by k; self when k is 0.
+
+        >>> (Q - 1).shift(2) == (Q - 1) * Q**2
+        True
+        >>> LaurentQ({0: 3, 2: Fraction(1, 2)}).shift(-1)
+        3*q^-1 + 1/2*q
+        """
+        if not k:
+            return self
+        return self._like({e + k: c for e, c in self._terms.items()})
+
     def __pow__(self, n: int) -> LaurentQ:
         if not isinstance(n, int):
             return NotImplemented

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from operator import add
 
@@ -211,9 +212,15 @@ def _sector_cycles(keys, degree: int) -> list[dict]:
     return cycles
 
 
+# Four entries hold every basis the square checks of one rank build (at most
+# three degrees fit the square cap), which its SBI checks then reuse.
+@lru_cache(maxsize=4)
 def _sector_boundary_basis(rank: int, degree: int, window: int):
     """Echelon basis of the windowed degree-p boundaries of the zero-total
-    sector: b of its degree-(p+1) chains, intersected with the window."""
+    sector: b of its degree-(p+1) chains, intersected with the window.
+
+    Built once per (rank, degree, window) while it is among the last few
+    used; callers only read it, and ``QuotientSpace`` extends a copy."""
     source = sector_keys(rank, degree + 1, window, (0,) * rank)
     raw = (boundary_key(key) for key in source)
     return span_basis(intersect_with_columns(raw, lambda key: _in_window(key, window)))
@@ -222,7 +229,8 @@ def _sector_boundary_basis(rank: int, degree: int, window: int):
 def _invariant_sector_dims(rank: int, degree: int, window: int):
     """(cycles, quotient by the boundaries) of the windowed zero-total sector."""
     cycles = _sector_cycles(sector_keys(rank, degree, window, (0,) * rank), degree)
-    return cycles, QuotientSpace(_sector_boundary_basis(rank, degree, window), cycles)
+    boundaries = _sector_boundary_basis(rank, degree, window).without_payloads()
+    return cycles, QuotientSpace(boundaries, cycles)
 
 
 def check_square_on_key(key: ChainKey) -> bool:

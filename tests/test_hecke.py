@@ -31,6 +31,20 @@ def random_element(rng, max_length=6, max_terms=3):
     return HeckeElement(terms)
 
 
+def random_multiterm_element(rng, max_length=8, max_terms=4):
+    """Like random_element, but every coefficient has 2-4 terms with
+    nonzero Fraction values, so products shift more than monomials."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        length = rng.randint(0, max_length)
+        word = WeylWord(length, rng.choice("st") if length else None)
+        exps = rng.sample(range(-3, 4), rng.randint(2, 4))
+        terms[word] = LaurentQ(
+            {e: Fraction(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), rng.randint(1, 3)) for e in exps}
+        )
+    return HeckeElement(terms)
+
+
 def test_quadratic_relation():
     for letter in "st":
         g = basis(WeylWord(1, letter))
@@ -92,6 +106,11 @@ def test_closed_form_product_matches_generator_peeling():
     rng = random.Random(23)
     for _ in range(60):
         a, b = random_element(rng, 9, 4), random_element(rng, 9, 4)
+        assert t_mul(a, b) == _peeled_product(a, b)
+    # multi-term coefficients: c(q-1) is then shifted as a polynomial, not a monomial
+    for _ in range(60):
+        a, b = random_multiterm_element(rng, 9, 4), random_multiterm_element(rng, 9, 4)
+        assert min(len(c.terms) for c in a.terms.values()) >= 2
         assert t_mul(a, b) == _peeled_product(a, b)
 
 

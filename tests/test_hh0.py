@@ -2,13 +2,13 @@
 
 import random
 
-from heckehom.laurent import Q, qpow
+from heckehom.laurent import LaurentQ, Q, qpow
 from heckehom.weyl import S, T, WeylWord, all_words, st_power, ts_power
 from heckehom.hecke import basis, t_mul
 from heckehom.hh0 import HH0Class, class_of_word, reduce_to_hh0
 from heckehom.hh0_oracle import QFrac, TruncatedTraceOracle, poly_gcd
 
-from test_hecke import random_element
+from test_hecke import random_element, random_multiterm_element
 
 
 def test_basis_fixed_points():
@@ -58,6 +58,38 @@ def test_linearity_and_scaling():
         assert reduce_to_hh0(x.scale(coeff) + y) == reduce_to_hh0(x).scale(coeff) + reduce_to_hh0(y)
     assert HH0Class.basis_s().scale(0).is_zero
     assert HH0Class.basis_t().scale(1) == HH0Class.basis_t()
+
+
+def _per_word_class(a):
+    """The oracle for reduce_to_hh0: every word rewritten step by step on its
+    own by class_of_word, then scaled and summed."""
+    total = HH0Class.zero()
+    for word, coeff in a.terms.items():
+        total = total + class_of_word(word).scale(coeff)
+    return total
+
+
+def _horner_mismatches():
+    """Elements on which the one-pass reduction and the per-word route differ:
+    every word of length <= 30, and 500 seeded random elements with 2-4 term
+    Fraction coefficients, with their products and differences."""
+    elements = [basis(w) for w in all_words(30)]
+    rng = random.Random(1009)
+    for _ in range(250):
+        x, y = random_multiterm_element(rng, 12, 4), random_multiterm_element(rng, 12, 4)
+        xy, yx = t_mul(x, y), t_mul(y, x)
+        elements += [x, y, xy, x - y, xy - yx]
+    return [a for a in elements if reduce_to_hh0(a) != _per_word_class(a)]
+
+
+def test_one_pass_reduction_matches_per_word_route():
+    assert _horner_mismatches() == []
+
+
+def test_per_word_route_catches_a_dropped_shift(monkeypatch):
+    # q^m T_y and the Horner step q S(j+1) become T_y and S(j+1)
+    monkeypatch.setattr(LaurentQ, "shift", lambda self, k: self)
+    assert _horner_mismatches()
 
 
 def test_poly_gcd_and_qfrac():

@@ -55,6 +55,12 @@ def test_divide_exact_inverts_multiplication(a, b):
     assert (a * b).divide_exact(b) == a
 
 
+@given(laurents, st.integers(min_value=-6, max_value=6))
+def test_shift_is_multiplication_by_a_power_of_q(a, k):
+    assert a.shift(k) == a * qpow(k)
+    assert a.shift(k).shift(-k) == a
+
+
 @given(laurents)
 def test_render_parse_round_trip(a):
     assert parse_laurent(a.render()) == a

@@ -12,6 +12,7 @@ import pytest
 
 from heckehom.exprparse import MAX_NESTING, ParseError, parse_hecke, parse_laurent, parse_scalar
 from heckehom.hecke import basis, one
+from heckehom.hh0 import class_of_word
 from heckehom.laurent import Q, qpow
 from heckehom.weyl import S, T, WeylWord
 from heckehom.cli import main
@@ -82,6 +83,22 @@ def test_reduce_command(capsys):
     assert capsys.readouterr().out == "(-1 + q)*[E(1)] + q*[Tt]\n"
     assert main(["reduce", "T[s"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_reduce_long_odd_words_matches_per_word_classes(capsys):
+    # the one-pass reduction against each word's step-by-step rewriting
+    def cls(word):
+        return class_of_word(WeylWord.parse(word))
+
+    expected = (
+        cls("ststs")
+        + cls("tstststst").scale(Fraction(1, 2) * Q)
+        - cls("sts").scale(Fraction(3, 4) * qpow(-2))
+        + cls("tstststststst").scale(Q**2 - Fraction(5, 3))
+    )
+    text = "T[ststs] + 1/2*q*T[tstststst] - 3/4*q^-2*T[sts] + (q^2 - 5/3)*T[tstststststst]"
+    assert main(["reduce", text]) == 0
+    assert capsys.readouterr().out == expected.render() + "\n"
 
 
 def test_table_command(capsys):

@@ -170,3 +170,31 @@ def test_compact_part_of_b_image_bounds():
 def test_normalize_chain():
     mixed = {((0,), (1,)): 1, ((1,), (0,)): 1}
     assert hh.normalize(mixed, (0,)) == {((0,), (1,)): 1}
+
+
+def test_sector_boundary_bases_built_once_per_key(monkeypatch):
+    # verify torus --window 1: the square checks and the SBI checks share
+    # (1, 1, 1), (2, 1, 1) and (2, 2, 1), so 9 uses take 6 builds
+    from heckehom.suites import SuiteConfig, suite_torus
+
+    cfg = SuiteConfig(torus_window=1)
+    builds = []
+    span_basis = tr.span_basis
+
+    def counting(vectors):
+        builds.append(1)
+        return span_basis(vectors)
+
+    monkeypatch.setattr(tr, "span_basis", counting)
+    shared = tr._sector_boundary_basis
+    shared.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(tr, "_sector_boundary_basis", shared.__wrapped__)
+            unshared_report = suite_torus(cfg).to_json()
+        assert len(builds) == 9
+        builds.clear()
+        assert suite_torus(cfg).to_json() == unshared_report
+        assert len(builds) == 6
+    finally:
+        shared.cache_clear()
