@@ -226,9 +226,3 @@ class TruncatedTraceOracle:
             else:
                 even[token] = coeff
         return HH0Class(coeff_s, coeff_t, even)
-
-    def class_of(self, element: HeckeElement) -> HH0Class:
-        total = HH0Class.zero()
-        for word, coeff in element.terms.items():
-            total = total + self.class_of_word(word).scale(coeff)
-        return total

@@ -30,7 +30,7 @@ from .hecke import (
     t_inverse,
     t_mul,
 )
-from .hh0 import HH0Class, class_of_word, reduce_to_hh0
+from .hh0 import HH0Class, reduce_to_hh0
 from .hh0_oracle import MARGIN, TruncatedTraceOracle
 from . import spectral as sp
 from . import hochschild as hh
@@ -481,7 +481,7 @@ def suite_hh0(cfg: SuiteConfig) -> SuiteReport:
             "rewriting reduction matches the truncated commutator-space oracle",
             {"word": str(w), "cutoff": cfg.reduce_oracle_cutoff, "margin": MARGIN},
             oracle.class_of_word(w),
-            class_of_word(w),
+            reduce_to_hh0(basis(w)),
         )
     return report
 

@@ -32,6 +32,7 @@ from operator import add
 from . import hochschild as hh
 from .linalg import (
     QuotientSpace,
+    elimination_order,
     intersect_with_columns,
     kernel_vectors,
     span_basis,
@@ -205,10 +206,11 @@ class SquareReport:
 
 
 def _sector_cycles(keys, degree: int) -> list[dict]:
-    """Spanning cycles of the span of the given degree-p basis tuples."""
+    """Spanning cycles of the span of the given degree-p basis tuples, from
+    one kernel pass over them in ``elimination_order``."""
     if degree == 0:
         return [{key: 1} for key in keys]
-    cycles, _ = kernel_vectors((key, boundary_key(key)) for key in keys)
+    cycles, _ = kernel_vectors((key, boundary_key(key)) for key in elimination_order(keys))
     return cycles
 
 
@@ -217,11 +219,12 @@ def _sector_cycles(keys, degree: int) -> list[dict]:
 @lru_cache(maxsize=4)
 def _sector_boundary_basis(rank: int, degree: int, window: int):
     """Echelon basis of the windowed degree-p boundaries of the zero-total
-    sector: b of its degree-(p+1) chains, intersected with the window.
+    sector: b of its degree-(p+1) chains, in ``elimination_order``,
+    intersected with the window.
 
     Built once per (rank, degree, window) while it is among the last few
     used; callers only read it, and ``QuotientSpace`` extends a copy."""
-    source = sector_keys(rank, degree + 1, window, (0,) * rank)
+    source = elimination_order(sector_keys(rank, degree + 1, window, (0,) * rank))
     raw = (boundary_key(key) for key in source)
     return span_basis(intersect_with_columns(raw, lambda key: _in_window(key, window)))
 

@@ -8,7 +8,7 @@ import pytest
 
 from heckehom import engine as eg
 from heckehom import hochschild as hh
-from heckehom.linalg import QuotientSpace, kernel_vectors, span_basis
+from heckehom.linalg import QuotientSpace, elimination_order, kernel_vectors, span_basis
 from heckehom.sparse import add_into, add_term, linear
 
 
@@ -121,11 +121,16 @@ def test_cyclic_dimensions_and_degree_zero():
         assert report.hc_dims[0] == report.hh_dims[0]
 
 
+def _sbi_exact(report):
+    """Every S-B-I node stored on the report is exact, and there is one."""
+    return bool(report.exactness) and all(node.exact for node in report.exactness)
+
+
 def test_sbi_exactness():
     report = eg.compute_cyclic(eg.builtin_algebra("ground_field"), 4)
     nodes = eg.sbi_exactness_check(report)
     assert nodes and all(node.exact for node in nodes)
-    assert report.sbi_exact
+    assert _sbi_exact(report)
     # S: HC_2 -> HC_0 is an isomorphism for the ground field
     s_matrix = report.s_maps[2]
     assert span_basis(s_matrix).rank == 1 == report.hc_dims[2] == report.hc_dims[0]
@@ -192,9 +197,57 @@ def test_spec_file_gets_no_group_table():
     assert eg.load_algebra_file(eg._ALGEBRA_DIR / "cyclic_5.json").group_table is None
 
 
+def _homology_counting_top(bases, boundary, cutoff):
+    """eg._homology, and how many sources of the top degree it took."""
+    top = set(bases[cutoff + 1])
+    taken = []
+
+    def counting(key):
+        if key in top:
+            taken.append(key)
+        return boundary(key)
+
+    return eg._homology(bases, counting, cutoff), len(taken)
+
+
+def test_top_pass_stops_once_it_spans_the_cycles():
+    stack = eg.ChainStack(eg.group_algebra(5), 4)
+    # HH_3 = 0: the boundaries of C_4 fill the cycles of C_3 early (after
+    # 384 of the 1,280 sources in decreasing key order)
+    cutoff = 3
+    bases = [stack.keys(p) for p in range(cutoff + 2)]
+    quotients, taken = _homology_counting_top(bases, stack.boundary, cutoff)
+    assert taken < len(bases[cutoff + 1])
+    full = span_basis(stack.boundary(key) for key in bases[cutoff + 1])
+    assert quotients[cutoff].boundary_rank == full.rank
+    assert quotients[cutoff].dim == 0
+    # HC_2 != 0: the boundaries never fill the cycles, so every source is taken
+    cutoff = 2
+    bases = [eg._tot_keys(stack, n) for n in range(cutoff + 2)]
+    boundary = lambda key: eg._tot_boundary(stack, key)
+    quotients, taken = _homology_counting_top(bases, boundary, cutoff)
+    assert taken == len(bases[cutoff + 1])
+    full = span_basis(boundary(key) for key in bases[cutoff + 1])
+    assert quotients[cutoff].boundary_rank == full.rank
+    assert quotients[cutoff].dim == 5
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_group_algebra_closed_form_at_cutoff_4(m):
+    """Q[Z/m]: HH is the class functions in degree 0 only, and HC_{2j} = HH_0."""
+    report = eg.compute_cyclic(eg.group_algebra(m), 4)
+    assert report.hh_dims == [m, 0, 0, 0, 0]
+    assert report.hc_dims == [m, 0, m, 0, m]
+    eg.sbi_exactness_check(report)
+    assert _sbi_exact(report)
+
+
 def _two_pass_quotients(bases, boundary, cutoff):
     """Reference route: for each degree, a kernel pass for the cycles and a
-    second pass over every boundary image, in Fraction arithmetic."""
+    second pass over every boundary image, in Fraction arithmetic.  Both
+    passes take the sources in the engine's elimination_order, so that the
+    representatives agree entry by entry; the boundary pass never stops
+    early, so it also checks the engine's early stop of the top pass."""
 
     def image(key):
         return {k: Fraction(c) for k, c in boundary(key).items()}
@@ -204,8 +257,9 @@ def _two_pass_quotients(bases, boundary, cutoff):
         if p == 0:
             cycles = [{key: Fraction(1)} for key in bases[0]]
         else:
-            cycles, _ = kernel_vectors((key, image(key)) for key in bases[p])
-        boundaries = span_basis(image(key) for key in bases[p + 1])
+            order = elimination_order(bases[p])
+            cycles, _ = kernel_vectors((key, image(key)) for key in order)
+        boundaries = span_basis(image(key) for key in elimination_order(bases[p + 1]))
         quotients.append(QuotientSpace(boundaries, cycles))
     return quotients
 

@@ -228,6 +228,29 @@ def test_kernel_pass_image_equals_boundary_pass(rational):
         assert image.row(pivot)[1] is None
 
 
+@pytest.mark.parametrize("rational", [False, True], ids=["int", "fraction"])
+def test_insertion_order_changes_no_rank_or_pivot(rational):
+    """Under min-column pivoting the pivot set is a function of the row
+    space: shuffling the vectors changes neither the rank, nor the pivots,
+    nor the number of kernel vectors."""
+    rng = random.Random(41 + rational)
+    vectors = _random_matrix(rng, 40, 60, rational)
+    span = span_basis(vectors)
+    kernel, image = kernel_vectors(enumerate(vectors))
+    assert set(image.pivots) == set(span.pivots)
+    # neither every column nor every vector: the pivot set is a real choice
+    assert span.rank < 60 and len(kernel) == len(vectors) - span.rank > 0
+    order = list(range(len(vectors)))
+    for _ in range(5):
+        rng.shuffle(order)
+        shuffled = span_basis(vectors[i] for i in order)
+        assert shuffled.rank == span.rank
+        assert set(shuffled.pivots) == set(span.pivots)
+        shuffled_kernel, shuffled_image = kernel_vectors((i, vectors[i]) for i in order)
+        assert set(shuffled_image.pivots) == set(span.pivots)
+        assert len(shuffled_kernel) == len(kernel)
+
+
 def test_kernel_vectors_span_the_kernel():
     rng = random.Random(5)
     vectors = _random_matrix(rng, 30, 12, rational=False)
