@@ -297,11 +297,11 @@ class ChainStack:
     def connes_B(self, key: tuple[int, ...]) -> dict:
         return hh.connes_B(key, self.unit)
 
-    def verify_structure_identities(self, up_to: int | None = None) -> None:
+    def verify_structure_identities(self, up_to: int | None = None) -> str | None:
         """Simplicial identities d_i d_j = d_{j-1} d_i (i < j) and t^(p+1) = 1
         on every tuple, degenerate ones included.
 
-        Raises AssertionError with a witness on any failure.
+        Returns the first failing identity, with its witness, or None.
         """
         top = self.top_degree if up_to is None else up_to
         mul = self.spec.product_vec
@@ -311,12 +311,15 @@ class ChainStack:
                 for _ in range(p + 1):
                     current, step = hh.cyclic(current)
                     sign *= step
-                assert (current, sign) == (key, 1), f"t^{p + 1} != 1 at degree {p}, tuple {key}"
+                if (current, sign) != (key, 1):
+                    return f"t^{p + 1} != 1 at degree {p}, tuple {key}"
                 for j in range(1, p + 1):
                     for i in range(j):
                         left = linear(lambda x: hh.face(x, i, mul), hh.face(key, j, mul))
                         right = linear(lambda x: hh.face(x, j - 1, mul), hh.face(key, i, mul))
-                        assert left == right, f"d_{i} d_{j} != d_{j - 1} d_{i} at degree {p}"
+                        if left != right:
+                            return f"d_{i} d_{j} != d_{j - 1} d_{i} at degree {p}"
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -196,13 +196,11 @@ def r_polynomial_from_inverse(x: WeylWord, w: WeylWord) -> LaurentQ:
 
         R_{x,w} = (-1)^(l(x)+l(w)) * q^l(w) * [coefficient of T_x in T_{w^-1}^{-1}]
 
-    Vanishes unless x <= w in the Bruhat order.  An oracle for the closed form.
+    An oracle for the closed form.  It reads the coefficient for every pair,
+    so its vanishing off the Bruhat order is a property of the inverse.
     """
-    if not bruhat_leq(x, w):
-        return ZERO
     coeff = t_inverse(w.inverse()).coefficient(x)
-    sign = 1 if (x.length + w.length) % 2 == 0 else -1
-    return qpow(w.length) * coeff * sign
+    return (coeff if (x.length + w.length) % 2 == 0 else -coeff).shift(w.length)
 
 
 _R_RECURSIVE_CACHE: dict[tuple[WeylWord, WeylWord], LaurentQ] = {}

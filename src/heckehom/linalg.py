@@ -260,7 +260,8 @@ def intersect_with_columns(vectors, keep) -> list[dict]:
 
     ``keep`` is a predicate on columns.  Eliminates on the discarded
     columns while tracking full vectors; dependencies are exactly the
-    combinations supported on the kept columns.
+    combinations supported on the kept columns.  The test oracle of the
+    torus boundaries, which the torus itself no longer cuts to a window.
     """
     basis = GaussianBasis()
     result = []

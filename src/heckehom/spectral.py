@@ -78,11 +78,8 @@ def pind_hecke(x: LambdaElement) -> HeckeElement:
     """
     total = HeckeElement()
     for n, coeff in x.terms.items():
-        if n >= 0:
-            image = t_inverse(ts_power(n)).scale(qpow(n))
-        else:
-            image = basis(ts_power(-n)).scale(qpow(n))
-        total = total + image.scale(coeff)
+        image = t_inverse(ts_power(n)) if n >= 0 else basis(ts_power(-n))
+        total = total + image.scale(coeff.shift(n))
     return total
 
 
@@ -93,11 +90,8 @@ def opind_hecke(x: LambdaElement) -> HeckeElement:
     """
     total = HeckeElement()
     for n, coeff in x.terms.items():
-        if n >= 0:
-            image = basis(st_power(n)).scale(qpow(-n))
-        else:
-            image = t_inverse(st_power(-n)).scale(qpow(-n))
-        total = total + image.scale(coeff)
+        image = basis(st_power(n)) if n >= 0 else t_inverse(st_power(-n))
+        total = total + image.scale(coeff.shift(-n))
     return total
 
 

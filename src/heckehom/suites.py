@@ -166,6 +166,13 @@ class SuiteReport:
     def add_bool(self, case_id: str, claim: str, params: dict, ok: bool, detail: str = "") -> None:
         self.cases.append(Case(case_id, claim, params, "pass", "pass" if ok else f"fail {detail}".strip(), ok))
 
+    def check(self, case_id: str, claim: str, params: dict, failures) -> None:
+        """A boolean case decided by a lazy stream of witness strings: it
+        passes when failures is empty, and otherwise fails with the first
+        witness, reading nothing after it."""
+        first = next(iter(failures), None)
+        self.add_bool(case_id, claim, params, first is None, first or "")
+
     def extend(self, other: SuiteReport) -> None:
         self.cases.extend(other.cases)
 
@@ -283,55 +290,38 @@ def suite_hecke(cfg: SuiteConfig) -> SuiteReport:
         t_mul(hecke_one(), a) == a and t_mul(a, hecke_one()) == a,
     )
 
-    assoc_ok = True
-    witness = ""
-    for k in range(25):
-        x, y, z = (_random_hecke(rng, 6) for _ in range(3))
-        if t_mul(t_mul(x, y), z) != t_mul(x, t_mul(y, z)):
-            assoc_ok = False
-            witness = f"case {k}"
-            break
-    report.add_bool(
+    triples = ([_random_hecke(rng, 6) for _ in range(3)] for _ in range(25))
+    report.check(
         "hecke/associativity",
         "(a*b)*c = a*(b*c) for seeded random elements, support length <= 6",
         {"cases": 25, "seed": cfg.seed},
-        assoc_ok,
-        witness,
+        (
+            f"case {k}"
+            for k, (x, y, z) in enumerate(triples)
+            if t_mul(t_mul(x, y), z) != t_mul(x, t_mul(y, z))
+        ),
     )
-
-    inverse_ok = True
-    witness = ""
-    for w in all_words(20):
-        inv = t_inverse(w)
-        if t_mul(basis(w), inv) != hecke_one() or t_mul(inv, basis(w)) != hecke_one():
-            inverse_ok = False
-            witness = str(w)
-            break
-    report.add_bool(
+    report.check(
         "hecke/inverse-contract",
         "T[w]*T[w]^-1 = T[e] = T[w]^-1*T[w] for all l(w) <= 20",
         {"lmax": 20},
-        inverse_ok,
-        witness,
+        (
+            str(w)
+            for w in all_words(20)
+            for inv in [t_inverse(w)]
+            if t_mul(basis(w), inv) != hecke_one() or t_mul(inv, basis(w)) != hecke_one()
+        ),
     )
-
-    special_ok = True
-    witness = ""
-    for x in all_words(5):
-        for y in all_words(5):
-            product = evaluate_at_one(t_mul(basis(x), basis(y)))
-            if product != {word_mul(x, y): Fraction(1)}:
-                special_ok = False
-                witness = f"{x},{y}"
-                break
-        if not special_ok:
-            break
-    report.add_bool(
+    report.check(
         "hecke/specialize-q1",
         "at q = 1 the product collapses to the group algebra: T[x]*T[y] -> T[xy]",
         {"lmax": 5},
-        special_ok,
-        witness,
+        (
+            f"{x},{y}"
+            for x in all_words(5)
+            for y in all_words(5)
+            if evaluate_at_one(t_mul(basis(x), basis(y))) != {word_mul(x, y): Fraction(1)}
+        ),
     )
     return report
 
@@ -339,53 +329,38 @@ def suite_hecke(cfg: SuiteConfig) -> SuiteReport:
 def suite_rpoly(cfg: SuiteConfig) -> SuiteReport:
     report = SuiteReport("rpoly", cfg.seed)
     words = list(all_words(cfg.lmax))
-
-    recursion_ok = True
-    vanish_ok = True
-    degree_ok = True
-    diag_ok = True
-    witness_r = witness_v = witness_d = witness_x = ""
-    for w in words:
-        for x in words:
-            extracted = r_polynomial_from_inverse(x, w)
-            if extracted != r_polynomial_recursive(x, w):
-                recursion_ok, witness_r = False, f"x={x}, w={w}"
-            if not bruhat_leq(x, w):
-                if not extracted.is_zero:
-                    vanish_ok, witness_v = False, f"x={x}, w={w}"
-                continue
-            if extracted.is_zero or extracted.valuation() < 0 or extracted.degree() != w.length - x.length:
-                degree_ok, witness_d = False, f"x={x}, w={w}"
-            if x == w and extracted != ONE:
-                diag_ok, witness_x = False, f"x={x}"
-    pairs = len(words) ** 2
-    report.add_bool(
+    extract = r_polynomial_from_inverse
+    # each claim extracts R on its own pairs: one shared pass would hold every R
+    pairs = [(x, w) for w in words for x in words]
+    report.check(
         "rpoly/recursion-oracle",
         "extraction from inverse expansion matches the descent recursion",
-        {"lmax": cfg.lmax, "pairs": pairs},
-        recursion_ok,
-        witness_r,
+        {"lmax": cfg.lmax, "pairs": len(pairs)},
+        (f"x={x}, w={w}" for x, w in pairs if extract(x, w) != r_polynomial_recursive(x, w)),
     )
-    report.add_bool(
+    report.check(
         "rpoly/vanishing",
         "R_{x,w} = 0 off the Bruhat order",
         {"lmax": cfg.lmax},
-        vanish_ok,
-        witness_v,
+        (f"x={x}, w={w}" for x, w in pairs if not bruhat_leq(x, w) and extract(x, w)),
     )
-    report.add_bool(
+    report.check(
         "rpoly/degree-law",
         "R_{x,w} is an honest polynomial of degree l(w) - l(x) for x <= w",
         {"lmax": cfg.lmax},
-        degree_ok,
-        witness_d,
+        (
+            f"x={x}, w={w}"
+            for x, w in pairs
+            if bruhat_leq(x, w)
+            for r in [extract(x, w)]
+            if r.is_zero or r.valuation() < 0 or r.degree() != w.length - x.length
+        ),
     )
-    report.add_bool(
+    report.check(
         "rpoly/diagonal",
         "R_{x,x} = 1",
         {"lmax": cfg.lmax},
-        diag_ok,
-        witness_x,
+        (f"x={x}" for x in words if extract(x, x) != ONE),
     )
 
     for n in range(1, cfg.nmax + 1):
@@ -399,19 +374,13 @@ def suite_rpoly(cfg: SuiteConfig) -> SuiteReport:
 
     for n in range(1, min(cfg.nmax, 10) + 1):
         w = st_power(n)
-        lhs = t_inverse(w.inverse()).scale(qpow(n)) - basis(w).scale(qpow(-n))
-        terms = {}
-        for x in all_words(2 * n - 1):
-            value = r_polynomial(x, w)
-            if value:
-                sign = 1 if x.length % 2 == 0 else -1
-                terms[x] = value * qpow(-n) * sign
+        signed = {x: (-1) ** x.length * r_polynomial(x, w).shift(-n) for x in all_words(2 * n - 1)}
         report.add(
             f"rpoly/inverse-expansion/{n}",
             "q^n T[(ts)^n]^-1 - q^-n T[(st)^n] = q^-n sum (-1)^l(w) R_{w,(st)^n} T[w]",
             {"n": n},
-            HeckeElement(terms),
-            lhs,
+            HeckeElement(signed),
+            t_inverse(w.inverse()).scale(qpow(n)) - basis(w).scale(qpow(-n)),
         )
     return report
 
@@ -423,55 +392,41 @@ def suite_hh0(cfg: SuiteConfig) -> SuiteReport:
     report = SuiteReport("hh0", cfg.seed)
     rng = random.Random(cfg.seed)
 
-    fixed_ok = True
-    witness = ""
     checks = [
         (basis(WeylWord(1, "s")), HH0Class.basis_s()),
         (basis(WeylWord(1, "t")), HH0Class.basis_t()),
     ] + [(basis(st_power(n)), HH0Class.basis_even(n)) for n in range(cfg.nmax + 1)]
-    for element, expected in checks:
-        if reduce_to_hh0(element) != expected:
-            fixed_ok, witness = False, str(element)
-            break
-    report.add_bool(
+    report.check(
         "hh0/basis-fixed-points",
         "canonical basis elements reduce to themselves",
         {"nmax": cfg.nmax},
-        fixed_ok,
-        witness,
+        (str(element) for element, expected in checks if reduce_to_hh0(element) != expected),
     )
 
-    trace_ok = True
-    witness = ""
-    for k in range(_TRACE_PAIRS):
-        a = _random_hecke(rng, 8)
-        b = _random_hecke(rng, 8)
-        if reduce_to_hh0(t_mul(a, b)) != reduce_to_hh0(t_mul(b, a)):
-            trace_ok, witness = False, f"case {k}"
-            break
-    report.add_bool(
+    pairs = ((_random_hecke(rng, 8), _random_hecke(rng, 8)) for _ in range(_TRACE_PAIRS))
+    report.check(
         "hh0/trace-property",
         "reduce(ab) = reduce(ba) for seeded random pairs, support length <= 8",
         {"pairs": _TRACE_PAIRS, "seed": cfg.seed},
-        trace_ok,
-        witness,
+        (
+            f"case {k}"
+            for k, (a, b) in enumerate(pairs)
+            if reduce_to_hh0(t_mul(a, b)) != reduce_to_hh0(t_mul(b, a))
+        ),
     )
 
-    linear_ok = True
-    for k in range(25):
-        a = _random_hecke(rng, 8)
-        b = _random_hecke(rng, 8)
-        c = _random_laurent(rng)
-        lhs = reduce_to_hh0(a.scale(c) + b)
-        rhs = reduce_to_hh0(a).scale(c) + reduce_to_hh0(b)
-        if lhs != rhs:
-            linear_ok = False
-            break
-    report.add_bool(
+    triples = (
+        (_random_hecke(rng, 8), _random_hecke(rng, 8), _random_laurent(rng)) for _ in range(25)
+    )
+    report.check(
         "hh0/linearity",
         "reduction is LaurentQ-linear",
         {"cases": 25, "seed": cfg.seed},
-        linear_ok,
+        (
+            f"case {k}"
+            for k, (a, b, c) in enumerate(triples)
+            if reduce_to_hh0(a.scale(c) + b) != reduce_to_hh0(a).scale(c) + reduce_to_hh0(b)
+        ),
     )
 
     oracle = TruncatedTraceOracle(cfg.reduce_oracle_cutoff)
@@ -539,35 +494,25 @@ def suite_geomlemma(cfg: SuiteConfig) -> SuiteReport:
             if n == 0
             else sp.LambdaElement({n: ONE, -n: ONE})
         )
-        ok = (
-            sp.pres_map(sp.pind_map(lam)) == expected
-            and sp.pres_map(sp.opind_map(lam)) == expected
-        )
-        report.add_bool(
+        report.check(
             f"geomlemma/{n}",
             "pres.pind = 1 + Ad_w = pres.opind on lambda^n",
             {"n": n},
-            ok,
+            (f.__name__ for f in (sp.pind_map, sp.opind_map) if sp.pres_map(f(lam)) != expected),
         )
 
-    hom_ok = True
-    witness = ""
-    for m in range(-6, 7):
-        for n in range(-6, 7):
-            for image in (sp.pind_hecke, sp.opind_hecke):
-                lhs = t_mul(
-                    image(sp.LambdaElement.monomial(m)),
-                    image(sp.LambdaElement.monomial(n)),
-                )
-                rhs = image(sp.LambdaElement.monomial(m + n))
-                if lhs != rhs:
-                    hom_ok, witness = False, f"m={m}, n={n}, map={image.__name__}"
-    report.add_bool(
+    mono = sp.LambdaElement.monomial
+    report.check(
         "geomlemma/homomorphism",
         "pind and opind respect products before reduction",
         {"range": 6},
-        hom_ok,
-        witness,
+        (
+            f"m={m}, n={n}, map={image.__name__}"
+            for m in range(-6, 7)
+            for n in range(-6, 7)
+            for image in (sp.pind_hecke, sp.opind_hecke)
+            if t_mul(image(mono(m)), image(mono(n))) != image(mono(m + n))
+        ),
     )
     return report
 
@@ -659,11 +604,6 @@ def suite_torus(cfg: SuiteConfig) -> SuiteReport:
                 square.dim_invariant,
             )
             vacuous = p >= rank
-            constant_ok = (
-                square.hkr_b_consistent
-                and (square.hkr_b_constant is not None or vacuous)
-                and (square.hkr_b_constant != 0 or vacuous)
-            )
             report.add_bool(
                 f"torus/hkr-b-constant/r{rank}/p{p}",
                 "hkr.B = c_p * d.hkr on windowed normalized chains, c_p nonzero",
@@ -674,7 +614,9 @@ def suite_torus(cfg: SuiteConfig) -> SuiteReport:
                     "c_p": str(square.hkr_b_constant),
                     "vacuous": vacuous,
                 },
-                constant_ok,
+                square.hkr_b_consistent
+                and (square.hkr_b_constant is not None or vacuous)
+                and (square.hkr_b_constant != 0 or vacuous),
             )
 
         # SBI instance: the compact part of B-images bounds; the p = rank
@@ -688,22 +630,17 @@ def suite_torus(cfg: SuiteConfig) -> SuiteReport:
                 {"rank": rank, "window": cfg.torus_window, "degree": p},
                 ok,
             )
-        pi0_ok = True
-        swept = []
-        for p in wanted:
-            if not _torus_sweep_fits(rank, p, cfg.torus_window):
-                continue
-            swept.append(p)
-            for key in tr.windowed_keys(rank, p, cfg.torus_window):
-                if tr._is_degenerate(key):
-                    continue
-                if tr.pi0(tr.hkr(tr.connes_b_key(key))):
-                    pi0_ok = False
-        report.add_bool(
+        swept = [p for p in wanted if _torus_sweep_fits(rank, p, cfg.torus_window)]
+        report.check(
             f"torus/pi0-after-B/r{rank}",
             "pi0.hkr.B = 0 on normalized windowed chains",
             {"rank": rank, "window": cfg.torus_window, "degrees": swept},
-            pi0_ok,
+            (
+                str(key)
+                for p in swept
+                for key in tr.windowed_keys(rank, p, cfg.torus_window)
+                if not tr._is_degenerate(key) and tr.pi0(tr.hkr(tr.connes_b_key(key)))
+            ),
         )
     return report
 
@@ -757,17 +694,13 @@ def suite_engine(cfg: SuiteConfig) -> SuiteReport:
 
     for spec in cfg.engine_specs:
         cutoff = cfg.engine_cutoff
-        stack = eg.ChainStack(spec, min(cutoff + 1, 3))
-        try:
-            stack.verify_structure_identities()
-            identities_ok = True
-        except AssertionError:
-            identities_ok = False
+        failure = eg.ChainStack(spec, min(cutoff + 1, 3)).verify_structure_identities()
         report.add_bool(
             f"engine/{spec.name}/precyclic-identities",
             "d_i d_j = d_{j-1} d_i for i < j and t^(p+1) = 1 on the chain stack",
             {"algebra": spec.name, "degrees": f"<= {min(cutoff + 1, 3)}"},
-            identities_ok,
+            failure is None,
+            failure or "",
         )
 
         result = eg.compute_cyclic(spec, cutoff)

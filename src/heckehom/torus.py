@@ -33,7 +33,6 @@ from . import hochschild as hh
 from .linalg import (
     QuotientSpace,
     elimination_order,
-    intersect_with_columns,
     kernel_vectors,
     span_basis,
 )
@@ -168,10 +167,6 @@ def sector_keys(rank: int, degree: int, window: int, total: tuple[int, ...]):
             yield prefix + (last,)
 
 
-def _in_window(key: ChainKey, window: int) -> bool:
-    return all(all(-window <= x <= window for x in vec) for vec in key)
-
-
 @dataclass
 class SquareReport:
     """Result of one commuting-square verification.
@@ -218,15 +213,18 @@ def _sector_cycles(keys, degree: int) -> list[dict]:
 # three degrees fit the square cap), which its SBI checks then reuse.
 @lru_cache(maxsize=4)
 def _sector_boundary_basis(rank: int, degree: int, window: int):
-    """Echelon basis of the windowed degree-p boundaries of the zero-total
-    sector: b of its degree-(p+1) chains, in ``elimination_order``,
-    intersected with the window.
+    """Echelon basis of the degree-p boundaries of the windowed zero-total
+    sector: b of its degree-(p+1) chains, in ``elimination_order``.
 
-    Built once per (rank, degree, window) while it is among the last few
-    used; callers only read it, and ``QuotientSpace`` extends a copy."""
+    The images may leave the window, and they are not cut back to it: a
+    windowed chain lies in their span exactly when it lies in the part of
+    the span inside the window.  Every image is a cycle and the windowed
+    zero-total chains are the span of ``sector_keys``, so that part is the
+    windowed cycles that are boundaries, of dimension dim Z - dim H.  Built
+    once per (rank, degree, window) while it is among the last few used;
+    callers only read it, and ``QuotientSpace`` extends a copy."""
     source = elimination_order(sector_keys(rank, degree + 1, window, (0,) * rank))
-    raw = (boundary_key(key) for key in source)
-    return span_basis(intersect_with_columns(raw, lambda key: _in_window(key, window)))
+    return span_basis(boundary_key(key) for key in source)
 
 
 def _invariant_sector_dims(rank: int, degree: int, window: int):
@@ -286,7 +284,7 @@ def homology_square_check(rank: int, window: int, degree: int) -> SquareReport:
         window=window,
         degree=degree,
         dim_cycles=len(cycles),
-        dim_boundaries=quotient.boundary_rank,
+        dim_boundaries=len(cycles) - quotient.dim,
         dim_invariant=quotient.dim,
         square_commutes=square_commutes,
         hkr_b_constant=constant,

@@ -2,7 +2,11 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -55,7 +59,31 @@ def test_size_guard():
 def test_precyclic_identities():
     for name in ("dual_numbers", "cyclic_2", "upper_triangular_2"):
         stack = eg.ChainStack(eg.builtin_algebra(name), 3)
-        stack.verify_structure_identities()
+        assert stack.verify_structure_identities() is None
+
+
+# d_1 replaced by d_0: on Q[Z/3] the first identity it breaks is at degree 3
+_BROKEN_FACE = """
+from heckehom import hochschild as hh
+from heckehom import suites
+face = hh.face
+hh.face = lambda key, i, mul: face(key, 0 if i == 1 else i, mul)
+cfg = suites.SuiteConfig(engine_algebras=("cyclic_3",), engine_cutoff=2)
+print(next(c.actual for c in suites.suite_engine(cfg).cases if "precyclic" in c.id))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_precyclic_identities_case_fails_without_assert(flags):
+    # python -O strips assert statements; the case must fail all the same
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, *flags, "-c", _BROKEN_FACE], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "fail d_0 d_2 != d_1 d_0 at degree 3"
 
 
 def test_mixed_complex_identities():

@@ -1,0 +1,167 @@
+"""SuiteReport.check, and a negative control for every case it decides."""
+
+import pytest
+
+from heckehom import hecke, suites
+from heckehom import spectral as sp
+from heckehom import torus as tr
+from heckehom.hh0 import HH0Class
+from heckehom.weyl import WeylWord, all_words
+
+
+def test_check_reads_nothing_after_the_first_witness():
+    def failures():
+        yield "first"
+        raise AssertionError("read past the first witness")
+
+    report = suites.SuiteReport("x", 0)
+    report.check("x/fails", "claim", {}, failures())
+    report.check("x/passes", "claim", {}, iter(()))
+    (failed, passed) = report.cases
+    assert (failed.passed, failed.actual) == (False, "fail first")
+    assert (passed.passed, passed.actual) == (True, "pass")
+
+
+def _wrap(monkeypatch, module, name, wrong):
+    """Replace module.name by wrong(original)."""
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+
+
+def _inverse_with_a_longer_term(monkeypatch):
+    # fill the cache first, so the wrapper adds one term T_w' with
+    # l(w') = l(w) + 2 and does not feed its own recursion
+    monkeypatch.setattr(hecke, "_INVERSE_CACHE", {})
+    for word in all_words(6):
+        hecke.t_inverse(word)
+    _wrap(
+        monkeypatch,
+        hecke,
+        "t_inverse",
+        lambda f: lambda w: f(w) + hecke.basis(WeylWord(w.length + 2, "s")),
+    )
+
+
+def _opind_map_doubled(monkeypatch):
+    correct = sp.opind_map
+
+    def opind_map(x):
+        return correct(x) + correct(x)
+
+    monkeypatch.setattr(sp, "opind_map", opind_map)
+
+
+def _long_words_doubled(f):
+    return lambda a: f(a) + f(a) if any(w.length >= 4 for w in a.support()) else f(a)
+
+
+# case id, suite, config, mutation, the first witness in order of the stream
+BROKEN = [
+    (
+        "hecke/associativity",
+        "hecke",
+        {},
+        lambda m: _wrap(m, suites, "t_mul", lambda f: lambda a, b: f(a, b) + a),
+        "case 0",
+    ),
+    (
+        "hecke/inverse-contract",
+        "hecke",
+        {},
+        lambda m: _wrap(
+            m, suites, "t_inverse", lambda f: lambda w: f(w) + f(w) if w.length >= 3 else f(w)
+        ),
+        "sts",
+    ),
+    (
+        "hecke/specialize-q1",
+        "hecke",
+        {},
+        lambda m: _wrap(m, suites, "word_mul", lambda f: lambda x, y: f(y, x)),
+        "s,t",
+    ),
+    (
+        "rpoly/recursion-oracle",
+        "rpoly",
+        {"lmax": 6, "nmax": 2},
+        lambda m: _wrap(
+            m,
+            suites,
+            "r_polynomial_recursive",
+            lambda f: lambda x, w: f(x, w).shift(1) if w.length >= 3 else f(x, w),
+        ),
+        "x=e, w=sts",
+    ),
+    ("rpoly/vanishing", "rpoly", {"lmax": 6, "nmax": 2}, _inverse_with_a_longer_term, "x=st, w=e"),
+    (
+        "rpoly/degree-law",
+        "rpoly",
+        {"lmax": 6, "nmax": 2},
+        lambda m: _wrap(
+            m,
+            suites,
+            "r_polynomial_from_inverse",
+            lambda f: lambda x, w: f(x, w).shift(1) if w.length == 1 else f(x, w),
+        ),
+        "x=e, w=s",
+    ),
+    (
+        "rpoly/diagonal",
+        "rpoly",
+        {"lmax": 6, "nmax": 2},
+        lambda m: _wrap(
+            m,
+            suites,
+            "r_polynomial_from_inverse",
+            lambda f: lambda x, w: f(x, w) + f(x, w) if w.length >= 2 else f(x, w),
+        ),
+        "x=st",
+    ),
+    (
+        "hh0/basis-fixed-points",
+        "hh0",
+        {"nmax": 4, "reduce_oracle_cutoff": 2},
+        lambda m: _wrap(m, suites, "reduce_to_hh0", _long_words_doubled),
+        "T[stst]",
+    ),
+    (
+        "hh0/trace-property",
+        "hh0",
+        {"nmax": 4, "reduce_oracle_cutoff": 2},
+        lambda m: _wrap(m, suites, "t_mul", lambda f: lambda a, b: f(a, b) + a),
+        "case 0",
+    ),
+    (
+        "hh0/linearity",
+        "hh0",
+        {"nmax": 4, "reduce_oracle_cutoff": 2},
+        lambda m: _wrap(m, suites, "reduce_to_hh0", lambda f: lambda a: f(a) + HH0Class.basis_s()),
+        "case 0",
+    ),
+    ("geomlemma/1", "geomlemma", {"nmax": 2}, _opind_map_doubled, "opind_map"),
+    (
+        "geomlemma/homomorphism",
+        "geomlemma",
+        {"nmax": 2},
+        lambda m: _wrap(m, suites, "t_mul", lambda f: lambda a, b: f(a, b).scale(2)),
+        "m=-6, n=-6, map=pind_hecke",
+    ),
+    (
+        "torus/pi0-after-B/r1",
+        "torus",
+        {"torus_ranks": (1,), "torus_window": 1, "torus_degrees": (0,)},
+        lambda m: m.setattr(tr, "pi0", lambda form: form),
+        "((-1,),)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "case_id, suite, config, mutate, witness", BROKEN, ids=[row[0] for row in BROKEN]
+)
+def test_a_broken_statement_fails_with_its_first_witness(
+    monkeypatch, case_id, suite, config, mutate, witness
+):
+    mutate(monkeypatch)
+    report = suites._SUITES[suite](suites.SuiteConfig(**config))
+    case = next(c for c in report.cases if c.id == case_id)
+    assert (case.passed, case.actual) == (False, f"fail {witness}")

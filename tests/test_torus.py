@@ -7,6 +7,7 @@ import pytest
 
 from heckehom import hochschild as hh
 from heckehom import torus as tr
+from heckehom.linalg import intersect_with_columns, span_basis
 from heckehom.sparse import add_into, linear
 
 
@@ -198,3 +199,17 @@ def test_sector_boundary_bases_built_once_per_key(monkeypatch):
         assert len(builds) == 6
     finally:
         shared.cache_clear()
+
+
+@pytest.mark.parametrize("rank, degree, window", [(1, 0, 2), (1, 1, 2), (2, 1, 2), (2, 2, 1)])
+def test_dim_boundaries_is_the_rank_of_the_boundaries_inside_the_window(rank, degree, window):
+    # oracle: the rank of the boundary span cut to the window
+    source = tr.sector_keys(rank, degree + 1, window, (0,) * rank)
+    images = [tr.boundary_key(key) for key in source]
+    inside = lambda key: all(-window <= x <= window for vec in key for x in vec)
+    windowed = span_basis(intersect_with_columns(images, inside)).rank
+    assert tr.homology_square_check(rank, window, degree).dim_boundaries == windowed
+    if degree >= 2:
+        # a face of a zero-total source of degree 3 or more can leave the
+        # window, so there the cut is not a no-op
+        assert span_basis(images).rank > windowed
