@@ -7,9 +7,7 @@ fails, 2 on usage or configuration errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import sys
 
@@ -19,7 +17,7 @@ from .hh0 import reduce_to_hh0
 from . import spectral as sp
 from .hecke import r_polynomial
 from .weyl import E, st_power
-from .suites import ConfigError, SuiteConfig, SUITE_TARGETS, run_suite
+from .suites import ConfigError, SuiteConfig, SUITE_TARGETS, csv_text, run_suite
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -133,15 +131,9 @@ def _table_rows(target: str, values: range) -> tuple[list[str], list[list[str]]]
 
 def _render_table(header: list[str], rows: list[list[str]], fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(
-            [dict(zip(header, row)) for row in rows], indent=2
-        ) + "\n"
+        return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buffer.getvalue()
+        return csv_text([header, *rows])
     widths = [max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i]) for i in range(len(header))]
     lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
     for row in rows:
@@ -161,11 +153,7 @@ def _cmd_reduce(args) -> int:
     if args.format == "json":
         _emit(json.dumps({"expression": args.expression, "class": result}) + "\n", args.out)
     elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["expression", "class"])
-        writer.writerow([args.expression, result])
-        _emit(buffer.getvalue(), args.out)
+        _emit(csv_text([["expression", "class"], [args.expression, result]]), args.out)
     else:
         _emit(result + "\n", args.out)
     return EXIT_PASS
@@ -184,10 +172,7 @@ def main(argv=None) -> int:
         if args.command == "table":
             return _cmd_table(args)
         return _cmd_reduce(args)
-    except (ConfigError, _UsageError, ParseError, SpecError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as err:
+    except (ConfigError, _UsageError, ParseError, SpecError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

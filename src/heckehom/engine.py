@@ -6,12 +6,9 @@ engine builds the normalized Hochschild complex A (x) (A/k)^(x)p on tuple
 keys, with the boundary b and the normalized Connes operator B = s N of
 ``hochschild`` (after a change of basis that makes the unit a basis
 vector), and computes homology by exact sparse elimination in that
-integer-first arithmetic.  Each boundary map is eliminated once, its
-sources in ``linalg.elimination_order``: the pass that finds the cycles
-in degree p also yields the echelon basis of the boundaries in degree
-p - 1, and the top pass stops once it spans the cycles below it.  Cyclic
-homology comes from the (b, B) mixed complex; the S, B, I maps between
-the computed groups are produced on explicit homology bases, so
+integer-first arithmetic: ``linalg.homology`` on a closed complex.
+Cyclic homology comes from the (b, B) mixed complex; the S, B, I maps
+between the computed groups are produced on explicit homology bases, so
 exactness of the long sequence can be verified by rank counting.  A
 basis key of Tot_n is (j, key) for a basis key of C_{n-2j}.  On a group
 algebra, a class function F acts on chains and on Tot by the diagonal
@@ -31,7 +28,7 @@ from itertools import product
 from pathlib import Path
 
 from . import hochschild as hh
-from .linalg import GaussianBasis, QuotientSpace, elimination_order, kernel_vectors, span_basis
+from .linalg import QuotientSpace, homology, span_basis
 from .sparse import add_into, exact, exact_quotient, linear
 
 
@@ -366,34 +363,6 @@ def _guard(spec: AlgebraSpec, cutoff: int) -> None:
         )
 
 
-def _homology(bases: list[list], boundary, cutoff: int) -> list[QuotientSpace]:
-    """H_0..H_cutoff of a complex with basis keys bases[p] of C_p, p <= cutoff + 1.
-
-    boundary(key) is the image in C_{p-1} of a basis key of C_p.  Each map
-    is eliminated once, its sources in ``elimination_order``: the kernel
-    pass of the boundary on C_p gives the cycles of degree p, and its
-    echelon rows are the boundary basis of degree p - 1; only the top map
-    gets a pass of its own, without payloads.  The cycles of a kernel pass
-    are independent (each has its own dependent source), so there are
-    dim Z of them; as every boundary is a cycle, the top pass stops once
-    its rank reaches that number, when every later source is dependent.
-    """
-    quotients = []
-    cycles = [{key: 1} for key in bases[0]]
-    for p in range(1, cutoff + 1):
-        images = ((key, boundary(key)) for key in elimination_order(bases[p]))
-        next_cycles, boundaries = kernel_vectors(images)
-        quotients.append(QuotientSpace(boundaries, cycles))
-        cycles = next_cycles
-    boundaries = GaussianBasis()
-    for key in elimination_order(bases[cutoff + 1]):
-        if boundaries.rank == len(cycles):
-            break
-        boundaries.insert(boundary(key))
-    quotients.append(QuotientSpace(boundaries, cycles))
-    return quotients
-
-
 def compute_hochschild(spec: AlgebraSpec, cutoff: int) -> HomologyReport:
     """Exact HH_0..HH_cutoff with representative cycles."""
     _guard(spec, cutoff)
@@ -401,7 +370,7 @@ def compute_hochschild(spec: AlgebraSpec, cutoff: int) -> HomologyReport:
     report = HomologyReport(algebra=spec.name, cutoff=cutoff, hh_dims=[], _stack=stack)
     report.chain_dims = [stack.dim_chain(p) for p in range(cutoff + 2)]
     bases = [stack.keys(p) for p in range(cutoff + 2)]
-    report._hh = _homology(bases, stack.boundary, cutoff)
+    report._hh = homology(bases, stack.boundary)
     report.hh_dims = [quotient.dim for quotient in report._hh]
     return report
 
@@ -427,7 +396,7 @@ def compute_cyclic(spec: AlgebraSpec, cutoff: int) -> HomologyReport:
     report = compute_hochschild(spec, cutoff)
     stack = report._stack
     bases = [_tot_keys(stack, n) for n in range(cutoff + 2)]
-    report._hc = _homology(bases, lambda key: _tot_boundary(stack, key), cutoff)
+    report._hc = homology(bases, lambda key: _tot_boundary(stack, key))
     report.hc_dims = [quotient.dim for quotient in report._hc]
     _build_sbi_maps(report)
     return report

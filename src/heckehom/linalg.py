@@ -49,9 +49,8 @@ have their pivot on a face of their own source (26 in increasing order),
 432 are stored with no step at all (17), and the rows hold 8,765 entries
 instead of 20,903.  On the total complex, high j first puts the sources
 whose images carry the Connes operator first, and so spans the cycles
-sooner, which the engine's top pass uses: it stops inserting once its rank
-equals the number of cycles below, since every boundary is a cycle and
-every later source is then dependent.
+sooner, which the top pass of ``homology`` uses on a closed complex: it
+stops inserting once its rank equals the number of cycles below.
 """
 
 from __future__ import annotations
@@ -132,12 +131,6 @@ class GaussianBasis:
     def row(self, pivot):
         return self._rows[pivot]
 
-    def without_payloads(self) -> GaussianBasis:
-        """The same rows (shared, not copied) with every payload dropped."""
-        out = GaussianBasis()
-        out._rows = {pivot: (row, None) for pivot, (row, _) in self._rows.items()}
-        return out
-
     def reduce(self, vec: dict):
         """Return (residue, combo, scale): scale*vec = residue + the rows used.
 
@@ -214,10 +207,6 @@ class GaussianBasis:
         self._rows[pivot] = (vecs[0], None if dependency is None else vecs[1])
         return pivot, None
 
-    def contains(self, vec: dict) -> bool:
-        residue, _, _ = self.reduce(vec)
-        return not residue
-
 
 def elimination_order(keys) -> list:
     """The sources of a boundary map in the order a pass inserts them:
@@ -252,7 +241,8 @@ def kernel_vectors(images) -> tuple[list[dict], GaussianBasis]:
         pivot, dependency = basis.insert(vec, payload={idx: 1})
         if pivot is None and dependency:
             kernel.append(dependency)
-    return kernel, basis.without_payloads()
+    basis._rows = {pivot: (row, None) for pivot, (row, _) in basis._rows.items()}
+    return kernel, basis
 
 
 def intersect_with_columns(vectors, keep) -> list[dict]:
@@ -284,12 +274,14 @@ class QuotientSpace:
     payloads; the quotient takes it over and extends it by the cycles.
     Homology representatives are the reduced cycle rows as stored (primitive
     integer rows on rational input); coords() expresses any vector of
-    cycles+boundaries in that representative basis.
+    cycles+boundaries in that representative basis.  ``dim_cycles`` counts
+    the cycles given, their dimension when they are independent, as those
+    of a kernel pass are.
     """
 
-    def __init__(self, boundaries: GaussianBasis, cycles):
+    def __init__(self, boundaries: GaussianBasis, cycles: list[dict]):
         self._basis = boundaries
-        self.boundary_rank = boundaries.rank
+        self.dim_cycles = len(cycles)
         self.representatives: list[dict] = []
         for vec in cycles:
             pivot, _ = self._basis.insert(vec)
@@ -315,3 +307,47 @@ class QuotientSpace:
         if scale == 1:
             return combo
         return {idx: exact_quotient(val, scale) for idx, val in combo.items()}
+
+    def is_boundary(self, vec: dict) -> bool:
+        """Whether vec lies in the boundary span; False on a vector that is
+        not in cycles + boundaries, so in particular on a non-cycle."""
+        residue, combo, _ = self._basis.reduce(vec)
+        return not residue and not combo
+
+
+def homology(bases, boundary, closed: bool = True) -> list[QuotientSpace]:
+    """H_0..H_top of a complex with basis keys bases[p] of C_p, p <= top + 1.
+
+    boundary(key) is the image in C_{p-1} of a basis key of C_p.  Each map
+    is eliminated once, its sources in ``elimination_order``: the kernel
+    pass of the boundary on C_p gives the cycles of degree p, and its
+    echelon rows are the boundary basis of degree p - 1; only the top map
+    gets a pass of its own, without payloads.  The cycles of a kernel pass
+    are independent (each has its own dependent source), so there are
+    dim Z of them.  ``closed`` states that the images of C_{top+1} lie in
+    the span of bases[top]: then every boundary is a cycle there, and the
+    top pass stops once its rank reaches dim Z, when every later source is
+    dependent.  A truncated complex whose images leave its bases, as the
+    torus window, is not closed, and its top pass runs in full.
+
+    The boundary of a triangle, then of the filled triangle:
+
+    >>> d = lambda c: {c[1]: 1, c[0]: -1} if len(c) == 2 else {(1, 2): 1, (0, 2): -1, (0, 1): 1}
+    >>> edges = [(0, 1), (1, 2), (0, 2)]
+    >>> [[h.dim for h in homology([[0, 1, 2], edges, top], d)] for top in ([], [(0, 1, 2)])]
+    [[1, 1], [1, 0]]
+    """
+    quotients = []
+    cycles = [{key: 1} for key in bases[0]]
+    for keys in bases[1:-1]:
+        images = ((key, boundary(key)) for key in elimination_order(keys))
+        next_cycles, boundaries = kernel_vectors(images)
+        quotients.append(QuotientSpace(boundaries, cycles))
+        cycles = next_cycles
+    boundaries = GaussianBasis()
+    for key in elimination_order(bases[-1]):
+        if closed and boundaries.rank == len(cycles):
+            break
+        boundaries.insert(boundary(key))
+    quotients.append(QuotientSpace(boundaries, cycles))
+    return quotients

@@ -110,6 +110,8 @@ class SuiteConfig:
             raise ConfigError("torus ranks must be positive")
         if self.torus_degrees is not None and any(p < 0 for p in self.torus_degrees):
             raise ConfigError("torus degrees must be nonnegative")
+        _reject_repeats("torus rank", self.torus_ranks)
+        _reject_repeats("torus degree", self.torus_degrees or ())
         for name in self.engine_algebras:
             if name not in eg.BUILTIN_ALGEBRAS:
                 raise ConfigError(f"unknown builtin algebra {name!r}")
@@ -131,12 +133,27 @@ class SuiteConfig:
                     raise ConfigError(
                         f"algebra {spec.name!r} at engine cutoff {self.engine_cutoff}: {err}"
                     ) from None
+            _reject_repeats("engine algebra", [spec.name for spec in self.engine_specs])
 
     @cached_property
     def engine_specs(self) -> list[eg.AlgebraSpec]:
         """The built-in algebras, then those of engine_spec_files, each loaded once."""
         builtins = [eg.builtin_algebra(name) for name in self.engine_algebras]
         return builtins + [eg.load_algebra_file(path) for path in self.engine_spec_files]
+
+
+def csv_text(rows) -> str:
+    """The rows as CSV, each line ended by a bare newline."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def _reject_repeats(what: str, values) -> None:
+    """A repeated value would repeat its cases, and their ids, in one report."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{what} {value!r} is given twice")
 
 
 @dataclass
@@ -214,14 +231,12 @@ class SuiteReport:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["id", "claim", "params", "expected", "actual", "pass"])
-        for c in self.cases:
-            writer.writerow(
-                [c.id, c.claim, json.dumps(c.params, sort_keys=True), c.expected, c.actual, c.passed]
-            )
-        return buffer.getvalue()
+        header = ["id", "claim", "params", "expected", "actual", "pass"]
+        rows = (
+            [c.id, c.claim, json.dumps(c.params, sort_keys=True), c.expected, c.actual, c.passed]
+            for c in self.cases
+        )
+        return csv_text([header, *rows])
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
@@ -588,8 +603,14 @@ def suite_torus(cfg: SuiteConfig) -> SuiteReport:
         wanted = [
             p for p in requested if p <= rank and _torus_square_fits(rank, p, cfg.torus_window)
         ]
+        # an SBI instance at p needs H_{p+1}, so chains two degrees up; it
+        # is checked on the small degrees p <= 1
+        sbi = [p for p in wanted if p <= 1]
+        if wanted:
+            top = max(wanted + [p + 1 for p in sbi])
+            ladder = tr._invariant_sector_dims(rank, cfg.torus_window, top)
         for p in wanted:
-            square = tr.homology_square_check(rank, cfg.torus_window, p)
+            square = tr.homology_square_check(rank, cfg.torus_window, p, ladder[p])
             report.add_bool(
                 f"torus/square/r{rank}/p{p}",
                 "hkr.class_action = pi0.hkr up to boundaries on windowed cycles",
@@ -619,11 +640,8 @@ def suite_torus(cfg: SuiteConfig) -> SuiteReport:
                 and (square.hkr_b_constant != 0 or vacuous),
             )
 
-        # SBI instance: the compact part of B-images bounds; the p = rank
-        # witness needs chains two degrees up, so it is checked on degrees
-        # where the windowed sweep stays small
-        for p in [p for p in wanted if p <= 1]:
-            ok = tr.compact_part_of_b_image_is_boundary(rank, p, cfg.torus_window)
+        for p in sbi:
+            ok = tr.compact_part_of_b_image_is_boundary(rank, p, cfg.torus_window, ladder[p + 1])
             report.add_bool(
                 f"torus/sbi-instance/r{rank}/p{p}",
                 "class_action(B(z)) is a boundary for every windowed invariant cycle z",

@@ -25,17 +25,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from operator import add
 
 from . import hochschild as hh
-from .linalg import (
-    QuotientSpace,
-    elimination_order,
-    kernel_vectors,
-    span_basis,
-)
+from .linalg import QuotientSpace, elimination_order, homology, kernel_vectors
 from .sparse import exact_quotient, linear
 
 ChainKey = tuple[tuple[int, ...], ...]
@@ -200,38 +194,16 @@ class SquareReport:
         }
 
 
-def _sector_cycles(keys, degree: int) -> list[dict]:
-    """Spanning cycles of the span of the given degree-p basis tuples, from
-    one kernel pass over them in ``elimination_order``."""
-    if degree == 0:
-        return [{key: 1} for key in keys]
-    cycles, _ = kernel_vectors((key, boundary_key(key)) for key in elimination_order(keys))
-    return cycles
+def _invariant_sector_dims(rank: int, window: int, top: int) -> list[QuotientSpace]:
+    """H_0..H_top of the windowed zero-total sector, by ``homology``.
 
-
-# Four entries hold every basis the square checks of one rank build (at most
-# three degrees fit the square cap), which its SBI checks then reuse.
-@lru_cache(maxsize=4)
-def _sector_boundary_basis(rank: int, degree: int, window: int):
-    """Echelon basis of the degree-p boundaries of the windowed zero-total
-    sector: b of its degree-(p+1) chains, in ``elimination_order``.
-
-    The images may leave the window, and they are not cut back to it: a
-    windowed chain lies in their span exactly when it lies in the part of
-    the span inside the window.  Every image is a cycle and the windowed
-    zero-total chains are the span of ``sector_keys``, so that part is the
-    windowed cycles that are boundaries, of dimension dim Z - dim H.  Built
-    once per (rank, degree, window) while it is among the last few used;
-    callers only read it, and ``QuotientSpace`` extends a copy."""
-    source = elimination_order(sector_keys(rank, degree + 1, window, (0,) * rank))
-    return span_basis(boundary_key(key) for key in source)
-
-
-def _invariant_sector_dims(rank: int, degree: int, window: int):
-    """(cycles, quotient by the boundaries) of the windowed zero-total sector."""
-    cycles = _sector_cycles(sector_keys(rank, degree, window, (0,) * rank), degree)
-    boundaries = _sector_boundary_basis(rank, degree, window).without_payloads()
-    return cycles, QuotientSpace(boundaries, cycles)
+    The boundaries are b of the windowed chains one degree up.  They leave
+    the window, so the complex is not closed, and are not cut back to it:
+    every image is a cycle and the windowed zero-total chains are the span
+    of ``sector_keys``, so a windowed chain lies in their span exactly when
+    it lies in the part inside the window."""
+    bases = [sector_keys(rank, p, window, (0,) * rank) for p in range(top + 2)]
+    return homology(bases, boundary_key, closed=False)
 
 
 def check_square_on_key(key: ChainKey) -> bool:
@@ -261,48 +233,52 @@ def measure_hkr_b_constant(rank: int, degree: int, window: int):
     return (ratios.pop() if ratios else None), True
 
 
-def homology_square_check(rank: int, window: int, degree: int) -> SquareReport:
+def homology_square_check(
+    rank: int, window: int, degree: int, quotient: QuotientSpace
+) -> SquareReport:
     """Verify the compact-restriction/invariant-forms square on a window.
 
     On windowed degree-p cycles, checks hkr . class_action = pi0 . hkr up to
     b-boundaries by exact linear algebra, and reports the dimensions of the
-    invariant sector of the windowed homology.
+    invariant sector of the windowed homology: those of quotient, its H_p
+    from ``_invariant_sector_dims``.
 
     Exhaustive over the window: the work grows like (2*window+1)^(rank*(p+2)),
     so large ranks want window 1.
     """
     if rank < 1 or window < 1 or degree < 0 or degree > rank:
         raise ValueError("need rank >= 1, window >= 1, 0 <= degree <= rank")
-    square_commutes = all(
-        check_square_on_key(key) for key in windowed_keys(rank, degree, window)
-    )
-    cycles, quotient = _invariant_sector_dims(rank, degree, window)
+    square_commutes = all(check_square_on_key(key) for key in windowed_keys(rank, degree, window))
     constant, consistent = measure_hkr_b_constant(rank, degree, window)
-    passed = square_commutes and consistent
     return SquareReport(
         rank=rank,
         window=window,
         degree=degree,
-        dim_cycles=len(cycles),
-        dim_boundaries=len(cycles) - quotient.dim,
+        dim_cycles=quotient.dim_cycles,
+        dim_boundaries=quotient.dim_cycles - quotient.dim,
         dim_invariant=quotient.dim,
         square_commutes=square_commutes,
         hkr_b_constant=constant,
         hkr_b_consistent=consistent,
-        passed=passed,
+        passed=square_commutes and consistent,
     )
 
 
-def compact_part_of_b_image_is_boundary(rank: int, degree: int, window: int) -> bool:
+def compact_part_of_b_image_is_boundary(
+    rank: int, degree: int, window: int, quotient: QuotientSpace
+) -> bool:
     """Homology-level vanishing of the compact part of the Connes operator.
 
     For every windowed normalized cycle z of the zero-total sector, the
     chain class_action(B(z)) must be a boundary of the windowed zero-total
-    sector one degree up.  This is the lattice instance of the vanishing of
-    compact restriction composed with B.
+    sector one degree up, in quotient, its H_{p+1} from
+    ``_invariant_sector_dims``: the lattice instance of the vanishing of
+    compact restriction composed with B.  The compact weight is 1 on the
+    whole zero-total sector, so class_action is the identity there, and the
+    check is that B sends invariant cycles to boundaries.  At p = 0 it is
+    vacuous: the only zero-total degree-0 tuple is the unit, which B kills.
     """
-    keys = sector_keys(rank, degree, window, (0,) * rank)
-    cycles = _sector_cycles((k for k in keys if not _is_degenerate(k)), degree)
-    basis = _sector_boundary_basis(rank, degree + 1, window)
+    keys = (k for k in sector_keys(rank, degree, window, (0,) * rank) if not _is_degenerate(k))
+    cycles, _ = kernel_vectors((key, boundary_key(key)) for key in elimination_order(keys))
     images = (hh.class_action(linear(connes_b_key, vec), _compact) for vec in cycles)
-    return all(basis.contains(image) for image in images if image)
+    return all(quotient.is_boundary(image) for image in images)

@@ -142,8 +142,9 @@ def test_criterion_6_torus_square():
     ok = True
     details = []
     for rank in (1, 2):
+        ladder = tr._invariant_sector_dims(rank, 2, rank)
         for degree in range(rank + 1):
-            report = tr.homology_square_check(rank, 2, degree)
+            report = tr.homology_square_check(rank, 2, degree, ladder[degree])
             from math import comb
 
             dims_ok = report.dim_invariant == comb(rank, degree)
@@ -208,7 +209,7 @@ def test_criterion_8_higher_homology_scope():
     # above.  This criterion asserts the two shadow instances on a spot
     # check, and that nothing else pretends to cover them.
     start = time.monotonic()
-    torus_instance = tr.homology_square_check(1, 2, 1).passed
+    torus_instance = tr.homology_square_check(1, 2, 1, tr._invariant_sector_dims(1, 2, 1)[1]).passed
     engine_instance = eg.compute_cyclic(eg.group_algebra(2), 2)
     engine_ok = all(node.exact for node in eg.sbi_exactness_check(engine_instance))
     _report(

@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 from heckehom import engine as eg
-from heckehom.linalg import GaussianBasis, kernel_vectors, span_basis
+from heckehom.linalg import GaussianBasis, homology, kernel_vectors, span_basis
 from heckehom.sparse import add_into, exact_quotient, linear
 
 
@@ -289,10 +289,12 @@ def test_torus_coefficients_are_never_float():
                 halved = op({key: Fraction(1, 2)})
                 _assert_exact(halved)
                 assert halved == {k: exact_quotient(c, 6) for k, c in image.items()}
-    for degree in (0, 1, 2):
-        cycles, quotient = tr._invariant_sector_dims(2, degree, 1)
+    for degree in (1, 2):
+        keys = tr.sector_keys(2, degree, 1, (0, 0))
+        cycles, _ = kernel_vectors((key, tr.boundary_key(key)) for key in keys)
         for vec in cycles:
             _assert_exact(vec)
+    for quotient in tr._invariant_sector_dims(2, 1, 2):
         for pivot in quotient._basis.pivots:
             row, payload = quotient._basis.row(pivot)
             _assert_exact(row)
@@ -391,6 +393,25 @@ def test_quotient_coords_of_representatives(name):
         for cols in maps.values():
             for col in cols:
                 _assert_integer_first(col)
+
+
+def _triangle_boundary(cell):
+    return {cell[1]: 1, cell[0]: -1} if len(cell) == 2 else {(1, 2): 1, (0, 2): -1, (0, 1): 1}
+
+
+def test_is_boundary():
+    """True on a boundary, False on a cycle that is not one and on a chain
+    that is not a cycle, where coords raises."""
+    edges = [(0, 1), (1, 2), (0, 2)]
+    h0, h1 = homology([[0, 1, 2], edges, [(0, 1, 2)]], _triangle_boundary)
+    assert h0.is_boundary({1: 1, 0: -1}) and not h0.is_boundary({0: 1})
+    rim = {(0, 1): 1, (1, 2): 1, (0, 2): -1}
+    assert h1.is_boundary(rim) and h1.is_boundary(_over(rim, 2))
+    hollow = homology([[0, 1, 2], edges, []], _triangle_boundary)[1]
+    assert hollow.coords(rim) and not hollow.is_boundary(rim)
+    assert not h1.is_boundary({(0, 1): 1})
+    with pytest.raises(ValueError):
+        h1.coords({(0, 1): 1})
 
 
 def _square_zero_spec(coeff: str) -> str:

@@ -16,6 +16,7 @@ from heckehom.hh0 import class_of_word
 from heckehom.laurent import Q, qpow
 from heckehom.weyl import S, T, WeylWord
 from heckehom.cli import main
+from heckehom.engine import _ALGEBRA_DIR
 from heckehom.suites import ConfigError, SuiteConfig, run_suite
 
 from test_hecke import random_element
@@ -270,6 +271,35 @@ def test_oversized_config_exits_2_before_any_suite(capsys, monkeypatch, argv, me
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+    assert entered == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["verify", "torus", "--rank", "1", "--degree", "1", "--degree", "1", "--window", "1"],
+            "torus degree 1 is given twice",
+        ),
+        (["verify", "torus", "--rank", "1", "--rank", "1"], "torus rank 1 is given twice"),
+        (
+            ["verify", "engine", "--engine-cutoff", "1", "--spec", str(_ALGEBRA_DIR / "cyclic_3.json")],
+            "engine algebra 'cyclic_3' is given twice",
+        ),
+    ],
+    ids=["torus-degree", "torus-rank", "engine-algebra"],
+)
+def test_repeated_values_exit_2_before_any_suite(capsys, monkeypatch, argv, message):
+    """A repeated rank, degree or algebra name would repeat its case ids."""
+    from heckehom import suites
+
+    entered = []
+    for name in suites._SUITES:
+        monkeypatch.setitem(suites._SUITES, name, lambda cfg, name=name: entered.append(name))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
     assert entered == []
 
 

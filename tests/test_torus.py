@@ -7,7 +7,7 @@ import pytest
 
 from heckehom import hochschild as hh
 from heckehom import torus as tr
-from heckehom.linalg import intersect_with_columns, span_basis
+from heckehom.linalg import homology, intersect_with_columns, span_basis
 from heckehom.sparse import add_into, linear
 
 
@@ -112,17 +112,29 @@ def test_class_action_commutes_with_structure_maps():
         assert compact(B(value)) == B(compact(value))
 
 
+def _square(rank, window, degree):
+    """The square check on H_degree of its own homology ladder."""
+    quotient = tr._invariant_sector_dims(rank, window, degree)[degree]
+    return tr.homology_square_check(rank, window, degree, quotient)
+
+
+def _sbi(rank, degree, window):
+    """The SBI check on H_{degree+1} of its own homology ladder."""
+    quotient = tr._invariant_sector_dims(rank, window, degree + 1)[degree + 1]
+    return tr.compact_part_of_b_image_is_boundary(rank, degree, window, quotient)
+
+
 def test_square_check_rank_one():
     for degree, expected in ((0, 1), (1, 1)):
-        report = tr.homology_square_check(1, 2, degree)
+        report = _square(1, 2, degree)
         assert report.passed and report.square_commutes
         assert report.dim_invariant == expected
-    zero_degree = tr.homology_square_check(1, 2, 0)
+    zero_degree = _square(1, 2, 0)
     assert zero_degree.hkr_b_constant == Fraction(1)
 
 
 def test_square_check_rank_two_window_one():
-    report = tr.homology_square_check(2, 1, 1)
+    report = _square(2, 1, 1)
     assert report.passed
     assert report.dim_invariant == 2
     assert report.hkr_b_constant == Fraction(1)
@@ -130,7 +142,7 @@ def test_square_check_rank_two_window_one():
 
 def test_square_check_rank_three_window_one():
     for degree, expected in ((0, 1), (1, 3)):
-        report = tr.homology_square_check(3, 1, degree)
+        report = _square(3, 1, degree)
         assert report.passed
         assert report.dim_invariant == expected
         assert report.hkr_b_constant == Fraction(1)
@@ -141,15 +153,15 @@ def test_square_check_can_fail(monkeypatch):
     the square on tuples such as ((1,), (-1,))."""
     monkeypatch.setattr(tr, "_compact", lambda key: int(not any(key[0])))
     assert not tr.check_square_on_key(((1,), (-1,)))
-    report = tr.homology_square_check(1, 1, 1)
+    report = _square(1, 1, 1)
     assert not report.square_commutes and not report.passed
 
 
 def test_square_check_validation():
     with pytest.raises(ValueError):
-        tr.homology_square_check(1, 2, 2)
+        tr.homology_square_check(1, 2, 2, None)
     with pytest.raises(ValueError):
-        tr.homology_square_check(0, 2, 0)
+        tr.homology_square_check(0, 2, 0, None)
 
 
 def test_hkr_b_constant_is_one_where_defined():
@@ -163,9 +175,9 @@ def test_hkr_b_constant_is_one_where_defined():
 
 
 def test_compact_part_of_b_image_bounds():
-    assert tr.compact_part_of_b_image_is_boundary(1, 0, 2)
-    assert tr.compact_part_of_b_image_is_boundary(1, 1, 2)
-    assert tr.compact_part_of_b_image_is_boundary(2, 0, 2)
+    assert _sbi(1, 0, 2)
+    assert _sbi(1, 1, 2)
+    assert _sbi(2, 0, 2)
 
 
 def test_normalize_chain():
@@ -173,32 +185,67 @@ def test_normalize_chain():
     assert hh.normalize(mixed, (0,)) == {((0,), (1,)): 1}
 
 
-def test_sector_boundary_bases_built_once_per_key(monkeypatch):
-    # verify torus --window 1: the square checks and the SBI checks share
-    # (1, 1, 1), (2, 1, 1) and (2, 2, 1), so 9 uses take 6 builds
+def test_suite_torus_eliminates_each_sector_degree_once_per_rank(monkeypatch):
+    # verify torus --window 1: one homology ladder per rank, in which every
+    # sector source of degrees 1 to top + 1 is taken once
     from heckehom.suites import SuiteConfig, suite_torus
 
-    cfg = SuiteConfig(torus_window=1)
-    builds = []
-    span_basis = tr.span_basis
+    calls, seen = [], []
+    homology, boundary_key = tr.homology, tr.boundary_key
 
-    def counting(vectors):
-        builds.append(1)
-        return span_basis(vectors)
+    def counting_homology(bases, boundary, closed=True):
+        calls.append(len(bases) - 2)
+        seen.clear()
+        quotients = homology(bases, boundary, closed)
+        ranks = {len(key[0]) for key in seen}
+        assert len(ranks) == 1
+        rank = ranks.pop()
+        sources = [
+            key
+            for p in range(1, len(bases))
+            for key in tr.sector_keys(rank, p, 1, (0,) * rank)
+        ]
+        assert sorted(seen) == sorted(sources)
+        return quotients
 
-    monkeypatch.setattr(tr, "span_basis", counting)
-    shared = tr._sector_boundary_basis
-    shared.cache_clear()
-    try:
-        with monkeypatch.context() as m:
-            m.setattr(tr, "_sector_boundary_basis", shared.__wrapped__)
-            unshared_report = suite_torus(cfg).to_json()
-        assert len(builds) == 9
-        builds.clear()
-        assert suite_torus(cfg).to_json() == unshared_report
-        assert len(builds) == 6
-    finally:
-        shared.cache_clear()
+    def counting_boundary(key):
+        seen.append(key)
+        return boundary_key(key)
+
+    monkeypatch.setattr(tr, "homology", counting_homology)
+    monkeypatch.setattr(tr, "boundary_key", counting_boundary)
+    assert suite_torus(SuiteConfig(torus_window=1)).passed
+    assert calls == [2, 2]  # ranks 1 and 2, up to H_2
+
+
+def test_open_sector_needs_the_full_top_pass():
+    """Negative control for closed=False: the b-images of the windowed
+    sector leave the window, so stopping the top pass once its rank reaches
+    the number of cycles leaves H_2 far too large."""
+    bases = lambda: [tr.sector_keys(2, p, 1, (0, 0)) for p in range(4)]
+    closed = homology(bases(), tr.boundary_key)
+    assert [q.dim for q in closed] == [1, 2, 20]
+    assert [q.dim for q in homology(bases(), tr.boundary_key, closed=False)] == [1, 2, 1]
+    assert [q.dim for q in tr._invariant_sector_dims(2, 1, 2)] == [1, 2, 1]
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_sbi_instance_can_fail(monkeypatch, rank):
+    """Negative control: a Connes operator with one term doubled sends a
+    windowed cycle to a chain that is not a boundary (not even a cycle), and
+    the check says so instead of raising."""
+    connes_B = hh.connes_B
+
+    def doubled(key, unit):
+        image = dict(connes_B(key, unit))
+        if image:
+            first = next(iter(image))
+            image[first] *= 2
+        return image
+
+    assert _sbi(rank, 1, 1)
+    monkeypatch.setattr(hh, "connes_B", doubled)
+    assert not _sbi(rank, 1, 1)
 
 
 @pytest.mark.parametrize("rank, degree, window", [(1, 0, 2), (1, 1, 2), (2, 1, 2), (2, 2, 1)])
@@ -208,7 +255,7 @@ def test_dim_boundaries_is_the_rank_of_the_boundaries_inside_the_window(rank, de
     images = [tr.boundary_key(key) for key in source]
     inside = lambda key: all(-window <= x <= window for vec in key for x in vec)
     windowed = span_basis(intersect_with_columns(images, inside)).rank
-    assert tr.homology_square_check(rank, window, degree).dim_boundaries == windowed
+    assert _square(rank, window, degree).dim_boundaries == windowed
     if degree >= 2:
         # a face of a zero-total source of degree 3 or more can leave the
         # window, so there the cut is not a no-op
