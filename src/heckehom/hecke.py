@@ -17,15 +17,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .laurent import LaurentQ, ONE, ZERO, Q, qpow
+from .laurent import LaurentQ, ONE, ZERO, Q, qpow, to_laurent
 from .sparse import Sparse, add_into
 from .weyl import E, WeylWord, bruhat_leq, word_mul, _OTHER
 
 _Q_MINUS_1 = Q - 1
-
-
-def _laurent(coeff) -> LaurentQ:
-    return coeff if isinstance(coeff, LaurentQ) else LaurentQ.const(coeff)
 
 
 class HeckeElement(Sparse):
@@ -37,13 +33,16 @@ class HeckeElement(Sparse):
 
     __slots__ = ()
 
-    _coerce = staticmethod(_laurent)
+    _coerce = staticmethod(to_laurent)
 
-    def coefficient(self, word: WeylWord) -> LaurentQ:
-        return self._terms.get(word, ZERO)
+    @staticmethod
+    def _token(word: WeylWord) -> str:
+        return f"T[{word}]"
+
+    _order = staticmethod(lambda word: (word.length, word.first or ""))
 
     def support(self) -> list[WeylWord]:
-        return sorted(self._terms, key=_word_key)
+        return sorted(self._terms, key=self._order)
 
     def __mul__(self, other) -> HeckeElement:
         if isinstance(other, HeckeElement):
@@ -52,48 +51,6 @@ class HeckeElement(Sparse):
 
     def __rmul__(self, other) -> HeckeElement:
         return self.scale(other)
-
-    def render(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = [
-            _render_coeff_token(self._terms[word], f"T[{word}]")
-            for word in self.support()
-        ]
-        return _join_signed(parts)
-
-
-
-def _word_key(word: WeylWord):
-    return (word.length, word.first or "")
-
-
-def _render_coeff_token(coeff: LaurentQ, token: str) -> tuple[bool, str]:
-    """Return (negative, body) for one rendered term."""
-    terms = coeff.terms
-    if len(terms) == 1:
-        ((exp, c),) = terms.items()
-        negative = c < 0
-        c = abs(c)
-        if exp == 0 and c == 1:
-            return negative, token
-        if exp == 0:
-            return negative, f"{c}*{token}"
-        mono = "q" if exp == 1 else f"q^{exp}"
-        if c == 1:
-            return negative, f"{mono}*{token}"
-        return negative, f"{c}*{mono}*{token}"
-    return False, f"({coeff.render()})*{token}"
-
-
-def _join_signed(parts: list[tuple[bool, str]]) -> str:
-    out = []
-    for negative, body in parts:
-        if not out:
-            out.append(("-" if negative else "") + body)
-        else:
-            out.append(("- " if negative else "+ ") + body)
-    return " ".join(out)
 
 
 def basis(word: WeylWord) -> HeckeElement:

@@ -26,10 +26,10 @@ which every power of q is an exponent shift.
 
 from __future__ import annotations
 
-from .laurent import LaurentQ, ONE, ZERO, Q
+from .laurent import LaurentQ, ONE, ZERO, Q, to_laurent
 from .sparse import Sparse, add_term
 from .weyl import WeylWord, _OTHER
-from .hecke import HeckeElement, _join_signed, _laurent, _render_coeff_token
+from .hecke import HeckeElement
 
 _Q_MINUS_1 = Q - 1
 
@@ -39,11 +39,20 @@ class HH0Class(Sparse):
 
     Keyed by "s" for [T_s], "t" for [T_t] and n >= 0 for [T_{(st)^n}]
     (n = 0 is the class of T_e), with LaurentQ coefficients.
+
+    >>> HH0Class(coeff_t=1, coeff_s=-1, even={2: 1, 0: 2})
+    2*[E(0)] + [E(2)] - [Ts] + [Tt]
     """
 
     __slots__ = ()
 
-    _coerce = staticmethod(_laurent)
+    _coerce = staticmethod(to_laurent)
+
+    @staticmethod
+    def _token(key) -> str:
+        return f"[T{key}]" if key in ("s", "t") else f"[E({key})]"
+
+    _order = staticmethod(lambda key: (key in ("s", "t"), key))
 
     def __init__(self, coeff_s=ZERO, coeff_t=ZERO, even=None):
         super().__init__({"s": coeff_s, "t": coeff_t, **(even or {})})
@@ -73,26 +82,15 @@ class HH0Class(Sparse):
 
     @property
     def coeff_s(self) -> LaurentQ:
-        return self._terms.get("s", ZERO)
+        return self.coefficient("s")
 
     @property
     def coeff_t(self) -> LaurentQ:
-        return self._terms.get("t", ZERO)
+        return self.coefficient("t")
 
     @property
     def even(self) -> dict[int, LaurentQ]:
         return {n: c for n, c in self._terms.items() if n not in ("s", "t")}
-
-    def render(self) -> str:
-        if self.is_zero:
-            return "0"
-        even = self.even
-        parts = [_render_coeff_token(even[n], f"[E({n})]") for n in sorted(even)]
-        if self.coeff_s:
-            parts.append(_render_coeff_token(self.coeff_s, "[Ts]"))
-        if self.coeff_t:
-            parts.append(_render_coeff_token(self.coeff_t, "[Tt]"))
-        return _join_signed(parts)
 
 
 _WORD_CLASS_CACHE: dict[WeylWord, HH0Class] = {}

@@ -36,6 +36,13 @@ class LaurentQ(Sparse):
     _key = staticmethod(int)
     _coerce = staticmethod(exact)
 
+    @staticmethod
+    def _token(exp: int) -> str:
+        """q^exp as printed, and nothing for q^0."""
+        if not exp:
+            return ""
+        return "q" if exp == 1 else f"q^{exp}"
+
     @classmethod
     def const(cls, value) -> LaurentQ:
         return cls({0: value})
@@ -53,9 +60,6 @@ class LaurentQ(Sparse):
         if not self._terms:
             raise ValueError("zero polynomial has no valuation")
         return min(self._terms)
-
-    def coefficient(self, exp: int):
-        return self._terms.get(exp, 0)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -171,35 +175,6 @@ class LaurentQ(Sparse):
             total += coeff * x**exp
         return total
 
-    def render(self) -> str:
-        """Canonical textual form, terms sorted by ascending exponent.
-
-        >>> (Q - 1).render()
-        '-1 + q'
-        >>> LaurentQ({-1: 1, 1: 1}).render()
-        'q^-1 + q'
-        """
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for exp, coeff in sorted(self._terms.items()):
-            body = _render_term(abs(coeff), exp)
-            if not parts:
-                parts.append(body if coeff > 0 else "-" + body)
-            else:
-                parts.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(parts)
-
-
-
-def _render_term(coeff, exp: int) -> str:
-    if exp == 0:
-        return str(coeff)
-    mono = "q" if exp == 1 else f"q^{exp}"
-    if coeff == 1:
-        return mono
-    return f"{coeff}*{mono}"
-
 
 def _as_laurent(value):
     if isinstance(value, LaurentQ):
@@ -207,6 +182,12 @@ def _as_laurent(value):
     if isinstance(value, (int, Fraction)):
         return LaurentQ.const(value)
     return NotImplemented
+
+
+def to_laurent(value) -> LaurentQ:
+    """value itself if it is a LaurentQ, else the constant it names: the
+    coefficient coercion of every element type over LaurentQ."""
+    return value if isinstance(value, LaurentQ) else LaurentQ.const(value)
 
 
 def qpow(exp: int) -> LaurentQ:

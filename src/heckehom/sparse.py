@@ -16,10 +16,10 @@ Fraction comes only from a rational input or a non-integral quotient.
 ``Sparse`` is the base of every element type (Laurent polynomials in q,
 Hecke elements, HH0 classes and elements of H(Lambda)); Hochschild chains
 and forms, of the engine and of the torus, stay plain dicts.  A subclass
-declares how a key is validated and how a coefficient is coerced; the
-vector-space operations are shared.  Elements are immutable: every
-operation returns a new element, and ``_like`` wraps a freshly built dict
-without copying it.
+declares how a key is validated, a coefficient coerced and a key printed;
+the vector-space operations, the coefficient lookup and the renderer are
+shared.  Elements are immutable: every operation returns a new element,
+and ``_like`` wraps a freshly built dict without copying it.
 """
 
 from __future__ import annotations
@@ -110,12 +110,16 @@ def linear(op, vec: dict) -> dict:
 class Sparse:
     """Immutable finite formal sum over a key set, with no stored zero.
 
-    Subclasses may override ``_key`` (validate a key) and ``_coerce`` (make
-    a value an exact coefficient), and define ``render``, which str() and
-    repr() use.  Operands of +, - and == must have the same type.
+    Subclasses may override ``_key`` (validate a key), ``_coerce`` (make a
+    value an exact coefficient) and ``_order`` (a sort key for printing,
+    None for the keys' natural order), and must declare ``_token`` (a key
+    as printed, "" for none); ``render``, which str() and repr() use, is
+    built on these.  Operands of +, - and == must have the same type.
     """
 
     __slots__ = ("_terms",)
+
+    _order = None
 
     def __init__(self, terms=None):
         data = {}
@@ -156,6 +160,11 @@ class Sparse:
     def is_zero(self) -> bool:
         return not self._terms
 
+    def coefficient(self, key):
+        """The coefficient of key: the coerced zero when key is absent."""
+        c = self._terms.get(key)
+        return self._coerce(0) if c is None else c
+
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -174,6 +183,48 @@ class Sparse:
 
     def __repr__(self) -> str:
         return self.render()
+
+    def render(self) -> str:
+        """The terms in printing order, each its coefficient times its token.
+
+        A coefficient that is a one-term element (a monomial c*q^k) puts
+        its own token in front, a longer one is parenthesized, and a
+        coefficient of +-1 is dropped unless nothing else is left.
+
+        >>> from .exprparse import parse_hecke, parse_laurent
+        >>> parse_laurent("q - 1").render(), parse_laurent("q + q^-1").render()
+        ('-1 + q', 'q^-1 + q')
+        >>> parse_hecke("(1 - q)*T[t] - 1/2*q^-2*T[e]")
+        -1/2*q^-2*T[e] + (1 - q)*T[t]
+        """
+        terms = self._terms
+        if not terms:
+            return "0"
+        token_of = self._token
+        out = []
+        for key in sorted(terms, key=self._order):
+            coeff = terms[key]
+            token = token_of(key)
+            if isinstance(coeff, Sparse):
+                inner = coeff._terms
+                if len(inner) > 1:
+                    body = f"({coeff.render()})*{token}" if token else f"({coeff.render()})"
+                    out.append(" + " + body if out else body)
+                    continue
+                ((inner_key, c),) = inner.items()
+                head = coeff._token(inner_key)
+                token = f"{head}*{token}" if head and token else head or token
+                coeff = c
+            if coeff < 0:
+                out.append(" - " if out else "-")
+                coeff = -coeff
+            elif out:
+                out.append(" + ")
+            if coeff == 1:
+                out.append(token or "1")
+            else:
+                out.append(f"{coeff}*{token}" if token else str(coeff))
+        return "".join(out)
 
     def scale(self, coeff):
         c = self._coerce(coeff)

@@ -17,28 +17,31 @@ against this definition.
 
 from __future__ import annotations
 
-from .laurent import LaurentQ, ONE, ZERO, Q, qpow
-from .sparse import Sparse
+from .laurent import ONE, Q, to_laurent
+from .sparse import Sparse, add_term
 from .weyl import E, st_power, ts_power
-from .hecke import (
-    HeckeElement,
-    _join_signed,
-    _laurent,
-    _render_coeff_token,
-    basis,
-    r_polynomial,
-    t_inverse,
-)
+from .hecke import HeckeElement, basis, r_polynomial, t_inverse
 from .hh0 import HH0Class, reduce_to_hh0
 
 
 class LambdaElement(Sparse):
-    """Element of the rank-one Laurent group algebra with LaurentQ coefficients."""
+    """Element of the rank-one Laurent group algebra with LaurentQ coefficients.
+
+    >>> LambdaElement({-2: 1, 0: Q - 1, 1: -Q})
+    L^-2 + (-1 + q) - q*L
+    """
 
     __slots__ = ()
 
     _key = staticmethod(int)
-    _coerce = staticmethod(_laurent)
+    _coerce = staticmethod(to_laurent)
+
+    @staticmethod
+    def _token(n: int) -> str:
+        """lambda^n as printed, and nothing for lambda^0."""
+        if not n:
+            return ""
+        return "L" if n == 1 else f"L^{n}"
 
     @classmethod
     def monomial(cls, n: int, coeff=1) -> LambdaElement:
@@ -47,28 +50,6 @@ class LambdaElement(Sparse):
     @classmethod
     def zero(cls) -> LambdaElement:
         return cls()
-
-    def coefficient(self, n: int) -> LaurentQ:
-        return self._terms.get(n, ZERO)
-
-    def render(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for n in sorted(self._terms):
-            coeff = self._terms[n]
-            if n == 0:
-                body = coeff.render()
-                if len(coeff.terms) > 1:
-                    parts.append((False, f"({body})"))
-                else:
-                    negative = body.startswith("-")
-                    parts.append((negative, body.lstrip("-")))
-            else:
-                token = "L" if n == 1 else f"L^{n}"
-                parts.append(_render_coeff_token(coeff, token))
-        return _join_signed(parts)
-
 
 
 def pind_hecke(x: LambdaElement) -> HeckeElement:
@@ -108,23 +89,18 @@ def pres_map(c: HH0Class) -> LambdaElement:
 
     Note pres([E(0)]) = 2, the n = 0 value of the displayed formula.
     """
-    total = LambdaElement()
-    scalar = (c.coeff_s + c.coeff_t) * (Q - 1)
-    if scalar:
-        total = total + LambdaElement({0: scalar})
+    out: dict = {}
+    add_term(out, 0, (c.coeff_s + c.coeff_t) * (Q - 1))
     for n, coeff in c.even.items():
-        qn = qpow(n) * coeff
-        if n == 0:
-            total = total + LambdaElement({0: qn * 2})
-        else:
-            total = total + LambdaElement({n: qn, -n: qn})
-    return total
+        qn = coeff.shift(n)
+        add_term(out, n, qn)
+        add_term(out, -n, qn)  # n = 0 adds the coefficient twice
+    return LambdaElement._new(out)
 
 
 def one_mc(x: LambdaElement) -> LambdaElement:
     """Keep only the lambda^0 term."""
-    c = x.coefficient(0)
-    return LambdaElement({0: c}) if c else LambdaElement()
+    return LambdaElement({0: x.coefficient(0)})
 
 
 def chi_m(x: LambdaElement) -> LambdaElement:
@@ -154,7 +130,7 @@ def commutator_closed_form(n: int) -> HH0Class:
     if n < 1:
         return HH0Class.zero()
     r_poly = r_polynomial(E, st_power(n))
-    factor = r_poly.divide_exact(qpow(n) * (Q - 1))
+    factor = r_poly.divide_exact((Q - 1).shift(n))
     template = HH0Class(coeff_s=-ONE, coeff_t=-ONE, even={0: Q - 1})
     return template.scale(factor)
 

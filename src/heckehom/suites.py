@@ -548,6 +548,14 @@ def _torus_square_fits(rank: int, degree: int, window: int) -> bool:
     return (2 * window + 1) ** (rank * (degree + 2)) <= _TORUS_SQUARE_CAP
 
 
+# the chain identities checked on every windowed tuple, in report order
+_TORUS_IDENTITIES = (
+    ("b-squared", "b^2 = 0 on all windowed chains"),
+    ("normalized-identities", "B^2 = 0 and bB + Bb = 0 on normalized windowed chains"),
+    ("class-action-commutes", "the compact-part projection commutes with b, t and B on chains"),
+)
+
+
 def suite_torus(cfg: SuiteConfig) -> SuiteReport:
     report = SuiteReport("torus", cfg.seed)
 
@@ -557,7 +565,7 @@ def suite_torus(cfg: SuiteConfig) -> SuiteReport:
     for rank in cfg.torus_ranks:
         window = identity_windows.get(rank, 1)
         unit = (0,) * rank
-        b2_ok = norm_ok = comm_ok = True
+        failed = {}  # case name -> the first key it fails on
         swept = []
         for degree in range(rank + 2):
             if not _torus_sweep_fits(rank, degree, window):
@@ -566,35 +574,23 @@ def suite_torus(cfg: SuiteConfig) -> SuiteReport:
             for key in tr.windowed_keys(rank, degree, window):
                 b_image = tr.boundary_key(key)
                 if linear(tr.boundary_key, b_image):
-                    b2_ok = False
+                    failed.setdefault("b-squared", key)
                 if not hh.is_degenerate(key, unit):
                     B_image = tr.connes_b_key(key)
-                    if linear(tr.connes_b_key, B_image):
-                        norm_ok = False
                     bB = hh.normalize(linear(tr.boundary_key, B_image), unit)
                     Bb = linear(tr.connes_b_key, hh.normalize(b_image, unit))
-                    if add_into(bB, Bb):
-                        norm_ok = False
+                    if linear(tr.connes_b_key, B_image) or add_into(bB, Bb):
+                        failed.setdefault("normalized-identities", key)
                 if not hh.class_action_commutes(key, tr._lattice_mul, unit, tr._compact):
-                    comm_ok = False
-        report.add_bool(
-            f"torus/b-squared/r{rank}",
-            "b^2 = 0 on all windowed chains",
-            {"rank": rank, "window": window, "degrees": swept},
-            b2_ok,
-        )
-        report.add_bool(
-            f"torus/normalized-identities/r{rank}",
-            "B^2 = 0 and bB + Bb = 0 on normalized windowed chains",
-            {"rank": rank, "window": window, "degrees": swept},
-            norm_ok,
-        )
-        report.add_bool(
-            f"torus/class-action-commutes/r{rank}",
-            "the compact-part projection commutes with b, t and B on chains",
-            {"rank": rank, "window": window, "degrees": swept},
-            comm_ok,
-        )
+                    failed.setdefault("class-action-commutes", key)
+        for name, claim in _TORUS_IDENTITIES:
+            report.add_bool(
+                f"torus/{name}/r{rank}",
+                claim,
+                {"rank": rank, "window": window, "degrees": swept},
+                name not in failed,
+                str(failed.get(name)),
+            )
 
     for rank in cfg.torus_ranks:
         requested = range(rank + 1) if cfg.torus_degrees is None else cfg.torus_degrees

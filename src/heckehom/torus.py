@@ -238,8 +238,9 @@ def homology_square_check(
 ) -> SquareReport:
     """Verify the compact-restriction/invariant-forms square on a window.
 
-    On windowed degree-p cycles, checks hkr . class_action = pi0 . hkr up to
-    b-boundaries by exact linear algebra, and reports the dimensions of the
+    Checks hkr . class_action = pi0 . hkr at chain level, by
+    ``check_square_on_key`` on every windowed degree-p tuple, which implies
+    it on cycles up to b-boundaries; reports the dimensions of the
     invariant sector of the windowed homology: those of quotient, its H_p
     from ``_invariant_sector_dims``.
 

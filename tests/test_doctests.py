@@ -11,6 +11,7 @@ import heckehom.engine
 import heckehom.hochschild
 import heckehom.linalg
 import heckehom.sparse
+import heckehom.spectral
 import heckehom.torus
 
 
@@ -25,6 +26,7 @@ def test_doctests():
         heckehom.hochschild,
         heckehom.linalg,
         heckehom.sparse,
+        heckehom.spectral,
         heckehom.torus,
     ):
         failures, tested = doctest.testmod(module, verbose=False)

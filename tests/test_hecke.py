@@ -213,3 +213,15 @@ def test_render():
     sq = t_mul(basis(S), basis(S))
     assert sq.render() == "q*T[e] + (-1 + q)*T[s]"
     assert HeckeElement().render() == "0"
+
+
+def test_render_signs_fractions_and_order():
+    value = HeckeElement({
+        WeylWord(3, "t"): -1,
+        WeylWord(2, "s"): LaurentQ({-2: Fraction(3, 2)}),
+        WeylWord(1, "t"): 1 - Q,
+        WeylWord(1, "s"): 2,
+        E: -Q,
+    })
+    assert value.render() == "-q*T[e] + 2*T[s] + (1 - q)*T[t] + 3/2*q^-2*T[st] - T[tst]"
+    assert HeckeElement({E: -1}).render() == "-T[e]"

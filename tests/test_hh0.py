@@ -1,6 +1,7 @@
 """The trace quotient: rewriting reduction, trace property, oracle agreement."""
 
 import random
+from fractions import Fraction
 
 from heckehom.laurent import LaurentQ, Q, qpow
 from heckehom.weyl import S, T, WeylWord, all_words, st_power, ts_power
@@ -130,3 +131,13 @@ def test_render():
     value = HH0Class.basis_even(1).scale(Q - 1) + HH0Class.basis_t().scale(Q)
     assert value.render() == "(-1 + q)*[E(1)] + q*[Tt]"
     assert HH0Class.zero().render() == "0"
+
+
+def test_render_signs_fractions_and_order():
+    assert HH0Class(even={0: -1, 2: Q}).render() == "-[E(0)] + q*[E(2)]"
+    half = HH0Class(coeff_s=Fraction(1, 2), coeff_t=LaurentQ({-2: Fraction(-3, 2)}))
+    assert half.render() == "1/2*[Ts] - 3/2*q^-2*[Tt]"
+    assert HH0Class(coeff_s=Q - 1, even={1: -Q}).render() == "-q*[E(1)] + (-1 + q)*[Ts]"
+    assert HH0Class(coeff_s=1 - Q).render() == "(1 - q)*[Ts]"
+    ordered = HH0Class(coeff_t=1, coeff_s=1, even={3: 1, 0: 1})
+    assert ordered.render() == "[E(0)] + [E(3)] + [Ts] + [Tt]"

@@ -1,5 +1,7 @@
 """Induction/restriction operators and the compact-restriction identities."""
 
+from fractions import Fraction
+
 from heckehom.laurent import LaurentQ, ONE, Q, qpow
 from heckehom.weyl import E, st_power, ts_power
 from heckehom.hecke import basis, r_polynomial, t_inverse, t_mul
@@ -133,3 +135,15 @@ def test_lambda_render():
     value = LambdaElement({1: Q, -1: Q})
     assert value.render() == "q*L^-1 + q*L"
     assert LambdaElement({0: LaurentQ.const(2)}).render() == "2"
+
+
+def test_lambda_render_constant_term():
+    assert LambdaElement({0: -Q, 1: 1}).render() == "-q + L"
+    assert LambdaElement({0: Q - 1, -1: 2}).render() == "2*L^-1 + (-1 + q)"
+    assert LambdaElement({0: LaurentQ({-1: Fraction(-1, 2)})}).render() == "-1/2*q^-1"
+    mixed = LambdaElement({-2: 1, 0: LaurentQ({-1: Fraction(-1, 2)}), 3: 1 - Q})
+    assert mixed.render() == "L^-2 - 1/2*q^-1 + (1 - q)*L^3"
+    assert LambdaElement({1: 1}).render() == "L"
+    assert LambdaElement({1: -1}).render() == "-L"
+    assert LambdaElement({-2: 1}).render() == "L^-2"
+    assert LambdaElement().render() == "0"
