@@ -326,8 +326,6 @@ class ChainStack:
 @dataclass
 class ExactnessNode:
     node: str
-    incoming: str
-    outgoing: str
     rank_in: int
     rank_out: int
     dim: int
@@ -446,13 +444,11 @@ def sbi_exactness_check(report: HomologyReport) -> list[ExactnessNode]:
     cutoff = report.cutoff
     nodes: list[ExactnessNode] = []
 
-    def node(name, incoming, into, outgoing, out_of, dim):
+    def node(name, into, out_of, dim):
         composite = _mat_compose(out_of, into) if into and out_of else []
         nodes.append(
             ExactnessNode(
                 node=name,
-                incoming=incoming,
-                outgoing=outgoing,
                 rank_in=span_basis(into).rank,
                 rank_out=span_basis(out_of).rank,
                 dim=dim,
@@ -460,15 +456,15 @@ def sbi_exactness_check(report: HomologyReport) -> list[ExactnessNode]:
             )
         )
 
+    # node(name, map into it, map out of it, dim): B then I at HH_n, I then S
+    # at HC_n, S then B at HC_m
     for n in range(cutoff + 1):
-        node(f"HH_{n}", f"B: HC_{n - 1} -> HH_{n}", report.b_maps.get(n - 1, []),
-             f"I: HH_{n} -> HC_{n}", report.i_maps[n], report.hh_dims[n])
+        node(f"HH_{n}", report.b_maps.get(n - 1, []), report.i_maps[n], report.hh_dims[n])
     for n in range(cutoff + 1):
-        node(f"HC_{n} (after I)", f"I: HH_{n} -> HC_{n}", report.i_maps[n],
-             f"S: HC_{n} -> HC_{n - 2}", report.s_maps.get(n, []), report.hc_dims[n])
+        node(f"HC_{n} (after I)", report.i_maps[n], report.s_maps.get(n, []), report.hc_dims[n])
     for m in range(cutoff - 1):
-        node(f"HC_{m} (after S)", f"S: HC_{m + 2} -> HC_{m}", report.s_maps.get(m + 2, []),
-             f"B: HC_{m} -> HH_{m + 1}", report.b_maps.get(m, []), report.hc_dims[m])
+        node(f"HC_{m} (after S)", report.s_maps.get(m + 2, []), report.b_maps.get(m, []),
+             report.hc_dims[m])
     report.exactness = nodes
     return nodes
 

@@ -37,7 +37,6 @@ class ParseError(ValueError):
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.tokens: list[tuple[str, str, int]] = []
         self._scan()
         self.index = 0

@@ -1,8 +1,9 @@
-"""Sparse exact Gaussian elimination, fraction-free on rational inputs.
+"""Sparse exact Gaussian elimination, fraction-free.
 
 Vectors are dicts {column: coefficient} with no stored zeros.  Coefficients
-are ints or Fractions, or any other exact field type supporting +, -, *, /,
-bool and ==.  No float ever enters.
+are ints and Fractions, or any other exact integral domain supporting +, -,
+*, bool and ==, such as the Laurent polynomials Z[q, q^-1].  No float ever
+enters.
 
 On ints and Fractions the elimination stays in the integers, in the manner
 of Bareiss (Math. Comp. 22, 1968).  Every stored row is a primitive integer
@@ -13,8 +14,9 @@ denominators once, on entry, and then reduces it by cross-multiplication,
 g = gcd(coeff, lead).  It tracks the product of the factors a as ``scale``,
 so that scale*vec = residue + the combination of rows.  The one division
 of coefficients is ``QuotientSpace.coords``, which returns combo / scale.
-Rows of any other field type are made monic; against a row with lead 1 the
-same step has a = 1 and b = coeff.
+Over any other domain there is no gcd to take: rows are stored exactly as
+reduced, and the step is ``residue <- lead*residue - coeff*row``, which
+needs no division, so scale is the product of the leads used.
 
     >>> basis = GaussianBasis()
     >>> basis.insert({0: 4, 1: 2, 2: 6}), basis.row(0)
@@ -65,8 +67,8 @@ from .sparse import add_into, exact_quotient
 def _cleared(vec: dict) -> tuple[dict, int]:
     """(den * vec, den) with den the lcm of the denominators of vec's Fractions.
 
-    A copy of vec with scale 1 when it holds no Fraction, so integer and
-    field-typed vectors pass unchanged.
+    A copy of vec with scale 1 when it holds no Fraction, so vectors of ints
+    or of any other exact integral domain pass unchanged.
     """
     dens = {v.denominator for v in vec.values() if type(v) is Fraction}
     if not dens:
@@ -95,15 +97,6 @@ def _primitive(vecs: list[dict], sign: int = 1) -> list[dict]:
     if divisor == 1:
         return vecs
     return [{col: val // divisor for col, val in vec.items()} for vec in vecs]
-
-
-def _divided(vec: dict, lead) -> dict:
-    """vec / lead in a field; vec itself when lead is 1."""
-    if lead == 1:
-        return vec
-    if lead == -1:
-        return {col: -val for col, val in vec.items()}
-    return {col: val / lead for col, val in vec.items()}
 
 
 class GaussianBasis:
@@ -135,8 +128,10 @@ class GaussianBasis:
         """Return (residue, combo, scale): scale*vec = residue + the rows used.
 
         combo is the same combination of the rows' payloads (rows without
-        payloads contribute nothing to it).  scale is a positive integer: the
-        lcm of vec's denominators times every factor a of the steps.
+        payloads contribute nothing to it).  On ints and Fractions scale is a
+        positive integer: the lcm of vec's denominators times every factor a
+        of the steps.  On any other exact integral domain it is the product
+        of the leads of the rows used.
         """
         rows = self._rows
         residue, scale = _cleared(vec)
@@ -152,9 +147,12 @@ class GaussianBasis:
                 continue
             row, payload = rows[col]
             lead = row[col]
-            if type(lead) is int and lead != 1:
-                g = gcd(coeff, lead)
-                a, coeff = lead // g, coeff // g
+            if lead != 1:
+                if type(lead) is int:
+                    g = gcd(coeff, lead)
+                    a, coeff = lead // g, coeff // g
+                else:
+                    a = lead
                 if a != 1:
                     scale *= a
                     for c in residue:
@@ -184,9 +182,9 @@ class GaussianBasis:
         """Insert a vector; return (pivot, dependency).
 
         pivot is None when vec is dependent on the stored rows.  In that
-        case dependency is scale*payload - combo, made primitive: the payload
-        expression of the dependency (a kernel element when payloads track
-        preimages).
+        case dependency is scale*payload - combo, made primitive on ints and
+        Fractions: the payload expression of the dependency (a kernel element
+        when payloads track preimages).
         """
         residue, combo, scale = self.reduce(vec)
         if payload is None:
@@ -202,8 +200,6 @@ class GaussianBasis:
         vecs = [residue] if dependency is None else [residue, dependency]
         if type(lead) is int:
             vecs = _primitive(vecs, -1 if lead < 0 else 1)
-        else:
-            vecs = [_divided(vec, lead) for vec in vecs]
         self._rows[pivot] = (vecs[0], None if dependency is None else vecs[1])
         return pivot, None
 
@@ -297,9 +293,12 @@ class QuotientSpace:
         return len(self.representatives)
 
     def coords(self, vec: dict) -> dict:
-        """Coordinates of vec in the representative basis.
+        """Coordinates of vec in the representative basis: combo / scale.
 
-        Raises ValueError if vec is not in cycles + boundaries.
+        On ints and Fractions, where the quotient is an exact rational.  Over
+        any other exact integral domain, divide the combo of ``reduce`` by
+        its scale with the domain's own exact division.  Raises ValueError
+        if vec is not in cycles + boundaries.
         """
         residue, combo, scale = self._basis.reduce(vec)
         if residue:

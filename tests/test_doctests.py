@@ -6,6 +6,7 @@ import heckehom.laurent
 import heckehom.weyl
 import heckehom.hecke
 import heckehom.hh0
+import heckehom.hh0_oracle
 import heckehom.exprparse
 import heckehom.engine
 import heckehom.hochschild
@@ -21,6 +22,7 @@ def test_doctests():
         heckehom.weyl,
         heckehom.hecke,
         heckehom.hh0,
+        heckehom.hh0_oracle,
         heckehom.exprparse,
         heckehom.engine,
         heckehom.hochschild,

@@ -3,11 +3,13 @@
 import random
 from fractions import Fraction
 
-from heckehom.laurent import LaurentQ, Q, qpow
+import pytest
+
+from heckehom.laurent import LaurentQ, NotDivisible, Q, qpow
 from heckehom.weyl import S, T, WeylWord, all_words, st_power, ts_power
 from heckehom.hecke import basis, t_mul
 from heckehom.hh0 import HH0Class, class_of_word, reduce_to_hh0
-from heckehom.hh0_oracle import QFrac, TruncatedTraceOracle, poly_gcd
+from heckehom.hh0_oracle import TruncatedTraceOracle
 
 from test_hecke import random_element, random_multiterm_element
 
@@ -93,17 +95,6 @@ def test_per_word_route_catches_a_dropped_shift(monkeypatch):
     assert _horner_mismatches()
 
 
-def test_poly_gcd_and_qfrac():
-    assert poly_gcd(Q**2 - 1, Q - 1) == Q - 1
-    assert poly_gcd((Q - 1) * qpow(-3), (Q - 1) * Q) == Q - 1
-    value = QFrac(Q**2 - 1, Q - 1)
-    assert value.is_laurent and value.as_laurent() == Q + 1
-    ratio = QFrac(Q, Q + 1)
-    assert not ratio.is_laurent
-    assert (ratio * QFrac(Q + 1)).as_laurent() == Q
-    assert (ratio - ratio).num.is_zero
-
-
 def test_oracle_agreement():
     oracle = TruncatedTraceOracle(6)
     for w in all_words(6):
@@ -117,6 +108,40 @@ def _oracle_class_of(oracle, element):
     for word, coeff in element.terms.items():
         total = total + oracle.class_of_word(word).scale(coeff)
     return total
+
+
+def _patch_tokens(monkeypatch, edit):
+    """Give the oracle edit(its canonical tokens) as its canonical tokens."""
+    original = TruncatedTraceOracle._canonical_tokens
+    monkeypatch.setattr(
+        TruncatedTraceOracle, "_canonical_tokens", lambda self: edit(list(original(self)))
+    )
+
+
+def test_oracle_rejects_a_dependent_token(monkeypatch):
+    _patch_tokens(monkeypatch, lambda tokens: tokens + [("x", basis(WeylWord(3, "s")))])
+    with pytest.raises(RuntimeError, match="dependent"):
+        TruncatedTraceOracle(3)
+
+
+def test_oracle_rejects_a_class_outside_the_tokens(monkeypatch):
+    _patch_tokens(monkeypatch, lambda tokens: [tok for tok in tokens if tok[0] != "t"])
+    oracle = TruncatedTraceOracle(3)
+    assert oracle.class_of_word(S) == HH0Class.basis_s()
+    with pytest.raises(RuntimeError, match="canonical span"):
+        oracle.class_of_word(T)
+
+
+def test_oracle_rejects_a_class_that_is_not_laurent(monkeypatch):
+    # with (1 + q)*T_s as the s token, the class of T_s is 1/(1 + q) times it
+    _patch_tokens(
+        monkeypatch,
+        lambda tokens: [(tok, basis(S).scale(Q + 1) if tok == "s" else el) for tok, el in tokens],
+    )
+    oracle = TruncatedTraceOracle(3)
+    assert oracle.class_of_word(T) == HH0Class.basis_t()
+    with pytest.raises(NotDivisible):
+        oracle.class_of_word(S)
 
 
 def test_oracle_on_elements():

@@ -306,14 +306,10 @@ def test_torus_coefficients_are_never_float():
 
 
 def _scalars(value):
-    """Every scalar coefficient inside an element, a QFrac or a dict of them."""
-    from heckehom.hh0_oracle import QFrac
+    """Every scalar coefficient inside an element or a dict of them."""
     from heckehom.sparse import Sparse
 
-    if isinstance(value, QFrac):
-        yield from _scalars(value.num)
-        yield from _scalars(value.den)
-    elif isinstance(value, (Sparse, dict)):
+    if isinstance(value, (Sparse, dict)):
         for coeff in (value.terms if isinstance(value, Sparse) else value).values():
             yield from _scalars(coeff)
     else:
@@ -329,7 +325,7 @@ def _assert_integer_first(value):
 def test_hecke_side_coefficients_are_integer_first():
     """Integer inputs keep the Hecke side in ints through every division: the
     inverse, exact division, negative powers, the trace reduction, the spectral
-    maps and the commutator-space oracle over Q(q)."""
+    maps and the commutator-space oracle over Z[q, q^-1]."""
     from heckehom import spectral as sp
     from heckehom.hecke import basis, t_inverse, t_mul
     from heckehom.hh0 import reduce_to_hh0
@@ -366,16 +362,47 @@ def test_hecke_side_coefficients_are_integer_first():
         _assert_integer_first(oracle.class_of_word(word))
 
 
-def test_field_rows_stay_monic():
-    """Rows over Q(q), which has no gcd, are divided by their lead."""
-    from heckehom.hh0_oracle import QFrac, TruncatedTraceOracle
+def _random_laurent_vectors(rng, n_rows, n_cols):
+    """Sparse LaurentQ rows; about a third are combinations of earlier rows
+    with Laurent coefficients, so dependent inserts occur."""
+    from heckehom.laurent import LaurentQ
+
+    def entry():
+        return LaurentQ({rng.randint(-2, 2): rng.choice([-2, -1, 1, 3]) for _ in range(2)})
+
+    rows = []
+    for _ in range(n_rows):
+        if rows and rng.random() < 0.35:
+            vec = {}
+            for _ in range(rng.randint(1, 3)):
+                add_into(vec, rng.choice(rows), entry())
+        else:
+            vec = {c: entry() for c in rng.sample(range(n_cols), rng.randint(1, 4))}
+        rows.append(vec)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_domain_rows_are_not_divided(seed):
+    """Rows over Z[q, q^-1], which has no gcd to take, are stored as reduced:
+    the oracle keeps leads other than 1, and on random Laurent vectors every
+    dependency insert returns is a kernel vector, sum dep[i] * vec_i = 0."""
+    from heckehom.hh0_oracle import TruncatedTraceOracle
+    from heckehom.laurent import LaurentQ
 
     oracle = TruncatedTraceOracle(cutoff=3)
-    for basis in (oracle._basis, oracle._canonical):
-        assert basis.rank
-        for pivot in basis.pivots:
-            lead = basis.row(pivot)[0][pivot]
-            assert type(lead) is QFrac and lead == 1
+    leads = [oracle._basis.row(pivot)[0][pivot] for pivot in oracle._basis.pivots]
+    assert any(type(lead) is LaurentQ and lead != 1 for lead in leads)
+    vectors = _random_laurent_vectors(random.Random(70 + seed), 30, 12)
+    basis = GaussianBasis()
+    dependencies = []
+    for idx, vec in enumerate(vectors):
+        pivot, dependency = basis.insert(vec, payload={idx: 1})
+        if pivot is None:
+            dependencies.append(dependency)
+    assert dependencies and all(dependencies)
+    for dependency in dependencies:
+        assert linear(vectors.__getitem__, dependency) == {}
 
 
 @pytest.mark.parametrize("name", eg.BUILTIN_ALGEBRAS)

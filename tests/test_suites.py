@@ -206,3 +206,20 @@ def test_a_broken_statement_fails_with_its_first_witness(
     report = suites._SUITES[suite](suites.SuiteConfig(**config))
     case = next(c for c in report.cases if c.id == case_id)
     assert (case.passed, case.actual) == (False, f"fail {witness}")
+
+
+def test_an_oracle_value_case_fails_on_a_wrong_class(monkeypatch):
+    """The hh0/oracle/<word> cases compare two rendered classes: a reduction
+    that adds [Tt] on words of length >= 3 fails sts and still passes st."""
+
+    def tt_added_on_long_words(f):
+        def reduce_to_hh0(a):
+            long_word = any(w.length >= 3 for w in a.support())
+            return f(a) + HH0Class.basis_t() if long_word else f(a)
+
+        return reduce_to_hh0
+
+    _wrap(monkeypatch, suites, "reduce_to_hh0", tt_added_on_long_words)
+    report = suites.suite_hh0(suites.SuiteConfig(nmax=2, reduce_oracle_cutoff=3))
+    cases = {c.id: c for c in report.cases}
+    assert not cases["hh0/oracle/sts"].passed and cases["hh0/oracle/st"].passed
