@@ -17,7 +17,7 @@ from .hh0 import reduce_to_hh0
 from . import spectral as sp
 from .hecke import r_polynomial
 from .weyl import E, st_power
-from .suites import ConfigError, SuiteConfig, SUITE_TARGETS, csv_text, run_suite
+from .suites import HECKE_BOUND, ConfigError, SuiteConfig, SUITE_TARGETS, csv_text, run_suite
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -88,6 +88,8 @@ def _parse_range(text: str) -> range:
         raise _UsageError(f"bad range {text!r}; expected e.g. 1..8") from None
     if hi < lo:
         raise _UsageError(f"empty range {text!r}")
+    if max(-lo, hi) > HECKE_BOUND:
+        raise _UsageError(f"range {text!r} leaves -{HECKE_BOUND}..{HECKE_BOUND}")
     return range(lo, hi + 1)
 
 

@@ -498,7 +498,9 @@ class ClassFunctionAction:
         every tuple of degree <= up_to (``hochschild.class_action_commutes``)."""
         mul = stack.spec.product_vec
         return all(
-            hh.class_action_commutes(key, mul, stack.unit, self.factor)
+            hh.class_action_commutes(
+                key, self.factor, hh.faces(key, mul) + [hh.connes_B(key, stack.unit)]
+            )
             for p in range(up_to + 1)
             for key in stack.tuples(p)
         )

@@ -36,19 +36,20 @@ from __future__ import annotations
 from .sparse import add_term
 
 
-def _split(key: tuple, i: int) -> tuple[tuple, object, object, tuple]:
-    """(head, a, b, tail): d_i puts the product a b between head and tail."""
-    p = len(key) - 1
-    if i < p:
-        return key[:i], key[i], key[i + 1], key[i + 2 :]
-    return (), key[p], key[0], key[1:p]
-
-
 def face(key: tuple, i: int, mul) -> dict:
     """d_i on one tuple: entries i and i + 1 multiplied; d_p multiplies the
     last entry into the first."""
-    head, a, b, tail = _split(key, i)
+    p = len(key) - 1
+    if i < p:
+        head, a, b, tail = key[:i], key[i], key[i + 1], key[i + 2 :]
+    else:
+        head, a, b, tail = (), key[p], key[0], key[1:p]
     return {head + (label,) + tail: c for label, c in mul(a, b).items()}
+
+
+def faces(key: tuple, mul) -> list[dict]:
+    """[d_0, ..., d_p] on one tuple; none in degree 0."""
+    return [face(key, i, mul) for i in range(len(key))] if len(key) > 1 else []
 
 
 def boundary(key: tuple, mul) -> dict:
@@ -56,9 +57,21 @@ def boundary(key: tuple, mul) -> dict:
     out: dict = {}
     p = len(key) - 1
     for i in range(p + 1) if p else ():
-        head, a, b, tail = _split(key, i)
+        # the faces of ``face`` and the accumulation of ``sparse.add_term``,
+        # inline: this loop is the hot path of the engine and the torus
+        if i < p:
+            head, a, b, tail = key[:i], key[i], key[i + 1], key[i + 2 :]
+        else:
+            head, a, b, tail = (), key[p], key[0], key[1:p]
         for label, c in mul(a, b).items():
-            add_term(out, head + (label,) + tail, -c if i % 2 else c)
+            image = head + (label,) + tail
+            value = -c if i % 2 else c
+            old = out.get(image)
+            new = value if old is None else old + value
+            if new:
+                out[image] = new
+            elif old is not None:
+                del out[image]
     return out
 
 
@@ -106,10 +119,11 @@ def class_action(vec: dict, weight) -> dict:
     return {key: c for key, c in scaled if c}
 
 
-def class_action_commutes(key: tuple, mul, unit, weight) -> bool:
-    """True when every face d_i, t and B send the tuple only to tuples of its
-    own weight, so the diagonal action commutes with them (and with b) on it."""
+def class_action_commutes(key: tuple, weight, images: list[dict]) -> bool:
+    """True when t and the maps whose images of the tuple are given (every
+    face d_i and B, see ``faces`` and ``connes_B``) send it only to tuples
+    of its own weight, so the diagonal action commutes with them (and with
+    b) on it."""
     here = weight(key)
-    faces = [face(key, i, mul) for i in range(len(key))] if len(key) > 1 else []
-    images = faces + [connes_B(key, unit), {cyclic(key)[0]: 1}]
+    images = images + [{cyclic(key)[0]: 1}]
     return all(weight(other) == here for vec in images for other in vec)

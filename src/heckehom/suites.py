@@ -33,10 +33,8 @@ from .hecke import (
 from .hh0 import HH0Class, reduce_to_hh0
 from .hh0_oracle import MARGIN, TruncatedTraceOracle
 from . import spectral as sp
-from . import hochschild as hh
 from . import torus as tr
 from . import engine as eg
-from .sparse import add_into, linear
 
 SUITE_TARGETS = (
     "hecke",
@@ -76,6 +74,13 @@ ENGINE_ORACLE_DIMS = {
 }
 
 
+# the largest n of a Hecke-side suite or table, and the largest word length
+# of rpoly: t_inverse recurses once per letter, so a cold inverse of (st)^n
+# ends in RecursionError from n = 495 (table commutator, verify geomlemma),
+# and the work grows fast (table commutator: 3.8 s at n = 100, 29 s at 200)
+HECKE_BOUND = 100
+
+
 class ConfigError(ValueError):
     """Invalid suite configuration (reported separately from failures)."""
 
@@ -95,7 +100,8 @@ class SuiteConfig:
 
     def validate(self, targets: tuple[str, ...] = SUITE_TARGETS) -> None:
         """Check every field, then the sizes of the suites in targets only:
-        the torus square check for "torus", the algebras for "engine"."""
+        nmax and lmax for the Hecke-side suites that read them, the torus
+        square check for "torus", the algebras for "engine"."""
         for name, value in [
             ("nmax", self.nmax),
             ("lmax", self.lmax),
@@ -115,6 +121,12 @@ class SuiteConfig:
         for name in self.engine_algebras:
             if name not in eg.BUILTIN_ALGEBRAS:
                 raise ConfigError(f"unknown builtin algebra {name!r}")
+        for name, value, readers in [
+            ("nmax", self.nmax, ("rpoly", "hh0", "clozel", "commutator", "geomlemma")),
+            ("lmax", self.lmax, ("rpoly",)),
+        ]:
+            if value > HECKE_BOUND and set(readers) & set(targets):
+                raise ConfigError(f"{name} must be at most {HECKE_BOUND}, got {value}")
         if "torus" in targets:
             for rank in self.torus_ranks:
                 for p in self.torus_degrees or ():
@@ -564,25 +576,8 @@ def suite_torus(cfg: SuiteConfig) -> SuiteReport:
     identity_windows = {1: 2}
     for rank in cfg.torus_ranks:
         window = identity_windows.get(rank, 1)
-        unit = (0,) * rank
-        failed = {}  # case name -> the first key it fails on
-        swept = []
-        for degree in range(rank + 2):
-            if not _torus_sweep_fits(rank, degree, window):
-                continue
-            swept.append(degree)
-            for key in tr.windowed_keys(rank, degree, window):
-                b_image = tr.boundary_key(key)
-                if linear(tr.boundary_key, b_image):
-                    failed.setdefault("b-squared", key)
-                if not hh.is_degenerate(key, unit):
-                    B_image = tr.connes_b_key(key)
-                    bB = hh.normalize(linear(tr.boundary_key, B_image), unit)
-                    Bb = linear(tr.connes_b_key, hh.normalize(b_image, unit))
-                    if linear(tr.connes_b_key, B_image) or add_into(bB, Bb):
-                        failed.setdefault("normalized-identities", key)
-                if not hh.class_action_commutes(key, tr._lattice_mul, unit, tr._compact):
-                    failed.setdefault("class-action-commutes", key)
+        swept = [p for p in range(rank + 2) if _torus_sweep_fits(rank, p, window)]
+        failed = tr.chain_identity_failures(rank, window, swept)
         for name, claim in _TORUS_IDENTITIES:
             report.add_bool(
                 f"torus/{name}/r{rank}",
@@ -605,8 +600,9 @@ def suite_torus(cfg: SuiteConfig) -> SuiteReport:
         if wanted:
             top = max(wanted + [p + 1 for p in sbi])
             ladder = tr._invariant_sector_dims(rank, cfg.torus_window, top)
+        squares = {}
         for p in wanted:
-            square = tr.homology_square_check(rank, cfg.torus_window, p, ladder[p])
+            square = squares[p] = tr.homology_square_check(rank, cfg.torus_window, p, ladder[p])
             report.add_bool(
                 f"torus/square/r{rank}/p{p}",
                 "hkr.class_action = pi0.hkr up to boundaries on windowed cycles",
@@ -649,12 +645,7 @@ def suite_torus(cfg: SuiteConfig) -> SuiteReport:
             f"torus/pi0-after-B/r{rank}",
             "pi0.hkr.B = 0 on normalized windowed chains",
             {"rank": rank, "window": cfg.torus_window, "degrees": swept},
-            (
-                str(key)
-                for p in swept
-                for key in tr.windowed_keys(rank, p, cfg.torus_window)
-                if not tr._is_degenerate(key) and tr.pi0(tr.hkr(tr.connes_b_key(key)))
-            ),
+            (str(squares[p].pi0_after_b) for p in swept if squares[p].pi0_after_b is not None),
         )
     return report
 

@@ -18,6 +18,13 @@ through the map
 All homology statements are verified on exponent-windowed truncations; the
 chain complex is graded by the total exponent vector, which every structure
 map preserves, so windowed computations inside one grade are exact.
+
+Each windowed sweep forms a tuple's maps once.  ``chain_identity_failures``
+checks b b = 0, B B = 0, bB + Bb = 0 and the compact weight one cyclic
+rotation orbit at a time: the B-images of an orbit's tuples share their
+terms, so b of each term is formed once per orbit.  ``homology_square_check``
+forms hkr(x) and hkr(B(x)) once per tuple and feeds the square, the
+constant of hkr . B = c * d . hkr and pi0 . hkr . B = 0 from them.
 """
 
 from __future__ import annotations
@@ -30,26 +37,19 @@ from operator import add
 
 from . import hochschild as hh
 from .linalg import QuotientSpace, elimination_order, homology, kernel_vectors
-from .sparse import exact_quotient, linear
+from .sparse import add_into, exact_quotient, linear
 
 ChainKey = tuple[tuple[int, ...], ...]
 FormKey = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _vec_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(add, a, b))
-
-
 def _total(key: ChainKey) -> tuple[int, ...]:
-    total = key[0]
-    for vec in key[1:]:
-        total = _vec_add(total, vec)
-    return total
+    return tuple(map(sum, zip(*key)))
 
 
 def _lattice_mul(a: tuple[int, ...], b: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """The product of two basis vectors of the group algebra: lattice addition."""
-    return {_vec_add(a, b): 1}
+    return {tuple(map(add, a, b)): 1}
 
 
 def boundary_key(key: ChainKey) -> dict[ChainKey, int]:
@@ -134,7 +134,7 @@ def pi0(form: dict) -> dict:
 def _compact(key: ChainKey) -> int:
     """1 when the entries of the tuple sum to zero, else 0: the indicator of
     the trivial subgroup, the compact part of a lattice, at their product."""
-    return int(not any(_total(key)))
+    return int(not any(map(sum, zip(*key))))
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +152,61 @@ def windowed_keys(rank: int, degree: int, window: int):
 
 def sector_keys(rank: int, degree: int, window: int, total: tuple[int, ...]):
     """Windowed basis tuples with a prescribed total exponent vector."""
+    zero = (0,) * rank
     for prefix in itertools.product(window_vectors(rank, window), repeat=degree):
-        partial = (0,) * rank
-        for vec in prefix:
-            partial = _vec_add(partial, vec)
-        last = tuple(t - x for t, x in zip(total, partial))
+        last = tuple(t - x for t, x in zip(total, _total((zero,) + prefix)))
         if all(-window <= x <= window for x in last):
             yield prefix + (last,)
+
+
+def chain_identity_failures(rank: int, window: int, degrees) -> dict[str, ChainKey]:
+    """The first windowed tuple, by degree and then lexicographically, on
+    which each chain identity fails, keyed by the identity's name:
+    "b-squared" (b b = 0), "normalized-identities" (B B = 0 and bB + Bb = 0
+    on the normalized tuples) and "class-action-commutes" (every face, t and
+    B keep the compact weight).  An identity that holds has no entry.
+
+    The tuples are walked one cyclic rotation orbit at a time, from its
+    smallest rotation.  B of every tuple of an orbit is a signed sum over the
+    same tuples, the unit in front of each rotation, so b of each tuple the
+    orbit's B-images hold is formed once, in a table that lives as long as
+    the orbit.  Each tuple's faces and B are formed once and give b, bB, B B
+    and the weight check.
+    """
+    unit = (0,) * rank
+    failed: dict[str, ChainKey] = {}
+
+    def fail(name: str, key: ChainKey) -> None:
+        first = failed.get(name)
+        if first is None or (len(key), key) < (len(first), first):
+            failed[name] = key
+
+    for degree in degrees:
+        for start in windowed_keys(rank, degree, window):
+            rotations = [start[j:] + start[:j] for j in range(1, degree + 1)]
+            if any(start > other for other in rotations):
+                continue  # the orbit is walked from its smallest rotation
+            b_of = {}  # b of the tuples in this orbit's B-images
+            for key in dict.fromkeys([start] + rotations):
+                key_faces = hh.faces(key, _lattice_mul)
+                b_image: dict = {}
+                for i, image in enumerate(key_faces):
+                    add_into(b_image, image, -1 if i % 2 else None)
+                if linear(boundary_key, b_image):
+                    fail("b-squared", key)
+                B_image = connes_b_key(key)
+                if not hh.is_degenerate(key, unit):
+                    bB: dict = {}
+                    for other, c in B_image.items():
+                        if other not in b_of:
+                            b_of[other] = boundary_key(other)
+                        add_into(bB, b_of[other], c)
+                    Bb = linear(connes_b_key, hh.normalize(b_image, unit))
+                    if linear(connes_b_key, B_image) or add_into(hh.normalize(bB, unit), Bb):
+                        fail("normalized-identities", key)
+                if not hh.class_action_commutes(key, _compact, key_faces + [B_image]):
+                    fail("class-action-commutes", key)
+    return failed
 
 
 @dataclass
@@ -178,6 +226,7 @@ class SquareReport:
     square_commutes: bool
     hkr_b_constant: int | Fraction | None
     hkr_b_consistent: bool
+    pi0_after_b: ChainKey | None  # the first normalized tuple with pi0(hkr(B(x))) != 0
     passed: bool
 
     def as_dict(self) -> dict:
@@ -206,31 +255,24 @@ def _invariant_sector_dims(rank: int, window: int, top: int) -> list[QuotientSpa
     return homology(bases, boundary_key, closed=False)
 
 
-def check_square_on_key(key: ChainKey) -> bool:
-    """hkr(class_action(x)) == pi0(hkr(x)) on a single basis tuple."""
-    chain = {key: 1}
-    return hkr(hh.class_action(chain, _compact)) == pi0(hkr(chain))
+def check_square_on_key(key: ChainKey, form: dict) -> bool:
+    """hkr(class_action(x)) == pi0(hkr(x)) on a basis tuple x, with
+    form = hkr(x): the action scales x by its weight, and hkr with it."""
+    weight = _compact(key)
+    return {fkey: weight * c for fkey, c in form.items() if weight * c} == pi0(form)
 
 
-def measure_hkr_b_constant(rank: int, degree: int, window: int):
-    """Find c with hkr(B(x)) = c * d(hkr(x)) on windowed normalized chains.
-
-    Returns (constant, consistent): constant is None when both sides vanish
-    identically on the window (the relation is then vacuous).
-    """
-    ratios = set()
-    for key in windowed_keys(rank, degree, window):
-        if _is_degenerate(key):
-            continue
-        left = hkr(connes_b_key(key))
-        right = de_rham_d(hkr({key: 1}))
-        # left may not have support beyond right
-        if left.keys() - right.keys():
-            return None, False
-        ratios.update(exact_quotient(left.get(fkey, 0), value) for fkey, value in right.items())
-        if len(ratios) > 1:
-            return None, False
-    return (ratios.pop() if ratios else None), True
+def measure_hkr_b_constant(ratios: set, image: dict, form: dict) -> bool:
+    """One normalized tuple x of the search for c with hkr(B(x)) = c * d(hkr(x)),
+    given image = hkr(B(x)) and form = hkr(x): adds the ratios of image to
+    d(form) to ratios, and is False once no single c can hold, because image
+    has support beyond d(form) or ratios has two values."""
+    right = de_rham_d(form)
+    # image may not have support beyond right
+    if image.keys() - right.keys():
+        return False
+    ratios.update(exact_quotient(image.get(fkey, 0), value) for fkey, value in right.items())
+    return len(ratios) <= 1
 
 
 def homology_square_check(
@@ -238,19 +280,32 @@ def homology_square_check(
 ) -> SquareReport:
     """Verify the compact-restriction/invariant-forms square on a window.
 
-    Checks hkr . class_action = pi0 . hkr at chain level, by
-    ``check_square_on_key`` on every windowed degree-p tuple, which implies
-    it on cycles up to b-boundaries; reports the dimensions of the
-    invariant sector of the windowed homology: those of quotient, its H_p
-    from ``_invariant_sector_dims``.
+    One sweep over the windowed degree-p tuples forms hkr(x) and, on the
+    normalized ones, hkr(B(x)) once per tuple, and feeds three checks: the
+    square hkr . class_action = pi0 . hkr at chain level
+    (``check_square_on_key``), which implies it on cycles up to
+    b-boundaries; the constant c with hkr . B = c * d . hkr
+    (``measure_hkr_b_constant``), None when both sides vanish on the window;
+    and pi0 . hkr . B = 0, with its first failing tuple.  The dimensions of
+    the invariant sector of the windowed homology are those of quotient,
+    its H_p from ``_invariant_sector_dims``.
 
     Exhaustive over the window: the work grows like (2*window+1)^(rank*(p+2)),
     so large ranks want window 1.
     """
     if rank < 1 or window < 1 or degree < 0 or degree > rank:
         raise ValueError("need rank >= 1, window >= 1, 0 <= degree <= rank")
-    square_commutes = all(check_square_on_key(key) for key in windowed_keys(rank, degree, window))
-    constant, consistent = measure_hkr_b_constant(rank, degree, window)
+    square_commutes, consistent, ratios, pi0_after_b = True, True, set(), None
+    for key in windowed_keys(rank, degree, window):
+        form = hkr_key(key)
+        square_commutes = square_commutes and check_square_on_key(key, form)
+        if _is_degenerate(key):
+            continue
+        image = hkr(connes_b_key(key))
+        consistent = consistent and measure_hkr_b_constant(ratios, image, form)
+        if pi0_after_b is None and pi0(image):
+            pi0_after_b = key
+    constant = ratios.pop() if consistent and ratios else None
     return SquareReport(
         rank=rank,
         window=window,
@@ -261,6 +316,7 @@ def homology_square_check(
         square_commutes=square_commutes,
         hkr_b_constant=constant,
         hkr_b_consistent=consistent,
+        pi0_after_b=pi0_after_b,
         passed=square_commutes and consistent,
     )
 

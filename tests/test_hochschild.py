@@ -28,10 +28,14 @@ def _cyclic_3():
 ALGEBRAS = {"lattice_Z": _lattice_z, "cyclic_3": _cyclic_3}
 
 
+def _commutes(key, mul, unit, weight):
+    return hh.class_action_commutes(key, weight, hh.faces(key, mul) + [hh.connes_B(key, unit)])
+
+
 @pytest.mark.parametrize("name", ALGEBRAS)
 def test_weight_of_the_product_commutes(name):
     keys, mul, unit, weight = ALGEBRAS[name]()
-    assert all(hh.class_action_commutes(key, mul, unit, weight) for key in keys)
+    assert all(_commutes(key, mul, unit, weight) for key in keys)
 
 
 @pytest.mark.parametrize("name", ALGEBRAS)
@@ -40,7 +44,7 @@ def test_weight_of_the_first_entry_fails(name):
     preserved by B, which puts the unit in front."""
     keys, mul, unit, _ = ALGEBRAS[name]()
     first = lambda key: int(key[0] == unit)
-    assert not all(hh.class_action_commutes(key, mul, unit, first) for key in keys)
+    assert not all(_commutes(key, mul, unit, first) for key in keys)
 
 
 def test_class_action_drops_zero_weights():

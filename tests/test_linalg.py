@@ -300,9 +300,9 @@ def test_torus_coefficients_are_never_float():
             _assert_exact(row)
             if payload is not None:
                 _assert_exact(payload)
-    constant, consistent = tr.measure_hkr_b_constant(2, 1, 1)
-    assert consistent
-    _assert_integer_first({"c_p": constant})
+    square = tr.homology_square_check(2, 1, 1, tr._invariant_sector_dims(2, 1, 1)[1])
+    assert square.hkr_b_consistent
+    _assert_integer_first({"c_p": square.hkr_b_constant})
 
 
 def _scalars(value):

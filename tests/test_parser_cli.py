@@ -333,3 +333,48 @@ def test_default_torus_degrees_skip_oversized_sweeps():
     SuiteConfig(torus_ranks=(3,), torus_window=1, torus_degrees=(2, 4)).validate()
     with pytest.raises(ConfigError):
         SuiteConfig(torus_ranks=(1, 3), torus_window=1, torus_degrees=(2, 3)).validate()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["table", "commutator", "600..600"], "range '600..600' leaves -100..100"),
+        (["table", "rpoly", "0..101"], "range '0..101' leaves -100..100"),
+        (["verify", "geomlemma", "--nmax", "600"], "nmax must be at most 100, got 600"),
+        (["verify", "rpoly", "--lmax", "101"], "lmax must be at most 100, got 101"),
+    ],
+    ids=["table-commutator", "table-rpoly", "geomlemma-nmax", "rpoly-lmax"],
+)
+def test_hecke_side_sizes_beyond_the_bound_exit_2(capsys, monkeypatch, argv, message):
+    """A cold inverse of a word of length 2n recurses once per letter, so n
+    beyond the bound is rejected before any computation starts."""
+    from heckehom import spectral, suites
+
+    entered = []
+    for name in suites._SUITES:
+        monkeypatch.setitem(suites._SUITES, name, lambda cfg, name=name: entered.append(name))
+    monkeypatch.setattr(spectral, "commutator_direct", lambda n: entered.append(n))
+    monkeypatch.setattr("heckehom.cli.r_polynomial", lambda x, w: entered.append(w))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert entered == []
+
+
+def test_hecke_bound_admits_the_defaults_and_the_benchmark_sizes():
+    from heckehom.suites import HECKE_BOUND
+
+    SuiteConfig().validate()
+    for target, sizes in [("rpoly", {"lmax": 18, "nmax": 24}), ("hh0", {"nmax": 24}),
+                          ("commutator", {"nmax": 20})]:
+        SuiteConfig(**sizes).validate((target,))
+    SuiteConfig(nmax=HECKE_BOUND, lmax=HECKE_BOUND).validate()
+    for sizes in ({"nmax": HECKE_BOUND + 1}, {"lmax": HECKE_BOUND + 1}):
+        with pytest.raises(ConfigError):
+            SuiteConfig(**sizes).validate()
+    # suites that do not read a size are not stopped by it
+    SuiteConfig(nmax=600, lmax=600).validate(("hecke", "torus", "engine"))
+    with pytest.raises(ConfigError):
+        SuiteConfig(lmax=600).validate(("rpoly",))
+    SuiteConfig(lmax=600).validate(("geomlemma",))

@@ -71,7 +71,19 @@ def _first_term_doubled(f):
     return doubled
 
 
+def _on_key(target, wrong):
+    """f(key, ...) on every tuple but target, wrong(f, key, ...) on target."""
+    return lambda f: lambda key, *rest: wrong(f, key, *rest) if key == target else f(key, *rest)
+
+
+def _with_unit_term(f, key, unit):
+    # a term on a tuple with the unit in front that is no rotation of key,
+    # so b of it is in no table built from the orbit's rotations
+    return {**f(key, unit), (unit,) + key[::-1]: 1}
+
+
 _TORUS_R1 = {"torus_ranks": (1,), "torus_window": 1, "torus_degrees": (0,)}
+_TORUS_R2 = {"torus_ranks": (2,), "torus_window": 1, "torus_degrees": (0,)}
 
 
 # case id, suite, config, mutation, the first witness in order of the stream
@@ -192,6 +204,36 @@ BROKEN = [
         _TORUS_R1,
         lambda m: m.setattr(tr, "_compact", lambda key: int(not any(key[0]))),
         "((-2,),)",
+    ),
+    # rank 2: each fault on a tuple that is not the smallest rotation of its
+    # orbit, where the sweep starts the orbit
+    (
+        "torus/b-squared/r2",
+        "torus",
+        _TORUS_R2,
+        lambda m: _wrap(
+            m,
+            tr,
+            "boundary_key",
+            _on_key(((1, 0), (-1, 1)), lambda f, key: hh.face(key, 0, tr._lattice_mul)),
+        ),
+        "((0, -1), (-1, 1), (1, 1))",
+    ),
+    (
+        "torus/normalized-identities/r2",
+        "torus",
+        _TORUS_R2,
+        lambda m: _wrap(m, hh, "connes_B", _on_key(((1, 0), (-1, 1), (0, -1)), _with_unit_term)),
+        "((1, 0), (-1, 1), (0, -1))",
+    ),
+    (
+        "torus/class-action-commutes/r2",
+        "torus",
+        _TORUS_R2,
+        lambda m: _wrap(
+            m, tr, "_compact", _on_key(((0, 1), (1, 0), (0, 1)), lambda f, key: 1 - f(key))
+        ),
+        "((0, 1), (1, 0), (0, 1))",
     ),
 ]
 

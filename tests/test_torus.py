@@ -1,6 +1,7 @@
 """Lattice Hochschild chains, the forms picture, and windowed homology, on
 tuple dicts."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,25 @@ def test_chain_identities_windowed():
                 assert add_into(left, right) == {}
 
 
+@pytest.mark.parametrize("rank, window", [(1, 2), (2, 1)])
+def test_chain_identity_sweep_takes_every_windowed_tuple_once(monkeypatch, rank, window):
+    """The orbit walk forms B once on each windowed tuple of every degree
+    0..rank+1: the other calls of B are on tuples one degree up or down."""
+    connes_b_key = tr.connes_b_key
+    for degree in range(rank + 2):
+        seen = []
+
+        def counting(key):
+            if len(key) == degree + 1:
+                seen.append(key)
+            return connes_b_key(key)
+
+        monkeypatch.setattr(tr, "connes_b_key", counting)
+        assert tr.chain_identity_failures(rank, window, [degree]) == {}
+        assert Counter(seen) == Counter(tr.windowed_keys(rank, degree, window))
+        assert set(Counter(seen).values()) == {1}
+
+
 def test_class_action_commutes_with_structure_maps():
     for key in tr.windowed_keys(1, 2, 1):
         value = {key: 1}
@@ -152,7 +172,8 @@ def test_square_check_can_fail(monkeypatch):
     """Negative control: a compact part that reads only the first entry breaks
     the square on tuples such as ((1,), (-1,))."""
     monkeypatch.setattr(tr, "_compact", lambda key: int(not any(key[0])))
-    assert not tr.check_square_on_key(((1,), (-1,)))
+    key = ((1,), (-1,))
+    assert not tr.check_square_on_key(key, tr.hkr({key: 1}))
     report = _square(1, 1, 1)
     assert not report.square_commutes and not report.passed
 
@@ -167,11 +188,19 @@ def test_square_check_validation():
 def test_hkr_b_constant_is_one_where_defined():
     # hand computation: with the 1/p! normalization both sides agree exactly
     for rank, degree in ((1, 0), (2, 0), (2, 1)):
-        constant, consistent = tr.measure_hkr_b_constant(rank, degree, 2)
-        assert consistent
-        assert constant == Fraction(1)
-    constant, consistent = tr.measure_hkr_b_constant(1, 1, 2)
-    assert consistent and constant is None  # vacuous at degree = rank
+        report = _square(rank, 2, degree)
+        assert report.hkr_b_consistent
+        assert report.hkr_b_constant == Fraction(1)
+    report = _square(1, 2, 1)
+    assert report.hkr_b_consistent and report.hkr_b_constant is None  # vacuous at degree = rank
+
+
+def test_hkr_b_constant_fails_on_two_ratios_or_extra_support():
+    form = {((1,), ()): 1}  # hkr of ((1,),), with d(form) = {((1,), (0,)): 1}
+    ratios = set()
+    assert tr.measure_hkr_b_constant(ratios, {((1,), (0,)): 2}, form) and ratios == {2}
+    assert not tr.measure_hkr_b_constant(ratios, {((1,), (0,)): 3}, form)
+    assert not tr.measure_hkr_b_constant(set(), {((2,), (0,)): 1}, form)
 
 
 def test_compact_part_of_b_image_bounds():
