@@ -28,7 +28,7 @@ Subpackages by topic:
 """
 
 from .laurent import LaurentQ, NotDivisible, ONE, Q, ZERO, qpow
-from .weyl import E, S, T, WeylWord, bruhat_leq, lengths_add, st_power, ts_power, word_mul
+from .weyl import E, S, T, WeylWord, bruhat_leq, st_power, ts_power, word_mul
 from .hecke import (
     HeckeElement,
     basis,

@@ -63,7 +63,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", help="print a table of computed values")
     table.add_argument("target", choices=("rpoly", "commutator", "pres"))
-    table.add_argument("range", help="inclusive range of n, e.g. 0..8 or a single integer")
+    table.add_argument(
+        "range",
+        help="inclusive range of n, e.g. 0..8 or a single integer; a range that "
+        "starts below zero, such as -2..0, goes after '--' and after every option",
+    )
     _output_options(table)
 
     reduce_cmd = sub.add_parser("reduce", help="reduce a Hecke expression to the HH0 basis")

@@ -310,10 +310,11 @@ class ChainStack:
                     sign *= step
                 if (current, sign) != (key, 1):
                     return f"t^{p + 1} != 1 at degree {p}, tuple {key}"
+                key_faces = hh.faces(key, mul)
                 for j in range(1, p + 1):
                     for i in range(j):
-                        left = linear(lambda x: hh.face(x, i, mul), hh.face(key, j, mul))
-                        right = linear(lambda x: hh.face(x, j - 1, mul), hh.face(key, i, mul))
+                        left = linear(lambda x: hh.face(x, i, mul), key_faces[j])
+                        right = linear(lambda x: hh.face(x, j - 1, mul), key_faces[i])
                         if left != right:
                             return f"d_{i} d_{j} != d_{j - 1} d_{i} at degree {p}"
         return None

@@ -8,10 +8,14 @@ elements:
     factor := "-"* atom
     atom   := INTEGER | "q" ["^" INTEGER] | "T[" word "]" | "(" expr ")"
 
-Division is exact and only defined between scalars (the "a/b" rational
-notation).  Every value is carried as a Hecke element; parse_laurent and
-parse_scalar refuse inputs that use more of the language than their
-grammar allows.  Errors carry the offending position.
+A value has one representation at a time: it is an int or a Fraction until
+"q" or a basis token enters it, and a Hecke element from then on.  An
+operation on two numbers is an operation on numbers; once either operand
+is an element, a number operand is lifted to a constant element.
+Division is exact and only defined between numbers (the "a/b" rational
+notation).  parse_laurent and parse_scalar refuse inputs that use more of
+the language than their grammar allows.  Errors carry the offending
+position.
 
 Parentheses nest at most MAX_NESTING deep, which keeps the recursive
 descent well inside the interpreter's recursion limit; a run of unary
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 from .laurent import LaurentQ, qpow
 from .sparse import exact, exact_quotient
-from .weyl import WeylWord
+from .weyl import E, WeylWord
 from .hecke import HeckeElement, basis
 
 MAX_NESTING = 100
@@ -34,193 +38,142 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at position {position})")
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        self._scan()
-        self.index = 0
-
-    def _scan(self) -> None:
-        text = self.text
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.tokens.append(("int", text[i:j], i))
-                i = j
-                continue
-            if ch == "q":
-                self.tokens.append(("q", "q", i))
-                i += 1
-                continue
-            if ch == "T":
-                if i + 1 >= len(text) or text[i + 1] != "[":
-                    raise ParseError("expected '[' after 'T'", i + 1)
-                j = text.find("]", i + 2)
-                if j < 0:
-                    raise ParseError("unterminated 'T[' token", i)
-                self.tokens.append(("basis", text[i + 2 : j], i))
-                i = j + 1
-                continue
-            if ch in "+-*/^()":
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
+def _tokens(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, position) tokens of text, closed by an "end" token;
+    a character outside the language is reported before any grammar error."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(("int", text[i:j], i))
+            i = j
+        elif ch == "T":
+            if i + 1 >= len(text) or text[i + 1] != "[":
+                raise ParseError("expected '[' after 'T'", i + 1)
+            j = text.find("]", i + 2)
+            if j < 0:
+                raise ParseError("unterminated 'T[' token", i)
+            tokens.append(("basis", text[i + 2 : j], i))
+            i = j + 1
+        elif ch in "q+-*/^()":
+            tokens.append((ch, ch, i))
+            i += 1
+        else:
             raise ParseError(f"unexpected character {ch!r}", i)
-        self.tokens.append(("end", "", len(text)))
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
-
-    def advance(self) -> tuple[str, str, int]:
-        token = self.tokens[self.index]
-        if token[0] != "end":
-            self.index += 1
-        return token
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        token = self.peek()
-        if token[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {token[1]!r}", token[2])
-        return self.advance()
+    tokens.append(("end", "", len(text)))
+    return tokens
 
 
-class _Value:
-    """Either a pure scalar or a general Hecke element."""
+def _element(value) -> HeckeElement:
+    """value as a Hecke element: a number becomes a constant."""
+    return value if isinstance(value, HeckeElement) else HeckeElement({E: value})
 
-    __slots__ = ("element", "scalar")
 
-    def __init__(self, element: HeckeElement, scalar):
-        self.element = element
-        self.scalar = scalar
-
-    @classmethod
-    def of_scalar(cls, value) -> _Value:
-        return cls(HeckeElement({WeylWord.identity(): LaurentQ.const(value)}), value)
-
-    @classmethod
-    def of_element(cls, element: HeckeElement) -> _Value:
-        return cls(element, None)
+def _operands(a, b):
+    """a and b as they combine: two numbers, or two Hecke elements."""
+    if isinstance(a, HeckeElement) or isinstance(b, HeckeElement):
+        return _element(a), _element(b)
+    return a, b
 
 
 class _Parser:
+    """Reads the token list once, left to right; each rule returns an int,
+    a Fraction or a HeckeElement."""
+
     def __init__(self, text: str):
-        self.tokens = _Tokenizer(text)
+        self.tokens = _tokens(text)
+        self.index = 0
         self.depth = 0
 
-    def parse(self) -> HeckeElement:
+    def _kind(self) -> str:
+        return self.tokens[self.index][0]
+
+    def _take(self, kind: str) -> str:
+        """The text of the next token, which must be of this kind."""
+        found, text, position = self.tokens[self.index]
+        if found != kind:
+            raise ParseError(f"expected {kind!r}, found {text!r}", position)
+        self.index += 1
+        return text
+
+    def parse(self):
         value = self._expr()
-        token = self.tokens.peek()
-        if token[0] != "end":
-            raise ParseError(f"unexpected trailing input {token[1]!r}", token[2])
-        return value.element
+        kind, text, position = self.tokens[self.index]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {text!r}", position)
+        return value
 
-    def _expr(self) -> _Value:
+    def _expr(self):
         value = self._term()
-        while True:
-            kind, _, _ = self.tokens.peek()
-            if kind == "+":
-                self.tokens.advance()
-                value = _add(value, self._term())
-            elif kind == "-":
-                self.tokens.advance()
-                value = _add(value, _neg(self._term()))
-            else:
-                return value
+        while (kind := self._kind()) in ("+", "-"):
+            self.index += 1
+            a, b = _operands(value, self._term())
+            value = a + b if kind == "+" else a - b
+        return value
 
-    def _term(self) -> _Value:
+    def _term(self):
         value = self._factor()
-        while True:
-            kind, _, position = self.tokens.peek()
+        while (kind := self._kind()) in ("*", "/"):
+            position = self.tokens[self.index][2]
+            self.index += 1
+            a, b = _operands(value, self._factor())
             if kind == "*":
-                self.tokens.advance()
-                value = _mul(value, self._factor())
-            elif kind == "/":
-                self.tokens.advance()
-                value = _div(value, self._factor(), position)
+                value = a * b
+            elif isinstance(a, HeckeElement):
+                raise ParseError("'/' is only defined between scalars", position)
+            elif b == 0:
+                raise ParseError("division by zero", position)
             else:
-                return value
+                value = exact_quotient(a, b)
+        return value
 
-    def _factor(self) -> _Value:
+    def _factor(self):
         negate = False
-        while self.tokens.peek()[0] == "-":
-            self.tokens.advance()
+        while self._kind() == "-":
+            self.index += 1
             negate = not negate
         value = self._atom()
-        return _neg(value) if negate else value
+        return -value if negate else value
 
-    def _atom(self) -> _Value:
-        kind, text, position = self.tokens.peek()
+    def _atom(self):
+        kind, text, position = self.tokens[self.index]
         if kind == "int":
-            self.tokens.advance()
-            return _Value.of_scalar(int(text))
+            self.index += 1
+            return int(text)
         if kind == "q":
-            self.tokens.advance()
+            self.index += 1
             exponent = 1
-            if self.tokens.peek()[0] == "^":
-                self.tokens.advance()
-                exponent = self._signed_int()
-            return _Value.of_element(
-                HeckeElement({WeylWord.identity(): qpow(exponent)})
-            )
+            if self._kind() == "^":
+                self.index += 1
+                sign = 1
+                if self._kind() == "-":
+                    self.index += 1
+                    sign = -1
+                exponent = sign * int(self._take("int"))
+            return HeckeElement({E: qpow(exponent)})
         if kind == "basis":
-            self.tokens.advance()
+            self.index += 1
             try:
                 word = WeylWord.parse(text)
             except ValueError as err:
                 raise ParseError(str(err), position) from None
-            return _Value.of_element(basis(word))
+            return basis(word)
         if kind == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", position)
-            self.tokens.advance()
+            self.index += 1
             self.depth += 1
             value = self._expr()
             self.depth -= 1
-            self.tokens.expect(")")
+            self._take(")")
             return value
         raise ParseError(f"unexpected token {text or 'end of input'!r}", position)
-
-    def _signed_int(self) -> int:
-        sign = 1
-        if self.tokens.peek()[0] == "-":
-            self.tokens.advance()
-            sign = -1
-        _, text, _ = self.tokens.expect("int")
-        return sign * int(text)
-
-
-def _add(a: _Value, b: _Value) -> _Value:
-    scalar = None
-    if a.scalar is not None and b.scalar is not None:
-        scalar = a.scalar + b.scalar
-    return _Value(a.element + b.element, scalar)
-
-
-def _neg(a: _Value) -> _Value:
-    return _Value(-a.element, None if a.scalar is None else -a.scalar)
-
-
-def _mul(a: _Value, b: _Value) -> _Value:
-    scalar = None
-    if a.scalar is not None and b.scalar is not None:
-        scalar = a.scalar * b.scalar
-    return _Value(a.element * b.element, scalar)
-
-
-def _div(a: _Value, b: _Value, position: int) -> _Value:
-    if a.scalar is None or b.scalar is None:
-        raise ParseError("'/' is only defined between scalars", position)
-    if b.scalar == 0:
-        raise ParseError("division by zero", position)
-    return _Value.of_scalar(exact_quotient(a.scalar, b.scalar))
 
 
 def parse_hecke(text: str) -> HeckeElement:
@@ -229,17 +182,16 @@ def parse_hecke(text: str) -> HeckeElement:
     >>> parse_hecke("(q-1)*T[s] + q*T[e]").render()
     'q*T[e] + (-1 + q)*T[s]'
     """
-    return _Parser(text).parse()
+    return _element(_Parser(text).parse())
 
 
 def parse_laurent(text: str) -> LaurentQ:
     """Parse a Laurent polynomial in q (no basis tokens allowed)."""
     element = parse_hecke(text)
-    identity = WeylWord.identity()
     for word in element.terms:
-        if word != identity:
+        if word != E:
             raise ParseError(f"basis token T[{word}] not allowed here", 0)
-    return element.coefficient(identity)
+    return element.coefficient(E)
 
 
 def parse_scalar(text: str):

@@ -116,11 +116,6 @@ def word_mul(x: WeylWord, y: WeylWord) -> WeylWord:
     return E
 
 
-def lengths_add(x: WeylWord, y: WeylWord) -> bool:
-    """True iff l(xy) = l(x) + l(y)."""
-    return word_mul(x, y).length == x.length + y.length
-
-
 def bruhat_leq(x: WeylWord, w: WeylWord) -> bool:
     """Bruhat order: x <= w iff x == w or l(x) < l(w).
 

@@ -55,6 +55,61 @@ def test_parse_errors_carry_position():
         parse_scalar("q")
 
 
+@pytest.mark.parametrize(
+    "entry, text, message, position",
+    [
+        (parse_hecke, "T", "expected '[' after 'T'", 1),
+        (parse_hecke, "Ts", "expected '[' after 'T'", 1),
+        (parse_hecke, "T[s", "unterminated 'T[' token", 0),
+        (parse_hecke, "@", "unexpected character '@'", 0),
+        (parse_hecke, "(q", "expected ')', found ''", 2),
+        (parse_hecke, "q T[s]", "unexpected trailing input 's'", 2),
+        (parse_hecke, "T[s]/2", "'/' is only defined between scalars", 4),
+        (parse_hecke, "1/0", "division by zero", 1),
+        (parse_hecke, "T[ss]", "not a reduced alternating word: 'ss'", 0),
+        (parse_hecke, "q^", "expected 'int', found ''", 2),
+        (parse_hecke, "q^-", "expected 'int', found ''", 3),
+        (parse_hecke, "", "unexpected token 'end of input'", 0),
+        (parse_hecke, "*", "unexpected token '*'", 0),
+        (parse_laurent, "T[s]", "basis token T[s] not allowed here", 0),
+        (parse_scalar, "q", "expected a scalar, found powers of q", 0),
+    ],
+)
+def test_parse_error_message_and_position(capsys, entry, text, message, position):
+    with pytest.raises(ParseError) as err:
+        entry(text)
+    assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position)
+    if entry is parse_hecke:
+        assert main(["reduce", text]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {err.value}\n")
+
+
+def _outcome(entry, text) -> list:
+    """What entry makes of text: its rendered value (the type and value of a
+    scalar), or the ParseError message and position."""
+    try:
+        value = entry(text)
+    except ParseError as err:
+        return ["error", str(err), err.position]
+    if entry is parse_scalar:
+        return [type(value).__name__, str(value)]
+    return ["value", value.render()]
+
+
+def test_parser_matches_golden_corpus():
+    # 1,000 strings drawn from a fixed seed: well-formed expressions, some
+    # with characters inserted, deleted or replaced, and token soup with
+    # '@', 'x', stray 'T', '[', ']' and '^'; each line holds a string and
+    # the recorded outcomes of parse_hecke, parse_laurent and parse_scalar
+    lines = Path(__file__).with_name("parser_corpus.jsonl").read_text().splitlines()
+    assert len(lines) == 1000
+    for line in lines:
+        text, *expected = json.loads(line)
+        actual = [_outcome(entry, text) for entry in (parse_hecke, parse_laurent, parse_scalar)]
+        assert actual == expected, text
+
+
 def test_parse_nesting_is_bounded(capsys):
     nested = "(" * 50 + "q*T[s]" + ")" * 50
     assert parse_hecke(nested) == basis(S).scale(Q)
@@ -113,6 +168,16 @@ def test_table_command(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[1].startswith("0,2")
     assert main(["table", "rpoly", "nonsense"]) == 2
+
+
+def test_table_negative_range_after_double_dash(capsys):
+    # argparse reads an argument that starts "-2.." as an option; after
+    # "--" it is the range
+    assert main(["table", "commutator", "--", "-2..0"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["-2", "-1", "0"]
+    assert main(["table", "commutator", "--format", "csv", "--", "-2..0"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["-2,0", "-1,0", "0,0"]
 
 
 def test_verify_exit_codes_and_formats(capsys, tmp_path):

@@ -12,7 +12,6 @@ from heckehom.weyl import (
     WeylWord,
     all_words,
     bruhat_leq,
-    lengths_add,
     st_power,
     ts_power,
     word_mul,
@@ -29,6 +28,11 @@ def test_multiplication_examples():
     assert word_mul(S, S) == E
     assert word_mul(WeylWord.parse("st"), WeylWord.parse("ts")) == E
     assert word_mul(WeylWord.parse("st"), WeylWord.parse("st")) == WeylWord(4, "s")
+
+
+def lengths_add(x: WeylWord, y: WeylWord) -> bool:
+    """True iff l(xy) = l(x) + l(y)."""
+    return word_mul(x, y).length == x.length + y.length
 
 
 def test_lengths_add_examples():
