@@ -22,8 +22,9 @@ Subpackages by topic:
                class-function action
     engine     Hochschild/cyclic homology of algebras by structure constants,
                on the normalized complex, and class-function actions on
-               group algebras by the shared action; the built-in algebras
-               are the shipped algebras/*.json files
+               group algebras by the shared action with a plain weight
+               (class_weight); the built-in algebras are the shipped
+               algebras/*.json files
     suites     the verification case lists behind the CLI
 """
 
@@ -59,11 +60,11 @@ from .torus import (
 )
 from .engine import (
     AlgebraSpec,
-    ClassFunctionAction,
     NoUnit,
     NotAssociative,
     TooLarge,
     builtin_algebra,
+    class_weight,
     compute_cyclic,
     compute_hochschild,
     group_algebra,

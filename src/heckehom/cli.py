@@ -71,7 +71,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _output_options(table)
 
     reduce_cmd = sub.add_parser("reduce", help="reduce a Hecke expression to the HH0 basis")
-    reduce_cmd.add_argument("expression")
+    reduce_cmd.add_argument(
+        "expression",
+        help="a Hecke expression, e.g. 'T[s]*T[t]'; an expression that starts "
+        "with '-', such as -T[s], goes after '--' and after every option",
+    )
     _output_options(reduce_cmd)
     return parser
 

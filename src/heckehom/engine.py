@@ -12,8 +12,9 @@ between the computed groups are produced on explicit homology bases, so
 exactness of the long sequence can be verified by rank counting.  A
 basis key of Tot_n is (j, key) for a basis key of C_{n-2j}.  On a group
 algebra, a class function F acts on chains and on Tot by the diagonal
-action of ``hochschild``, with the weight F(g_0 ... g_p), and is checked
-against the structure maps there.
+action of ``hochschild``, with the plain weight F(g_0 ... g_p) of
+``class_weight``, and is checked against the structure maps in the sweep
+of ``ChainStack.verify_structure_identities``.
 
 Chains one degree above the report cutoff are always built, so every
 reported dimension is unaffected by the truncation.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from pathlib import Path
 
@@ -260,7 +262,7 @@ def unit_basis(spec: AlgebraSpec) -> AlgebraSpec:
 
 
 class ChainStack:
-    """The normalized Hochschild complex of an algebra, up to top_degree.
+    """The normalized Hochschild complex of an algebra.
 
     C_p is spanned by the tuples (a_0, ..., a_p) of basis labels with no
     unit after the first entry; b and B are those of ``hochschild`` with
@@ -269,10 +271,9 @@ class ChainStack:
     on the basis.
     """
 
-    def __init__(self, spec: AlgebraSpec, top_degree: int):
+    def __init__(self, spec: AlgebraSpec):
         self.spec = unit_basis(spec)
         self.unit = next(iter(self.spec.unit))
-        self.top_degree = top_degree
 
     def dim_chain(self, p: int) -> int:
         """The dimension of the normalized C_p."""
@@ -294,30 +295,49 @@ class ChainStack:
     def connes_B(self, key: tuple[int, ...]) -> dict:
         return hh.connes_B(key, self.unit)
 
-    def verify_structure_identities(self, up_to: int | None = None) -> str | None:
-        """Simplicial identities d_i d_j = d_{j-1} d_i (i < j) and t^(p+1) = 1
-        on every tuple, degenerate ones included.
-
-        Returns the first failing identity, with its witness, or None.
-        """
-        top = self.top_degree if up_to is None else up_to
+    def verify_structure_identities(self, cutoff: int, weight) -> dict[str, str]:
+        """The first witness of each failing identity, by name, from one sweep
+        over every tuple (degenerate ones included, by degree, then in order)
+        that forms each tuple's faces once: "precyclic", t^(p+1) = 1 and
+        d_i d_j = d_{j-1} d_i (i < j) in degrees 1..min(cutoff + 1, 3), and,
+        unless weight is None (see ``class_weight``), "class-action", every
+        face, t and B keeping it (``hochschild.class_action_commutes``) in
+        degrees 0..cutoff.  An identity that holds has no entry."""
+        precyclic_top = min(cutoff + 1, 3)
+        weight_top = cutoff if weight is not None else -1
         mul = self.spec.product_vec
-        for p in range(1, top + 1):
+        failed: dict[str, str] = {}
+        for p in range(max(precyclic_top, weight_top) + 1):
             for key in self.tuples(p):
-                current, sign = key, 1
-                for _ in range(p + 1):
-                    current, step = hh.cyclic(current)
-                    sign *= step
-                if (current, sign) != (key, 1):
-                    return f"t^{p + 1} != 1 at degree {p}, tuple {key}"
                 key_faces = hh.faces(key, mul)
-                for j in range(1, p + 1):
-                    for i in range(j):
-                        left = linear(lambda x: hh.face(x, i, mul), key_faces[j])
-                        right = linear(lambda x: hh.face(x, j - 1, mul), key_faces[i])
-                        if left != right:
-                            return f"d_{i} d_{j} != d_{j - 1} d_{i} at degree {p}"
-        return None
+                if 1 <= p <= precyclic_top and "precyclic" not in failed:
+                    witness = _precyclic_failure(key, key_faces, mul)
+                    if witness:
+                        failed["precyclic"] = witness
+                if p <= weight_top and "class-action" not in failed:
+                    images = key_faces + [hh.connes_B(key, self.unit)]
+                    if not hh.class_action_commutes(key, weight, images):
+                        failed["class-action"] = f"tuple {key}"
+        return failed
+
+
+def _precyclic_failure(key: tuple[int, ...], key_faces: list[dict], mul) -> str | None:
+    """t^(p+1) = 1 and d_i d_j = d_{j-1} d_i (i < j) on one tuple of degree
+    p, given its faces: the first that fails, with its witness, or None."""
+    p = len(key) - 1
+    current, sign = key, 1
+    for _ in range(p + 1):
+        current, step = hh.cyclic(current)
+        sign *= step
+    if (current, sign) != (key, 1):
+        return f"t^{p + 1} != 1 at degree {p}, tuple {key}"
+    for j in range(1, p + 1):
+        for i in range(j):
+            left = linear(lambda x: hh.face(x, i, mul), key_faces[j])
+            right = linear(lambda x: hh.face(x, j - 1, mul), key_faces[i])
+            if left != right:
+                return f"d_{i} d_{j} != d_{j - 1} d_{i} at degree {p}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +385,7 @@ def _guard(spec: AlgebraSpec, cutoff: int) -> None:
 def compute_hochschild(spec: AlgebraSpec, cutoff: int) -> HomologyReport:
     """Exact HH_0..HH_cutoff with representative cycles."""
     _guard(spec, cutoff)
-    stack = ChainStack(spec, cutoff + 1)
+    stack = ChainStack(spec)
     report = HomologyReport(algebra=spec.name, cutoff=cutoff, hh_dims=[], _stack=stack)
     report.chain_dims = [stack.dim_chain(p) for p in range(cutoff + 2)]
     bases = [stack.keys(p) for p in range(cutoff + 2)]
@@ -474,59 +494,36 @@ def sbi_exactness_check(report: HomologyReport) -> list[ExactnessNode]:
 # class-function action on group-algebra chains
 
 
-class ClassFunctionAction:
-    """Diagonal action of a function on group elements, degreewise.
+def class_weight(spec: AlgebraSpec, values: dict[int, Coeff]):
+    """(g_0, ..., g_p) -> F(g_0 ... g_p) on the tuples of a group algebra, for
+    F with these values on group elements (0 elsewhere): the weight that
+    ``hochschild.class_action`` scales each tuple by.
 
-    In degree p the basis tuple (g_0, ..., g_p) is scaled by F(g_0 ... g_p),
-    through ``hochschild.class_action`` with ``factor`` as the weight.
+    >>> weight = class_weight(group_algebra(3), {0: 1})
+    >>> weight((1, 2)), weight((1, 1)), weight((0, 2, 1))
+    (1, 0, 1)
     """
-
-    def __init__(self, spec: AlgebraSpec, values: dict[int, Coeff]):
-        if spec.group_table is None:
-            raise ValueError("class-function actions need a group algebra")
-        self.spec = spec
-        self.values = {k: exact(v) for k, v in values.items()}
-
-    def factor(self, key: tuple[int, ...]) -> Coeff:
-        """F of the product g_0 ... g_p of a tuple of group elements."""
-        g = key[0]
-        for h in key[1:]:
-            g = self.spec.group_table[g][h]
-        return self.values.get(g, 0)
-
-    def commutes_with_structure_maps(self, stack: ChainStack, up_to: int) -> bool:
-        """Chain-level commutation with every d_i, with t, and with B, on
-        every tuple of degree <= up_to (``hochschild.class_action_commutes``)."""
-        mul = stack.spec.product_vec
-        return all(
-            hh.class_action_commutes(
-                key, self.factor, hh.faces(key, mul) + [hh.connes_B(key, stack.unit)]
-            )
-            for p in range(up_to + 1)
-            for key in stack.tuples(p)
-        )
-
-    def induced_tot_matrix(self, report: HomologyReport, n: int) -> list[dict]:
-        """The action on HC_n, each Tot key (j, key) weighted by F of its key."""
-        act = lambda rep: hh.class_action(rep, lambda tot_key: self.factor(tot_key[1]))
-        return _matrix_of(report._hc[n].representatives, act, report._hc[n])
+    table = spec.group_table
+    if table is None:
+        raise ValueError("class-function actions need a group algebra")
+    values = {g: exact(v) for g, v in values.items()}
+    return lambda key: values.get(reduce(lambda g, h: table[g][h], key), 0)
 
 
-def idempotent_commutator_square_is_zero(
-    report: HomologyReport, e_values: dict[int, Coeff], f_values: dict[int, Coeff]
-) -> bool:
-    """[e, F]^2 = 0 on every computed cyclic homology group."""
-    spec = report._stack.spec
-    e_action = ClassFunctionAction(spec, e_values)
-    f_action = ClassFunctionAction(spec, f_values)
-    for n in range(report.cutoff + 1):
-        e_mat = e_action.induced_tot_matrix(report, n)
-        f_mat = f_action.induced_tot_matrix(report, n)
+def idempotent_commutator_square_is_zero(report: HomologyReport, e_weight, f_weight) -> bool:
+    """[e, F]^2 = 0 on every computed cyclic homology group, for the actions
+    of two class-function weights (``class_weight``), each Tot key (j, key)
+    weighted by its key."""
+
+    def matrix(weight, hc: QuotientSpace) -> list[dict]:
+        act = lambda rep: hh.class_action(rep, lambda tot_key: weight(tot_key[1]))
+        return _matrix_of(hc.representatives, act, hc)
+
+    for hc in report._hc:
+        e_mat, f_mat = matrix(e_weight, hc), matrix(f_weight, hc)
         ef = _mat_compose(e_mat, f_mat)
         fe = _mat_compose(f_mat, e_mat)
         commutator = [add_into(dict(a), b, -1) for a, b in zip(ef, fe)]
-        square = _mat_compose(commutator, commutator)
-        if any(square):
+        if any(_mat_compose(commutator, commutator)):
             return False
     return True
-

@@ -94,14 +94,13 @@ class SuiteConfig:
     torus_window: int = 2
     torus_degrees: tuple[int, ...] | None = None  # default: all p <= rank
     engine_cutoff: int = 4
-    engine_algebras: tuple[str, ...] = DEFAULT_ENGINE_ALGEBRAS
     engine_spec_files: tuple[str, ...] = ()
     seed: int = 20260810
 
     def validate(self, targets: tuple[str, ...] = SUITE_TARGETS) -> None:
         """Check every field, then the sizes of the suites in targets only:
         nmax and lmax for the Hecke-side suites that read them, the torus
-        square check for "torus", the algebras for "engine"."""
+        ranks, degrees and square check for "torus", the algebras for "engine"."""
         for name, value in [
             ("nmax", self.nmax),
             ("lmax", self.lmax),
@@ -118,9 +117,6 @@ class SuiteConfig:
             raise ConfigError("torus degrees must be nonnegative")
         _reject_repeats("torus rank", self.torus_ranks)
         _reject_repeats("torus degree", self.torus_degrees or ())
-        for name in self.engine_algebras:
-            if name not in eg.BUILTIN_ALGEBRAS:
-                raise ConfigError(f"unknown builtin algebra {name!r}")
         for name, value, readers in [
             ("nmax", self.nmax, ("rpoly", "hh0", "clozel", "commutator", "geomlemma")),
             ("lmax", self.lmax, ("rpoly",)),
@@ -128,7 +124,17 @@ class SuiteConfig:
             if value > HECKE_BOUND and set(readers) & set(targets):
                 raise ConfigError(f"{name} must be at most {HECKE_BOUND}, got {value}")
         if "torus" in targets:
+            # no case may run over zero degrees, nor only over 0, where b is zero
+            for p in self.torus_degrees or ():
+                if all(p > rank for rank in self.torus_ranks):
+                    raise ConfigError(f"torus degree {p} is above every torus rank")
             for rank in self.torus_ranks:
+                window = _TORUS_IDENTITY_WINDOWS.get(rank, 1)
+                if not _torus_sweep_fits(rank, 1, window):
+                    raise ConfigError(
+                        f"torus rank {rank}: the chain-identity sweep at window {window} "
+                        f"covers no degree above 0 within {_TORUS_SWEEP_CAP} tuples"
+                    )
                 for p in self.torus_degrees or ():
                     if p <= rank and not _torus_square_fits(rank, p, self.torus_window):
                         raise ConfigError(
@@ -149,8 +155,8 @@ class SuiteConfig:
 
     @cached_property
     def engine_specs(self) -> list[eg.AlgebraSpec]:
-        """The built-in algebras, then those of engine_spec_files, each loaded once."""
-        builtins = [eg.builtin_algebra(name) for name in self.engine_algebras]
+        """The default built-ins, then the algebras of engine_spec_files, each loaded once."""
+        builtins = [eg.builtin_algebra(name) for name in DEFAULT_ENGINE_ALGEBRAS]
         return builtins + [eg.load_algebra_file(path) for path in self.engine_spec_files]
 
 
@@ -546,6 +552,9 @@ def suite_geomlemma(cfg: SuiteConfig) -> SuiteReport:
 
 _TORUS_SWEEP_CAP = 20_000  # exhaustive windowed sweeps stay below this basis size
 _TORUS_SQUARE_CAP = 1_000_000  # the square check's boundary sources stay below this
+# the chain identities are checked on their own windows (1 where none is
+# given), kept small enough that the all-sector sweeps stay exhaustive
+_TORUS_IDENTITY_WINDOWS = {1: 2}
 
 
 def _torus_sweep_fits(rank: int, degree: int, window: int) -> bool:
@@ -571,11 +580,8 @@ _TORUS_IDENTITIES = (
 def suite_torus(cfg: SuiteConfig) -> SuiteReport:
     report = SuiteReport("torus", cfg.seed)
 
-    # chain identities are checked on their own labelled windows, kept
-    # small enough that the all-sector sweeps stay exhaustive
-    identity_windows = {1: 2}
     for rank in cfg.torus_ranks:
-        window = identity_windows.get(rank, 1)
+        window = _TORUS_IDENTITY_WINDOWS.get(rank, 1)
         swept = [p for p in range(rank + 2) if _torus_sweep_fits(rank, p, window)]
         failed = tr.chain_identity_failures(rank, window, swept)
         for name, claim in _TORUS_IDENTITIES:
@@ -594,12 +600,13 @@ def suite_torus(cfg: SuiteConfig) -> SuiteReport:
         wanted = [
             p for p in requested if p <= rank and _torus_square_fits(rank, p, cfg.torus_window)
         ]
+        if not wanted:
+            continue  # no case here would cover a degree
         # an SBI instance at p needs H_{p+1}, so chains two degrees up; it
         # is checked on the small degrees p <= 1
         sbi = [p for p in wanted if p <= 1]
-        if wanted:
-            top = max(wanted + [p + 1 for p in sbi])
-            ladder = tr._invariant_sector_dims(rank, cfg.torus_window, top)
+        top = max(wanted + [p + 1 for p in sbi])
+        ladder = tr._invariant_sector_dims(rank, cfg.torus_window, top)
         squares = {}
         for p in wanted:
             square = squares[p] = tr.homology_square_check(rank, cfg.torus_window, p, ladder[p])
@@ -649,6 +656,16 @@ def suite_torus(cfg: SuiteConfig) -> SuiteReport:
     return report
 
 
+def _raised(error: type[Exception], build) -> Exception | None:
+    """The error of that type that build() raised, or None when it returned;
+    without its traceback, whose frames would keep the caller's locals alive."""
+    try:
+        build()
+    except error as err:
+        return err.with_traceback(None)
+    return None
+
+
 def suite_engine(cfg: SuiteConfig) -> SuiteReport:
     report = SuiteReport("engine", cfg.seed)
 
@@ -660,70 +677,51 @@ def suite_engine(cfg: SuiteConfig) -> SuiteReport:
                   (2, 0): {2: 1}, (1, 1): {2: 1}, (1, 2): {0: 1}},
         unit={0: 1},
     )
-    try:
-        eg.load_algebra(bad)
-        witnessed = False
-    except eg.NotAssociative as err:
-        witnessed = err.witness == (1, 1, 1)
+    err = _raised(eg.NotAssociative, lambda: eg.load_algebra(bad))
     report.add_bool(
         "engine/not-associative",
         "a non-associative table is rejected with a witness triple",
         {},
-        witnessed,
+        err is not None and err.witness == (1, 1, 1),
     )
-    try:
-        eg.load_algebra(
-            eg.AlgebraSpec(name="nounit", dim=1, products={(0, 0): {0: 1}}, unit=None)
-        )
-        rejected = False
-    except eg.NoUnit:
-        rejected = True
+    nounit = eg.AlgebraSpec(name="nounit", dim=1, products={(0, 0): {0: 1}}, unit=None)
     report.add_bool(
         "engine/no-unit",
         "a spec without a unit vector is rejected",
         {},
-        rejected,
+        _raised(eg.NoUnit, lambda: eg.load_algebra(nounit)) is not None,
     )
-    try:
-        eg.compute_hochschild(eg.group_algebra(6), 6)
-        guarded = False
-    except eg.TooLarge:
-        guarded = True
     report.add_bool(
         "engine/size-guard",
         "chain spaces beyond the guard raise TooLarge",
         {"guard": eg.CHAIN_GUARD},
-        guarded,
+        _raised(eg.TooLarge, lambda: eg.compute_hochschild(eg.group_algebra(6), 6)) is not None,
     )
 
     for spec in cfg.engine_specs:
         cutoff = cfg.engine_cutoff
-        failure = eg.ChainStack(spec, min(cutoff + 1, 3)).verify_structure_identities()
+        result = eg.compute_cyclic(spec, cutoff)
+        indicator = None if spec.group_table is None else eg.class_weight(spec, {0: 1})
+        # both identity cases come from one sweep, on the stack compute_cyclic built
+        failed = result._stack.verify_structure_identities(cutoff, indicator)
         report.add_bool(
             f"engine/{spec.name}/precyclic-identities",
             "d_i d_j = d_{j-1} d_i for i < j and t^(p+1) = 1 on the chain stack",
             {"algebra": spec.name, "degrees": f"<= {min(cutoff + 1, 3)}"},
-            failure is None,
-            failure or "",
+            "precyclic" not in failed,
+            failed.get("precyclic", ""),
         )
 
-        result = eg.compute_cyclic(spec, cutoff)
-        oracle = ENGINE_ORACLE_DIMS.get(spec.name)
-        if oracle is not None:
-            hh_expected, hc_expected = oracle
+        oracle = ENGINE_ORACLE_DIMS.get(spec.name, ())
+        for kind, name, expected, actual in zip(
+            ("hh", "hc"), ("Hochschild", "cyclic"), oracle, (result.hh_dims, result.hc_dims)
+        ):
             report.add(
-                f"engine/{spec.name}/hh-dims",
-                "Hochschild dimensions match the hand-derived oracle",
+                f"engine/{spec.name}/{kind}-dims",
+                f"{name} dimensions match the hand-derived oracle",
                 {"algebra": spec.name, "cutoff": cutoff},
-                hh_expected[: cutoff + 1],
-                result.hh_dims,
-            )
-            report.add(
-                f"engine/{spec.name}/hc-dims",
-                "cyclic dimensions match the hand-derived oracle",
-                {"algebra": spec.name, "cutoff": cutoff},
-                hc_expected[: cutoff + 1],
-                result.hc_dims,
+                expected[: cutoff + 1],
+                actual,
             )
         report.add(
             f"engine/{spec.name}/degree-0",
@@ -747,16 +745,15 @@ def suite_engine(cfg: SuiteConfig) -> SuiteReport:
                 node.exact,
             )
 
-        if spec.group_table is not None:
-            indicator = {0: 1}
-            action = eg.ClassFunctionAction(spec, indicator)
+        if indicator is not None:
             report.add_bool(
                 f"engine/{spec.name}/class-action-commutes",
                 "the class-function idempotent commutes with every structure map",
                 {"algebra": spec.name, "function": "indicator of the identity"},
-                action.commutes_with_structure_maps(result._stack, cutoff),
+                "class-action" not in failed,
+                failed.get("class-action", ""),
             )
-            everything = {g: 1 for g in range(spec.dim)}
+            everything = eg.class_weight(spec, {g: 1 for g in range(spec.dim)})
             report.add_bool(
                 f"engine/{spec.name}/idempotent-commutator",
                 "[e, F]^2 = 0 on cyclic homology for class-function idempotents",

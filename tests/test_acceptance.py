@@ -189,8 +189,8 @@ def test_criterion_7_engine_correctness():
             ok, detail = False, f"{name}: SBI sequence not exact"
             break
         if spec.group_table is not None:
-            action = eg.ClassFunctionAction(spec, {0: Fraction(1)})
-            if not action.commutes_with_structure_maps(report._stack, 4):
+            weight = eg.class_weight(spec, {0: Fraction(1)})
+            if "class-action" in report._stack.verify_structure_identities(4, weight):
                 ok, detail = False, f"{name}: class action fails to commute"
                 break
     _report(

@@ -21,7 +21,7 @@ def _cyclic_3():
     """Tuples of Z/3, degrees 0..2, and F(product) for F the indicator of e."""
     spec = eg.builtin_algebra("cyclic_3")
     keys = [key for p in range(3) for key in itertools.product(range(3), repeat=p + 1)]
-    weight = eg.ClassFunctionAction(spec, {0: 1}).factor
+    weight = eg.class_weight(spec, {0: 1})
     return keys, spec.product_vec, 0, weight
 
 

@@ -180,6 +180,15 @@ def test_table_negative_range_after_double_dash(capsys):
     assert capsys.readouterr().out.splitlines()[1:] == ["-2,0", "-1,0", "0,0"]
 
 
+def test_reduce_expression_with_leading_minus_after_double_dash(capsys):
+    # argparse reads an expression that starts with "-" as an option; after
+    # "--" it is the expression
+    assert main(["reduce", "--", "-T[s]"]) == 0
+    assert capsys.readouterr().out == "-[Ts]\n"
+    assert main(["reduce", "--format", "json", "--", "-T[s]"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"expression": "-T[s]", "class": "-[Ts]"}
+
+
 def test_verify_exit_codes_and_formats(capsys, tmp_path):
     assert main(["verify", "clozel", "--nmax", "3", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -199,7 +208,7 @@ def test_verify_exit_codes_and_formats(capsys, tmp_path):
 
 
 def test_verify_determinism():
-    cfg = SuiteConfig(nmax=4, lmax=4, reduce_oracle_cutoff=4, torus_ranks=(1,), engine_algebras=("ground_field",))
+    cfg = SuiteConfig(nmax=4, lmax=4, reduce_oracle_cutoff=4, torus_ranks=(1,), engine_cutoff=2)
     first = run_suite("all", cfg).to_json()
     second = run_suite("all", cfg).to_json()
     assert first == second
@@ -243,12 +252,14 @@ def test_verify_options_fill_suite_config(monkeypatch):
 def test_engine_spec_file_flag(tmp_path, capsys):
     from heckehom import engine as eg
 
+    # the ground field under a name of its own: a built-in's name is taken
     path = tmp_path / "field.json"
-    path.write_text((eg._ALGEBRA_DIR / "ground_field.json").read_text())
-    cfg = SuiteConfig(engine_algebras=(), engine_spec_files=(str(path),), engine_cutoff=2)
+    data = json.loads((eg._ALGEBRA_DIR / "ground_field.json").read_text())
+    path.write_text(json.dumps({**data, "name": "my_field"}))
+    cfg = SuiteConfig(engine_spec_files=(str(path),), engine_cutoff=2)
     report = run_suite("engine", cfg)
     assert report.passed
-    assert any("ground_field" in case.id for case in report.cases)
+    assert "engine/my_field/degree-0" in {case.id for case in report.cases}
 
 
 def test_console_entry_point():
@@ -343,6 +354,62 @@ def test_oversized_config_exits_2_before_any_suite(capsys, monkeypatch, argv, me
     "argv, message",
     [
         (
+            ["verify", "torus", "--rank", "1", "--degree", "5"],
+            "torus degree 5 is above every torus rank",
+        ),
+        (
+            ["verify", "torus", "--rank", "10", "--window", "1"],
+            "torus rank 10: the chain-identity sweep at window 1 covers no degree above 0 "
+            "within 20000 tuples",
+        ),
+        (
+            ["verify", "all", "--rank", "5"],
+            "torus rank 5: the chain-identity sweep at window 1 covers no degree above 0 "
+            "within 20000 tuples",
+        ),
+    ],
+    ids=["degree-above-every-rank", "rank-10", "rank-5"],
+)
+def test_torus_case_over_no_degree_exits_2_before_any_suite(capsys, monkeypatch, argv, message):
+    """A torus case must cover a degree: a requested degree above every rank
+    would be dropped, and from rank 5 on the identity sweep fits degree 0
+    only, where b is zero."""
+    from heckehom import suites
+
+    entered = []
+    for name in suites._SUITES:
+        monkeypatch.setitem(suites._SUITES, name, lambda cfg, name=name: entered.append(name))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert entered == []
+
+
+def test_torus_rank_4_sweeps_a_degree_above_0():
+    # 9^4 = 6,561 windowed tuples in degree 1 fit the sweep cap; 9^5 do not
+    SuiteConfig(torus_ranks=(4,), torus_window=1).validate(("torus",))
+    with pytest.raises(ConfigError):
+        SuiteConfig(torus_ranks=(5,), torus_window=1).validate(("torus",))
+    # other targets do not read the torus options
+    SuiteConfig(torus_ranks=(5,), torus_degrees=(9,)).validate(("hecke", "engine"))
+
+
+def test_torus_degree_2_reports_pi0_only_where_the_square_check_runs(capsys):
+    assert main(["verify", "torus", "--degree", "2", "--format", "json"]) == 0
+    cases = {case["id"]: case for case in json.loads(capsys.readouterr().out)["cases"]}
+    assert "torus/square/r2/p2" in cases and "torus/pi0-after-B/r2" in cases
+    assert cases["torus/pi0-after-B/r2"]["params"]["degrees"] == [2]
+    # rank 1 has no degree 2: its identity cases run, its square cases do not
+    assert "torus/b-squared/r1" in cases
+    assert not [case_id for case_id in cases if case_id.endswith("/r1") and "pi0" in case_id]
+    assert not [case_id for case_id in cases if "/r1/" in case_id]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
             ["verify", "torus", "--rank", "1", "--degree", "1", "--degree", "1", "--window", "1"],
             "torus degree 1 is given twice",
         ),
@@ -395,7 +462,11 @@ def test_only_the_engine_target_loads_algebras(monkeypatch):
 
 def test_default_torus_degrees_skip_oversized_sweeps():
     SuiteConfig(torus_ranks=(3,), torus_window=1).validate()
-    SuiteConfig(torus_ranks=(3,), torus_window=1, torus_degrees=(2, 4)).validate()
+    # an explicit degree above one rank is skipped at that rank; above every
+    # rank it would be dropped, and is rejected
+    SuiteConfig(torus_ranks=(1, 3), torus_window=1, torus_degrees=(2,)).validate()
+    with pytest.raises(ConfigError):
+        SuiteConfig(torus_ranks=(3,), torus_window=1, torus_degrees=(2, 4)).validate()
     with pytest.raises(ConfigError):
         SuiteConfig(torus_ranks=(1, 3), torus_window=1, torus_degrees=(2, 3)).validate()
 

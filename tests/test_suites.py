@@ -1,7 +1,10 @@
 """SuiteReport.check, and a negative control for every case it decides."""
 
+from collections import Counter
+
 import pytest
 
+from heckehom import engine as eg
 from heckehom import hecke, suites
 from heckehom import hochschild as hh
 from heckehom import spectral as sp
@@ -80,6 +83,11 @@ def _with_unit_term(f, key, unit):
     # a term on a tuple with the unit in front that is no rotation of key,
     # so b of it is in no table built from the orbit's rotations
     return {**f(key, unit), (unit,) + key[::-1]: 1}
+
+
+def _second_face_is_the_first(f):
+    # d_1 replaced by d_0: on Q[Z/3] the first identity it breaks is at degree 3
+    return lambda key, i, mul: f(key, 0 if i == 1 else i, mul)
 
 
 _TORUS_R1 = {"torus_ranks": (1,), "torus_window": 1, "torus_degrees": (0,)}
@@ -235,6 +243,24 @@ BROKEN = [
         ),
         "((0, 1), (1, 0), (0, 1))",
     ),
+    (
+        "engine/cyclic_3/precyclic-identities",
+        "engine",
+        {"engine_cutoff": 2},
+        lambda m: _wrap(m, hh, "face", _second_face_is_the_first),
+        "d_0 d_2 != d_1 d_0 at degree 3",
+    ),
+    # a weight that reads only the first entry: B puts the unit in front,
+    # so it sends (1,) to (0, 1), which has another weight
+    (
+        "engine/cyclic_3/class-action-commutes",
+        "engine",
+        {"engine_cutoff": 2},
+        lambda m: m.setattr(
+            eg, "class_weight", lambda spec, values: lambda key: values.get(key[0], 0)
+        ),
+        "tuple (1,)",
+    ),
 ]
 
 
@@ -265,3 +291,19 @@ def test_an_oracle_value_case_fails_on_a_wrong_class(monkeypatch):
     report = suites.suite_hh0(suites.SuiteConfig(nmax=2, reduce_oracle_cutoff=3))
     cases = {c.id: c for c in report.cases}
     assert not cases["hh0/oracle/sts"].passed and cases["hh0/oracle/st"].passed
+
+
+def test_each_engine_algebra_builds_one_chain_stack(monkeypatch):
+    """compute_cyclic builds the stack, and the identity sweep runs on it."""
+    built = []
+
+    class Counted(eg.ChainStack):
+        def __init__(self, spec):
+            built.append(spec.name)
+            super().__init__(spec)
+
+    monkeypatch.setattr(eg, "ChainStack", Counted)
+    cfg = suites.SuiteConfig(engine_cutoff=2)
+    assert suites.suite_engine(cfg).passed
+    assert Counter(built) == Counter(spec.name for spec in cfg.engine_specs)
+    assert len(built) == len(suites.DEFAULT_ENGINE_ALGEBRAS)
