@@ -7,7 +7,10 @@ Basis elements T_w are indexed by Weyl words; multiplication is fixed by
 
 over exact Laurent polynomials in q.  The product of two basis elements
 follows from these in closed form, one quadratic relation per overlapping
-letter.  Inverses of basis elements are computed here as well.
+letter, and ``t_mul`` sums these closed forms in one accumulation pass:
+powers of q are exponent offsets, each factor q - 1 is a shift and a
+difference, and only a pair of general coefficients forms a Laurent
+product.  Inverses of basis elements are computed here as well.
 R-polynomials have a closed form, because R_{x,w} depends only on
 l(w) - l(x); the extraction from the inverse basis elements and the
 descent recursion are kept as its two independent checks.
@@ -18,8 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .laurent import LaurentQ, ONE, ZERO, Q, qpow, to_laurent
-from .sparse import Sparse, add_into
-from .weyl import E, WeylWord, bruhat_leq, word_mul, _OTHER
+from .sparse import Sparse
+from .weyl import E, WeylWord, bruhat_leq, word_mul, _OTHER, _word
 
 _Q_MINUS_1 = Q - 1
 
@@ -66,33 +69,66 @@ def zero() -> HeckeElement:
     return HeckeElement()
 
 
-def _basis_product(x: WeylWord, y: WeylWord, c: LaurentQ) -> dict[WeylWord, LaurentQ]:
-    """c T_x T_y in closed form.
+def _unit_exponent(c: LaurentQ) -> int | None:
+    """k when c is the unit monomial q^k, else None."""
+    terms = c._terms
+    if len(terms) == 1:
+        ((k, v),) = terms.items()
+        if v == 1:
+            return k
+    return None
 
-    T_{ug} T_{gv} = (q-1) T_{ugv} + q T_u T_v (ugv reduced) on each of the
-    m = (l(x) + l(y) - l(xy)) / 2 letters that cancel in xy; unrolled, the
-    k-th term is c(q-1)q^k T_w with l(w) = l(x) + l(y) - 1 - 2k and w
-    starting like x, and the last is c q^m T_{xy}.  So a pair costs one
-    Laurent product, and every power of q is an exponent shift.
-    """
-    xy = word_mul(x, y)
-    m = (x.length + y.length - xy.length) // 2
-    if not m:
-        return {xy: c}
-    c1 = c * _Q_MINUS_1
-    top = x.length + y.length - 1
-    out = {WeylWord(top - 2 * k, x.first): c1.shift(k) for k in range(m)}
-    out[xy] = c.shift(m)
-    return out
+
+def _add_at(target: dict, terms: dict, k: int) -> None:
+    """target += q^k * terms on exponent dicts, deleting what cancels."""
+    get = target.get
+    for e, c in terms.items():
+        e += k
+        v = get(e, 0) + c
+        if v:
+            target[e] = v
+        else:
+            del target[e]
 
 
 def t_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    """Bilinear product of the basis products in closed form."""
-    total: dict[WeylWord, LaurentQ] = {}
+    """Bilinear product of the basis products in closed form, in one pass.
+
+    T_{ug} T_{gv} = (q-1) T_{ugv} + q T_u T_v (ugv reduced) on each of the
+    m = (l(x) + l(y) - l(xy)) / 2 letters that cancel in xy; unrolled, the
+    pair (x, y) with coefficient c gives c(q-1)q^j T_{w_j} for j < m, with
+    l(w_j) = l(x) + l(y) - 1 - 2j and w_j starting like x, and c q^m T_{xy}.
+    Each pair forms c once: a factor that is a unit monomial q^k (every
+    basis element, the q^-1 of a generator inverse) is an offset k into the
+    other factor's terms, and only two general factors are multiplied.  The
+    terms of c then go straight into one exponent dict per word: c q^(j+1)
+    and -c q^j for each (q-1)q^j, and c q^m for T_{xy}.  No zero is stored,
+    and a word whose terms all cancel is dropped.
+    """
+    total: dict[WeylWord, dict] = {}
+    right = [(y, y.length, cy, _unit_exponent(cy)) for y, cy in b._terms.items()]
     for x, cx in a._terms.items():
-        for y, cy in b._terms.items():
-            add_into(total, _basis_product(x, y, cx * cy))
-    return HeckeElement._new(total)
+        xl, xf = x
+        kx = _unit_exponent(cx)
+        for y, yl, cy, ky in right:
+            if kx is not None:
+                terms, k = cy._terms, kx
+            elif ky is not None:
+                terms, k = cx._terms, ky
+            else:
+                terms, k = (cx * cy)._terms, 0
+            xy = word_mul(x, y)
+            m = (xl + yl - xy.length) >> 1
+            if m:
+                negated = {e: -c for e, c in terms.items()}
+                for j in range(m):
+                    d = total.setdefault(_word((xl + yl - 1 - 2 * j, xf)), {})
+                    _add_at(d, terms, k + j + 1)
+                    _add_at(d, negated, k + j)
+            _add_at(total.setdefault(xy, {}), terms, k + m)
+    # dict(d) re-sizes a table that grew through cancellations, which the
+    # inverse cache would otherwise keep at its largest
+    return HeckeElement._new({w: LaurentQ._new(dict(d)) for w, d in total.items() if d})
 
 
 # T_g^{-1} = q^{-1} T_g - (1 - q^{-1}) T_e, forced by the quadratic relation
@@ -182,7 +218,10 @@ def r_polynomial_recursive(x: WeylWord, w: WeylWord) -> LaurentQ:
     if sx.length < x.length:
         result = r_polynomial_recursive(sx, sw)
     else:
-        result = _Q_MINUS_1 * r_polynomial_recursive(x, sw) + Q * r_polynomial_recursive(sx, sw)
+        result = (
+            r_polynomial_recursive(x, sw).times_q_minus_1()
+            + r_polynomial_recursive(sx, sw).shift(1)
+        )
     _R_RECURSIVE_CACHE[key] = result
     return result
 

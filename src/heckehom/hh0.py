@@ -21,7 +21,8 @@ step-by-step rewriting.  ``reduce_to_hh0`` sums the closed form over all
 the odd words of an element at once: with A(m) the summed coefficient of
 the words of length 2m+1, the coefficient of [E(j)], j >= 1, is (q-1) S(j)
 for S(j) = A(j) + q S(j+1), one Horner pass from the longest word down, in
-which every power of q is an exponent shift.
+which every power of q is an exponent shift and the factor q - 1 a shift
+and a difference.
 """
 
 from __future__ import annotations
@@ -144,5 +145,5 @@ def reduce_to_hh0(a: HeckeElement) -> HH0Class:
         horner = horner.shift(1)
         if j in odd:
             horner = horner + odd[j]
-        add_term(out, j, horner * _Q_MINUS_1)
+        add_term(out, j, horner.times_q_minus_1())
     return HH0Class._new(out)

@@ -7,7 +7,9 @@ division of coefficients is an ``exact_quotient``.  Integer inputs keep
 integer coefficients; a Fraction appears only from a rational input or a
 quotient that is not integral.  Every element is a sparse mapping with zero
 coefficients dropped (see ``sparse``), so equality of mappings is exact
-equality of values.
+equality of values.  Multiplying by q^k is an exponent shift, ``shift``,
+and multiplying by q - 1 is a shift and a difference, ``times_q_minus_1``:
+neither forms a product.
 """
 
 from __future__ import annotations
@@ -113,6 +115,26 @@ class LaurentQ(Sparse):
         if not k:
             return self
         return self._like({e + k: c for e, c in self._terms.items()})
+
+    def times_q_minus_1(self) -> LaurentQ:
+        """(q - 1) times self, as the shift q*self minus self: no product.
+
+        >>> (Q + 1).times_q_minus_1()
+        -1 + q^2
+        >>> a = LaurentQ({-1: 2, 0: Fraction(1, 2)})
+        >>> a.times_q_minus_1() == a * (Q - 1)
+        True
+        """
+        terms = self._terms
+        out = {e + 1: c for e, c in terms.items()}
+        get = out.get
+        for e, c in terms.items():
+            v = get(e, 0) - c
+            if v:
+                out[e] = v
+            else:
+                del out[e]
+        return self._like(out)
 
     def __pow__(self, n: int) -> LaurentQ:
         if not isinstance(n, int):

@@ -135,6 +135,13 @@ class SuiteConfig:
                         f"torus rank {rank}: the chain-identity sweep at window {window} "
                         f"covers no degree above 0 within {_TORUS_SWEEP_CAP} tuples"
                     )
+                if self.torus_degrees is None and not _torus_square_fits(rank, 0, self.torus_window):
+                    # degree 0 is the smallest square check: the default
+                    # selection would run this rank at no degree of the window
+                    raise ConfigError(
+                        f"torus rank {rank}: the square check at window {self.torus_window} "
+                        f"fits no degree within {_TORUS_SQUARE_CAP} boundary sources"
+                    )
                 for p in self.torus_degrees or ():
                     if p <= rank and not _torus_square_fits(rank, p, self.torus_window):
                         raise ConfigError(

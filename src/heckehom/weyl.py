@@ -8,32 +8,44 @@ order are all decided by short case analysis on this normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 
 _OTHER = {"s": "t", "t": "s"}
 
 
-@dataclass(frozen=True)
-class WeylWord:
-    """Element of the infinite dihedral group in normal form.
+class WeylWord(tuple):
+    """Element of the infinite dihedral group in normal form: the pair
+    (length, first letter), a tuple, so hashing and equality run in C;
+    construction validates the pair.
 
     >>> WeylWord(3, "s").letters
     'sts'
     >>> WeylWord.parse("stst") * WeylWord.parse("ts")
     st
+    >>> WeylWord(0, "s")
+    Traceback (most recent call last):
+    ...
+    ValueError: the identity has no first letter
     """
 
-    length: int
-    first: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.length < 0:
+    def __new__(cls, length: int, first: str | None = None) -> WeylWord:
+        if length < 0:
             raise ValueError("length must be nonnegative")
-        if self.length == 0:
-            if self.first is not None:
+        if length == 0:
+            if first is not None:
                 raise ValueError("the identity has no first letter")
-        elif self.first not in ("s", "t"):
-            raise ValueError(f"first letter must be 's' or 't', not {self.first!r}")
+        elif first not in ("s", "t"):
+            raise ValueError(f"first letter must be 's' or 't', not {first!r}")
+        return tuple.__new__(cls, (length, first))
+
+    length = property(itemgetter(0))
+    first = property(itemgetter(1))  # None for the identity
+
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return tuple(self)
 
     @classmethod
     def identity(cls) -> WeylWord:
@@ -90,6 +102,11 @@ S = WeylWord(1, "s")
 T = WeylWord(1, "t")
 
 
+# _word((length, first)) is WeylWord(length, first) without the validation,
+# for a normal form computed from valid words
+_word = partial(tuple.__new__, WeylWord)
+
+
 def word_mul(x: WeylWord, y: WeylWord) -> WeylWord:
     """Product in normal form.
 
@@ -101,18 +118,19 @@ def word_mul(x: WeylWord, y: WeylWord) -> WeylWord:
     >>> word_mul(WeylWord.parse("st"), WeylWord.parse("st"))
     stst
     """
-    if x.length == 0:
+    xl, xf = x
+    yl, yf = y
+    if not xl:
         return y
-    if y.length == 0:
+    if not yl:
         return x
-    if x.last != y.first:
-        return WeylWord(x.length + y.length, x.first)
-    if x.length > y.length:
-        return WeylWord(x.length - y.length, x.first)
-    if x.length < y.length:
-        # the first x.length letters of y are consumed
-        rest_first = y.first if x.length % 2 == 0 else _OTHER[y.first]
-        return WeylWord(y.length - x.length, rest_first)
+    if (xf if xl % 2 else _OTHER[xf]) != yf:  # the last letter of x
+        return _word((xl + yl, xf))
+    if xl > yl:
+        return _word((xl - yl, xf))
+    if xl < yl:
+        # the first l(x) letters of y are consumed
+        return _word((yl - xl, _OTHER[yf] if xl % 2 else yf))
     return E
 
 

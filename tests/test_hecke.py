@@ -97,21 +97,51 @@ def _peeled_product(a, b):
     return HeckeElement(total)
 
 
+def _stores_no_zero(element):
+    return all(c and all(c.terms.values()) for c in element.terms.values())
+
+
+def _assert_matches_peeling(a, b):
+    product = t_mul(a, b)
+    assert product == _peeled_product(a, b), (a, b)
+    assert _stores_no_zero(product), (a, b)
+    return product
+
+
 def test_closed_form_product_matches_generator_peeling():
     words = list(all_words(12))
     assert len(words) ** 2 == 625
     for x in words:
         for y in words:
-            assert t_mul(basis(x), basis(y)) == _peeled_product(basis(x), basis(y)), (x, y)
+            _assert_matches_peeling(basis(x), basis(y))
     rng = random.Random(23)
     for _ in range(60):
-        a, b = random_element(rng, 9, 4), random_element(rng, 9, 4)
-        assert t_mul(a, b) == _peeled_product(a, b)
+        _assert_matches_peeling(random_element(rng, 9, 4), random_element(rng, 9, 4))
     # multi-term coefficients: c(q-1) is then shifted as a polynomial, not a monomial
     for _ in range(60):
         a, b = random_multiterm_element(rng, 9, 4), random_multiterm_element(rng, 9, 4)
         assert min(len(c.terms) for c in a.terms.values()) >= 2
-        assert t_mul(a, b) == _peeled_product(a, b)
+        _assert_matches_peeling(a, b)
+    # monomials that are not units, on either side: a product, not an offset
+    for c in (LaurentQ({3: 2}), -qpow(-1), LaurentQ({1: Fraction(1, 2)})):
+        for x in all_words(5):
+            for y in all_words(5):
+                _assert_matches_peeling(basis(x).scale(c), basis(y))
+                _assert_matches_peeling(basis(x), basis(y).scale(c))
+            b = random_multiterm_element(rng, 6, 3)
+            _assert_matches_peeling(basis(x).scale(c), b)
+            _assert_matches_peeling(b, basis(x).scale(c))
+    # words that cancel inside the pass:
+    # T_s (T_s - (q-1) T_e) = (q-1) T_s + q T_e - (q-1) T_s = q T_e
+    sts = basis(WeylWord.parse("sts"))
+    assert _assert_matches_peeling(basis(S), basis(S) - one().scale(Q - 1)) == one().scale(Q)
+    assert _assert_matches_peeling(sts, basis(S) - one().scale(Q - 1)) == basis(
+        WeylWord.parse("st")
+    ).scale(Q)
+    for w in all_words(8):
+        a = random_element(rng, 7, 4)
+        _assert_matches_peeling(a, basis(w) - a)
+        assert _stores_no_zero(t_inverse(w))
 
 
 def test_generator_inverse():

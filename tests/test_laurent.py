@@ -55,6 +55,13 @@ def test_divide_exact_inverts_multiplication(a, b):
     assert (a * b).divide_exact(b) == a
 
 
+@given(laurents)
+def test_times_q_minus_1_is_the_product_with_q_minus_1(a):
+    product = a.times_q_minus_1()
+    assert product == a * (Q - 1)
+    assert all(product.terms.values())  # no stored zero
+
+
 @given(laurents, st.integers(min_value=-6, max_value=6))
 def test_shift_is_multiplication_by_a_power_of_q(a, k):
     assert a.shift(k) == a * qpow(k)

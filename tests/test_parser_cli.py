@@ -367,8 +367,13 @@ def test_oversized_config_exits_2_before_any_suite(capsys, monkeypatch, argv, me
             "torus rank 5: the chain-identity sweep at window 1 covers no degree above 0 "
             "within 20000 tuples",
         ),
+        (
+            ["verify", "torus", "--rank", "4", "--window", "3"],
+            "torus rank 4: the square check at window 3 fits no degree within 1000000 "
+            "boundary sources",
+        ),
     ],
-    ids=["degree-above-every-rank", "rank-10", "rank-5"],
+    ids=["degree-above-every-rank", "rank-10", "rank-5", "rank-4-window-3"],
 )
 def test_torus_case_over_no_degree_exits_2_before_any_suite(capsys, monkeypatch, argv, message):
     """A torus case must cover a degree: a requested degree above every rank
@@ -393,6 +398,18 @@ def test_torus_rank_4_sweeps_a_degree_above_0():
         SuiteConfig(torus_ranks=(5,), torus_window=1).validate(("torus",))
     # other targets do not read the torus options
     SuiteConfig(torus_ranks=(5,), torus_degrees=(9,)).validate(("hecke", "engine"))
+
+
+def test_default_torus_degrees_need_a_square_check_within_the_window():
+    # 7^(4 * 2) > 1,000,000 boundary sources already at degree 0: the window
+    # would go unused, the identity cases running at their own window only
+    with pytest.raises(ConfigError, match="rank 4: the square check at window 3"):
+        SuiteConfig(torus_ranks=(4,), torus_window=3).validate(("torus",))
+    SuiteConfig(torus_ranks=(4,), torus_window=2).validate(("torus",))  # 5^8 fits
+    SuiteConfig(torus_ranks=(4,), torus_window=1).validate(("torus",))
+    SuiteConfig().validate()
+    SuiteConfig(torus_degrees=(2,)).validate(("torus",))
+    SuiteConfig(torus_ranks=(4,), torus_window=3).validate(("hecke", "engine"))
 
 
 def test_torus_degree_2_reports_pi0_only_where_the_square_check_runs(capsys):

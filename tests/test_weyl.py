@@ -1,5 +1,7 @@
 """The infinite dihedral group: normal forms, multiplication, Bruhat order."""
 
+import copy
+import pickle
 from itertools import combinations
 
 import pytest
@@ -98,3 +100,30 @@ def test_powers():
     assert st_power(2) == WeylWord.parse("stst")
     assert ts_power(1) == WeylWord.parse("ts")
     assert st_power(3).inverse() == ts_power(3)
+
+
+def test_construction_validates():
+    with pytest.raises(ValueError, match="nonnegative"):
+        WeylWord(-1)
+    with pytest.raises(ValueError, match="no first letter"):
+        WeylWord(0, "s")
+    for bad in ("u", "", None, "st"):
+        with pytest.raises(ValueError, match="first letter"):
+            WeylWord(2, bad)
+
+
+@given(words, words)
+def test_equal_words_are_equal_keys(x, y):
+    for twin in (WeylWord(x.length, x.first), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(twin) is WeylWord
+        assert twin == x and hash(twin) == hash(x)
+        assert {x: 1}[twin] == 1
+    assert (x == y) == (x.length == y.length and x.first == y.first)
+    assert (x != y) == (not x == y)
+
+
+def test_printing_of_the_named_words():
+    assert (str(E), str(S), str(T)) == ("e", "s", "t")
+    assert (repr(E), repr(S), repr(T)) == ("e", "s", "t")
+    assert (E.length, E.first, S.length, S.first, T.first) == (0, None, 1, "s", "t")
+    assert repr(WeylWord(4, "t")) == "tsts" and str([S, E]) == "[s, e]"
