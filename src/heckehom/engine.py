@@ -56,6 +56,13 @@ class TooLarge(ValueError):
 
 CHAIN_GUARD = 100_000
 
+
+def within(base: int, exponent: int, cap: int) -> bool:
+    """base^exponent <= cap for base >= 0, building no power above cap:
+    from base 2 on, base^bit_length(cap) is already above it."""
+    return base ** min(exponent, cap.bit_length()) <= cap
+
+
 Coeff = int | Fraction
 
 
@@ -376,10 +383,8 @@ class HomologyReport:
 def _guard(spec: AlgebraSpec, cutoff: int) -> None:
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    if spec.dim ** (cutoff + 1) > CHAIN_GUARD:
-        raise TooLarge(
-            f"dim^(N+1) = {spec.dim ** (cutoff + 1)} exceeds the guard {CHAIN_GUARD}"
-        )
+    if not within(spec.dim, cutoff + 1, CHAIN_GUARD):
+        raise TooLarge(f"dim^(N+1) = {spec.dim}^{cutoff + 1} exceeds the guard {CHAIN_GUARD}")
 
 
 def compute_hochschild(spec: AlgebraSpec, cutoff: int) -> HomologyReport:

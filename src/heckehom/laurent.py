@@ -79,7 +79,7 @@ class LaurentQ(Sparse):
         other = _as_laurent(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._like(add_into(dict(self._terms), other._terms))
+        return self._new(add_into(dict(self._terms), other._terms))
 
     __radd__ = __add__
 
@@ -100,7 +100,7 @@ class LaurentQ(Sparse):
                     out[e] = v
                 else:
                     out.pop(e, None)
-        return self._like(out)
+        return self._new(out)
 
     __rmul__ = __mul__
 
@@ -114,7 +114,7 @@ class LaurentQ(Sparse):
         """
         if not k:
             return self
-        return self._like({e + k: c for e, c in self._terms.items()})
+        return self._new({e + k: c for e, c in self._terms.items()})
 
     def times_q_minus_1(self) -> LaurentQ:
         """(q - 1) times self, as the shift q*self minus self: no product.
@@ -134,7 +134,7 @@ class LaurentQ(Sparse):
                 out[e] = v
             else:
                 del out[e]
-        return self._like(out)
+        return self._new(out)
 
     def __pow__(self, n: int) -> LaurentQ:
         if not isinstance(n, int):

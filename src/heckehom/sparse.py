@@ -19,7 +19,7 @@ and forms, of the engine and of the torus, stay plain dicts.  A subclass
 declares how a key is validated, a coefficient coerced and a key printed;
 the vector-space operations, the coefficient lookup and the renderer are
 shared.  Elements are immutable: every operation returns a new element,
-and ``_like`` wraps a freshly built dict without copying it.
+and ``_new`` wraps a freshly built dict without copying it.
 """
 
 from __future__ import annotations
@@ -146,12 +146,6 @@ class Sparse:
         result._terms = terms
         return result
 
-    def _like(self, terms: dict):
-        """An element of this type on terms, taken without a copy."""
-        result = object.__new__(type(self))
-        result._terms = terms
-        return result
-
     @property
     def terms(self) -> dict:
         return dict(self._terms)
@@ -173,10 +167,10 @@ class Sparse:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._like(add_into(dict(self._terms), other._terms))
+        return self._new(add_into(dict(self._terms), other._terms))
 
     def __neg__(self):
-        return self._like({key: -c for key, c in self._terms.items()})
+        return self._new({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -229,5 +223,5 @@ class Sparse:
     def scale(self, coeff):
         c = self._coerce(coeff)
         if not c:
-            return self._like({})
-        return self._like({key: c * v for key, v in self._terms.items()})
+            return self._new({})
+        return self._new({key: c * v for key, v in self._terms.items()})

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import takewhile
 from math import comb
 
 from .laurent import LaurentQ, ONE, Q, qpow
@@ -74,11 +75,13 @@ ENGINE_ORACLE_DIMS = {
 }
 
 
-# the largest n of a Hecke-side suite or table, and the largest word length
-# of rpoly: t_inverse recurses once per letter, so a cold inverse of (st)^n
-# ends in RecursionError from n = 495 (table commutator, verify geomlemma),
-# and the work grows fast (table commutator: 3.8 s at n = 100, 29 s at 200)
+# the largest n of a Hecke-side suite or table, and the largest word length of
+# rpoly and of the hh0 oracle: t_inverse recurses once per letter, so a cold
+# inverse of (st)^n ends in RecursionError from n = 495, and the work grows fast
+# (table commutator: 3.8 s at n = 100, 29 s at 200; the oracle 5.8 s and 58 s)
 HECKE_BOUND = 100
+_TORUS_SWEEP_CAP = 20_000  # exhaustive windowed sweeps stay below this basis size
+_TORUS_SQUARE_CAP = 1_000_000  # the square check's boundary sources stay below this
 
 
 class ConfigError(ValueError):
@@ -99,8 +102,8 @@ class SuiteConfig:
 
     def validate(self, targets: tuple[str, ...] = SUITE_TARGETS) -> None:
         """Check every field, then the sizes of the suites in targets only:
-        nmax and lmax for the Hecke-side suites that read them, the torus
-        ranks, degrees and square check for "torus", the algebras for "engine"."""
+        nmax, lmax and the oracle cutoff for the Hecke-side suites that read
+        them, the torus plan for "torus", the algebras for "engine"."""
         for name, value in [
             ("nmax", self.nmax),
             ("lmax", self.lmax),
@@ -120,34 +123,12 @@ class SuiteConfig:
         for name, value, readers in [
             ("nmax", self.nmax, ("rpoly", "hh0", "clozel", "commutator", "geomlemma")),
             ("lmax", self.lmax, ("rpoly",)),
+            ("reduce_oracle_cutoff", self.reduce_oracle_cutoff, ("hh0",)),
         ]:
             if value > HECKE_BOUND and set(readers) & set(targets):
                 raise ConfigError(f"{name} must be at most {HECKE_BOUND}, got {value}")
         if "torus" in targets:
-            # no case may run over zero degrees, nor only over 0, where b is zero
-            for p in self.torus_degrees or ():
-                if all(p > rank for rank in self.torus_ranks):
-                    raise ConfigError(f"torus degree {p} is above every torus rank")
-            for rank in self.torus_ranks:
-                window = _TORUS_IDENTITY_WINDOWS.get(rank, 1)
-                if not _torus_sweep_fits(rank, 1, window):
-                    raise ConfigError(
-                        f"torus rank {rank}: the chain-identity sweep at window {window} "
-                        f"covers no degree above 0 within {_TORUS_SWEEP_CAP} tuples"
-                    )
-                if self.torus_degrees is None and not _torus_square_fits(rank, 0, self.torus_window):
-                    # degree 0 is the smallest square check: the default
-                    # selection would run this rank at no degree of the window
-                    raise ConfigError(
-                        f"torus rank {rank}: the square check at window {self.torus_window} "
-                        f"fits no degree within {_TORUS_SQUARE_CAP} boundary sources"
-                    )
-                for p in self.torus_degrees or ():
-                    if p <= rank and not _torus_square_fits(rank, p, self.torus_window):
-                        raise ConfigError(
-                            f"torus square check at rank {rank}, degree {p}, window "
-                            f"{self.torus_window} exceeds {_TORUS_SQUARE_CAP} boundary sources"
-                        )
+            self.torus_plan  # planning the torus suite checks its sizes
         if "engine" in targets:
             # load every algebra now: a bad spec file or an algebra too large
             # for the cutoff stops the run before any suite
@@ -159,6 +140,50 @@ class SuiteConfig:
                         f"algebra {spec.name!r} at engine cutoff {self.engine_cutoff}: {err}"
                     ) from None
             _reject_repeats("engine algebra", [spec.name for spec in self.engine_specs])
+
+    @cached_property
+    def torus_plan(self) -> dict[int, tuple[int, list[int], list[int]]]:
+        """Each torus rank, in --rank order, with its identity window, the
+        degrees its identities sweep and its square-check degrees: every size
+        rule of the torus suite, decided without building a power over a cap."""
+        # no case may run over zero degrees, nor only over 0, where b is zero
+        for p in self.torus_degrees or ():
+            if all(p > rank for rank in self.torus_ranks):
+                raise ConfigError(f"torus degree {p} is above every torus rank")
+        plan, side = {}, 2 * self.torus_window + 1
+        for rank in self.torus_ranks:
+            # both caps grow with the degree, so each list stops at its first
+            # misfit; the identities' own window keeps their sweeps exhaustive
+            window = 2 if rank == 1 else 1
+            swept = list(takewhile(
+                lambda p: eg.within(2 * window + 1, rank * (p + 1), _TORUS_SWEEP_CAP),
+                range(rank + 2),
+            ))
+            if len(swept) < 2:
+                raise ConfigError(
+                    f"torus rank {rank}: the chain-identity sweep at window {window} "
+                    f"covers no degree above 0 within {_TORUS_SWEEP_CAP} tuples"
+                )
+            # an explicit degree above this rank is left to the other ranks
+            requested = (
+                range(rank + 1) if self.torus_degrees is None
+                else [p for p in self.torus_degrees if p <= rank]
+            )
+            degrees = list(takewhile(
+                lambda p: eg.within(side, rank * (p + 2), _TORUS_SQUARE_CAP), requested
+            ))
+            if self.torus_degrees is None and not degrees:
+                raise ConfigError(
+                    f"torus rank {rank}: the square check at window {self.torus_window} "
+                    f"fits no degree within {_TORUS_SQUARE_CAP} boundary sources"
+                )
+            if self.torus_degrees is not None and len(degrees) < len(requested):
+                raise ConfigError(
+                    f"torus square check at rank {rank}, degree {requested[len(degrees)]}, "
+                    f"window {self.torus_window} exceeds {_TORUS_SQUARE_CAP} boundary sources"
+                )
+            plan[rank] = (window, swept, degrees)
+        return plan
 
     @cached_property
     def engine_specs(self) -> list[eg.AlgebraSpec]:
@@ -557,25 +582,6 @@ def suite_geomlemma(cfg: SuiteConfig) -> SuiteReport:
     return report
 
 
-_TORUS_SWEEP_CAP = 20_000  # exhaustive windowed sweeps stay below this basis size
-_TORUS_SQUARE_CAP = 1_000_000  # the square check's boundary sources stay below this
-# the chain identities are checked on their own windows (1 where none is
-# given), kept small enough that the all-sector sweeps stay exhaustive
-_TORUS_IDENTITY_WINDOWS = {1: 2}
-
-
-def _torus_sweep_fits(rank: int, degree: int, window: int) -> bool:
-    """An exhaustive sweep over every windowed tuple of this degree stays
-    below the basis-size cap."""
-    return (2 * window + 1) ** (rank * (degree + 1)) <= _TORUS_SWEEP_CAP
-
-
-def _torus_square_fits(rank: int, degree: int, window: int) -> bool:
-    """The square check at this degree enumerates few enough boundary
-    sources, its heaviest sweep."""
-    return (2 * window + 1) ** (rank * (degree + 2)) <= _TORUS_SQUARE_CAP
-
-
 # the chain identities checked on every windowed tuple, in report order
 _TORUS_IDENTITIES = (
     ("b-squared", "b^2 = 0 on all windowed chains"),
@@ -585,11 +591,10 @@ _TORUS_IDENTITIES = (
 
 
 def suite_torus(cfg: SuiteConfig) -> SuiteReport:
+    """The torus cases at the windows and degrees of cfg.torus_plan, which decides every size."""
     report = SuiteReport("torus", cfg.seed)
 
-    for rank in cfg.torus_ranks:
-        window = _TORUS_IDENTITY_WINDOWS.get(rank, 1)
-        swept = [p for p in range(rank + 2) if _torus_sweep_fits(rank, p, window)]
+    for rank, (window, swept, _) in cfg.torus_plan.items():
         failed = tr.chain_identity_failures(rank, window, swept)
         for name, claim in _TORUS_IDENTITIES:
             report.add_bool(
@@ -600,13 +605,7 @@ def suite_torus(cfg: SuiteConfig) -> SuiteReport:
                 str(failed.get(name)),
             )
 
-    for rank in cfg.torus_ranks:
-        requested = range(rank + 1) if cfg.torus_degrees is None else cfg.torus_degrees
-        # explicit degrees were checked by validate; the default selection
-        # sticks to feasible sweeps
-        wanted = [
-            p for p in requested if p <= rank and _torus_square_fits(rank, p, cfg.torus_window)
-        ]
+    for rank, (_, _, wanted) in cfg.torus_plan.items():
         if not wanted:
             continue  # no case here would cover a degree
         # an SBI instance at p needs H_{p+1}, so chains two degrees up; it
@@ -647,7 +646,7 @@ def suite_torus(cfg: SuiteConfig) -> SuiteReport:
             )
 
         for p in sbi:
-            ok = tr.compact_part_of_b_image_is_boundary(rank, p, cfg.torus_window, ladder[p + 1])
+            ok = tr.compact_part_of_b_image_is_boundary(rank, cfg.torus_window, p, ladder[p + 1])
             report.add_bool(
                 f"torus/sbi-instance/r{rank}/p{p}",
                 "class_action(B(z)) is a boundary for every windowed invariant cycle z",

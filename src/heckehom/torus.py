@@ -322,7 +322,7 @@ def homology_square_check(
 
 
 def compact_part_of_b_image_is_boundary(
-    rank: int, degree: int, window: int, quotient: QuotientSpace
+    rank: int, window: int, degree: int, quotient: QuotientSpace
 ) -> bool:
     """Homology-level vanishing of the compact part of the Connes operator.
 

@@ -52,8 +52,18 @@ def test_group_algebra_examples():
 
 
 def test_size_guard():
-    with pytest.raises(eg.TooLarge):
+    with pytest.raises(eg.TooLarge, match=r"^dim\^\(N\+1\) = 6\^7 exceeds the guard 100000$"):
         eg.compute_hochschild(eg.group_algebra(6), 6)
+
+
+def test_within_compares_the_power_without_building_it():
+    for base in range(6):
+        for exponent in range(40):
+            for cap in (1, 20_000, 100_000, 1_000_000):
+                assert eg.within(base, exponent, cap) == (base**exponent <= cap)
+    # 2^(10^12) has about 3 * 10^11 digits; the test is decided at 2^17
+    assert not eg.within(2, 10**12, eg.CHAIN_GUARD)
+    assert eg.within(1, 10**12, 1)
 
 
 def test_precyclic_identities():

@@ -331,8 +331,14 @@ def test_bad_spec_file_stops_verify_all_before_any_suite(tmp_path, capsys, monke
         (["verify", "engine", "--engine-cutoff", "20"], "'dual_numbers' at engine cutoff 20"),
         (["verify", "torus", "--rank", "3", "--degree", "3", "--window", "1"], "rank 3, degree 3"),
         (["verify", "all", "--engine-cutoff", "20"], "'dual_numbers' at engine cutoff 20"),
+        # 2^15001 has 4,516 digits: neither compared nor printed in full
+        (["verify", "engine", "--engine-cutoff", "15000"], "= 2^15001 exceeds the guard 100000"),
+        (["verify", "all", "--engine-cutoff", "15000"], "= 2^15001 exceeds the guard 100000"),
+        # 3^(2 * 30,000,000) is never built: the plan stops at the cap
+        (["verify", "torus", "--rank", "30000000"], "torus rank 30000000: the chain-identity"),
     ],
-    ids=["engine-cutoff", "torus-degree", "all-engine-cutoff"],
+    ids=["engine-cutoff", "torus-degree", "all-engine-cutoff", "engine-cutoff-15000",
+         "all-engine-cutoff-15000", "rank-30000000"],
 )
 def test_oversized_config_exits_2_before_any_suite(capsys, monkeypatch, argv, message):
     """Configs far too large to run: checked through main's exit code with
@@ -488,6 +494,30 @@ def test_default_torus_degrees_skip_oversized_sweeps():
         SuiteConfig(torus_ranks=(1, 3), torus_window=1, torus_degrees=(2, 3)).validate()
 
 
+def test_torus_plan_is_the_filtered_degree_lists():
+    """Each list of the plan is a prefix cut at its cap, so it equals the
+    degrees that fit, filtered one by one."""
+    assert SuiteConfig().torus_plan == {1: (2, [0, 1, 2], [0, 1]), 2: (1, [0, 1, 2, 3], [0, 1, 2])}
+    for rank in range(1, 5):
+        for window in (1, 2, 3):
+            cfg = SuiteConfig(torus_ranks=(rank,), torus_window=window)
+            if (rank, window) == (4, 3):  # no square check fits, as tested above
+                with pytest.raises(ConfigError):
+                    cfg.torus_plan
+                continue
+            ((identity_window, swept, squares),) = cfg.torus_plan.values()
+            side = 2 * identity_window + 1
+            assert swept == [p for p in range(rank + 2) if side ** (rank * (p + 1)) <= 20_000]
+            side = 2 * window + 1
+            assert squares == [p for p in range(rank + 1) if side ** (rank * (p + 2)) <= 10**6]
+    # explicit degrees keep their order, each rank taking those at or below it
+    cfg = SuiteConfig(torus_ranks=(2, 1), torus_window=1, torus_degrees=(2, 0))
+    assert {rank: squares for rank, (_, _, squares) in cfg.torus_plan.items()} == {
+        2: [2, 0], 1: [0]
+    }
+    assert list(cfg.torus_plan) == [2, 1]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -495,8 +525,17 @@ def test_default_torus_degrees_skip_oversized_sweeps():
         (["table", "rpoly", "0..101"], "range '0..101' leaves -100..100"),
         (["verify", "geomlemma", "--nmax", "600"], "nmax must be at most 100, got 600"),
         (["verify", "rpoly", "--lmax", "101"], "lmax must be at most 100, got 101"),
+        (
+            ["verify", "hh0", "--oracle-cutoff", "101"],
+            "reduce_oracle_cutoff must be at most 100, got 101",
+        ),
+        (
+            ["verify", "all", "--oracle-cutoff", "101"],
+            "reduce_oracle_cutoff must be at most 100, got 101",
+        ),
     ],
-    ids=["table-commutator", "table-rpoly", "geomlemma-nmax", "rpoly-lmax"],
+    ids=["table-commutator", "table-rpoly", "geomlemma-nmax", "rpoly-lmax", "hh0-oracle-cutoff",
+         "all-oracle-cutoff"],
 )
 def test_hecke_side_sizes_beyond_the_bound_exit_2(capsys, monkeypatch, argv, message):
     """A cold inverse of a word of length 2n recurses once per letter, so n
@@ -522,12 +561,16 @@ def test_hecke_bound_admits_the_defaults_and_the_benchmark_sizes():
     for target, sizes in [("rpoly", {"lmax": 18, "nmax": 24}), ("hh0", {"nmax": 24}),
                           ("commutator", {"nmax": 20})]:
         SuiteConfig(**sizes).validate((target,))
-    SuiteConfig(nmax=HECKE_BOUND, lmax=HECKE_BOUND).validate()
-    for sizes in ({"nmax": HECKE_BOUND + 1}, {"lmax": HECKE_BOUND + 1}):
+    SuiteConfig(nmax=HECKE_BOUND, lmax=HECKE_BOUND, reduce_oracle_cutoff=HECKE_BOUND).validate()
+    for sizes in ({"nmax": HECKE_BOUND + 1}, {"lmax": HECKE_BOUND + 1},
+                  {"reduce_oracle_cutoff": HECKE_BOUND + 1}):
         with pytest.raises(ConfigError):
             SuiteConfig(**sizes).validate()
     # suites that do not read a size are not stopped by it
-    SuiteConfig(nmax=600, lmax=600).validate(("hecke", "torus", "engine"))
+    SuiteConfig(nmax=600, lmax=600, reduce_oracle_cutoff=600).validate(("hecke", "torus", "engine"))
+    SuiteConfig(reduce_oracle_cutoff=600).validate(("rpoly", "clozel", "commutator", "geomlemma"))
+    with pytest.raises(ConfigError):
+        SuiteConfig(reduce_oracle_cutoff=600).validate(("hh0",))
     with pytest.raises(ConfigError):
         SuiteConfig(lmax=600).validate(("rpoly",))
     SuiteConfig(lmax=600).validate(("geomlemma",))

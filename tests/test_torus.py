@@ -138,10 +138,10 @@ def _square(rank, window, degree):
     return tr.homology_square_check(rank, window, degree, quotient)
 
 
-def _sbi(rank, degree, window):
+def _sbi(rank, window, degree):
     """The SBI check on H_{degree+1} of its own homology ladder."""
     quotient = tr._invariant_sector_dims(rank, window, degree + 1)[degree + 1]
-    return tr.compact_part_of_b_image_is_boundary(rank, degree, window, quotient)
+    return tr.compact_part_of_b_image_is_boundary(rank, window, degree, quotient)
 
 
 def test_square_check_rank_one():
@@ -204,9 +204,9 @@ def test_hkr_b_constant_fails_on_two_ratios_or_extra_support():
 
 
 def test_compact_part_of_b_image_bounds():
-    assert _sbi(1, 0, 2)
-    assert _sbi(1, 1, 2)
-    assert _sbi(2, 0, 2)
+    assert _sbi(1, 2, 0)
+    assert _sbi(1, 2, 1)
+    assert _sbi(2, 2, 0)
 
 
 def test_normalize_chain():
