@@ -15,7 +15,8 @@ Subpackages by topic:
                identity in degree zero
     hochschild the Hochschild complex on tuple keys: faces, b, t, the
                normalized complex and Connes' B, for any product; the
-               class-function action (compact restriction) and its check
+               class-function action (compact restriction), and the one
+               sweep that checks the chain identities
     torus      Hochschild chains of a lattice and differential forms on
                the dual torus, as tuple dicts: HKR, d, the invariant-forms
                projection; compact restriction by the shared

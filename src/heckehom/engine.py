@@ -13,8 +13,8 @@ exactness of the long sequence can be verified by rank counting.  A
 basis key of Tot_n is (j, key) for a basis key of C_{n-2j}.  On a group
 algebra, a class function F acts on chains and on Tot by the diagonal
 action of ``hochschild``, with the plain weight F(g_0 ... g_p) of
-``class_weight``, and is checked against the structure maps in the sweep
-of ``ChainStack.verify_structure_identities``.
+``class_weight``, and is checked against the structure maps in the one
+identity sweep of ``hochschild``, with the precyclic identities.
 
 Chains one degree above the report cutoff are always built, so every
 reported dimension is unaffected by the truncation.
@@ -303,48 +303,25 @@ class ChainStack:
         return hh.connes_B(key, self.unit)
 
     def verify_structure_identities(self, cutoff: int, weight) -> dict[str, str]:
-        """The first witness of each failing identity, by name, from one sweep
-        over every tuple (degenerate ones included, by degree, then in order)
-        that forms each tuple's faces once: "precyclic", t^(p+1) = 1 and
-        d_i d_j = d_{j-1} d_i (i < j) in degrees 1..min(cutoff + 1, 3), and,
-        unless weight is None (see ``class_weight``), "class-action", every
-        face, t and B keeping it (``hochschild.class_action_commutes``) in
-        degrees 0..cutoff.  An identity that holds has no entry."""
-        precyclic_top = min(cutoff + 1, 3)
-        weight_top = cutoff if weight is not None else -1
-        mul = self.spec.product_vec
-        failed: dict[str, str] = {}
-        for p in range(max(precyclic_top, weight_top) + 1):
-            for key in self.tuples(p):
-                key_faces = hh.faces(key, mul)
-                if 1 <= p <= precyclic_top and "precyclic" not in failed:
-                    witness = _precyclic_failure(key, key_faces, mul)
-                    if witness:
-                        failed["precyclic"] = witness
-                if p <= weight_top and "class-action" not in failed:
-                    images = key_faces + [hh.connes_B(key, self.unit)]
-                    if not hh.class_action_commutes(key, weight, images):
-                        failed["class-action"] = f"tuple {key}"
-        return failed
-
-
-def _precyclic_failure(key: tuple[int, ...], key_faces: list[dict], mul) -> str | None:
-    """t^(p+1) = 1 and d_i d_j = d_{j-1} d_i (i < j) on one tuple of degree
-    p, given its faces: the first that fails, with its witness, or None."""
-    p = len(key) - 1
-    current, sign = key, 1
-    for _ in range(p + 1):
-        current, step = hh.cyclic(current)
-        sign *= step
-    if (current, sign) != (key, 1):
-        return f"t^{p + 1} != 1 at degree {p}, tuple {key}"
-    for j in range(1, p + 1):
-        for i in range(j):
-            left = linear(lambda x: hh.face(x, i, mul), key_faces[j])
-            right = linear(lambda x: hh.face(x, j - 1, mul), key_faces[i])
-            if left != right:
-                return f"d_{i} d_{j} != d_{j - 1} d_{i} at degree {p}"
-    return None
+        """The engine's witness of each identity that fails in the sweep of
+        ``hochschild.identity_failures`` over every tuple: "precyclic" in
+        degrees 1..min(cutoff + 1, 3) and, unless weight is None (see
+        ``class_weight``), "class-action", the weight, in degrees 0..cutoff."""
+        wanted = {"precyclic": range(1, min(cutoff + 1, 3) + 1)}
+        if weight is not None:
+            wanted["weight"] = range(cutoff + 1)
+        failed = hh.identity_failures(self.tuples, wanted, self.spec.product_vec, self.unit, weight)
+        witnesses = {}
+        if "precyclic" in failed:
+            key, pair = failed["precyclic"]
+            p = len(key) - 1
+            witnesses["precyclic"] = f"t^{p + 1} != 1 at degree {p}, tuple {key}"
+            if pair:
+                i, j = pair
+                witnesses["precyclic"] = f"d_{i} d_{j} != d_{j - 1} d_{i} at degree {p}"
+        if "weight" in failed:
+            witnesses["class-action"] = f"tuple {failed['weight'][0]}"
+        return witnesses
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,13 @@ structure every such algebra shares (Loday, *Cyclic Homology*, ch. 1-2):
 - the diagonal action of a weight on tuples, and the check that it commutes
   with the faces, t and B.  Restriction to compact subgroups acts on the
   chains of a group algebra this way, with the weight F(g_0 ... g_p) for F
-  the indicator of the compact elements.
+  the indicator of the compact elements;
+- ``identity_failures``, the one sweep of the engine and the torus that
+  checks the chain identities on their tuples.  It walks the tuples one
+  cyclic rotation orbit at a time, from the smallest rotation: B of every
+  tuple of an orbit is a signed sum over the same tuples, the unit in front
+  of each rotation, so b of each tuple the orbit's B-images hold is formed
+  once, in a table that lives only as long as the orbit.
 
 On the lattice Z (labels are integers, the product is addition, the unit
 is 0):
@@ -33,7 +39,7 @@ is 0):
 
 from __future__ import annotations
 
-from .sparse import add_term
+from .sparse import add_into, add_term, linear
 
 
 def face(key: tuple, i: int, mul) -> dict:
@@ -127,3 +133,84 @@ def class_action_commutes(key: tuple, weight, images: list[dict]) -> bool:
     here = weight(key)
     images = images + [{cyclic(key)[0]: 1}]
     return all(weight(other) == here for vec in images for other in vec)
+
+
+def identity_failures(tuples, wanted: dict, mul, unit, weight=None) -> dict:
+    """The first failing tuple of each chain identity, least by (degree,
+    tuple), with a detail, keyed by the identity's name.  tuples(p) gives
+    the degree-p tuples, closed under rotation, and wanted maps the name of
+    each identity to check to its degrees:
+
+    - "precyclic": t^(p+1) = 1 and d_i d_j = d_{j-1} d_i (i < j), with the
+      detail of ``_precyclic_failure``;
+    - "b-squared": b b = 0;
+    - "normalized": B B = 0 and bB + Bb = 0 on the normalized tuples;
+    - "weight": every face, t and B keep the weight (``class_action_commutes``).
+
+    The other details are None, and an identity that holds has no entry.
+    """
+    failed: dict = {}
+    b = lambda key: boundary(key, mul)
+    B = lambda key: connes_B(key, unit)
+
+    def fail(name, key, detail=None):
+        if name not in failed or key < failed[name][0]:
+            failed[name] = (key, detail)
+
+    for p in sorted(set().union(*wanted.values())):
+        # an identity that failed in a lower degree keeps that witness
+        todo = {name for name, degrees in wanted.items() if p in degrees and name not in failed}
+        precyclic, b_squared = "precyclic" in todo, "b-squared" in todo
+        normalized, weighed = "normalized" in todo, "weight" in todo
+        for start in tuples(p):
+            # walk each orbit from its smallest rotation, which begins with the least entry
+            if min(start) < start[0]:
+                continue
+            orbit = [start[j:] + start[:j] for j in range(p + 1)]
+            if min(orbit) < start:
+                continue
+            b_of: dict = {}  # b of the tuples in this orbit's B-images
+            for key in dict.fromkeys(orbit):
+                key_faces = faces(key, mul)
+                if precyclic:
+                    detail = _precyclic_failure(key, key_faces, mul)
+                    if detail is not None:
+                        fail("precyclic", key, detail)
+                if b_squared or normalized:  # b only where it is checked
+                    b_image: dict = {}
+                    for i, image in enumerate(key_faces):
+                        add_into(b_image, image, -1 if i % 2 else None)
+                    if b_squared and linear(b, b_image):
+                        fail("b-squared", key)
+                if normalized or weighed:
+                    B_image = connes_B(key, unit)
+                if normalized and not is_degenerate(key, unit):
+                    for other in B_image.keys() - b_of.keys():
+                        b_of[other] = b(other)
+                    bB = linear(b_of.__getitem__, B_image)
+                    Bb = linear(B, normalize(b_image, unit))
+                    if linear(B, B_image) or add_into(normalize(bB, unit), Bb):
+                        fail("normalized", key)
+                if weighed and not class_action_commutes(key, weight, key_faces + [B_image]):
+                    fail("weight", key)
+    return failed
+
+
+def _precyclic_failure(key: tuple, key_faces: list[dict], mul) -> tuple | None:
+    """t^(p+1) = 1 and d_i d_j = d_{j-1} d_i (i < j) on one tuple of degree
+    p, given its faces: None when both hold, () when t^(p+1) = 1 fails, and
+    otherwise (i, j) for the first failing face identity."""
+    p = len(key) - 1
+    current, sign = key, 1
+    for _ in range(p + 1):
+        current, step = cyclic(current)
+        sign *= step
+    if (current, sign) != (key, 1):
+        return ()
+    for j in range(1, p + 1):
+        for i in range(j):
+            left = linear(lambda x: face(x, i, mul), key_faces[j])
+            right = linear(lambda x: face(x, j - 1, mul), key_faces[i])
+            if left != right:
+                return (i, j)
+    return None

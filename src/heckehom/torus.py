@@ -19,11 +19,9 @@ All homology statements are verified on exponent-windowed truncations; the
 chain complex is graded by the total exponent vector, which every structure
 map preserves, so windowed computations inside one grade are exact.
 
-Each windowed sweep forms a tuple's maps once.  ``chain_identity_failures``
-checks b b = 0, B B = 0, bB + Bb = 0 and the compact weight one cyclic
-rotation orbit at a time: the B-images of an orbit's tuples share their
-terms, so b of each term is formed once per orbit.  ``homology_square_check``
-forms hkr(x) and hkr(B(x)) once per tuple and feeds the square, the
+The chain identities and the compact weight are checked in the identity
+sweep of ``hochschild`` (``chain_identity_failures``).  ``homology_square_check``
+forms hkr(x) and hkr(B(x)) once per windowed tuple and feeds the square, the
 constant of hkr . B = c * d . hkr and pi0 . hkr . B = 0 from them.
 """
 
@@ -37,7 +35,7 @@ from operator import add
 
 from . import hochschild as hh
 from .linalg import QuotientSpace, elimination_order, homology, kernel_vectors
-from .sparse import add_into, exact_quotient, linear
+from .sparse import exact_quotient, linear
 
 ChainKey = tuple[tuple[int, ...], ...]
 FormKey = tuple[tuple[int, ...], tuple[int, ...]]
@@ -159,54 +157,14 @@ def sector_keys(rank: int, degree: int, window: int, total: tuple[int, ...]):
             yield prefix + (last,)
 
 
-def chain_identity_failures(rank: int, window: int, degrees) -> dict[str, ChainKey]:
-    """The first windowed tuple, by degree and then lexicographically, on
-    which each chain identity fails, keyed by the identity's name:
-    "b-squared" (b b = 0), "normalized-identities" (B B = 0 and bB + Bb = 0
-    on the normalized tuples) and "class-action-commutes" (every face, t and
-    B keep the compact weight).  An identity that holds has no entry.
-
-    The tuples are walked one cyclic rotation orbit at a time, from its
-    smallest rotation.  B of every tuple of an orbit is a signed sum over the
-    same tuples, the unit in front of each rotation, so b of each tuple the
-    orbit's B-images hold is formed once, in a table that lives as long as
-    the orbit.  Each tuple's faces and B are formed once and give b, bB, B B
-    and the weight check.
-    """
-    unit = (0,) * rank
-    failed: dict[str, ChainKey] = {}
-
-    def fail(name: str, key: ChainKey) -> None:
-        first = failed.get(name)
-        if first is None or (len(key), key) < (len(first), first):
-            failed[name] = key
-
-    for degree in degrees:
-        for start in windowed_keys(rank, degree, window):
-            rotations = [start[j:] + start[:j] for j in range(1, degree + 1)]
-            if any(start > other for other in rotations):
-                continue  # the orbit is walked from its smallest rotation
-            b_of = {}  # b of the tuples in this orbit's B-images
-            for key in dict.fromkeys([start] + rotations):
-                key_faces = hh.faces(key, _lattice_mul)
-                b_image: dict = {}
-                for i, image in enumerate(key_faces):
-                    add_into(b_image, image, -1 if i % 2 else None)
-                if linear(boundary_key, b_image):
-                    fail("b-squared", key)
-                B_image = connes_b_key(key)
-                if not hh.is_degenerate(key, unit):
-                    bB: dict = {}
-                    for other, c in B_image.items():
-                        if other not in b_of:
-                            b_of[other] = boundary_key(other)
-                        add_into(bB, b_of[other], c)
-                    Bb = linear(connes_b_key, hh.normalize(b_image, unit))
-                    if linear(connes_b_key, B_image) or add_into(hh.normalize(bB, unit), Bb):
-                        fail("normalized-identities", key)
-                if not hh.class_action_commutes(key, _compact, key_faces + [B_image]):
-                    fail("class-action-commutes", key)
-    return failed
+def chain_identity_failures(rank: int, window: int, degrees) -> dict[str, tuple]:
+    """``hochschild.identity_failures`` on the windowed tuples of the given
+    degrees, with lattice addition, the zero vector and the compact weight:
+    (first failing tuple, None) for each of "b-squared", "normalized" and
+    "weight" that fails."""
+    wanted = dict.fromkeys(("b-squared", "normalized", "weight"), degrees)
+    tuples = lambda p: windowed_keys(rank, p, window)
+    return hh.identity_failures(tuples, wanted, _lattice_mul, (0,) * rank, _compact)
 
 
 @dataclass

@@ -47,6 +47,21 @@ def test_weight_of_the_first_entry_fails(name):
     assert not all(_commutes(key, mul, unit, first) for key in keys)
 
 
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_identity_sweep_holds_and_each_identity_fails_on_a_wrong_product(name):
+    """The four identities of the shared sweep hold through degree 2, and
+    each fails alone when the unit times 1 is the unit instead of 1."""
+    keys, mul, unit, weight = ALGEBRAS[name]()
+    tuples = lambda p: [key for key in keys if len(key) == p + 1]
+    names = ("precyclic", "b-squared", "normalized", "weight")
+    wanted = dict.fromkeys(names, range(3))
+    assert hh.identity_failures(tuples, wanted, mul, unit, weight) == {}
+    wrong = lambda a, b: {unit: 1} if (a, b) == (unit, 1) else mul(a, b)
+    for identity in names:
+        failed = hh.identity_failures(tuples, {identity: range(3)}, wrong, unit, weight)
+        assert list(failed) == [identity]
+
+
 def test_class_action_drops_zero_weights():
     vec = {(0, 1): 2, (1, 1): 5, (2, 1): -1}
     assert hh.class_action(vec, lambda key: key[0]) == {(1, 1): 5, (2, 1): -2}

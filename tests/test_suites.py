@@ -1,5 +1,6 @@
 """SuiteReport.check, and a negative control for every case it decides."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -61,7 +62,7 @@ def _long_words_doubled(f):
 def _last_face_dropped_in_degree_1(f):
     # b without its last face on every tuple is the bar differential, which
     # also squares to zero; dropped on degree-1 tuples only, b^2 fails in degree 2
-    return lambda key: hh.face(key, 0, tr._lattice_mul) if len(key) == 2 else f(key)
+    return lambda key, mul: hh.face(key, 0, mul) if len(key) == 2 else f(key, mul)
 
 
 def _first_term_doubled(f):
@@ -196,7 +197,7 @@ BROKEN = [
         "torus/b-squared/r1",
         "torus",
         _TORUS_R1,
-        lambda m: _wrap(m, tr, "boundary_key", _last_face_dropped_in_degree_1),
+        lambda m: _wrap(m, hh, "boundary", _last_face_dropped_in_degree_1),
         "((-2,), (-2,), (-2,))",
     ),
     (
@@ -220,10 +221,7 @@ BROKEN = [
         "torus",
         _TORUS_R2,
         lambda m: _wrap(
-            m,
-            tr,
-            "boundary_key",
-            _on_key(((1, 0), (-1, 1)), lambda f, key: hh.face(key, 0, tr._lattice_mul)),
+            m, hh, "boundary", _on_key(((1, 0), (-1, 1)), lambda f, key, mul: hh.face(key, 0, mul))
         ),
         "((0, -1), (-1, 1), (1, 1))",
     ),
@@ -261,11 +259,36 @@ BROKEN = [
         ),
         "tuple (1,)",
     ),
+    # the weight flipped on one tuple that is not the smallest rotation of
+    # its orbit, where the sweep starts the orbit: its rotations (0, 1, 0)
+    # and (1, 0, 0) both fail, and the least of them is the witness
+    (
+        "engine/cyclic_3/class-action-commutes",
+        "engine",
+        {"engine_cutoff": 2},
+        lambda m: _wrap(
+            m,
+            eg,
+            "class_weight",
+            lambda f: lambda spec, values: _on_key((0, 1, 0), lambda g, key: 1 - g(key))(
+                f(spec, values)
+            ),
+        ),
+        "tuple (0, 1, 0)",
+    ),
 ]
 
 
+def _broken_ids(rows):
+    """Each row's case id; a later row on the same case also names its witness."""
+    ids = []
+    for case_id, *_, witness in rows:
+        ids.append(f"{case_id}@{witness}" if case_id in ids else case_id)
+    return ids
+
+
 @pytest.mark.parametrize(
-    "case_id, suite, config, mutate, witness", BROKEN, ids=[row[0] for row in BROKEN]
+    "case_id, suite, config, mutate, witness", BROKEN, ids=_broken_ids(BROKEN)
 )
 def test_a_broken_statement_fails_with_its_first_witness(
     monkeypatch, case_id, suite, config, mutate, witness
@@ -307,3 +330,34 @@ def test_each_engine_algebra_builds_one_chain_stack(monkeypatch):
     assert suites.suite_engine(cfg).passed
     assert Counter(built) == Counter(spec.name for spec in cfg.engine_specs)
     assert len(built) == len(suites.DEFAULT_ENGINE_ALGEBRAS)
+
+
+def test_engine_oracle_holds_above_cutoff_4():
+    """The oracle is a rule over the degree, so a cutoff above the degrees it
+    was once tabulated for compares lists of the same length."""
+    report = suites.suite_engine(suites.SuiteConfig(engine_cutoff=5))
+    assert [c.id for c in report.cases if not c.passed] == []
+    assert len(report.cases) == 131
+
+
+@pytest.mark.parametrize("entry", range(3))
+def test_a_wrong_engine_oracle_rule_fails(monkeypatch, entry):
+    """Negative control: one wrong entry of the dual numbers' rule (HH_0,
+    HH_p for p >= 1, HC_0) fails its case at cutoff 5."""
+    rule = list(suites.ENGINE_ORACLE_DIMS["dual_numbers"])
+    rule[entry] += 1
+    monkeypatch.setitem(suites.ENGINE_ORACLE_DIMS, "dual_numbers", tuple(rule))
+    monkeypatch.setattr(suites, "DEFAULT_ENGINE_ALGEBRAS", ("dual_numbers",))
+    cases = {c.id: c.passed for c in suites.suite_engine(suites.SuiteConfig(engine_cutoff=5)).cases}
+    failed = {name for name, passed in cases.items() if not passed}
+    kind = "hc" if entry == 2 else "hh"
+    assert failed == {f"engine/dual_numbers/{kind}-dims"}
+
+
+def test_suite_config_is_frozen():
+    """A field cannot change after the plans it decides are built."""
+    cfg = suites.SuiteConfig(torus_ranks=(4,), torus_window=1)
+    cfg.validate(("torus",))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.torus_window = 3
+    assert cfg.torus_plan == {4: (1, [0, 1], [0, 1])}

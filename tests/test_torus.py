@@ -109,16 +109,16 @@ def test_chain_identities_windowed():
 def test_chain_identity_sweep_takes_every_windowed_tuple_once(monkeypatch, rank, window):
     """The orbit walk forms B once on each windowed tuple of every degree
     0..rank+1: the other calls of B are on tuples one degree up or down."""
-    connes_b_key = tr.connes_b_key
+    connes_B = hh.connes_B
     for degree in range(rank + 2):
         seen = []
 
-        def counting(key):
+        def counting(key, unit):
             if len(key) == degree + 1:
                 seen.append(key)
-            return connes_b_key(key)
+            return connes_B(key, unit)
 
-        monkeypatch.setattr(tr, "connes_b_key", counting)
+        monkeypatch.setattr(hh, "connes_B", counting)
         assert tr.chain_identity_failures(rank, window, [degree]) == {}
         assert Counter(seen) == Counter(tr.windowed_keys(rank, degree, window))
         assert set(Counter(seen).values()) == {1}
