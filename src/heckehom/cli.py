@@ -145,10 +145,9 @@ def _render_table(header: list[str], rows: list[list[str]], fmt: str) -> str:
     if fmt == "csv":
         return csv_text([header, *rows])
     widths = [max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i]) for i in range(len(header))]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines) + "\n"
+    # every column but the last is padded, so no line ends in spaces
+    pad = lambda cells: [cell.ljust(width) for cell, width in zip(cells[:-1], widths)] + cells[-1:]
+    return "".join("  ".join(pad(cells)) + "\n" for cells in [header, *rows])
 
 
 def _cmd_table(args) -> int:

@@ -182,8 +182,9 @@ def _spec_vector(values, dim: int, where: str) -> dict[int, Coeff]:
     return {k: c for k, c in enumerate(coeffs) if c}
 
 
-def spec_from_json(text: str) -> AlgebraSpec:
-    """Parse and validate a spec; every defect raises SpecError."""
+def spec_from_json(text: str, check=load_algebra) -> AlgebraSpec:
+    """Parse a spec and return check(spec), by default ``load_algebra``'s
+    validation; every defect raises SpecError."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
@@ -219,18 +220,19 @@ def spec_from_json(text: str) -> AlgebraSpec:
     spec = AlgebraSpec(
         name=str(data.get("name", "algebra")), dim=dim, products=products, unit=unit
     )
-    return load_algebra(spec)
+    return check(spec)
 
 
-def load_algebra_file(path) -> AlgebraSpec:
-    """Load a spec file; a spec defect raises SpecError naming the file."""
+def load_algebra_file(path, check=load_algebra) -> AlgebraSpec:
+    """Load a spec file, as ``spec_from_json`` with check; a spec defect
+    raises SpecError naming the file."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError as err:
             raise SpecError(f"{path}: not UTF-8 text ({err.reason})") from None
     try:
-        return spec_from_json(text)
+        return spec_from_json(text, check)
     except SpecError as err:
         raise SpecError(f"{path}: {err}") from err
 

@@ -21,15 +21,14 @@ map preserves, so windowed computations inside one grade are exact.
 
 The chain identities and the compact weight are checked in the identity
 sweep of ``hochschild`` (``chain_identity_failures``).  ``homology_square_check``
-forms hkr(x) and hkr(B(x)) once per windowed tuple and feeds the square, the
-constant of hkr . B = c * d . hkr and pi0 . hkr . B = 0 from them.
+forms hkr(x) and hkr(B(x)) once per windowed tuple and returns what the square,
+the constant of hkr . B = c * d . hkr and pi0 . hkr . B = 0 find from them; the
+homology of the invariant sector is the ladder of ``_invariant_sector_dims``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 from operator import add
 
@@ -53,10 +52,6 @@ def _lattice_mul(a: tuple[int, ...], b: tuple[int, ...]) -> dict[tuple[int, ...]
 def boundary_key(key: ChainKey) -> dict[ChainKey, int]:
     """Alternating face sum on a single basis tuple (unnormalized)."""
     return hh.boundary(key, _lattice_mul)
-
-
-def _is_degenerate(key: ChainKey) -> bool:
-    return hh.is_degenerate(key, (0,) * len(key[0]))
 
 
 def connes_b_key(key: ChainKey) -> dict[ChainKey, int]:
@@ -148,11 +143,11 @@ def windowed_keys(rank: int, degree: int, window: int):
     return itertools.product(window_vectors(rank, window), repeat=degree + 1)
 
 
-def sector_keys(rank: int, degree: int, window: int, total: tuple[int, ...]):
-    """Windowed basis tuples with a prescribed total exponent vector."""
+def sector_keys(rank: int, degree: int, window: int):
+    """Windowed basis tuples whose entries sum to the zero vector."""
     zero = (0,) * rank
     for prefix in itertools.product(window_vectors(rank, window), repeat=degree):
-        last = tuple(t - x for t, x in zip(total, _total((zero,) + prefix)))
+        last = tuple(-x for x in _total((zero,) + prefix))
         if all(-window <= x <= window for x in last):
             yield prefix + (last,)
 
@@ -167,40 +162,6 @@ def chain_identity_failures(rank: int, window: int, degrees) -> dict[str, tuple]
     return hh.identity_failures(tuples, wanted, _lattice_mul, (0,) * rank, _compact)
 
 
-@dataclass
-class SquareReport:
-    """Result of one commuting-square verification.
-
-    The dimensions refer to the invariant (total exponent zero) sector of
-    the windowed complex, which is where the projection acts nontrivially.
-    """
-
-    rank: int
-    window: int
-    degree: int
-    dim_cycles: int
-    dim_boundaries: int
-    dim_invariant: int
-    square_commutes: bool
-    hkr_b_constant: int | Fraction | None
-    hkr_b_consistent: bool
-    pi0_after_b: ChainKey | None  # the first normalized tuple with pi0(hkr(B(x))) != 0
-    passed: bool
-
-    def as_dict(self) -> dict:
-        c = self.hkr_b_constant
-        return {
-            "rank": self.rank,
-            "window": self.window,
-            "degree": self.degree,
-            "dim_cycles": self.dim_cycles,
-            "dim_boundaries": self.dim_boundaries,
-            "dim_invariant": self.dim_invariant,
-            "hkr_b_constant": str(c) if c is not None else None,
-            "pass": self.passed,
-        }
-
-
 def _invariant_sector_dims(rank: int, window: int, top: int) -> list[QuotientSpace]:
     """H_0..H_top of the windowed zero-total sector, by ``homology``.
 
@@ -209,7 +170,7 @@ def _invariant_sector_dims(rank: int, window: int, top: int) -> list[QuotientSpa
     every image is a cycle and the windowed zero-total chains are the span
     of ``sector_keys``, so a windowed chain lies in their span exactly when
     it lies in the part inside the window."""
-    bases = [sector_keys(rank, p, window, (0,) * rank) for p in range(top + 2)]
+    bases = [sector_keys(rank, p, window) for p in range(top + 2)]
     return homology(bases, boundary_key, closed=False)
 
 
@@ -233,50 +194,36 @@ def measure_hkr_b_constant(ratios: set, image: dict, form: dict) -> bool:
     return len(ratios) <= 1
 
 
-def homology_square_check(
-    rank: int, window: int, degree: int, quotient: QuotientSpace
-) -> SquareReport:
+def homology_square_check(rank: int, window: int, degree: int) -> tuple:
     """Verify the compact-restriction/invariant-forms square on a window.
 
     One sweep over the windowed degree-p tuples forms hkr(x) and, on the
-    normalized ones, hkr(B(x)) once per tuple, and feeds three checks: the
-    square hkr . class_action = pi0 . hkr at chain level
-    (``check_square_on_key``), which implies it on cycles up to
-    b-boundaries; the constant c with hkr . B = c * d . hkr
-    (``measure_hkr_b_constant``), None when both sides vanish on the window;
-    and pi0 . hkr . B = 0, with its first failing tuple.  The dimensions of
-    the invariant sector of the windowed homology are those of quotient,
-    its H_p from ``_invariant_sector_dims``.
+    normalized ones, hkr(B(x)) once per tuple, and returns what its three
+    checks find: whether the square hkr . class_action = pi0 . hkr holds at
+    chain level (``check_square_on_key``), which implies it on cycles up to
+    b-boundaries; whether one constant c gives hkr . B = c * d . hkr
+    (``measure_hkr_b_constant``), and c, None when both sides vanish on the
+    window; and the first normalized tuple with pi0(hkr(B(x))) != 0, or None.
+    The homology of the invariant sector is H_p of ``_invariant_sector_dims``.
 
-    Exhaustive over the window: the work grows like (2*window+1)^(rank*(p+2)),
+    Exhaustive over the window: the work grows like (2*window+1)^(rank*(p+1)),
     so large ranks want window 1.
     """
     if rank < 1 or window < 1 or degree < 0 or degree > rank:
         raise ValueError("need rank >= 1, window >= 1, 0 <= degree <= rank")
+    zero = (0,) * rank
     square_commutes, consistent, ratios, pi0_after_b = True, True, set(), None
     for key in windowed_keys(rank, degree, window):
         form = hkr_key(key)
         square_commutes = square_commutes and check_square_on_key(key, form)
-        if _is_degenerate(key):
+        if hh.is_degenerate(key, zero):
             continue
         image = hkr(connes_b_key(key))
         consistent = consistent and measure_hkr_b_constant(ratios, image, form)
         if pi0_after_b is None and pi0(image):
             pi0_after_b = key
     constant = ratios.pop() if consistent and ratios else None
-    return SquareReport(
-        rank=rank,
-        window=window,
-        degree=degree,
-        dim_cycles=quotient.dim_cycles,
-        dim_boundaries=quotient.dim_cycles - quotient.dim,
-        dim_invariant=quotient.dim,
-        square_commutes=square_commutes,
-        hkr_b_constant=constant,
-        hkr_b_consistent=consistent,
-        pi0_after_b=pi0_after_b,
-        passed=square_commutes and consistent,
-    )
+    return square_commutes, consistent, constant, pi0_after_b
 
 
 def compact_part_of_b_image_is_boundary(
@@ -293,7 +240,8 @@ def compact_part_of_b_image_is_boundary(
     check is that B sends invariant cycles to boundaries.  At p = 0 it is
     vacuous: the only zero-total degree-0 tuple is the unit, which B kills.
     """
-    keys = (k for k in sector_keys(rank, degree, window, (0,) * rank) if not _is_degenerate(k))
+    zero = (0,) * rank
+    keys = (k for k in sector_keys(rank, degree, window) if not hh.is_degenerate(k, zero))
     cycles, _ = kernel_vectors((key, boundary_key(key)) for key in elimination_order(keys))
     images = (hh.class_action(linear(connes_b_key, vec), _compact) for vec in cycles)
     return all(quotient.is_boundary(image) for image in images)

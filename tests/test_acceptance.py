@@ -144,19 +144,15 @@ def test_criterion_6_torus_square():
     for rank in (1, 2):
         ladder = tr._invariant_sector_dims(rank, 2, rank)
         for degree in range(rank + 1):
-            report = tr.homology_square_check(rank, 2, degree, ladder[degree])
+            commutes, consistent, constant, _ = tr.homology_square_check(rank, 2, degree)
             from math import comb
 
-            dims_ok = report.dim_invariant == comb(rank, degree)
+            dims_ok = ladder[degree].dim == comb(rank, degree)
             vacuous = degree >= rank
-            constant_ok = report.hkr_b_consistent and (
-                vacuous or (report.hkr_b_constant not in (None, 0))
-            )
-            if not (report.passed and dims_ok and constant_ok):
+            constant_ok = consistent and (vacuous or (constant not in (None, 0)))
+            if not (commutes and consistent and dims_ok and constant_ok):
                 ok = False
-            details.append(
-                f"r={rank},p={degree}: inv={report.dim_invariant}, c={report.hkr_b_constant}"
-            )
+            details.append(f"r={rank},p={degree}: inv={ladder[degree].dim}, c={constant}")
     _report(
         "criterion 6: torus square commutes; invariant dims = C(r,p); nonzero c_p (r in {1,2}, window 2)",
         ok,
@@ -209,7 +205,8 @@ def test_criterion_8_higher_homology_scope():
     # above.  This criterion asserts the two shadow instances on a spot
     # check, and that nothing else pretends to cover them.
     start = time.monotonic()
-    torus_instance = tr.homology_square_check(1, 2, 1, tr._invariant_sector_dims(1, 2, 1)[1]).passed
+    commutes, consistent, _, _ = tr.homology_square_check(1, 2, 1)
+    torus_instance = commutes and consistent
     engine_instance = eg.compute_cyclic(eg.group_algebra(2), 2)
     engine_ok = all(node.exact for node in eg.sbi_exactness_check(engine_instance))
     _report(

@@ -170,6 +170,23 @@ def test_table_command(capsys):
     assert main(["table", "rpoly", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["rpoly", "0..3"], ["commutator", "--", "-2..2"], ["pres", "0..4"]],
+    ids=["rpoly", "commutator", "pres"],
+)
+def test_table_text_lines_end_without_spaces_and_columns_align(capsys, argv):
+    assert main(["table", *argv]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) > 2 and not any(line.endswith(" ") for line in lines)
+    # the second column starts at the same place on every line, two spaces
+    # after the widest first cell
+    width = max(len(line.split("  ")[0]) for line in lines)
+    for line in lines:
+        first, rest = line[:width].rstrip(), line[width:]
+        assert " " not in first and rest.startswith("  ") and rest[2] != " "
+
+
 def test_table_negative_range_after_double_dash(capsys):
     # argparse reads an argument that starts "-2.." as an option; after
     # "--" it is the range
@@ -323,6 +340,34 @@ def test_bad_spec_file_stops_verify_all_before_any_suite(tmp_path, capsys, monke
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
     assert entered == []
+
+
+def test_spec_over_the_guard_is_refused_before_its_checks(tmp_path, capsys, monkeypatch):
+    """The guard reads the parsed dim, so a spec file too large for the cutoff
+    exits 2 without its unit and associativity checks, O(dim^5) on dense
+    structure constants."""
+    from heckehom import engine as eg
+
+    checked = []
+    load_algebra = eg.load_algebra
+    monkeypatch.setattr(eg, "load_algebra", lambda spec: checked.append(spec.name) or load_algebra(spec))
+    m = 11  # Z/11 at the default cutoff 4: 11^5 > 100000
+    table = [[{"i": i, "j": j, "coeffs": [int(k == (i + j) % m) for k in range(m)]}
+              for j in range(m)] for i in range(m)]
+    path = tmp_path / "z11.json"
+    path.write_text(json.dumps(
+        {"name": "z11", "dim": m, "unit": [1] + [0] * (m - 1), "products": sum(table, [])}
+    ))
+    assert main(["verify", "engine", "--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: algebra 'z11' at engine cutoff 4: dim^(N+1) = 11^5 exceeds the guard 100000\n"
+    )
+    assert "z11" not in checked
+    # within the guard the same file is checked
+    SuiteConfig(engine_cutoff=3, engine_spec_files=(str(path),)).validate(("engine",))
+    assert checked == ["z11"]
 
 
 @pytest.mark.parametrize(

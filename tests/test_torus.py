@@ -97,7 +97,7 @@ def test_chain_identities_windowed():
             for key in tr.windowed_keys(rank, degree, window):
                 value = {key: 1}
                 assert b(b(value)) == {}
-                if tr._is_degenerate(key):
+                if hh.is_degenerate(key, unit):
                     continue
                 assert B(B(value)) == {}
                 left = hh.normalize(b(B(value)), unit)
@@ -133,9 +133,10 @@ def test_class_action_commutes_with_structure_maps():
 
 
 def _square(rank, window, degree):
-    """The square check on H_degree of its own homology ladder."""
+    """The findings of the square check, (square commutes, c consistent, c,
+    pi0 witness), with H_degree of its own homology ladder."""
     quotient = tr._invariant_sector_dims(rank, window, degree)[degree]
-    return tr.homology_square_check(rank, window, degree, quotient)
+    return tr.homology_square_check(rank, window, degree), quotient
 
 
 def _sbi(rank, window, degree):
@@ -146,26 +147,26 @@ def _sbi(rank, window, degree):
 
 def test_square_check_rank_one():
     for degree, expected in ((0, 1), (1, 1)):
-        report = _square(1, 2, degree)
-        assert report.passed and report.square_commutes
-        assert report.dim_invariant == expected
-    zero_degree = _square(1, 2, 0)
-    assert zero_degree.hkr_b_constant == Fraction(1)
+        (commutes, consistent, _, _), quotient = _square(1, 2, degree)
+        assert commutes and consistent
+        assert quotient.dim == expected
+    (_, _, constant, _), _ = _square(1, 2, 0)
+    assert constant == Fraction(1)
 
 
 def test_square_check_rank_two_window_one():
-    report = _square(2, 1, 1)
-    assert report.passed
-    assert report.dim_invariant == 2
-    assert report.hkr_b_constant == Fraction(1)
+    (commutes, consistent, constant, _), quotient = _square(2, 1, 1)
+    assert commutes and consistent
+    assert quotient.dim == 2
+    assert constant == Fraction(1)
 
 
 def test_square_check_rank_three_window_one():
     for degree, expected in ((0, 1), (1, 3)):
-        report = _square(3, 1, degree)
-        assert report.passed
-        assert report.dim_invariant == expected
-        assert report.hkr_b_constant == Fraction(1)
+        (commutes, consistent, constant, _), quotient = _square(3, 1, degree)
+        assert commutes and consistent
+        assert quotient.dim == expected
+        assert constant == Fraction(1)
 
 
 def test_square_check_can_fail(monkeypatch):
@@ -174,25 +175,25 @@ def test_square_check_can_fail(monkeypatch):
     monkeypatch.setattr(tr, "_compact", lambda key: int(not any(key[0])))
     key = ((1,), (-1,))
     assert not tr.check_square_on_key(key, tr.hkr({key: 1}))
-    report = _square(1, 1, 1)
-    assert not report.square_commutes and not report.passed
+    commutes, _, _, _ = tr.homology_square_check(1, 1, 1)
+    assert not commutes
 
 
 def test_square_check_validation():
     with pytest.raises(ValueError):
-        tr.homology_square_check(1, 2, 2, None)
+        tr.homology_square_check(1, 2, 2)
     with pytest.raises(ValueError):
-        tr.homology_square_check(0, 2, 0, None)
+        tr.homology_square_check(0, 2, 0)
 
 
 def test_hkr_b_constant_is_one_where_defined():
     # hand computation: with the 1/p! normalization both sides agree exactly
     for rank, degree in ((1, 0), (2, 0), (2, 1)):
-        report = _square(rank, 2, degree)
-        assert report.hkr_b_consistent
-        assert report.hkr_b_constant == Fraction(1)
-    report = _square(1, 2, 1)
-    assert report.hkr_b_consistent and report.hkr_b_constant is None  # vacuous at degree = rank
+        _, consistent, constant, _ = tr.homology_square_check(rank, 2, degree)
+        assert consistent
+        assert constant == Fraction(1)
+    _, consistent, constant, _ = tr.homology_square_check(1, 2, 1)
+    assert consistent and constant is None  # vacuous at degree = rank
 
 
 def test_hkr_b_constant_fails_on_two_ratios_or_extra_support():
@@ -232,7 +233,7 @@ def test_suite_torus_eliminates_each_sector_degree_once_per_rank(monkeypatch):
         sources = [
             key
             for p in range(1, len(bases))
-            for key in tr.sector_keys(rank, p, 1, (0,) * rank)
+            for key in tr.sector_keys(rank, p, 1)
         ]
         assert sorted(seen) == sorted(sources)
         return quotients
@@ -251,7 +252,7 @@ def test_open_sector_needs_the_full_top_pass():
     """Negative control for closed=False: the b-images of the windowed
     sector leave the window, so stopping the top pass once its rank reaches
     the number of cycles leaves H_2 far too large."""
-    bases = lambda: [tr.sector_keys(2, p, 1, (0, 0)) for p in range(4)]
+    bases = lambda: [tr.sector_keys(2, p, 1) for p in range(4)]
     closed = homology(bases(), tr.boundary_key)
     assert [q.dim for q in closed] == [1, 2, 20]
     assert [q.dim for q in homology(bases(), tr.boundary_key, closed=False)] == [1, 2, 1]
@@ -280,11 +281,12 @@ def test_sbi_instance_can_fail(monkeypatch, rank):
 @pytest.mark.parametrize("rank, degree, window", [(1, 0, 2), (1, 1, 2), (2, 1, 2), (2, 2, 1)])
 def test_dim_boundaries_is_the_rank_of_the_boundaries_inside_the_window(rank, degree, window):
     # oracle: the rank of the boundary span cut to the window
-    source = tr.sector_keys(rank, degree + 1, window, (0,) * rank)
+    source = tr.sector_keys(rank, degree + 1, window)
     images = [tr.boundary_key(key) for key in source]
     inside = lambda key: all(-window <= x <= window for vec in key for x in vec)
     windowed = span_basis(intersect_with_columns(images, inside)).rank
-    assert _square(rank, window, degree).dim_boundaries == windowed
+    _, quotient = _square(rank, window, degree)
+    assert quotient.dim_cycles - quotient.dim == windowed
     if degree >= 2:
         # a face of a zero-total source of degree 3 or more can leave the
         # window, so there the cut is not a no-op

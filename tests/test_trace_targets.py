@@ -9,6 +9,7 @@ module would break traced runs; this test fails first.
 import importlib
 import importlib.util
 import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -52,3 +53,16 @@ def test_span_metrics_name_traced_functions():
         assert not qualname.startswith("_"), f"{metric}: {label} is private and not an extra target"
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__, f"{metric}: {label}"
         assert not inspect.isgeneratorfunction(fn), f"{metric}: {label}"
+
+
+def test_caches_read_by_the_tracer_are_module_dicts():
+    """perfbench/tracer.py reads these caches by attribute for its hit
+    counters and cache sizes, so a renamed cache would end a traced run in
+    AttributeError."""
+    source = (PERFBENCH / "tracer.py").read_text()
+    read = set(re.findall(r'\b(hecke|hh0)(?:"\])?\.(_[A-Z_]+_CACHE)\b', source))
+    assert read == {("hecke", "_INVERSE_CACHE"), ("hecke", "_R_RECURSIVE_CACHE"),
+                    ("hh0", "_WORD_CLASS_CACHE")}
+    for short, name in read:
+        module = importlib.import_module(f"heckehom.{short}")
+        assert type(vars(module).get(name)) is dict, f"{short}.{name}"
