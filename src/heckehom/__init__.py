@@ -68,7 +68,6 @@ from .engine import (
     class_weight,
     compute_cyclic,
     compute_hochschild,
-    group_algebra,
     load_algebra,
     sbi_exactness_check,
 )

@@ -135,7 +135,7 @@ def _table_rows(target: str, values: range) -> tuple[list[str], list[list[str]]]
         for n in values:
             if n < 0:
                 raise _UsageError("pres table needs n >= 0")
-            rows.append([str(n), sp.pres_map(sp.HH0Class.basis_even(n)).render()])
+            rows.append([str(n), sp.pres_map(sp.HH0Class({n: 1})).render()])
     return header, rows
 
 
@@ -158,7 +158,11 @@ def _cmd_table(args) -> int:
 
 def _cmd_reduce(args) -> int:
     element = parse_hecke(args.expression)
-    result = reduce_to_hh0(element).render()
+    try:
+        result = reduce_to_hh0(element).render()
+    except ValueError:  # int -> str past the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise _UsageError(f"the class has an integer of more than {limit} digits to print") from None
     if args.format == "json":
         _emit(json.dumps({"expression": args.expression, "class": result}) + "\n", args.out)
     elif args.format == "csv":

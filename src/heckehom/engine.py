@@ -23,6 +23,7 @@ reported dimension is unaffected by the truncation.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -142,33 +143,20 @@ def builtin_algebra(name: str) -> AlgebraSpec:
     return spec
 
 
-def group_algebra(m: int) -> AlgebraSpec:
-    """Group algebra of Z/m with group-element basis."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    table = [[(i + j) % m for j in range(m)] for i in range(m)]
-    products = {
-        (i, j): {table[i][j]: 1} for i in range(m) for j in range(m)
-    }
-    return load_algebra(
-        AlgebraSpec(
-            name=f"cyclic_{m}",
-            dim=m,
-            products=products,
-            unit={0: 1},
-            group_table=table,
-        )
-    )
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _spec_coefficient(value, where: str) -> Coeff:
-    """An exact coefficient from an int or a rational string; int when integral."""
+    """An exact coefficient from an int or a string "n" or "n/d" (each with an
+    optional sign); int when integral."""
     if not (_is_int(value) or isinstance(value, str)):
         raise SpecError(f"{where}: coefficient {value!r} is not an integer or a string")
+    if isinstance(value, str) and not _RATIONAL.fullmatch(value):
+        raise SpecError(f"{where}: coefficient {value!r} is not of the form n or n/d")
     try:
         return exact(value)
     except (ValueError, ZeroDivisionError):
@@ -187,7 +175,8 @@ def spec_from_json(text: str, check=load_algebra) -> AlgebraSpec:
     validation; every defect raises SpecError."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # a JSONDecodeError, an int past the digit limit, or nesting past the recursion limit
         raise SpecError(f"not valid JSON: {err}") from None
     if not isinstance(data, dict):
         raise SpecError("a spec must be a JSON object")
@@ -483,7 +472,7 @@ def class_weight(spec: AlgebraSpec, values: dict[int, Coeff]):
     F with these values on group elements (0 elsewhere): the weight that
     ``hochschild.class_action`` scales each tuple by.
 
-    >>> weight = class_weight(group_algebra(3), {0: 1})
+    >>> weight = class_weight(builtin_algebra("cyclic_3"), {0: 1})
     >>> weight((1, 2)), weight((1, 1)), weight((0, 2, 1))
     (1, 0, 1)
     """

@@ -102,6 +102,15 @@ class _Parser:
         self.index += 1
         return text
 
+    def _int(self) -> int:
+        """The next token, which must be an integer literal, as an int."""
+        position = self.tokens[self.index][2]
+        text = self._take("int")
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's limit on int digits
+            raise ParseError(f"integer of {len(text)} digits is too long", position) from None
+
     def parse(self):
         value = self._expr()
         kind, text, position = self.tokens[self.index]
@@ -144,8 +153,7 @@ class _Parser:
     def _atom(self):
         kind, text, position = self.tokens[self.index]
         if kind == "int":
-            self.index += 1
-            return int(text)
+            return self._int()
         if kind == "q":
             self.index += 1
             exponent = 1
@@ -155,7 +163,7 @@ class _Parser:
                 if self._kind() == "-":
                     self.index += 1
                     sign = -1
-                exponent = sign * int(self._take("int"))
+                exponent = sign * self._int()
             return HeckeElement({E: qpow(exponent)})
         if kind == "basis":
             self.index += 1

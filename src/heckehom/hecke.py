@@ -65,10 +65,6 @@ def one() -> HeckeElement:
     return basis(E)
 
 
-def zero() -> HeckeElement:
-    return HeckeElement()
-
-
 def _unit_exponent(c: LaurentQ) -> int | None:
     """k when c is the unit monomial q^k, else None."""
     terms = c._terms

@@ -41,7 +41,7 @@ class HH0Class(Sparse):
     Keyed by "s" for [T_s], "t" for [T_t] and n >= 0 for [T_{(st)^n}]
     (n = 0 is the class of T_e), with LaurentQ coefficients.
 
-    >>> HH0Class(coeff_t=1, coeff_s=-1, even={2: 1, 0: 2})
+    >>> HH0Class({"t": 1, "s": -1, 2: 1, 0: 2})
     2*[E(0)] + [E(2)] - [Ts] + [Tt]
     """
 
@@ -55,43 +55,12 @@ class HH0Class(Sparse):
 
     _order = staticmethod(lambda key: (key in ("s", "t"), key))
 
-    def __init__(self, coeff_s=ZERO, coeff_t=ZERO, even=None):
-        super().__init__({"s": coeff_s, "t": coeff_t, **(even or {})})
-
     def _key(self, key):
         if key in ("s", "t"):
             return key
         if key < 0:
             raise ValueError("even-part index must be nonnegative")
         return int(key)
-
-    @classmethod
-    def zero(cls) -> HH0Class:
-        return cls()
-
-    @classmethod
-    def basis_s(cls) -> HH0Class:
-        return cls(coeff_s=ONE)
-
-    @classmethod
-    def basis_t(cls) -> HH0Class:
-        return cls(coeff_t=ONE)
-
-    @classmethod
-    def basis_even(cls, n: int) -> HH0Class:
-        return cls(even={n: ONE})
-
-    @property
-    def coeff_s(self) -> LaurentQ:
-        return self.coefficient("s")
-
-    @property
-    def coeff_t(self) -> LaurentQ:
-        return self.coefficient("t")
-
-    @property
-    def even(self) -> dict[int, LaurentQ]:
-        return {n: c for n, c in self._terms.items() if n not in ("s", "t")}
 
 
 _WORD_CLASS_CACHE: dict[WeylWord, HH0Class] = {}
@@ -109,15 +78,15 @@ def class_of_word(word: WeylWord) -> HH0Class:
     if cached is not None:
         return cached
     if word.length % 2 == 0:
-        result = HH0Class.basis_even(word.length // 2)
+        result = HH0Class({word.length // 2: ONE})
     elif word.length == 1:
-        result = HH0Class.basis_s() if word.first == "s" else HH0Class.basis_t()
+        result = HH0Class({word.first: ONE})
     else:
         # rotate the leading generator to the back; the trailing repeat
         # resolves by the quadratic relation
         m = (word.length - 1) // 2
         shorter = WeylWord(word.length - 2, _OTHER[word.first])
-        result = HH0Class.basis_even(m).scale(_Q_MINUS_1) + class_of_word(shorter).scale(Q)
+        result = HH0Class({m: _Q_MINUS_1}) + class_of_word(shorter).scale(Q)
     _WORD_CLASS_CACHE[word] = result
     return result
 

@@ -45,14 +45,6 @@ class LaurentQ(Sparse):
             return ""
         return "q" if exp == 1 else f"q^{exp}"
 
-    @classmethod
-    def const(cls, value) -> LaurentQ:
-        return cls({0: value})
-
-    @classmethod
-    def monomial(cls, coeff, exp: int) -> LaurentQ:
-        return cls({exp: coeff})
-
     def degree(self) -> int:
         if not self._terms:
             raise ValueError("zero polynomial has no degree")
@@ -202,21 +194,21 @@ def _as_laurent(value):
     if isinstance(value, LaurentQ):
         return value
     if isinstance(value, (int, Fraction)):
-        return LaurentQ.const(value)
+        return LaurentQ({0: value})
     return NotImplemented
 
 
 def to_laurent(value) -> LaurentQ:
     """value itself if it is a LaurentQ, else the constant it names: the
     coefficient coercion of every element type over LaurentQ."""
-    return value if isinstance(value, LaurentQ) else LaurentQ.const(value)
+    return value if isinstance(value, LaurentQ) else LaurentQ({0: value})
 
 
 def qpow(exp: int) -> LaurentQ:
     """The monomial q^exp."""
-    return LaurentQ.monomial(1, exp)
+    return LaurentQ({exp: 1})
 
 
 ZERO = LaurentQ()
-ONE = LaurentQ.const(1)
+ONE = LaurentQ({0: 1})
 Q = qpow(1)

@@ -17,8 +17,8 @@ Fraction comes only from a rational input or a non-integral quotient.
 Hecke elements, HH0 classes and elements of H(Lambda)); Hochschild chains
 and forms, of the engine and of the torus, stay plain dicts.  A subclass
 declares how a key is validated, a coefficient coerced and a key printed;
-the vector-space operations, the coefficient lookup and the renderer are
-shared.  Elements are immutable: every operation returns a new element,
+the one constructor ``Sparse(terms)``, the vector-space operations, the
+coefficient lookup and the renderer are shared.  Elements are immutable: every operation returns a new element,
 and ``_new`` wraps a freshly built dict without copying it.
 """
 

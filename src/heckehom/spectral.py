@@ -43,14 +43,6 @@ class LambdaElement(Sparse):
             return ""
         return "L" if n == 1 else f"L^{n}"
 
-    @classmethod
-    def monomial(cls, n: int, coeff=1) -> LambdaElement:
-        return cls({n: coeff})
-
-    @classmethod
-    def zero(cls) -> LambdaElement:
-        return cls()
-
 
 def pind_hecke(x: LambdaElement) -> HeckeElement:
     """Hecke-algebra image of x under pind, before reduction.
@@ -90,11 +82,13 @@ def pres_map(c: HH0Class) -> LambdaElement:
     Note pres([E(0)]) = 2, the n = 0 value of the displayed formula.
     """
     out: dict = {}
-    add_term(out, 0, (c.coeff_s + c.coeff_t) * (Q - 1))
-    for n, coeff in c.even.items():
-        qn = coeff.shift(n)
-        add_term(out, n, qn)
-        add_term(out, -n, qn)  # n = 0 adds the coefficient twice
+    for key, coeff in c._terms.items():
+        if key in ("s", "t"):
+            add_term(out, 0, coeff.times_q_minus_1())
+            continue
+        qn = coeff.shift(key)
+        add_term(out, key, qn)
+        add_term(out, -key, qn)  # key 0 adds the coefficient twice
     return LambdaElement._new(out)
 
 
@@ -115,7 +109,7 @@ def one_gc(c: HH0Class) -> HH0Class:
 
 def commutator_direct(n: int) -> HH0Class:
     """one_gc(pind(lambda^n)) - pind(one_mc(lambda^n))."""
-    x = LambdaElement.monomial(n)
+    x = LambdaElement({n: ONE})
     return one_gc(pind_map(x)) - pind_map(one_mc(x))
 
 
@@ -128,14 +122,14 @@ def commutator_closed_form(n: int) -> HH0Class:
     indicate an implementation fault, so it is allowed to propagate.
     """
     if n < 1:
-        return HH0Class.zero()
+        return HH0Class()
     r_poly = r_polynomial(E, st_power(n))
     factor = r_poly.divide_exact((Q - 1).shift(n))
-    template = HH0Class(coeff_s=-ONE, coeff_t=-ONE, even={0: Q - 1})
+    template = HH0Class({"s": -1, "t": -1, 0: Q - 1})
     return template.scale(factor)
 
 
 def commutator_alternative_form(n: int) -> HH0Class:
     """reduce((pind - opind)(chi_m(lambda^n))), the other side of the identity."""
-    x = chi_m(LambdaElement.monomial(n))
+    x = chi_m(LambdaElement({n: ONE}))
     return reduce_to_hh0(pind_hecke(x) - opind_hecke(x))

@@ -42,18 +42,9 @@ def test_load_validates_examples():
         )
 
 
-def test_group_algebra_examples():
-    assert eg.group_algebra(1).dim == 1
-    two = eg.group_algebra(2)
-    assert two.product_vec(1, 1) == {0: Fraction(1)}
-    assert eg.group_algebra(3).dim == 3
-    with pytest.raises(ValueError):
-        eg.group_algebra(0)
-
-
 def test_size_guard():
     with pytest.raises(eg.TooLarge, match=r"^dim\^\(N\+1\) = 6\^7 exceeds the guard 100000$"):
-        eg.compute_hochschild(eg.group_algebra(6), 6)
+        eg.compute_hochschild(eg.builtin_algebra("cyclic_6"), 6)
 
 
 def test_within_compares_the_power_without_building_it():
@@ -131,7 +122,7 @@ def test_unit_basis():
 
 
 def test_chain_dims_are_normalized():
-    report = eg.compute_hochschild(eg.group_algebra(5), 3)
+    report = eg.compute_hochschild(eg.builtin_algebra("cyclic_5"), 3)
     stack = report._stack
     assert report.chain_dims == [5, 20, 80, 320, 1280]
     for p in range(5):
@@ -143,7 +134,7 @@ def test_chain_dims_are_normalized():
 
 def test_hochschild_dimensions():
     assert eg.compute_hochschild(eg.builtin_algebra("ground_field"), 4).hh_dims == [1, 0, 0, 0, 0]
-    assert eg.compute_hochschild(eg.group_algebra(2), 3).hh_dims == [2, 0, 0, 0]
+    assert eg.compute_hochschild(eg.builtin_algebra("cyclic_2"), 3).hh_dims == [2, 0, 0, 0]
     assert eg.compute_hochschild(eg.builtin_algebra("dual_numbers"), 3).hh_dims == [2, 1, 1, 1]
     assert eg.compute_hochschild(eg.builtin_algebra("upper_triangular_2"), 3).hh_dims == [2, 0, 0, 0]
 
@@ -151,7 +142,7 @@ def test_hochschild_dimensions():
 def test_cyclic_dimensions_and_degree_zero():
     field = eg.compute_cyclic(eg.builtin_algebra("ground_field"), 4)
     assert field.hc_dims == [1, 0, 1, 0, 1]
-    two = eg.compute_cyclic(eg.group_algebra(2), 4)
+    two = eg.compute_cyclic(eg.builtin_algebra("cyclic_2"), 4)
     assert two.hc_dims == [2, 0, 2, 0, 2]
     dual = eg.compute_cyclic(eg.builtin_algebra("dual_numbers"), 4)
     # forced by exactness given the HH dims, with HC_1 = (forms)/(exact) = 0
@@ -179,7 +170,7 @@ def test_sbi_exactness():
 
 
 def test_class_function_action():
-    spec = eg.group_algebra(2)
+    spec = eg.builtin_algebra("cyclic_2")
     report = eg.compute_cyclic(spec, 3)
     stack = report._stack
     indicator = eg.class_weight(spec, {0: Fraction(1)})
@@ -201,7 +192,7 @@ def test_class_function_action():
 
 
 def test_idempotent_commutator_square_zero():
-    spec = eg.group_algebra(2)
+    spec = eg.builtin_algebra("cyclic_2")
     report = eg.compute_cyclic(spec, 3)
     everything = eg.class_weight(spec, {0: Fraction(1), 1: Fraction(1)})
     indicator = eg.class_weight(spec, {0: Fraction(1)})
@@ -218,8 +209,12 @@ def test_shipped_file_names():
 
 
 def test_builtin_cyclic_matches_group_algebra():
+    # the shipped files against the group Z/m built here, g_i g_j = g_(i+j mod m)
     for m in range(2, 7):
-        assert eg.builtin_algebra(f"cyclic_{m}") == eg.group_algebra(m)
+        table = [[(i + j) % m for j in range(m)] for i in range(m)]
+        products = {(i, j): {table[i][j]: 1} for i in range(m) for j in range(m)}
+        z_m = eg.AlgebraSpec(f"cyclic_{m}", m, products, {0: 1}, table)
+        assert eg.builtin_algebra(f"cyclic_{m}") == eg.load_algebra(z_m)
 
 
 def test_builtin_group_tables():
@@ -249,7 +244,7 @@ def _homology_counting_top(bases, boundary, cutoff):
 
 
 def test_top_pass_stops_once_it_spans_the_cycles():
-    stack = eg.ChainStack(eg.group_algebra(5))
+    stack = eg.ChainStack(eg.builtin_algebra("cyclic_5"))
     # HH_3 = 0: the boundaries of C_4 fill the cycles of C_3 early (after
     # 384 of the 1,280 sources in decreasing key order)
     cutoff = 3
@@ -273,7 +268,7 @@ def test_top_pass_stops_once_it_spans_the_cycles():
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_group_algebra_closed_form_at_cutoff_4(m):
     """Q[Z/m]: HH is the class functions in degree 0 only, and HC_{2j} = HH_0."""
-    report = eg.compute_cyclic(eg.group_algebra(m), 4)
+    report = eg.compute_cyclic(eg.builtin_algebra(f"cyclic_{m}"), 4)
     assert report.hh_dims == [m, 0, 0, 0, 0]
     assert report.hc_dims == [m, 0, m, 0, m]
     eg.sbi_exactness_check(report)

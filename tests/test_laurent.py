@@ -72,7 +72,7 @@ def test_render_signs_and_fractions():
     a = LaurentQ({-1: -1, 0: 2, 1: Fraction(3, 4), 2: Fraction(-1, 2)})
     assert a.render() == "-q^-1 + 2 + 3/4*q - 1/2*q^2"
     assert LaurentQ({0: -1}).render() == "-1"
-    assert LaurentQ.const(Fraction(-5, 3)).render() == "-5/3"
+    assert LaurentQ({0: Fraction(-5, 3)}).render() == "-5/3"
     assert LaurentQ({3: -1}).render() == "-q^3"
     assert ZERO.render() == "0"
 

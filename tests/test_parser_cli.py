@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -155,6 +156,27 @@ def test_reduce_long_odd_words_matches_per_word_classes(capsys):
     text = "T[ststs] + 1/2*q*T[tstststst] - 3/4*q^-2*T[sts] + (q^2 - 5/3)*T[tstststststst]"
     assert main(["reduce", text]) == 0
     assert capsys.readouterr().out == expected.render() + "\n"
+
+
+_DIGITS = "1" * 5000  # past the interpreter's default limit of 4,300 digits per int
+_NINES = "9" * 4000
+
+
+@pytest.mark.parametrize(
+    "expression, message",
+    [
+        (_DIGITS, "integer of 5000 digits is too long (at position 0)"),
+        ("q^" + _DIGITS, "integer of 5000 digits is too long (at position 2)"),
+        ("T[s]*" + _DIGITS, "integer of 5000 digits is too long (at position 5)"),
+        (f"{_NINES}*{_NINES}", "the class has an integer of more than 4300 digits to print"),
+    ],
+    ids=["integer", "q-exponent", "factor", "result"],
+)
+def test_reduce_past_the_digit_limit_exits_2_with_one_line(capsys, expression, message):
+    assert main(["reduce", expression]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
 
 
 def test_table_command(capsys):
@@ -312,13 +334,25 @@ _FIELD_PRODUCT = {"i": 0, "j": 0, "coeffs": ["1"]}
             "is not a two-sided identity",
         ),
         ('{"dim": 1, "unit": ["1"],', "not valid JSON"),
+        ('{"dim": ' + _DIGITS + "}", "not valid JSON: Exceeds the limit (4300 digits)"),
+        ('{"dim": 1, "unit": [' + _DIGITS + "]}", "not valid JSON: Exceeds the limit (4300 digits)"),
+        ('{"dim": ' + "[" * 100_000 + "]" * 100_000 + "}", "not valid JSON: maximum recursion depth"),
+        # Fraction would read these two, the exponent only after minutes
+        (json.dumps({"dim": 1, "unit": ["1"], "products": [{"i": 0, "j": 0, "coeffs": ["1e-99999999"]}]}),
+         "coefficient '1e-99999999' is not of the form n or n/d"),
+        (json.dumps({"dim": 1, "unit": ["1.5"], "products": [_FIELD_PRODUCT]}),
+         "unit[0]: coefficient '1.5' is not of the form n or n/d"),
     ],
-    ids=["index-out-of-range", "coeffs-too-long", "no-unit", "malformed-json"],
+    ids=["index-out-of-range", "coeffs-too-long", "no-unit", "malformed-json",
+         "dim-past-digit-limit", "coefficient-past-digit-limit", "nested-past-recursion-limit",
+         "exponent", "decimal"],
 )
 def test_bad_spec_file_exits_2_with_one_line(tmp_path, capsys, text, message):
     path = tmp_path / "spec.json"
     path.write_text(text)
+    start = time.monotonic()
     assert main(["verify", "engine", "--engine-cutoff", "1", "--spec", str(path)]) == 2
+    assert time.monotonic() - start < 5
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()

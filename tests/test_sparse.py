@@ -29,8 +29,8 @@ CASES = {
         1,
     ),
     "HH0Class": (
-        HH0Class(coeff_s=Q, even={0: 1}),
-        HH0Class(coeff_s=-Q, coeff_t=2),
+        HH0Class({"s": Q, 0: 1}),
+        HH0Class({"s": -Q, "t": 2}),
         "s",
     ),
 }
@@ -59,6 +59,13 @@ def test_operations_drop_zeros_and_keep_type(name):
     assert a.scale(2) == a + a
     _assert_clean(a.scale(2), a)
     assert a == a + b - b and a != b
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_terms_round_trip_through_the_one_constructor(name):
+    for x in CASES[name][:2]:
+        assert "__init__" not in vars(type(x))
+        assert type(x)(x.terms) == x
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -100,7 +107,7 @@ ONE_COEFFICIENT = {
     "LaurentQ": (lambda c: LaurentQ({0: c}), lambda x: x.terms[0]),
     "HeckeElement": (lambda c: HeckeElement({S: c}), lambda x: x.terms[S].terms[0]),
     "LambdaElement": (lambda c: LambdaElement({1: c}), lambda x: x.terms[1].terms[0]),
-    "HH0Class": (lambda c: HH0Class(even={0: c}), lambda x: x.terms[0].terms[0]),
+    "HH0Class": (lambda c: HH0Class({0: c}), lambda x: x.terms[0].terms[0]),
 }
 
 

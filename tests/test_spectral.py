@@ -23,25 +23,25 @@ from heckehom.spectral import (
 
 
 def lam(n, coeff=1):
-    return LambdaElement.monomial(n, coeff)
+    return LambdaElement({n: coeff})
 
 
 def test_pind_examples():
-    assert pind_map(lam(0)) == HH0Class.basis_even(0)
-    assert pind_map(lam(-1)) == HH0Class.basis_even(1).scale(qpow(-1))
+    assert pind_map(lam(0)) == HH0Class({0: 1})
+    assert pind_map(lam(-1)) == HH0Class({1: 1}).scale(qpow(-1))
     expected = (
-        HH0Class.basis_even(1).scale(qpow(-1))
-        - HH0Class.basis_s().scale(1 - qpow(-1))
-        - HH0Class.basis_t().scale(1 - qpow(-1))
-        + HH0Class.basis_even(0).scale(((Q - 1) ** 2).divide_exact(Q))
+        HH0Class({1: 1}).scale(qpow(-1))
+        - HH0Class({"s": 1}).scale(1 - qpow(-1))
+        - HH0Class({"t": 1}).scale(1 - qpow(-1))
+        + HH0Class({0: 1}).scale(((Q - 1) ** 2).divide_exact(Q))
     )
     assert pind_map(lam(1)) == expected
     assert pres_map(pind_map(lam(1))) == LambdaElement({1: ONE, -1: ONE})
 
 
 def test_opind_examples():
-    assert opind_map(lam(0)) == HH0Class.basis_even(0)
-    assert opind_map(lam(2)) == HH0Class.basis_even(2).scale(qpow(-2))
+    assert opind_map(lam(0)) == HH0Class({0: 1})
+    assert opind_map(lam(2)) == HH0Class({2: 1}).scale(qpow(-2))
     assert opind_map(lam(-1)) == reduce_to_hh0(t_inverse(st_power(1)).scale(Q))
     assert pres_map(opind_map(lam(-1))) == LambdaElement({1: ONE, -1: ONE})
 
@@ -56,39 +56,39 @@ def test_induction_homomorphism_images():
 
 
 def test_pres_examples():
-    assert pres_map(HH0Class.basis_s()) == LambdaElement({0: Q - 1})
-    assert pres_map(HH0Class.basis_t()) == LambdaElement({0: Q - 1})
-    assert pres_map(HH0Class.basis_even(2)) == LambdaElement({2: qpow(2), -2: qpow(2)})
-    assert pres_map(HH0Class.basis_even(0)) == LambdaElement({0: LaurentQ.const(2)})
-    assert pres_map(HH0Class.zero()).is_zero
+    assert pres_map(HH0Class({"s": 1})) == LambdaElement({0: Q - 1})
+    assert pres_map(HH0Class({"t": 1})) == LambdaElement({0: Q - 1})
+    assert pres_map(HH0Class({2: 1})) == LambdaElement({2: qpow(2), -2: qpow(2)})
+    assert pres_map(HH0Class({0: 1})) == LambdaElement({0: LaurentQ({0: 2})})
+    assert pres_map(HH0Class()).is_zero
 
 
 def test_one_mc_and_chi_m():
     x = lam(3) + lam(0, 5)
     assert one_mc(x) == lam(0, 5)
     assert one_mc(lam(-2)).is_zero
-    assert one_mc(LambdaElement.zero()).is_zero
+    assert one_mc(LambdaElement()).is_zero
     y = lam(2) + lam(0) + lam(-1)
     assert chi_m(y) == lam(2)
     assert chi_m(lam(-5)).is_zero
-    assert chi_m(LambdaElement.zero()).is_zero
+    assert chi_m(LambdaElement()).is_zero
 
 
 def test_one_gc_explicit_table():
-    assert one_gc(HH0Class.basis_s()) == HH0Class.basis_s()
-    assert one_gc(HH0Class.basis_t()) == HH0Class.basis_t()
-    assert one_gc(HH0Class.basis_even(0)) == HH0Class.basis_even(0)
+    assert one_gc(HH0Class({"s": 1})) == HH0Class({"s": 1})
+    assert one_gc(HH0Class({"t": 1})) == HH0Class({"t": 1})
+    assert one_gc(HH0Class({0: 1})) == HH0Class({0: 1})
     for n in range(1, 21):
-        assert one_gc(HH0Class.basis_even(n)).is_zero
+        assert one_gc(HH0Class({n: 1})).is_zero
 
 
 def test_one_gc_idempotent():
     for c in [
-        HH0Class.basis_s(),
-        HH0Class.basis_t(),
-        HH0Class.basis_even(0),
-        HH0Class.basis_even(3),
-        HH0Class.basis_s().scale(Q) - HH0Class.basis_even(2),
+        HH0Class({"s": 1}),
+        HH0Class({"t": 1}),
+        HH0Class({0: 1}),
+        HH0Class({3: 1}),
+        HH0Class({"s": 1}).scale(Q) - HH0Class({2: 1}),
     ]:
         image = one_gc(c)
         assert one_gc(image) == image
@@ -99,9 +99,9 @@ def test_commutator_examples():
     assert commutator_direct(-2).is_zero
     factor = ((Q - 1) ** 2).divide_exact(Q)
     expected = (
-        HH0Class.basis_even(0).scale(factor)
-        - HH0Class.basis_s().scale((Q - 1).divide_exact(Q))
-        - HH0Class.basis_t().scale((Q - 1).divide_exact(Q))
+        HH0Class({0: 1}).scale(factor)
+        - HH0Class({"s": 1}).scale((Q - 1).divide_exact(Q))
+        - HH0Class({"t": 1}).scale((Q - 1).divide_exact(Q))
     )
     assert commutator_direct(1) == expected
     assert commutator_closed_form(1) == expected
@@ -123,7 +123,7 @@ def test_r1_closed_form():
 def test_geometric_lemma_identity():
     for n in range(-12, 13):
         expected = (
-            LambdaElement({0: LaurentQ.const(2)})
+            LambdaElement({0: LaurentQ({0: 2})})
             if n == 0
             else LambdaElement({n: ONE, -n: ONE})
         )
@@ -134,7 +134,7 @@ def test_geometric_lemma_identity():
 def test_lambda_render():
     value = LambdaElement({1: Q, -1: Q})
     assert value.render() == "q*L^-1 + q*L"
-    assert LambdaElement({0: LaurentQ.const(2)}).render() == "2"
+    assert LambdaElement({0: LaurentQ({0: 2})}).render() == "2"
 
 
 def test_lambda_render_constant_term():

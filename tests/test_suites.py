@@ -175,7 +175,7 @@ BROKEN = [
         "hh0/linearity",
         "hh0",
         {"nmax": 4, "reduce_oracle_cutoff": 2},
-        lambda m: _wrap(m, suites, "reduce_to_hh0", lambda f: lambda a: f(a) + HH0Class.basis_s()),
+        lambda m: _wrap(m, suites, "reduce_to_hh0", lambda f: lambda a: f(a) + HH0Class({"s": 1})),
         "case 0",
     ),
     ("geomlemma/1", "geomlemma", {"nmax": 2}, _opind_map_doubled, "opind_map"),
@@ -306,7 +306,7 @@ def test_an_oracle_value_case_fails_on_a_wrong_class(monkeypatch):
     def tt_added_on_long_words(f):
         def reduce_to_hh0(a):
             long_word = any(w.length >= 3 for w in a.support())
-            return f(a) + HH0Class.basis_t() if long_word else f(a)
+            return f(a) + HH0Class({"t": 1}) if long_word else f(a)
 
         return reduce_to_hh0
 
