@@ -180,6 +180,9 @@ def spec_from_json(text: str, check=load_algebra) -> AlgebraSpec:
         raise SpecError(f"not valid JSON: {err}") from None
     if not isinstance(data, dict):
         raise SpecError("a spec must be a JSON object")
+    name = data.get("name", "algebra")  # the middle part of suite/algebra/check case ids
+    if not (isinstance(name, str) and name.isprintable() and re.fullmatch(r"[^\s/]+", name)):
+        raise SpecError(f"name {name!r} is not a word of printable characters without '/'")
     dim = data.get("dim")
     if not _is_int(dim) or dim < 1:
         raise SpecError(f"dim must be a positive integer, got {dim!r}")
@@ -197,19 +200,16 @@ def spec_from_json(text: str, check=load_algebra) -> AlgebraSpec:
         if not isinstance(entry, dict):
             raise SpecError(f"{where} must be an object with i, j and coeffs")
         pair = (entry.get("i"), entry.get("j"))
-        for name, index in zip("ij", pair):
+        for axis, index in zip("ij", pair):
             if not _is_int(index) or not 0 <= index < dim:
-                raise SpecError(f"{where}: {name} = {index!r} is not a basis index below dim = {dim}")
+                raise SpecError(f"{where}: {axis} = {index!r} is not a basis index below dim = {dim}")
         if pair in seen:
             raise SpecError(f"{where}: the product e_{pair[0]} * e_{pair[1]} is given twice")
         seen.add(pair)
         vec = _spec_vector(entry.get("coeffs"), dim, f"{where}.coeffs")
         if vec:
             products[pair] = vec
-    spec = AlgebraSpec(
-        name=str(data.get("name", "algebra")), dim=dim, products=products, unit=unit
-    )
-    return check(spec)
+    return check(AlgebraSpec(name=name, dim=dim, products=products, unit=unit))
 
 
 def load_algebra_file(path, check=load_algebra) -> AlgebraSpec:

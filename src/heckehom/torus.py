@@ -1,15 +1,20 @@
 """Hochschild chains of the group algebra of a lattice and the torus picture.
 
-A degree-p chain over the lattice Z^r is a sparse dict (see ``sparse``)
-over (p+1)-tuples of integer vectors of length r.  The Hochschild structure
-is the one of ``hochschild``, with lattice addition as the product of two
-basis vectors and the zero vector as the unit: the boundary b adds adjacent
-entries, the cyclic operator rotates with sign, and the normalized Connes
-operator B inserts the zero vector in front of the cyclic norm.  Compact
-restriction is ``hochschild.class_action`` with the weight ``_compact``,
-which keeps the tuples whose entries sum to zero.  The comparison side is
-the algebra of differential forms on the dual torus: a p-form is a sparse
-dict over keys (exps, idx), the monomial z^exps times
+A vector v of Z^r is one int label, encode(v) = sum v_i * 2^(16 (r-1-i)),
+signed digits with the most significant first: an additive homomorphism
+Z^r -> Z, injective on the box |v_i| < 2^15, where int order is
+lexicographic vector order (every coordinate the suite forms is a sum of a
+few windowed entries, far inside the box).  A degree-p chain is a sparse
+dict (see ``sparse``) over (p+1)-tuples of labels, with the Hochschild
+structure of ``hochschild`` for addition as the product and 0 as the unit:
+b adds adjacent entries, t rotates with sign, and the normalized Connes
+operator B inserts 0 in front of the cyclic norm.  Compact restriction is
+``hochschild.class_action`` with the weight ``_compact``, which keeps the
+tuples whose entries sum to zero.  Labels are decoded only where
+coordinates are read: in ``hkr_key`` and in the witnesses that
+``chain_identity_failures`` and ``homology_square_check`` return.  The
+comparison side is the algebra of differential forms on the dual torus: a
+p-form is a sparse dict over keys (exps, idx), the monomial z^exps times
 dlog(z_{i_1}) ^ ... ^ dlog(z_{i_p}) for idx = (i_1 < ... < i_p), reached
 through the map
 
@@ -29,24 +34,34 @@ homology of the invariant sector is the ladder of ``_invariant_sector_dims``.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 from math import factorial
-from operator import add
 
 from . import hochschild as hh
 from .linalg import QuotientSpace, elimination_order, homology, kernel_vectors
 from .sparse import exact_quotient, linear
 
-ChainKey = tuple[tuple[int, ...], ...]
+ChainKey = tuple[int, ...]
 FormKey = tuple[tuple[int, ...], tuple[int, ...]]
+_BITS, _BOX = 16, 1 << 15  # bits per coordinate; the box is |v_i| < _BOX
 
 
-def _total(key: ChainKey) -> tuple[int, ...]:
-    return tuple(map(sum, zip(*key)))
+def encode(vector) -> int:
+    """The label of a lattice vector."""
+    return reduce(lambda label, x: (label << _BITS) + x, vector, 0)
 
 
-def _lattice_mul(a: tuple[int, ...], b: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+def decode(label: int, rank: int) -> tuple[int, ...]:
+    """The vector of Z^rank in the box with that label: (1, -1) for 65535 at rank 2."""
+    if not rank:
+        return ()
+    high, digit = divmod(label + _BOX, 2 * _BOX)
+    return decode(high, rank - 1) + (digit - _BOX,)
+
+
+def _lattice_mul(a: int, b: int) -> dict[int, int]:
     """The product of two basis vectors of the group algebra: lattice addition."""
-    return {tuple(map(add, a, b)): 1}
+    return {a + b: 1}
 
 
 def boundary_key(key: ChainKey) -> dict[ChainKey, int]:
@@ -57,18 +72,15 @@ def boundary_key(key: ChainKey) -> dict[ChainKey, int]:
 def connes_b_key(key: ChainKey) -> dict[ChainKey, int]:
     """Normalized Connes operator on a basis tuple: the zero vector in front
     of the signed cyclic norm, zero on a tuple containing the zero vector."""
-    return hh.connes_B(key, (0,) * len(key[0]))
+    return hh.connes_B(key, 0)
 
 
-def hkr_key(key: ChainKey) -> dict[FormKey, object]:
-    """HKR value on a monomial tuple: (1/p!) f0 df1 ^ ... ^ dfp."""
-    rank, p = len(key[0]), len(key) - 1
-    total = _total(key)
-    if p == 0:
-        return {(total, ()): 1}
+def hkr_key(key: ChainKey, rank: int) -> dict[FormKey, object]:
+    """HKR value on a monomial tuple of Z^rank: (1/p!) f0 df1 ^ ... ^ dfp."""
+    p, total = len(key) - 1, decode(sum(key), rank)
     if p > rank:
         return {}
-    rows = key[1:]
+    rows = [decode(label, rank) for label in key[1:]]
     out: dict[FormKey, object] = {}
     for idx in itertools.combinations(range(rank), p):
         det = _int_det([[row[j] for j in idx] for row in rows])
@@ -79,8 +91,8 @@ def hkr_key(key: ChainKey) -> dict[FormKey, object]:
 
 def _int_det(matrix: list[list[int]]) -> int:
     n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
+    if n == 0:
+        return 1
     if n == 2:
         return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
     total = 0
@@ -92,13 +104,13 @@ def _int_det(matrix: list[list[int]]) -> int:
     return total
 
 
-def hkr(vec: dict) -> dict:
-    """The HKR map from chains to forms, linear in the tuples of the chain.
+def hkr(vec: dict, rank: int) -> dict:
+    """The HKR map from chains over Z^rank to forms, linear in the tuples.
 
-    >>> hkr({((2,), (3,)): 1})
+    >>> hkr({(2, 3): 1}, 1)
     {((5,), (0,)): 3}
     """
-    return linear(hkr_key, vec)
+    return linear(lambda key: hkr_key(key, rank), vec)
 
 
 def de_rham_d_key(fkey: FormKey) -> dict[FormKey, int]:
@@ -127,39 +139,42 @@ def pi0(form: dict) -> dict:
 def _compact(key: ChainKey) -> int:
     """1 when the entries of the tuple sum to zero, else 0: the indicator of
     the trivial subgroup, the compact part of a lattice, at their product."""
-    return int(not any(map(sum, zip(*key))))
+    return int(not sum(key))
 
 
 # ---------------------------------------------------------------------------
 # windowed enumeration and the commuting-square verification
 
 
-def window_vectors(rank: int, window: int):
-    return itertools.product(range(-window, window + 1), repeat=rank)
+def window_labels(rank: int, window: int) -> list[int]:
+    """The labels of [-window, window]^rank, in increasing order."""
+    return [encode(v) for v in itertools.product(range(-window, window + 1), repeat=rank)]
 
 
 def windowed_keys(rank: int, degree: int, window: int):
     """All degree-p basis tuples with every entry in [-window, window]^rank."""
-    return itertools.product(window_vectors(rank, window), repeat=degree + 1)
+    return itertools.product(window_labels(rank, window), repeat=degree + 1)
 
 
 def sector_keys(rank: int, degree: int, window: int):
     """Windowed basis tuples whose entries sum to the zero vector."""
-    zero = (0,) * rank
-    for prefix in itertools.product(window_vectors(rank, window), repeat=degree):
-        last = tuple(-x for x in _total((zero,) + prefix))
-        if all(-window <= x <= window for x in last):
+    labels = window_labels(rank, window)
+    inside = set(labels)
+    for prefix in itertools.product(labels, repeat=degree):
+        if (last := -sum(prefix)) in inside:
             yield prefix + (last,)
 
 
 def chain_identity_failures(rank: int, window: int, degrees) -> dict[str, tuple]:
     """``hochschild.identity_failures`` on the windowed tuples of the given
     degrees, with lattice addition, the zero vector and the compact weight:
-    (first failing tuple, None) for each of "b-squared", "normalized" and
-    "weight" that fails."""
+    (first failing tuple of vectors, None) for each of "b-squared",
+    "normalized" and "weight" that fails."""
     wanted = dict.fromkeys(("b-squared", "normalized", "weight"), degrees)
     tuples = lambda p: windowed_keys(rank, p, window)
-    return hh.identity_failures(tuples, wanted, _lattice_mul, (0,) * rank, _compact)
+    failed = hh.identity_failures(tuples, wanted, _lattice_mul, 0, _compact)
+    decoded = lambda key: tuple(decode(label, rank) for label in key)
+    return {name: (decoded(key), detail) for name, (key, detail) in failed.items()}
 
 
 def _invariant_sector_dims(rank: int, window: int, top: int) -> list[QuotientSpace]:
@@ -203,25 +218,24 @@ def homology_square_check(rank: int, window: int, degree: int) -> tuple:
     chain level (``check_square_on_key``), which implies it on cycles up to
     b-boundaries; whether one constant c gives hkr . B = c * d . hkr
     (``measure_hkr_b_constant``), and c, None when both sides vanish on the
-    window; and the first normalized tuple with pi0(hkr(B(x))) != 0, or None.
-    The homology of the invariant sector is H_p of ``_invariant_sector_dims``.
+    window; and the first normalized tuple with pi0(hkr(B(x))) != 0, as vectors,
+    or None.  The homology of the invariant sector is H_p of ``_invariant_sector_dims``.
 
     Exhaustive over the window: the work grows like (2*window+1)^(rank*(p+1)),
     so large ranks want window 1.
     """
     if rank < 1 or window < 1 or degree < 0 or degree > rank:
         raise ValueError("need rank >= 1, window >= 1, 0 <= degree <= rank")
-    zero = (0,) * rank
     square_commutes, consistent, ratios, pi0_after_b = True, True, set(), None
     for key in windowed_keys(rank, degree, window):
-        form = hkr_key(key)
+        form = hkr_key(key, rank)
         square_commutes = square_commutes and check_square_on_key(key, form)
-        if hh.is_degenerate(key, zero):
+        if hh.is_degenerate(key, 0):
             continue
-        image = hkr(connes_b_key(key))
+        image = hkr(connes_b_key(key), rank)
         consistent = consistent and measure_hkr_b_constant(ratios, image, form)
         if pi0_after_b is None and pi0(image):
-            pi0_after_b = key
+            pi0_after_b = tuple(decode(label, rank) for label in key)
     constant = ratios.pop() if consistent and ratios else None
     return square_commutes, consistent, constant, pi0_after_b
 
@@ -240,8 +254,7 @@ def compact_part_of_b_image_is_boundary(
     check is that B sends invariant cycles to boundaries.  At p = 0 it is
     vacuous: the only zero-total degree-0 tuple is the unit, which B kills.
     """
-    zero = (0,) * rank
-    keys = (k for k in sector_keys(rank, degree, window) if not hh.is_degenerate(k, zero))
+    keys = (k for k in sector_keys(rank, degree, window) if not hh.is_degenerate(k, 0))
     cycles, _ = kernel_vectors((key, boundary_key(key)) for key in elimination_order(keys))
     images = (hh.class_action(linear(connes_b_key, vec), _compact) for vec in cycles)
     return all(quotient.is_boundary(image) for image in images)

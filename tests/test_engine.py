@@ -201,6 +201,7 @@ def test_idempotent_commutator_square_zero():
 
 
 def test_shipped_file_names():
+    # each shipped name also passes the name rule of spec_from_json
     assert eg.BUILTIN_ALGEBRAS == tuple(sorted(eg.BUILTIN_ALGEBRAS))
     for name in eg.BUILTIN_ALGEBRAS:
         text = (eg._ALGEBRA_DIR / f"{name}.json").read_text()

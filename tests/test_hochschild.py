@@ -70,7 +70,7 @@ def test_class_action_drops_zero_weights():
 
 
 def test_torus_class_action_case_can_fail(monkeypatch):
-    monkeypatch.setattr(tr, "_compact", lambda key: int(not any(key[0])))
+    monkeypatch.setattr(tr, "_compact", lambda key: int(not key[0]))  # the first label is 0
     cfg = suites.SuiteConfig(torus_ranks=(1,), torus_window=1, torus_degrees=(0,))
     cases = {case.id: case.passed for case in suites.suite_torus(cfg).cases}
     assert cases["torus/b-squared/r1"] and cases["torus/normalized-identities/r1"]

@@ -342,10 +342,17 @@ _FIELD_PRODUCT = {"i": 0, "j": 0, "coeffs": ["1"]}
          "coefficient '1e-99999999' is not of the form n or n/d"),
         (json.dumps({"dim": 1, "unit": ["1.5"], "products": [_FIELD_PRODUCT]}),
          "unit[0]: coefficient '1.5' is not of the form n or n/d"),
+        # the name is the middle part of the suite/algebra/check case ids
+        (json.dumps({"name": "a/b c", "dim": 1, "unit": ["1"], "products": [_FIELD_PRODUCT]}),
+         "name 'a/b c' is not a word of printable characters without '/'"),
+        (json.dumps({"name": 5, "dim": 1, "unit": ["1"], "products": [_FIELD_PRODUCT]}),
+         "name 5 is not a word"),
+        (json.dumps({"name": "x\ty", "dim": 1, "unit": ["1"], "products": [_FIELD_PRODUCT]}),
+         "name 'x\\ty' is not a word"),
     ],
     ids=["index-out-of-range", "coeffs-too-long", "no-unit", "malformed-json",
          "dim-past-digit-limit", "coefficient-past-digit-limit", "nested-past-recursion-limit",
-         "exponent", "decimal"],
+         "exponent", "decimal", "name-with-slash-and-space", "name-not-a-string", "name-with-tab"],
 )
 def test_bad_spec_file_exits_2_with_one_line(tmp_path, capsys, text, message):
     path = tmp_path / "spec.json"

@@ -1,15 +1,30 @@
 """Lattice Hochschild chains, the forms picture, and windowed homology, on
-tuple dicts."""
+tuple dicts over the int labels of lattice vectors."""
 
 from collections import Counter
 from fractions import Fraction
+from operator import add
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from heckehom import hochschild as hh
 from heckehom import torus as tr
 from heckehom.linalg import homology, intersect_with_columns, span_basis
 from heckehom.sparse import add_into, linear
+from heckehom.suites import ConfigError, SuiteConfig
+
+BOX = 2**15  # the encoding is exact on |v_i| < BOX
+
+
+def _key(*vectors):
+    """A tuple of lattice vectors as the tuple of their labels."""
+    return tuple(map(tr.encode, vectors))
+
+
+def _chain(vec):
+    """A chain over tuples of lattice vectors, moved onto labels."""
+    return {_key(*vectors): c for vectors, c in vec.items()}
 
 
 def b(vec):
@@ -32,17 +47,93 @@ def compact(vec):
     return hh.class_action(vec, tr._compact)
 
 
+_PAIRS = st.integers(1, 4).flatmap(
+    lambda rank: st.tuples(*[st.tuples(*[st.integers(1 - BOX, BOX - 1)] * rank)] * 2)
+)
+
+
+@given(_PAIRS)
+def test_decode_inverts_encode(pair):
+    for vector in pair:
+        assert tr.decode(tr.encode(vector), len(vector)) == vector
+
+
+@given(_PAIRS)
+def test_label_order_is_lexicographic_vector_order(pair):
+    u, v = pair
+    assert (tr.encode(u) < tr.encode(v)) == (u < v)
+    near = u[:-1] + v[-1:]  # agrees with u but in the last coordinate
+    assert (tr.encode(u) < tr.encode(near)) == (u < near)
+
+
+@given(_PAIRS)
+def test_labels_add_as_vectors_inside_the_box(pair):
+    u, v = pair
+    total = tuple(map(add, u, v))
+    assume(all(abs(x) < BOX for x in total))
+    assert tr.encode(u) + tr.encode(v) == tr.encode(total)
+    assert tr.decode(tr.encode(u) + tr.encode(v), len(total)) == total
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_window_labels_increase_in_vector_order(rank):
+    labels = tr.window_labels(rank, 2)
+    assert labels == sorted(set(labels))
+    assert [tr.decode(label, rank) for label in labels] == sorted(
+        tr.decode(label, rank) for label in labels
+    )
+
+
+def test_every_admitted_plan_stays_inside_the_encoding_box():
+    """The largest coordinate any torus plan admits can form, from the caps
+    that ``SuiteConfig.torus_plan`` applies (_TORUS_SWEEP_CAP to the sweep,
+    _TORUS_SQUARE_CAP to the square side) and the planning rules alone, with
+    no check run.  Every label a check forms is a sum of entries of one
+    enumerated tuple, each coordinate at most its window.  The sweep forms b
+    and B of its tuples of degree max(swept); the square side enumerates
+    sector tuples up to degree top + 1, top as in ``suite_torus`` (the square
+    degrees and p + 1 for each SBI degree p <= 1), whose prefix sums
+    ``sector_keys`` forms, and windowed tuples of lower degree.  The largest
+    is 998, at rank 1, window 499."""
+    largest, rank = 0, 1
+    while True:
+        try:
+            SuiteConfig(torus_ranks=(rank,), torus_window=1).torus_plan
+        except ConfigError:
+            break  # no sweep within _TORUS_SWEEP_CAP from this rank on
+        window, admitted = 1, True
+        while admitted:
+            admitted = False
+            for degrees in [None] + [(p,) for p in range(rank + 1)]:
+                cfg = SuiteConfig(torus_ranks=(rank,), torus_window=window, torus_degrees=degrees)
+                try:
+                    sweep_window, swept, wanted = cfg.torus_plan[rank]
+                except ConfigError:
+                    continue
+                admitted = True
+                largest = max(largest, (max(swept) + 1) * sweep_window)
+                if wanted:
+                    top = max(wanted + [p + 1 for p in wanted if p <= 1])
+                    largest = max(largest, (top + 1) * window)
+            window += 1
+        rank += 1
+    assert rank == 5  # ranks 1 to 4 are admitted
+    assert largest < BOX
+
+
 def test_boundary_examples():
-    assert b({((2,), (3,)): 1}) == {}  # commutativity of the lattice
-    assert tr.boundary_key(((1,), (2,), (4,))) == {((3,), (4,)): 1, ((1,), (6,)): -1, ((5,), (2,)): 1}
-    assert tr.boundary_key(((1,),)) == {}  # zero in degree 0
+    assert b(_chain({((2,), (3,)): 1})) == {}  # commutativity of the lattice
+    assert tr.boundary_key(_key((1,), (2,), (4,))) == _chain(
+        {((3,), (4,)): 1, ((1,), (6,)): -1, ((5,), (2,)): 1}
+    )
+    assert tr.boundary_key(_key((1,))) == {}  # zero in degree 0
 
 
 def test_cyclic_t_examples():
-    assert t({((1,), (2,)): 1}) == {((2,), (1,)): -1}
-    point = {((5,),): 1}
+    assert t(_chain({((1,), (2,)): 1})) == _chain({((2,), (1,)): -1})
+    point = _chain({((5,),): 1})
     assert t(point) == point
-    value = {((1, 0), (0, 1), (2, 2)): 1}
+    value = _chain({((1, 0), (0, 1), (2, 2)): 1})
     rotated = value
     for _ in range(3):
         rotated = t(rotated)
@@ -50,20 +141,20 @@ def test_cyclic_t_examples():
 
 
 def test_connes_B_examples():
-    point = {((3,),): 1}
-    assert B(point) == {((0,), (3,)): 1}
-    assert tr.connes_b_key(((0,),)) == {}
+    point = _chain({((3,),): 1})
+    assert B(point) == _chain({((0,), (3,)): 1})
+    assert tr.connes_b_key(_key((0,))) == {}
     assert B(B(point)) == {}
     assert B({}) == {}
 
 
 def test_hkr_examples():
-    assert tr.hkr({((2,), (3,)): 1}) == {((5,), (0,)): 3}
-    assert tr.hkr({((4,),): 1}) == {((4,), ()): 1}
-    symmetrized = {((2,), (3,)): 1, ((3,), (2,)): 1}
-    assert tr.hkr(symmetrized) == {((5,), (0,)): 5}
-    assert tr.hkr({((1, 0), (0, 1), (1, 1)): 1}) == {((2, 2), (0, 1)): Fraction(-1, 2)}
-    assert tr.hkr({((1,), (1,), (1,)): 1}) == {}  # degree above the rank
+    assert tr.hkr(_chain({((2,), (3,)): 1}), 1) == {((5,), (0,)): 3}
+    assert tr.hkr(_chain({((4,),): 1}), 1) == {((4,), ()): 1}
+    symmetrized = _chain({((2,), (3,)): 1, ((3,), (2,)): 1})
+    assert tr.hkr(symmetrized, 1) == {((5,), (0,)): 5}
+    assert tr.hkr(_chain({((1, 0), (0, 1), (1, 1)): 1}), 2) == {((2, 2), (0, 1)): Fraction(-1, 2)}
+    assert tr.hkr(_chain({((1,), (1,), (1,)): 1}), 1) == {}  # degree above the rank
 
 
 def test_pi0_examples():
@@ -74,14 +165,14 @@ def test_pi0_examples():
 
 
 def test_class_action_examples():
-    keep = {((1,), (-1,)): 1}
+    keep = _chain({((1,), (-1,)): 1})
     assert compact(keep) == keep
-    assert compact({((1,), (1,)): 1}) == {}
+    assert compact(_chain({((1,), (1,)): 1})) == {}
     assert compact({}) == {}
 
 
 def test_de_rham_examples():
-    form = tr.hkr({((3,),): 1})
+    form = tr.hkr(_chain({((3,),): 1}), 1)
     assert tr.de_rham_d(form) == {((3,), (0,)): 3}
     two_var = {((1, 2), ()): 1}
     assert tr.de_rham_d(two_var) == {((1, 2), (0,)): 1, ((1, 2), (1,)): 2}
@@ -92,7 +183,7 @@ def test_de_rham_examples():
 
 def test_chain_identities_windowed():
     for rank, window in ((1, 2), (2, 1)):
-        unit = (0,) * rank
+        unit = tr.encode((0,) * rank)
         for degree in range(rank + 2):
             for key in tr.windowed_keys(rank, degree, window):
                 value = {key: 1}
@@ -122,6 +213,20 @@ def test_chain_identity_sweep_takes_every_windowed_tuple_once(monkeypatch, rank,
         assert tr.chain_identity_failures(rank, window, [degree]) == {}
         assert Counter(seen) == Counter(tr.windowed_keys(rank, degree, window))
         assert set(Counter(seen).values()) == {1}
+
+
+def test_rank_three_weight_witness_is_decoded_across_a_borrow(monkeypatch):
+    """Negative control at rank 3: the weight flipped on ((1, -1, 0), (0, 1, 1)),
+    which is not the smallest rotation of its orbit.  The least failing tuple
+    is that rotation, whose label 2^32 - 2^16 for (1, -1, 0) decodes only
+    through the borrow of its negative middle digit."""
+    target, compact = _key((1, -1, 0), (0, 1, 1)), tr._compact
+    assert tr.encode((1, -1, 0)) == 2**32 - 2**16
+    flipped = lambda key: 1 - compact(key) if key == target else compact(key)
+    monkeypatch.setattr(tr, "_compact", flipped)
+    failed = tr.chain_identity_failures(3, 1, [0, 1])
+    assert list(failed) == ["weight"]
+    assert str(failed["weight"][0]) == "((0, 1, 1), (1, -1, 0))"
 
 
 def test_class_action_commutes_with_structure_maps():
@@ -172,9 +277,9 @@ def test_square_check_rank_three_window_one():
 def test_square_check_can_fail(monkeypatch):
     """Negative control: a compact part that reads only the first entry breaks
     the square on tuples such as ((1,), (-1,))."""
-    monkeypatch.setattr(tr, "_compact", lambda key: int(not any(key[0])))
-    key = ((1,), (-1,))
-    assert not tr.check_square_on_key(key, tr.hkr({key: 1}))
+    monkeypatch.setattr(tr, "_compact", lambda key: int(not key[0]))  # the first label is 0
+    key = _key((1,), (-1,))
+    assert not tr.check_square_on_key(key, tr.hkr({key: 1}, 1))
     commutes, _, _, _ = tr.homology_square_check(1, 1, 1)
     assert not commutes
 
@@ -211,8 +316,8 @@ def test_compact_part_of_b_image_bounds():
 
 
 def test_normalize_chain():
-    mixed = {((0,), (1,)): 1, ((1,), (0,)): 1}
-    assert hh.normalize(mixed, (0,)) == {((0,), (1,)): 1}
+    mixed = _chain({((0,), (1,)): 1, ((1,), (0,)): 1})
+    assert hh.normalize(mixed, tr.encode((0,))) == _chain({((0,), (1,)): 1})
 
 
 def test_suite_torus_eliminates_each_sector_degree_once_per_rank(monkeypatch):
@@ -227,15 +332,16 @@ def test_suite_torus_eliminates_each_sector_degree_once_per_rank(monkeypatch):
         calls.append(len(bases) - 2)
         seen.clear()
         quotients = homology(bases, boundary, closed)
-        ranks = {len(key[0]) for key in seen}
+        # labels carry no rank: the sources of exactly one of ranks 1 and 2
+        # are taken, those of the rank of this call, in --rank order
+        sources = lambda rank: sorted(
+            key for p in range(1, len(bases)) for key in tr.sector_keys(rank, p, 1)
+        )
+        ranks = {rank for rank in (1, 2) if sorted(seen) == sources(rank)}
         assert len(ranks) == 1
         rank = ranks.pop()
-        sources = [
-            key
-            for p in range(1, len(bases))
-            for key in tr.sector_keys(rank, p, 1)
-        ]
-        assert sorted(seen) == sorted(sources)
+        assert rank == len(calls)
+        assert sorted(seen) == sources(rank)
         return quotients
 
     def counting_boundary(key):
@@ -283,7 +389,9 @@ def test_dim_boundaries_is_the_rank_of_the_boundaries_inside_the_window(rank, de
     # oracle: the rank of the boundary span cut to the window
     source = tr.sector_keys(rank, degree + 1, window)
     images = [tr.boundary_key(key) for key in source]
-    inside = lambda key: all(-window <= x <= window for vec in key for x in vec)
+    inside = lambda key: all(
+        -window <= x <= window for label in key for x in tr.decode(label, rank)
+    )
     windowed = span_basis(intersect_with_columns(images, inside)).rank
     _, quotient = _square(rank, window, degree)
     assert quotient.dim_cycles - quotient.dim == windowed
