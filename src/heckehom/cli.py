@@ -50,9 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--rank", type=int, action="append", dest="torus_ranks", help="torus rank (repeatable)"
     )
     verify.add_argument("--window", type=int, dest="torus_window")
-    verify.add_argument(
-        "--degree", type=int, action="append", dest="torus_degrees", help="torus degree (repeatable)"
-    )
     verify.add_argument("--engine-cutoff", type=int)
     verify.add_argument(
         "--spec", action="append", dest="engine_spec_files",

@@ -296,8 +296,8 @@ class ChainStack:
     def verify_structure_identities(self, cutoff: int, weight) -> dict[str, str]:
         """The engine's witness of each identity that fails in the sweep of
         ``hochschild.identity_failures`` over every tuple: "precyclic" in
-        degrees 1..min(cutoff + 1, 3) and, unless weight is None (see
-        ``class_weight``), "class-action", the weight, in degrees 0..cutoff."""
+        degrees 1..min(cutoff + 1, 3) (face pairs from 2, where faces compose)
+        and, unless weight is None, "class-action", the weight, in degrees 0..cutoff."""
         wanted = {"precyclic": range(1, min(cutoff + 1, 3) + 1)}
         if weight is not None:
             wanted["weight"] = range(cutoff + 1)

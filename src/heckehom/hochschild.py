@@ -44,7 +44,8 @@ from .sparse import add_into, add_term, linear
 
 def face(key: tuple, i: int, mul) -> dict:
     """d_i on one tuple: entries i and i + 1 multiplied; d_p multiplies the
-    last entry into the first."""
+    last entry into the first.  Faces exist from degree 1 on, so their
+    composites d_i d_j exist from degree 2 on."""
     p = len(key) - 1
     if i < p:
         head, a, b, tail = key[:i], key[i], key[i + 1], key[i + 2 :]
@@ -141,8 +142,8 @@ def identity_failures(tuples, wanted: dict, mul, unit, weight=None) -> dict:
     the degree-p tuples, closed under rotation, and wanted maps the name of
     each identity to check to its degrees:
 
-    - "precyclic": t^(p+1) = 1 and d_i d_j = d_{j-1} d_i (i < j), with the
-      detail of ``_precyclic_failure``;
+    - "precyclic": t^(p+1) = 1, and d_i d_j = d_{j-1} d_i (i < j) from
+      degree 2 on, with the detail of ``_precyclic_failure``;
     - "b-squared": b b = 0;
     - "normalized": B B = 0 and bB + Bb = 0 on the normalized tuples;
     - "weight": every face, t and B keep the weight (``class_action_commutes``).
@@ -197,9 +198,9 @@ def identity_failures(tuples, wanted: dict, mul, unit, weight=None) -> dict:
 
 
 def _precyclic_failure(key: tuple, key_faces: list[dict], mul) -> tuple | None:
-    """t^(p+1) = 1 and d_i d_j = d_{j-1} d_i (i < j) on one tuple of degree
-    p, given its faces: None when both hold, () when t^(p+1) = 1 fails, and
-    otherwise (i, j) for the first failing face identity."""
+    """t^(p+1) = 1 and, for p >= 2, d_i d_j = d_{j-1} d_i (i < j) on one
+    tuple of degree p, given its faces: None when both hold, () when
+    t^(p+1) = 1 fails, and otherwise (i, j) for the first failing face identity."""
     p = len(key) - 1
     current, sign = key, 1
     for _ in range(p + 1):
@@ -207,7 +208,7 @@ def _precyclic_failure(key: tuple, key_faces: list[dict], mul) -> tuple | None:
         sign *= step
     if (current, sign) != (key, 1):
         return ()
-    for j in range(1, p + 1):
+    for j in range(1, p + 1) if p >= 2 else ():  # in degree 1 a face lands in degree 0
         for i in range(j):
             left = linear(lambda x: face(x, i, mul), key_faces[j])
             right = linear(lambda x: face(x, j - 1, mul), key_faces[i])

@@ -63,12 +63,14 @@ DEFAULT_ENGINE_ALGEBRAS = (
 # have vanishing higher HH and two-periodic HC; the dual numbers have
 # one-dimensional HH_p for p >= 1 and HC forced to [2, 0, 2, 0, ...] by the
 # long exact sequence together with HC_1 = (forms)/(exact forms) = 0; the
-# 2x2 upper-triangular algebra has the homology of its diagonal.
+# 2x2 upper-triangular algebra has the homology of its diagonal; the 2x2
+# matrices have the homology of the ground field (Morita invariance).
 ENGINE_ORACLE_DIMS = {
     "ground_field": (1, 0, 1),
     "dual_numbers": (2, 1, 2),
     **{f"cyclic_{m}": (m, 0, m) for m in range(2, 7)},
     "upper_triangular_2": (2, 0, 2),
+    "matrix_2": (1, 0, 1),
 }
 
 
@@ -97,7 +99,6 @@ class SuiteConfig:
     reduce_oracle_cutoff: int = 8
     torus_ranks: tuple[int, ...] = (1, 2)
     torus_window: int = 2
-    torus_degrees: tuple[int, ...] | None = None  # default: all p <= rank
     engine_cutoff: int = 4
     engine_spec_files: tuple[str, ...] = ()
     seed: int = 20260810
@@ -105,7 +106,7 @@ class SuiteConfig:
     def validate(self, targets: tuple[str, ...] = SUITE_TARGETS) -> None:
         """Check every field, then the sizes of the suites in targets only:
         nmax, lmax and the oracle cutoff for the Hecke-side suites that read
-        them, the torus plan for "torus", the algebras for "engine"."""
+        them, the torus plan of ranks and window for "torus", the algebras for "engine"."""
         for name, value in [
             ("nmax", self.nmax),
             ("lmax", self.lmax),
@@ -118,10 +119,7 @@ class SuiteConfig:
             raise ConfigError("engine_cutoff must be nonnegative")
         if any(r < 1 for r in self.torus_ranks):
             raise ConfigError("torus ranks must be positive")
-        if self.torus_degrees is not None and any(p < 0 for p in self.torus_degrees):
-            raise ConfigError("torus degrees must be nonnegative")
         _reject_repeats("torus rank", self.torus_ranks)
-        _reject_repeats("torus degree", self.torus_degrees or ())
         for name, value, readers in [
             ("nmax", self.nmax, ("rpoly", "hh0", "clozel", "commutator", "geomlemma")),
             ("lmax", self.lmax, ("rpoly",)),
@@ -146,16 +144,14 @@ class SuiteConfig:
     @cached_property
     def torus_plan(self) -> dict[int, tuple[int, list[int], list[int]]]:
         """Each torus rank, in --rank order, with its identity window, the
-        degrees its identities sweep and its square-check degrees: every size
-        rule of the torus suite, decided without building a power over a cap."""
-        # no case may run over zero degrees, nor only over 0, where b is zero
-        for p in self.torus_degrees or ():
-            if all(p > rank for rank in self.torus_ranks):
-                raise ConfigError(f"torus degree {p} is above every torus rank")
+        degrees its identities sweep and its square-check degrees, read from
+        the ranks and the window alone: every size rule of the torus suite,
+        decided without building a power over a cap."""
         plan, side = {}, 2 * self.torus_window + 1
         for rank in self.torus_ranks:
             # both caps grow with the degree, so each list stops at its first
-            # misfit; the identities' own window keeps their sweeps exhaustive
+            # misfit; the identities' own window keeps their sweeps exhaustive.
+            # No case may run over zero degrees, nor only over 0, where b is zero
             window = 2 if rank == 1 else 1
             swept = list(takewhile(
                 lambda p: eg.within(2 * window + 1, rank * (p + 1), _TORUS_SWEEP_CAP),
@@ -166,23 +162,13 @@ class SuiteConfig:
                     f"torus rank {rank}: the chain-identity sweep at window {window} "
                     f"covers no degree above 0 within {_TORUS_SWEEP_CAP} tuples"
                 )
-            # an explicit degree above this rank is left to the other ranks
-            requested = (
-                range(rank + 1) if self.torus_degrees is None
-                else [p for p in self.torus_degrees if p <= rank]
-            )
             degrees = list(takewhile(
-                lambda p: eg.within(side, rank * (p + 2), _TORUS_SQUARE_CAP), requested
+                lambda p: eg.within(side, rank * (p + 2), _TORUS_SQUARE_CAP), range(rank + 1)
             ))
-            if self.torus_degrees is None and not degrees:
+            if not degrees:
                 raise ConfigError(
                     f"torus rank {rank}: the square check at window {self.torus_window} "
                     f"fits no degree within {_TORUS_SQUARE_CAP} boundary sources"
-                )
-            if self.torus_degrees is not None and len(degrees) < len(requested):
-                raise ConfigError(
-                    f"torus square check at rank {rank}, degree {requested[len(degrees)]}, "
-                    f"window {self.torus_window} exceeds {_TORUS_SQUARE_CAP} boundary sources"
                 )
             plan[rank] = (window, swept, degrees)
         return plan
@@ -612,8 +598,6 @@ def suite_torus(cfg: SuiteConfig) -> SuiteReport:
             )
 
     for rank, (_, _, wanted) in cfg.torus_plan.items():
-        if not wanted:
-            continue  # no case here would cover a degree
         # an SBI instance at p needs H_{p+1}, so chains two degrees up; it
         # is checked on the small degrees p <= 1
         sbi = [p for p in wanted if p <= 1]

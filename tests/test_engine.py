@@ -88,6 +88,48 @@ def test_precyclic_identities_case_fails_without_assert(flags):
     assert result.stdout.strip() == "fail d_0 d_2 != d_1 d_0 at degree 3"
 
 
+def _verify_engine_spec(path, cutoff, capsys) -> dict:
+    """verify engine with one --spec file: its exit code must be 0; its cases by id."""
+    from heckehom.cli import main
+
+    argv = ["verify", "engine", "--engine-cutoff", str(cutoff), "--spec", str(path)]
+    assert main(argv + ["--format", "json"]) == 0
+    return {case["id"]: case for case in json.loads(capsys.readouterr().out)["cases"]}
+
+
+def test_matrix_2_spec_passes_every_engine_case(capsys):
+    """M_2(Q) is noncommutative, with (ab)^2 != (ba)^2 for some basis pairs,
+    which a face identity in degree 1 would demand; its homology is that of
+    the ground field (Morita invariance)."""
+    cases = _verify_engine_spec(eg._ALGEBRA_DIR / "matrix_2.json", 4, capsys)
+    assert all(case["pass"] for case in cases.values())
+    assert cases["engine/matrix_2/precyclic-identities"]["actual"] == "pass"
+    assert cases["engine/matrix_2/hh-dims"]["actual"] == "[1, 0, 0, 0, 0]"
+    assert cases["engine/matrix_2/hc-dims"]["actual"] == "[1, 0, 1, 0, 1]"
+
+
+def test_symmetric_3_spec_passes_every_engine_case(tmp_path, monkeypatch, capsys):
+    """Q[S_3], a noncommutative group algebra given as a spec file: HH_0 is
+    spanned by the 3 conjugacy classes, and over Q the higher HH vanish."""
+    from heckehom import suites
+
+    perms = list(itertools.permutations(range(3)))  # the identity first
+    products = [
+        {"i": i, "j": j, "coeffs": [int(c == tuple(a[k] for k in b)) for c in perms]}
+        for i, a in enumerate(perms)
+        for j, b in enumerate(perms)
+    ]
+    path = tmp_path / "symmetric_3.json"
+    path.write_text(json.dumps(
+        {"name": "symmetric_3", "dim": 6, "unit": [1, 0, 0, 0, 0, 0], "products": products}
+    ))
+    monkeypatch.setitem(suites.ENGINE_ORACLE_DIMS, "symmetric_3", (3, 0, 3))
+    cases = _verify_engine_spec(path, 3, capsys)
+    assert all(case["pass"] for case in cases.values())
+    assert cases["engine/symmetric_3/hh-dims"]["actual"] == "[3, 0, 0, 0]"
+    assert cases["engine/symmetric_3/hc-dims"]["actual"] == "[3, 0, 3, 0]"
+
+
 def test_mixed_complex_identities():
     """b^2 = 0, B^2 = 0 and bB + Bb = 0 on the normalized complex."""
     for name in ("dual_numbers", "upper_triangular_2"):

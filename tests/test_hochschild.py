@@ -62,6 +62,15 @@ def test_identity_sweep_holds_and_each_identity_fails_on_a_wrong_product(name):
         assert list(failed) == [identity]
 
 
+def test_precyclic_identities_hold_on_the_2x2_matrices():
+    """Faces of a degree-1 tuple land in degree 0, where no face is defined:
+    degree 1 checks t^2 = 1 only, else (ab)^2 = (ba)^2 would be demanded."""
+    spec = eg.unit_basis(eg.builtin_algebra("matrix_2"))
+    tuples = lambda p: itertools.product(range(spec.dim), repeat=p + 1)
+    unit = next(iter(spec.unit))
+    assert hh.identity_failures(tuples, {"precyclic": range(1, 4)}, spec.product_vec, unit) == {}
+
+
 def test_class_action_drops_zero_weights():
     vec = {(0, 1): 2, (1, 1): 5, (2, 1): -1}
     assert hh.class_action(vec, lambda key: key[0]) == {(1, 1): 5, (2, 1): -2}
@@ -71,7 +80,7 @@ def test_class_action_drops_zero_weights():
 
 def test_torus_class_action_case_can_fail(monkeypatch):
     monkeypatch.setattr(tr, "_compact", lambda key: int(not key[0]))  # the first label is 0
-    cfg = suites.SuiteConfig(torus_ranks=(1,), torus_window=1, torus_degrees=(0,))
+    cfg = suites.SuiteConfig(torus_ranks=(1,), torus_window=1)
     cases = {case.id: case.passed for case in suites.suite_torus(cfg).cases}
     assert cases["torus/b-squared/r1"] and cases["torus/normalized-identities/r1"]
     assert not cases["torus/class-action-commutes/r1"]

@@ -1,5 +1,7 @@
 """Expression parsing, report formats, CLI behaviour and exit codes."""
 
+import argparse
+import dataclasses
 import json
 import os
 import random
@@ -281,11 +283,33 @@ def test_verify_options_fill_suite_config(monkeypatch):
 
     monkeypatch.setattr(cli, "run_suite", capture)
     assert main(["verify", "hecke"]) == 0
-    assert main(["verify", "torus", "--rank", "1", "--window", "1", "--degree", "0"]) == 0
+    assert main(["verify", "torus", "--rank", "1", "--window", "1"]) == 0
     assert seen == [
         SuiteConfig(),
-        SuiteConfig(torus_ranks=(1,), torus_window=1, torus_degrees=(0,)),
+        SuiteConfig(torus_ranks=(1,), torus_window=1),
     ]
+    # every verify option but the target and the output fills one field, so
+    # no field outlives its option
+    actions = cli._build_parser()._actions
+    (commands,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {action.dest for action in commands.choices["verify"]._actions}
+    fields = {field.name for field in dataclasses.fields(SuiteConfig)}
+    assert dests - {"help", "target", "format", "out"} == fields
+
+
+def test_torus_degree_option_is_gone(capsys, monkeypatch):
+    """The torus plan reads only the ranks and the window: --degree is an
+    unknown option, refused by argparse before any suite."""
+    from heckehom import suites
+
+    entered = []
+    for name in suites._SUITES:
+        monkeypatch.setitem(suites._SUITES, name, lambda cfg, name=name: entered.append(name))
+    assert main(["verify", "torus", "--degree", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --degree 2" in captured.err
+    assert entered == []
 
 
 def test_engine_spec_file_flag(tmp_path, capsys):
@@ -415,7 +439,6 @@ def test_spec_over_the_guard_is_refused_before_its_checks(tmp_path, capsys, monk
     "argv, message",
     [
         (["verify", "engine", "--engine-cutoff", "20"], "'dual_numbers' at engine cutoff 20"),
-        (["verify", "torus", "--rank", "3", "--degree", "3", "--window", "1"], "rank 3, degree 3"),
         (["verify", "all", "--engine-cutoff", "20"], "'dual_numbers' at engine cutoff 20"),
         # 2^15001 has 4,516 digits: neither compared nor printed in full
         (["verify", "engine", "--engine-cutoff", "15000"], "= 2^15001 exceeds the guard 100000"),
@@ -423,7 +446,7 @@ def test_spec_over_the_guard_is_refused_before_its_checks(tmp_path, capsys, monk
         # 3^(2 * 30,000,000) is never built: the plan stops at the cap
         (["verify", "torus", "--rank", "30000000"], "torus rank 30000000: the chain-identity"),
     ],
-    ids=["engine-cutoff", "torus-degree", "all-engine-cutoff", "engine-cutoff-15000",
+    ids=["engine-cutoff", "all-engine-cutoff", "engine-cutoff-15000",
          "all-engine-cutoff-15000", "rank-30000000"],
 )
 def test_oversized_config_exits_2_before_any_suite(capsys, monkeypatch, argv, message):
@@ -446,10 +469,6 @@ def test_oversized_config_exits_2_before_any_suite(capsys, monkeypatch, argv, me
     "argv, message",
     [
         (
-            ["verify", "torus", "--rank", "1", "--degree", "5"],
-            "torus degree 5 is above every torus rank",
-        ),
-        (
             ["verify", "torus", "--rank", "10", "--window", "1"],
             "torus rank 10: the chain-identity sweep at window 1 covers no degree above 0 "
             "within 20000 tuples",
@@ -465,12 +484,12 @@ def test_oversized_config_exits_2_before_any_suite(capsys, monkeypatch, argv, me
             "boundary sources",
         ),
     ],
-    ids=["degree-above-every-rank", "rank-10", "rank-5", "rank-4-window-3"],
+    ids=["rank-10", "rank-5", "rank-4-window-3"],
 )
 def test_torus_case_over_no_degree_exits_2_before_any_suite(capsys, monkeypatch, argv, message):
-    """A torus case must cover a degree: a requested degree above every rank
-    would be dropped, and from rank 5 on the identity sweep fits degree 0
-    only, where b is zero."""
+    """A torus case must cover a degree: from rank 5 on the identity sweep
+    fits degree 0 only, where b is zero, and at rank 4, window 3 the square
+    check fits no degree."""
     from heckehom import suites
 
     entered = []
@@ -489,7 +508,7 @@ def test_torus_rank_4_sweeps_a_degree_above_0():
     with pytest.raises(ConfigError):
         SuiteConfig(torus_ranks=(5,), torus_window=1).validate(("torus",))
     # other targets do not read the torus options
-    SuiteConfig(torus_ranks=(5,), torus_degrees=(9,)).validate(("hecke", "engine"))
+    SuiteConfig(torus_ranks=(5,)).validate(("hecke", "engine"))
 
 
 def test_default_torus_degrees_need_a_square_check_within_the_window():
@@ -500,38 +519,22 @@ def test_default_torus_degrees_need_a_square_check_within_the_window():
     SuiteConfig(torus_ranks=(4,), torus_window=2).validate(("torus",))  # 5^8 fits
     SuiteConfig(torus_ranks=(4,), torus_window=1).validate(("torus",))
     SuiteConfig().validate()
-    SuiteConfig(torus_degrees=(2,)).validate(("torus",))
     SuiteConfig(torus_ranks=(4,), torus_window=3).validate(("hecke", "engine"))
-
-
-def test_torus_degree_2_reports_pi0_only_where_the_square_check_runs(capsys):
-    assert main(["verify", "torus", "--degree", "2", "--format", "json"]) == 0
-    cases = {case["id"]: case for case in json.loads(capsys.readouterr().out)["cases"]}
-    assert "torus/square/r2/p2" in cases and "torus/pi0-after-B/r2" in cases
-    assert cases["torus/pi0-after-B/r2"]["params"]["degrees"] == [2]
-    # rank 1 has no degree 2: its identity cases run, its square cases do not
-    assert "torus/b-squared/r1" in cases
-    assert not [case_id for case_id in cases if case_id.endswith("/r1") and "pi0" in case_id]
-    assert not [case_id for case_id in cases if "/r1/" in case_id]
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (
-            ["verify", "torus", "--rank", "1", "--degree", "1", "--degree", "1", "--window", "1"],
-            "torus degree 1 is given twice",
-        ),
         (["verify", "torus", "--rank", "1", "--rank", "1"], "torus rank 1 is given twice"),
         (
             ["verify", "engine", "--engine-cutoff", "1", "--spec", str(_ALGEBRA_DIR / "cyclic_3.json")],
             "engine algebra 'cyclic_3' is given twice",
         ),
     ],
-    ids=["torus-degree", "torus-rank", "engine-algebra"],
+    ids=["torus-rank", "engine-algebra"],
 )
 def test_repeated_values_exit_2_before_any_suite(capsys, monkeypatch, argv, message):
-    """A repeated rank, degree or algebra name would repeat its case ids."""
+    """A repeated rank or algebra name would repeat its case ids."""
     from heckehom import suites
 
     entered = []
@@ -549,7 +552,7 @@ def test_repeated_values_exit_2_before_any_suite(capsys, monkeypatch, argv, mess
     [
         ["verify", "clozel", "--nmax", "1", "--engine-cutoff", "20"],
         ["verify", "hecke", "--engine-cutoff", "20"],
-        ["verify", "engine", "--rank", "3", "--degree", "3", "--window", "1", "--engine-cutoff", "2"],
+        ["verify", "engine", "--rank", "5", "--window", "1", "--engine-cutoff", "2"],
     ],
     ids=["clozel-engine-cutoff", "hecke-engine-cutoff", "engine-torus-degree"],
 )
@@ -571,13 +574,6 @@ def test_only_the_engine_target_loads_algebras(monkeypatch):
 
 def test_default_torus_degrees_skip_oversized_sweeps():
     SuiteConfig(torus_ranks=(3,), torus_window=1).validate()
-    # an explicit degree above one rank is skipped at that rank; above every
-    # rank it would be dropped, and is rejected
-    SuiteConfig(torus_ranks=(1, 3), torus_window=1, torus_degrees=(2,)).validate()
-    with pytest.raises(ConfigError):
-        SuiteConfig(torus_ranks=(3,), torus_window=1, torus_degrees=(2, 4)).validate()
-    with pytest.raises(ConfigError):
-        SuiteConfig(torus_ranks=(1, 3), torus_window=1, torus_degrees=(2, 3)).validate()
 
 
 def test_torus_plan_is_the_filtered_degree_lists():
@@ -596,12 +592,6 @@ def test_torus_plan_is_the_filtered_degree_lists():
             assert swept == [p for p in range(rank + 2) if side ** (rank * (p + 1)) <= 20_000]
             side = 2 * window + 1
             assert squares == [p for p in range(rank + 1) if side ** (rank * (p + 2)) <= 10**6]
-    # explicit degrees keep their order, each rank taking those at or below it
-    cfg = SuiteConfig(torus_ranks=(2, 1), torus_window=1, torus_degrees=(2, 0))
-    assert {rank: squares for rank, (_, _, squares) in cfg.torus_plan.items()} == {
-        2: [2, 0], 1: [0]
-    }
-    assert list(cfg.torus_plan) == [2, 1]
 
 
 @pytest.mark.parametrize(

@@ -96,8 +96,8 @@ def _labels(*vectors):
     return tuple(map(tr.encode, vectors))
 
 
-_TORUS_R1 = {"torus_ranks": (1,), "torus_window": 1, "torus_degrees": (0,)}
-_TORUS_R2 = {"torus_ranks": (2,), "torus_window": 1, "torus_degrees": (0,)}
+_TORUS_R1 = {"torus_ranks": (1,), "torus_window": 1}
+_TORUS_R2 = {"torus_ranks": (2,), "torus_window": 1}
 
 
 # case id, suite, config, mutation, the first witness in order of the stream
@@ -194,7 +194,7 @@ BROKEN = [
     (
         "torus/pi0-after-B/r1",
         "torus",
-        {"torus_ranks": (1,), "torus_window": 1, "torus_degrees": (0,)},
+        _TORUS_R1,
         lambda m: m.setattr(tr, "pi0", lambda form: form),
         "((-1,),)",
     ),

@@ -93,28 +93,27 @@ def test_every_admitted_plan_stays_inside_the_encoding_box():
     and B of its tuples of degree max(swept); the square side enumerates
     sector tuples up to degree top + 1, top as in ``suite_torus`` (the square
     degrees and p + 1 for each SBI degree p <= 1), whose prefix sums
-    ``sector_keys`` forms, and windowed tuples of lower degree.  The largest
-    is 998, at rank 1, window 499."""
+    ``sector_keys`` forms, and windowed tuples of lower degree.  A plan is
+    refused from the first window where it fits no square degree, since the
+    square cap only tightens as the window grows.  The largest is 998, at
+    rank 1, window 499."""
     largest, rank = 0, 1
     while True:
         try:
             SuiteConfig(torus_ranks=(rank,), torus_window=1).torus_plan
         except ConfigError:
             break  # no sweep within _TORUS_SWEEP_CAP from this rank on
-        window, admitted = 1, True
-        while admitted:
-            admitted = False
-            for degrees in [None] + [(p,) for p in range(rank + 1)]:
-                cfg = SuiteConfig(torus_ranks=(rank,), torus_window=window, torus_degrees=degrees)
-                try:
-                    sweep_window, swept, wanted = cfg.torus_plan[rank]
-                except ConfigError:
-                    continue
-                admitted = True
-                largest = max(largest, (max(swept) + 1) * sweep_window)
-                if wanted:
-                    top = max(wanted + [p + 1 for p in wanted if p <= 1])
-                    largest = max(largest, (top + 1) * window)
+        window = 1
+        while True:
+            try:
+                sweep_window, swept, wanted = SuiteConfig(
+                    torus_ranks=(rank,), torus_window=window
+                ).torus_plan[rank]
+            except ConfigError:
+                break
+            largest = max(largest, (max(swept) + 1) * sweep_window)
+            top = max(wanted + [p + 1 for p in wanted if p <= 1])
+            largest = max(largest, (top + 1) * window)
             window += 1
         rank += 1
     assert rank == 5  # ranks 1 to 4 are admitted
