@@ -7,7 +7,6 @@ fails, 2 on usage or configuration errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -107,8 +106,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _cmd_verify(args) -> int:
-    fields = {f.name for f in dataclasses.fields(SuiteConfig)}
-    given = {k: v for k, v in vars(args).items() if k in fields}
+    given = {k: v for k, v in vars(args).items() if k in SuiteConfig._fields}
     cfg = SuiteConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in given.items()})
     report = run_suite(args.target, cfg)
     _emit(report.render(args.format), args.out)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -67,20 +67,16 @@ def within(base: int, exponent: int, cap: int) -> bool:
 Coeff = int | Fraction
 
 
-@dataclass
-class AlgebraSpec:
+class AlgebraSpec(namedtuple("AlgebraSpec", "name dim products unit group_table", defaults=(None,))):
     """Finite-dimensional algebra by structure constants.
 
     products maps a basis pair (i, j) to the sparse coefficient vector of
-    e_i * e_j; omitted pairs multiply to zero.  group_table, when present,
-    records that the basis is a group and e_i * e_j = e_{table[i][j]}.
+    e_i * e_j, a dict[int, Coeff]; omitted pairs multiply to zero.  unit is
+    the coefficient vector of the unit, or None.  group_table, when
+    present, records that the basis is a group and e_i * e_j = e_{table[i][j]}.
     """
 
-    name: str
-    dim: int
-    products: dict[tuple[int, int], dict[int, Coeff]]
-    unit: dict[int, Coeff] | None
-    group_table: list[list[int]] | None = None
+    __slots__ = ()
 
     def product_vec(self, i: int, j: int) -> dict[int, Coeff]:
         return self.products.get((i, j), {})
@@ -139,7 +135,7 @@ def builtin_algebra(name: str) -> AlgebraSpec:
     spec = load_algebra_file(_ALGEBRA_DIR / f"{name}.json")
     vecs = [[spec.product_vec(i, j) for j in range(spec.dim)] for i in range(spec.dim)]
     if all(list(vec.values()) == [1] for row in vecs for vec in row):
-        spec.group_table = [[min(vec) for vec in row] for row in vecs]
+        return spec._replace(group_table=[[min(vec) for vec in row] for row in vecs])
     return spec
 
 
@@ -319,33 +315,25 @@ class ChainStack:
 # homology
 
 
-@dataclass
-class ExactnessNode:
-    node: str
-    rank_in: int
-    rank_out: int
-    dim: int
-    composite_zero: bool
+class ExactnessNode(namedtuple("ExactnessNode", "node rank_in rank_out dim composite_zero")):
+    __slots__ = ()
 
     @property
     def exact(self) -> bool:
         return self.composite_zero and self.rank_in + self.rank_out == self.dim
 
 
-@dataclass
 class HomologyReport:
-    algebra: str
-    cutoff: int
-    hh_dims: list[int]
-    hc_dims: list[int] | None = None
-    exactness: list[ExactnessNode] = field(default_factory=list)
-    chain_dims: list[int] = field(default_factory=list)
-    _stack: ChainStack | None = field(default=None, repr=False)
-    _hh: list[QuotientSpace] = field(default_factory=list, repr=False)
-    _hc: list[QuotientSpace] = field(default_factory=list, repr=False)
-    i_maps: dict[int, list[dict]] = field(default_factory=dict, repr=False)
-    s_maps: dict[int, list[dict]] = field(default_factory=dict, repr=False)
-    b_maps: dict[int, list[dict]] = field(default_factory=dict, repr=False)
+    def __init__(self, algebra: str, cutoff: int, hh_dims: list[int], _stack: ChainStack | None = None):
+        self.algebra, self.cutoff, self.hh_dims, self._stack = algebra, cutoff, hh_dims, _stack
+        self.hc_dims: list[int] | None = None
+        self.exactness: list[ExactnessNode] = []
+        self.chain_dims: list[int] = []
+        self._hh: list[QuotientSpace] = []
+        self._hc: list[QuotientSpace] = []
+        self.i_maps: dict[int, list[dict]] = {}
+        self.s_maps: dict[int, list[dict]] = {}
+        self.b_maps: dict[int, list[dict]] = {}
 
 
 def _guard(spec: AlgebraSpec, cutoff: int) -> None:

@@ -80,11 +80,15 @@ def _add_at(target: dict, terms: dict, k: int) -> None:
     get = target.get
     for e, c in terms.items():
         e += k
-        v = get(e, 0) + c
-        if v:
-            target[e] = v
+        old = get(e)
+        if old is None:
+            target[e] = c
         else:
-            del target[e]
+            v = old + c
+            if v:
+                target[e] = v
+            else:
+                del target[e]
 
 
 def t_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:

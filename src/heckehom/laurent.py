@@ -83,15 +83,22 @@ class LaurentQ(Sparse):
         if other is NotImplemented:
             return NotImplemented
         out: dict = {}
-        # inline, not add_term: ~10^5 calls per hecke-deep run, most of its time
+        get = out.get
+        # inline, not add_term: ~10^5 calls per hecke-deep run, most of its
+        # time.  A new exponent stores its product as it is, which is never
+        # zero, and only a sum onto an old one can cancel
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = e1 + e2
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
+                old = get(e)
+                if old is None:
+                    out[e] = c1 * c2
                 else:
-                    out.pop(e, None)
+                    v = old + c1 * c2
+                    if v:
+                        out[e] = v
+                    else:
+                        del out[e]
         return self._new(out)
 
     __rmul__ = __mul__
@@ -121,11 +128,15 @@ class LaurentQ(Sparse):
         out = {e + 1: c for e, c in terms.items()}
         get = out.get
         for e, c in terms.items():
-            v = get(e, 0) - c
-            if v:
-                out[e] = v
+            old = get(e)
+            if old is None:
+                out[e] = -c
             else:
-                del out[e]
+                v = old - c
+                if v:
+                    out[e] = v
+                else:
+                    del out[e]
         return self._new(out)
 
     def __pow__(self, n: int) -> LaurentQ:
@@ -174,11 +185,15 @@ class LaurentQ(Sparse):
             quot[e] = c
             for de, dc in den.items():
                 k = de + e
-                v = rem.get(k, 0) - c * dc
-                if v:
-                    rem[k] = v
+                old = rem.get(k)
+                if old is None:
+                    rem[k] = -(c * dc)
                 else:
-                    rem.pop(k, None)
+                    v = old - c * dc
+                    if v:
+                        rem[k] = v
+                    else:
+                        del rem[k]
         return LaurentQ({e + shift: c for e, c in quot.items()})
 
     def evaluate(self, value) -> Fraction:

@@ -8,11 +8,10 @@ byte for byte.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import takewhile
@@ -92,16 +91,18 @@ class ConfigError(ValueError):
     """Invalid suite configuration (reported separately from failures)."""
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    nmax: int = 20
-    lmax: int = 14
-    reduce_oracle_cutoff: int = 8
-    torus_ranks: tuple[int, ...] = (1, 2)
-    torus_window: int = 2
-    engine_cutoff: int = 4
-    engine_spec_files: tuple[str, ...] = ()
-    seed: int = 20260810
+class SuiteConfig(namedtuple(
+    "SuiteConfig",
+    "nmax lmax reduce_oracle_cutoff torus_ranks torus_window engine_cutoff engine_spec_files seed",
+    defaults=(20, 14, 8, (1, 2), 2, 4, (), 20260810),
+)):
+    """The sizes and seed of a run, one field per ``verify`` option, with
+    tuples for the repeatable ones.  It is frozen, so the plans computed
+    once from it (``torus_plan``, ``engine_specs``) stay true to its fields;
+    it keeps an instance dict, which those cached properties fill directly."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SuiteConfig is frozen: cannot set {name!r}")
 
     def validate(self, targets: tuple[str, ...] = SUITE_TARGETS) -> None:
         """Check every field, then the sizes of the suites in targets only:
@@ -189,6 +190,8 @@ class SuiteConfig:
 
 def csv_text(rows) -> str:
     """The rows as CSV, each line ended by a bare newline."""
+    import csv  # only --format csv reads it
+
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
@@ -201,21 +204,12 @@ def _reject_repeats(what: str, values) -> None:
             raise ConfigError(f"{what} {value!r} is given twice")
 
 
-@dataclass
-class Case:
-    id: str
-    claim: str
-    params: dict
-    expected: str
-    actual: str
-    passed: bool
+Case = namedtuple("Case", "id claim params expected actual passed")
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    seed: int
-    cases: list[Case] = field(default_factory=list)
+    def __init__(self, suite: str, seed: int):
+        self.suite, self.seed, self.cases = suite, seed, []
 
     @property
     def passed(self) -> bool:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from heckehom.laurent import LaurentQ, NotDivisible, ONE, Q, ZERO, qpow
 from heckehom.exprparse import parse_laurent
@@ -53,6 +53,23 @@ def test_divide_exact_inverts_multiplication(a, b):
     if b.is_zero:
         return
     assert (a * b).divide_exact(b) == a
+
+
+@given(laurents, laurents)
+@example(LaurentQ({0: 1, 1: -1}), LaurentQ({0: 1, 1: 1}))  # the q terms cancel
+@example(LaurentQ({0: Fraction(1, 2), 1: 1}), LaurentQ({0: Fraction(1, 2), 1: -1}))
+def test_product_is_the_dense_convolution_and_stores_no_zero(a, b):
+    """Exponents -5..5 in each factor, so -10..10 in the product: the dense
+    Fraction convolution, with the zeros dropped, is every stored term."""
+    dense_a = [Fraction(a.coefficient(e)) for e in range(-5, 6)]
+    dense_b = [Fraction(b.coefficient(e)) for e in range(-5, 6)]
+    dense = [Fraction(0)] * 21
+    for i, x in enumerate(dense_a):
+        for j, y in enumerate(dense_b):
+            dense[i + j] += x * y
+    product = (a * b).terms
+    assert product == {i - 10: c for i, c in enumerate(dense) if c}
+    assert all(product.values())  # no stored zero
 
 
 @given(laurents)

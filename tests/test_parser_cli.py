@@ -1,7 +1,6 @@
 """Expression parsing, report formats, CLI behaviour and exit codes."""
 
 import argparse
-import dataclasses
 import json
 import os
 import random
@@ -293,8 +292,7 @@ def test_verify_options_fill_suite_config(monkeypatch):
     actions = cli._build_parser()._actions
     (commands,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
     dests = {action.dest for action in commands.choices["verify"]._actions}
-    fields = {field.name for field in dataclasses.fields(SuiteConfig)}
-    assert dests - {"help", "target", "format", "out"} == fields
+    assert dests - {"help", "target", "format", "out"} == set(SuiteConfig._fields)
 
 
 def test_torus_degree_option_is_gone(capsys, monkeypatch):
@@ -337,6 +335,19 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "[E(1)]"
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_csv():
+    """Every command pays for importing heckehom.cli, so it stays light:
+    no dataclasses (which pulls in inspect and ast), and csv only inside
+    --format csv.  -S keeps site's own imports out of the count."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, heckehom.cli; print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
 _FIELD_PRODUCT = {"i": 0, "j": 0, "coeffs": ["1"]}

@@ -1,6 +1,5 @@
 """SuiteReport.check, and a negative control for every case it decides."""
 
-import dataclasses
 from collections import Counter
 
 import pytest
@@ -368,6 +367,6 @@ def test_suite_config_is_frozen():
     """A field cannot change after the plans it decides are built."""
     cfg = suites.SuiteConfig(torus_ranks=(4,), torus_window=1)
     cfg.validate(("torus",))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         cfg.torus_window = 3
     assert cfg.torus_plan == {4: (1, [0, 1], [0, 1])}
