@@ -11,17 +11,18 @@ structure every such algebra shares (Loday, *Cyclic Homology*, ch. 1-2):
 - the degeneracy test and the projection onto the normalized complex
   C(A)/D, spanned by the tuples with no unit after the first entry;
 - the normalized Connes operator B = s N, which puts the unit in front of
-  the signed cyclic norm;
-- the diagonal action of a weight on tuples, and the check that it commutes
-  with the faces, t and B.  Restriction to compact subgroups acts on the
-  chains of a group algebra this way, with the weight F(g_0 ... g_p) for F
-  the indicator of the compact elements;
+  the signed cyclic norm.  ``boundary`` and ``connes_B`` add their image
+  times coeff into the caller's dict ``out``;
+- the diagonal action of a weight on tuples.  Restriction to compact
+  subgroups acts on the chains of a group algebra this way, with the
+  weight F(g_0 ... g_p) for F the indicator of the compact elements;
 - ``identity_failures``, the one sweep of the engine and the torus that
-  checks the chain identities on their tuples.  It walks the tuples one
-  cyclic rotation orbit at a time, from the smallest rotation: B of every
-  tuple of an orbit is a signed sum over the same tuples, the unit in front
-  of each rotation, so b of each tuple the orbit's B-images hold is formed
-  once, in a table that lives only as long as the orbit.
+  checks the chain identities on their tuples, the weight among them.  It
+  walks the tuples one cyclic rotation orbit at a time, from the smallest
+  rotation: B of every tuple of an orbit is a signed sum over the same
+  tuples, the unit in front of each rotation, so the normalized b of each
+  tuple the orbit's B-images hold is formed once, in a table that lives
+  only as long as the orbit.  b b, bB + Bb and B B add into one dict each.
 
 On the lattice Z (labels are integers, the product is addition, the unit
 is 0):
@@ -54,15 +55,14 @@ def face(key: tuple, i: int, mul) -> dict:
     return {head + (label,) + tail: c for label, c in mul(a, b).items()}
 
 
-def faces(key: tuple, mul) -> list[dict]:
-    """[d_0, ..., d_p] on one tuple; none in degree 0."""
-    return [face(key, i, mul) for i in range(len(key))] if len(key) > 1 else []
+def boundary(key: tuple, mul, out: dict | None = None, coeff=1) -> dict:
+    """out += coeff * b(key) as ``sparse.add_into`` adds, for b = sum_i (-1)^i d_i
+    on one tuple (zero in degree 0); returns out, a new dict when None.
 
-
-def boundary(key: tuple, mul) -> dict:
-    """b = sum_i (-1)^i d_i on one tuple; zero in degree 0."""
-    out: dict = {}
-    p = len(key) - 1
+    >>> boundary((1, 2, 3), lambda a, b: {a + b: 1}, {(3, 3): -2}, 2)
+    {(1, 5): -2, (4, 2): 2}
+    """
+    out, p = {} if out is None else out, len(key) - 1
     for i in range(p + 1) if p else ():
         # the faces of ``face`` and the accumulation of ``sparse.add_term``,
         # inline: this loop is the hot path of the engine and the torus
@@ -70,9 +70,10 @@ def boundary(key: tuple, mul) -> dict:
             head, a, b, tail = key[:i], key[i], key[i + 1], key[i + 2 :]
         else:
             head, a, b, tail = (), key[p], key[0], key[1:p]
+        sign = -coeff if i % 2 else coeff
         for label, c in mul(a, b).items():
             image = head + (label,) + tail
-            value = -c if i % 2 else c
+            value = c * sign
             old = out.get(image)
             new = value if old is None else old + value
             if new:
@@ -97,19 +98,18 @@ def normalize(vec: dict, unit) -> dict:
     return {key: c for key, c in vec.items() if unit not in key[1:]}
 
 
-def connes_B(key: tuple, unit) -> dict:
-    """Normalized B = s N on one tuple, degree p -> p + 1.
-
-    Zero on a tuple containing the unit: every rotation of it with the unit
-    in front has the unit in an interior slot.
-    """
+def connes_B(key: tuple, unit, out: dict | None = None, coeff=1) -> dict:
+    """out += coeff * B(key) as in ``boundary``, for the normalized B = s N
+    on one tuple, degree p -> p + 1; zero on a tuple containing the unit,
+    since every rotation of it with the unit in front has the unit in an
+    interior slot."""
+    out = {} if out is None else out
     if unit in key:
-        return {}
-    p = len(key) - 1
-    out: dict = {}
+        return out
+    p, signs = len(key) - 1, (coeff, -coeff)
     for j in range(p + 1):
         # the rotation t^j, carrying the sign (-1)^(p j)
-        add_term(out, (unit,) + key[p + 1 - j :] + key[: p + 1 - j], -1 if p * j % 2 else 1)
+        add_term(out, (unit,) + key[p + 1 - j :] + key[: p + 1 - j], signs[p * j % 2])
     return out
 
 
@@ -126,16 +126,6 @@ def class_action(vec: dict, weight) -> dict:
     return {key: c for key, c in scaled if c}
 
 
-def class_action_commutes(key: tuple, weight, images: list[dict]) -> bool:
-    """True when t and the maps whose images of the tuple are given (every
-    face d_i and B, see ``faces`` and ``connes_B``) send it only to tuples
-    of its own weight, so the diagonal action commutes with them (and with
-    b) on it."""
-    here = weight(key)
-    images = images + [{cyclic(key)[0]: 1}]
-    return all(weight(other) == here for vec in images for other in vec)
-
-
 def identity_failures(tuples, wanted: dict, mul, unit, weight=None) -> dict:
     """The first failing tuple of each chain identity, least by (degree,
     tuple), with a detail, keyed by the identity's name.  tuples(p) gives
@@ -146,13 +136,11 @@ def identity_failures(tuples, wanted: dict, mul, unit, weight=None) -> dict:
       degree 2 on, with the detail of ``_precyclic_failure``;
     - "b-squared": b b = 0;
     - "normalized": B B = 0 and bB + Bb = 0 on the normalized tuples;
-    - "weight": every face, t and B keep the weight (``class_action_commutes``).
+    - "weight": every face, t and B keep the weight of the tuple.
 
     The other details are None, and an identity that holds has no entry.
     """
     failed: dict = {}
-    b = lambda key: boundary(key, mul)
-    B = lambda key: connes_B(key, unit)
 
     def fail(name, key, detail=None):
         if name not in failed or key < failed[name][0]:
@@ -170,9 +158,9 @@ def identity_failures(tuples, wanted: dict, mul, unit, weight=None) -> dict:
             orbit = [start[j:] + start[:j] for j in range(p + 1)]
             if min(orbit) < start:
                 continue
-            b_of: dict = {}  # b of the tuples in this orbit's B-images
+            b_of: dict = {}  # normalized b of the tuples in this orbit's B-images
             for key in dict.fromkeys(orbit):
-                key_faces = faces(key, mul)
+                key_faces = [face(key, i, mul) for i in range(p + 1)] if p else []
                 if precyclic:
                     detail = _precyclic_failure(key, key_faces, mul)
                     if detail is not None:
@@ -181,19 +169,29 @@ def identity_failures(tuples, wanted: dict, mul, unit, weight=None) -> dict:
                     b_image: dict = {}
                     for i, image in enumerate(key_faces):
                         add_into(b_image, image, -1 if i % 2 else None)
-                    if b_squared and linear(b, b_image):
-                        fail("b-squared", key)
+                    if b_squared:
+                        bb: dict = {}
+                        for other, c in b_image.items():
+                            boundary(other, mul, bb, c)
+                        if bb:
+                            fail("b-squared", key)
                 if normalized or weighed:
                     B_image = connes_B(key, unit)
                 if normalized and not is_degenerate(key, unit):
-                    for other in B_image.keys() - b_of.keys():
-                        b_of[other] = b(other)
-                    bB = linear(b_of.__getitem__, B_image)
-                    Bb = linear(B, normalize(b_image, unit))
-                    if linear(B, B_image) or add_into(normalize(bB, unit), Bb):
+                    BB, bB_Bb = {}, {}
+                    for other, c in B_image.items():
+                        if other not in b_of:
+                            b_of[other] = normalize(boundary(other, mul), unit)
+                        add_into(bB_Bb, b_of[other], c)
+                        connes_B(other, unit, BB, c)
+                    for other, c in b_image.items():  # B is zero on D: B of normalized b
+                        connes_B(other, unit, bB_Bb, c)
+                    if BB or bB_Bb:
                         fail("normalized", key)
-                if weighed and not class_action_commutes(key, weight, key_faces + [B_image]):
-                    fail("weight", key)
+                if weighed:
+                    here, images = weight(key), (B_image, {cyclic(key)[0]: 1}, *key_faces)
+                    if any(weight(other) != here for image in images for other in image):
+                        fail("weight", key)
     return failed
 
 

@@ -75,13 +75,14 @@ def connes_b_key(key: ChainKey) -> dict[ChainKey, int]:
     return hh.connes_B(key, 0)
 
 
-def hkr_key(key: ChainKey, rank: int) -> dict[FormKey, object]:
-    """HKR value on a monomial tuple of Z^rank: (1/p!) f0 df1 ^ ... ^ dfp."""
-    p, total = len(key) - 1, decode(sum(key), rank)
+def hkr_key(key: ChainKey, rank: int, vectors: dict | None = None) -> dict[FormKey, object]:
+    """HKR value on a monomial tuple of Z^rank: (1/p!) f0 df1 ^ ... ^ dfp.
+    vectors, when given, maps each label of key[1:] to its vector."""
+    p = len(key) - 1
     if p > rank:
         return {}
-    rows = [decode(label, rank) for label in key[1:]]
-    out: dict[FormKey, object] = {}
+    rows = [vectors[label] if vectors else decode(label, rank) for label in key[1:]]
+    total, out = decode(sum(key), rank), {}
     for idx in itertools.combinations(range(rank), p):
         det = _int_det([[row[j] for j in idx] for row in rows])
         if det:
@@ -104,13 +105,13 @@ def _int_det(matrix: list[list[int]]) -> int:
     return total
 
 
-def hkr(vec: dict, rank: int) -> dict:
+def hkr(vec: dict, rank: int, vectors: dict | None = None) -> dict:
     """The HKR map from chains over Z^rank to forms, linear in the tuples.
 
     >>> hkr({(2, 3): 1}, 1)
     {((5,), (0,)): 3}
     """
-    return linear(lambda key: hkr_key(key, rank), vec)
+    return linear(lambda key: hkr_key(key, rank, vectors), vec)
 
 
 def de_rham_d_key(fkey: FormKey) -> dict[FormKey, int]:
@@ -227,15 +228,16 @@ def homology_square_check(rank: int, window: int, degree: int) -> tuple:
     if rank < 1 or window < 1 or degree < 0 or degree > rank:
         raise ValueError("need rank >= 1, window >= 1, 0 <= degree <= rank")
     square_commutes, consistent, ratios, pi0_after_b = True, True, set(), None
+    vectors = {label: decode(label, rank) for label in window_labels(rank, window)}
     for key in windowed_keys(rank, degree, window):
-        form = hkr_key(key, rank)
+        form = hkr_key(key, rank, vectors)
         square_commutes = square_commutes and check_square_on_key(key, form)
         if hh.is_degenerate(key, 0):
             continue
-        image = hkr(connes_b_key(key), rank)
+        image = hkr(connes_b_key(key), rank, vectors)
         consistent = consistent and measure_hkr_b_constant(ratios, image, form)
         if pi0_after_b is None and pi0(image):
-            pi0_after_b = tuple(decode(label, rank) for label in key)
+            pi0_after_b = tuple(vectors[label] for label in key)
     constant = ratios.pop() if consistent and ratios else None
     return square_commutes, consistent, constant, pi0_after_b
 

@@ -3,11 +3,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckehom import engine as eg
 from heckehom import hochschild as hh
 from heckehom import suites
 from heckehom import torus as tr
+from heckehom.sparse import add_into
 
 
 def _lattice_z():
@@ -28,14 +30,15 @@ def _cyclic_3():
 ALGEBRAS = {"lattice_Z": _lattice_z, "cyclic_3": _cyclic_3}
 
 
-def _commutes(key, mul, unit, weight):
-    return hh.class_action_commutes(key, weight, hh.faces(key, mul) + [hh.connes_B(key, unit)])
+def _by_degree(keys):
+    """tuples(p) of the sweep over a key list closed under rotation."""
+    return lambda p: [key for key in keys if len(key) == p + 1]
 
 
 @pytest.mark.parametrize("name", ALGEBRAS)
 def test_weight_of_the_product_commutes(name):
     keys, mul, unit, weight = ALGEBRAS[name]()
-    assert all(_commutes(key, mul, unit, weight) for key in keys)
+    assert hh.identity_failures(_by_degree(keys), {"weight": range(3)}, mul, unit, weight) == {}
 
 
 @pytest.mark.parametrize("name", ALGEBRAS)
@@ -44,7 +47,8 @@ def test_weight_of_the_first_entry_fails(name):
     preserved by B, which puts the unit in front."""
     keys, mul, unit, _ = ALGEBRAS[name]()
     first = lambda key: int(key[0] == unit)
-    assert not all(_commutes(key, mul, unit, first) for key in keys)
+    failed = hh.identity_failures(_by_degree(keys), {"weight": range(3)}, mul, unit, first)
+    assert list(failed) == ["weight"]
 
 
 @pytest.mark.parametrize("name", ALGEBRAS)
@@ -84,3 +88,37 @@ def test_torus_class_action_case_can_fail(monkeypatch):
     cases = {case.id: case.passed for case in suites.suite_torus(cfg).cases}
     assert cases["torus/b-squared/r1"] and cases["torus/normalized-identities/r1"]
     assert not cases["torus/class-action-commutes/r1"]
+
+
+def _product_and_unit(name):
+    """The product, the unit and some labels: Z with entries in [-2, 2], or
+    a spec in the basis of ``unit_basis``, where the dual numbers have
+    eps * eps = {} and M_2 has products of two terms."""
+    if name == "lattice_Z":
+        return (lambda a, b: {a + b: 1}), 0, range(-2, 3)
+    spec = eg.unit_basis(eg.builtin_algebra(name))
+    return spec.product_vec, next(iter(spec.unit)), range(spec.dim)
+
+
+_COEFFS = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+
+
+@pytest.mark.parametrize("name", ["lattice_Z", "dual_numbers", "matrix_2"])
+@settings(max_examples=50)
+@given(data=st.data())
+def test_boundary_and_connes_B_add_into_out(name, data):
+    """op(key, arg, out, c) is add_into(out, op(key, arg), c), in out itself,
+    for c = 0 and a drawn c, with out drawn to cancel part of the image, so
+    no zero may be stored."""
+    mul, unit, labels = _product_and_unit(name)
+    tuples = st.lists(st.sampled_from(labels), min_size=1, max_size=4).map(tuple)
+    key = data.draw(tuples)
+    for op, arg in ((hh.boundary, mul), (hh.connes_B, unit)):
+        image = op(key, arg)
+        for c in (0, data.draw(_COEFFS)):
+            out = data.draw(st.dictionaries(tuples, _COEFFS.filter(bool), max_size=3))
+            cancelled = data.draw(st.sets(st.sampled_from(list(image)))) if image else ()
+            add_into(out, {k: image[k] for k in cancelled}, -c)
+            want = add_into(dict(out), image, c)
+            got = op(key, arg, out, c)
+            assert got is out and got == want and all(got.values())

@@ -203,10 +203,10 @@ def test_chain_identity_sweep_takes_every_windowed_tuple_once(monkeypatch, rank,
     for degree in range(rank + 2):
         seen = []
 
-        def counting(key, unit):
+        def counting(key, unit, out=None, coeff=1):
             if len(key) == degree + 1:
                 seen.append(key)
-            return connes_B(key, unit)
+            return connes_B(key, unit, out, coeff)
 
         monkeypatch.setattr(hh, "connes_B", counting)
         assert tr.chain_identity_failures(rank, window, [degree]) == {}
