@@ -289,38 +289,19 @@ class ChainStack:
     def connes_B(self, key: tuple[int, ...]) -> dict:
         return hh.connes_B(key, self.unit)
 
-    def verify_structure_identities(self, cutoff: int, weight) -> dict[str, str]:
-        """The engine's witness of each identity that fails in the sweep of
-        ``hochschild.identity_failures`` over every tuple: "precyclic" in
-        degrees 1..min(cutoff + 1, 3) (face pairs from 2, where faces compose)
-        and, unless weight is None, "class-action", the weight, in degrees 0..cutoff."""
-        wanted = {"precyclic": range(1, min(cutoff + 1, 3) + 1)}
-        if weight is not None:
-            wanted["weight"] = range(cutoff + 1)
-        failed = hh.identity_failures(self.tuples, wanted, self.spec.product_vec, self.unit, weight)
-        witnesses = {}
-        if "precyclic" in failed:
-            key, pair = failed["precyclic"]
-            p = len(key) - 1
-            witnesses["precyclic"] = f"t^{p + 1} != 1 at degree {p}, tuple {key}"
-            if pair:
-                i, j = pair
-                witnesses["precyclic"] = f"d_{i} d_{j} != d_{j - 1} d_{i} at degree {p}"
-        if "weight" in failed:
-            witnesses["class-action"] = f"tuple {failed['weight'][0]}"
-        return witnesses
+    def verify_structure_identities(self, wanted: dict, weight=None) -> dict[str, str]:
+        """``hochschild.identity_failures`` over every tuple of the stack, for
+        wanted and weight, with each witness tuple printed as "tuple (...)"."""
+        return hh.identity_failures(
+            self.tuples, wanted, self.spec.product_vec, self.unit, weight, "tuple {}".format
+        )
 
 
 # ---------------------------------------------------------------------------
 # homology
 
 
-class ExactnessNode(namedtuple("ExactnessNode", "node rank_in rank_out dim composite_zero")):
-    __slots__ = ()
-
-    @property
-    def exact(self) -> bool:
-        return self.composite_zero and self.rank_in + self.rank_out == self.dim
+ExactnessNode = namedtuple("ExactnessNode", "node rank_in rank_out dim exact")
 
 
 class HomologyReport:
@@ -428,15 +409,9 @@ def sbi_exactness_check(report: HomologyReport) -> list[ExactnessNode]:
 
     def node(name, into, out_of, dim):
         composite = _mat_compose(out_of, into) if into and out_of else []
-        nodes.append(
-            ExactnessNode(
-                node=name,
-                rank_in=span_basis(into).rank,
-                rank_out=span_basis(out_of).rank,
-                dim=dim,
-                composite_zero=not any(composite),
-            )
-        )
+        rank_in, rank_out = span_basis(into).rank, span_basis(out_of).rank
+        exact_here = not any(composite) and rank_in + rank_out == dim
+        nodes.append(ExactnessNode(name, rank_in, rank_out, dim, exact_here))
 
     # node(name, map into it, map out of it, dim): B then I at HH_n, I then S
     # at HC_n, S then B at HC_m

@@ -20,11 +20,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .laurent import LaurentQ, ONE, ZERO, Q, qpow, to_laurent
+from .laurent import LaurentQ, ONE, ZERO, qpow, to_laurent
 from .sparse import Sparse
 from .weyl import E, WeylWord, bruhat_leq, word_mul, _OTHER, _word
-
-_Q_MINUS_1 = Q - 1
 
 
 class HeckeElement(Sparse):
@@ -181,7 +179,7 @@ def r_polynomial(x: WeylWord, w: WeylWord) -> LaurentQ:
     d = w.length - x.length
     if d == 0:
         return ONE
-    return _Q_MINUS_1 * LaurentQ({j: (-1) ** (d - 1 - j) for j in range(d)})
+    return LaurentQ({j: (-1) ** (d - 1 - j) for j in range(d)}).times_q_minus_1()
 
 
 def r_polynomial_from_inverse(x: WeylWord, w: WeylWord) -> LaurentQ:

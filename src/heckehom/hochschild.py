@@ -17,12 +17,13 @@ structure every such algebra shares (Loday, *Cyclic Homology*, ch. 1-2):
   subgroups acts on the chains of a group algebra this way, with the
   weight F(g_0 ... g_p) for F the indicator of the compact elements;
 - ``identity_failures``, the one sweep of the engine and the torus that
-  checks the chain identities on their tuples, the weight among them.  It
-  walks the tuples one cyclic rotation orbit at a time, from the smallest
-  rotation: B of every tuple of an orbit is a signed sum over the same
-  tuples, the unit in front of each rotation, so the normalized b of each
-  tuple the orbit's B-images hold is formed once, in a table that lives
-  only as long as the orbit.  b b, bB + Bb and B B add into one dict each.
+  checks the chain identities of ``IDENTITIES``, the weight among them,
+  and prints the witness of each that fails.  It walks the tuples one
+  cyclic rotation orbit at a time, from the smallest rotation: B of every
+  tuple of an orbit is a signed sum over the same tuples, the unit in front
+  of each rotation, so the normalized b of each tuple the orbit's B-images
+  hold is formed once, in a table that lives only as long as the orbit.
+  b b, bB + Bb and B B add into one dict each.
 
 On the lattice Z (labels are integers, the product is addition, the unit
 is 0):
@@ -126,31 +127,45 @@ def class_action(vec: dict, weight) -> dict:
     return {key: c for key, c in scaled if c}
 
 
-def identity_failures(tuples, wanted: dict, mul, unit, weight=None) -> dict:
-    """The first failing tuple of each chain identity, least by (degree,
-    tuple), with a detail, keyed by the identity's name.  tuples(p) gives
-    the degree-p tuples, closed under rotation, and wanted maps the name of
-    each identity to check to its degrees:
+# the chain identities of ``identity_failures``, each the name of its report case
+IDENTITIES = ("precyclic-identities", "b-squared", "normalized-identities", "class-action-commutes")
 
-    - "precyclic": t^(p+1) = 1, and d_i d_j = d_{j-1} d_i (i < j) from
-      degree 2 on, with the detail of ``_precyclic_failure``;
+
+def identity_failures(tuples, wanted: dict, mul, unit, weight=None, show=str) -> dict[str, str]:
+    """The witness of each chain identity that fails, keyed by its name:
+    show of its least failing tuple, least by (degree, tuple).  tuples(p)
+    gives the degree-p tuples, closed under rotation, and wanted maps each
+    name of ``IDENTITIES`` to check to its degrees; any other name raises
+    ValueError.
+
+    - "precyclic-identities": t^(p+1) = 1, and d_i d_j = d_{j-1} d_i (i < j)
+      from degree 2 on, whose witness names the failing pair, not the tuple;
     - "b-squared": b b = 0;
-    - "normalized": B B = 0 and bB + Bb = 0 on the normalized tuples;
-    - "weight": every face, t and B keep the weight of the tuple.
+    - "normalized-identities": B B = 0 and bB + Bb = 0 on the normalized tuples;
+    - "class-action-commutes": every face, t and B keep the weight of the tuple.
 
-    The other details are None, and an identity that holds has no entry.
+    On Z with a weight that reads only the first entry, B sends (-1,), of
+    weight 0, to (0, -1), of weight 1:
+
+    >>> first = lambda key: int(key[0] == 0)
+    >>> tuples = lambda p: [(-1,), (0,), (1,)]
+    >>> identity_failures(tuples, {"class-action-commutes": [0]},
+    ...                   lambda a, b: {a + b: 1}, 0, first, "tuple {}".format)
+    {'class-action-commutes': 'tuple (-1,)'}
     """
+    if unknown := wanted.keys() - set(IDENTITIES):
+        raise ValueError(f"unknown chain identities: {', '.join(sorted(unknown))}")
     failed: dict = {}
 
-    def fail(name, key, detail=None):
+    def fail(name, key, text=None):
         if name not in failed or key < failed[name][0]:
-            failed[name] = (key, detail)
+            failed[name] = (key, text)
 
     for p in sorted(set().union(*wanted.values())):
         # an identity that failed in a lower degree keeps that witness
         todo = {name for name, degrees in wanted.items() if p in degrees and name not in failed}
-        precyclic, b_squared = "precyclic" in todo, "b-squared" in todo
-        normalized, weighed = "normalized" in todo, "weight" in todo
+        precyclic, b_squared = "precyclic-identities" in todo, "b-squared" in todo
+        normalized, weighed = "normalized-identities" in todo, "class-action-commutes" in todo
         for start in tuples(p):
             # walk each orbit from its smallest rotation, which begins with the least entry
             if min(start) < start[0]:
@@ -162,9 +177,9 @@ def identity_failures(tuples, wanted: dict, mul, unit, weight=None) -> dict:
             for key in dict.fromkeys(orbit):
                 key_faces = [face(key, i, mul) for i in range(p + 1)] if p else []
                 if precyclic:
-                    detail = _precyclic_failure(key, key_faces, mul)
-                    if detail is not None:
-                        fail("precyclic", key, detail)
+                    text = _precyclic_failure(key, key_faces, mul, show)
+                    if text is not None:
+                        fail("precyclic-identities", key, text)
                 if b_squared or normalized:  # b only where it is checked
                     b_image: dict = {}
                     for i, image in enumerate(key_faces):
@@ -187,29 +202,31 @@ def identity_failures(tuples, wanted: dict, mul, unit, weight=None) -> dict:
                     for other, c in b_image.items():  # B is zero on D: B of normalized b
                         connes_B(other, unit, bB_Bb, c)
                     if BB or bB_Bb:
-                        fail("normalized", key)
+                        fail("normalized-identities", key)
                 if weighed:
                     here, images = weight(key), (B_image, {cyclic(key)[0]: 1}, *key_faces)
                     if any(weight(other) != here for image in images for other in image):
-                        fail("weight", key)
-    return failed
+                        fail("class-action-commutes", key)
+
+    witness = lambda key, text: show(key) if text is None else text
+    return {name: witness(*failed[name]) for name in IDENTITIES if name in failed}
 
 
-def _precyclic_failure(key: tuple, key_faces: list[dict], mul) -> tuple | None:
+def _precyclic_failure(key: tuple, key_faces: list[dict], mul, show) -> str | None:
     """t^(p+1) = 1 and, for p >= 2, d_i d_j = d_{j-1} d_i (i < j) on one
-    tuple of degree p, given its faces: None when both hold, () when
-    t^(p+1) = 1 fails, and otherwise (i, j) for the first failing face identity."""
+    tuple of degree p, given its faces: None when both hold, and otherwise
+    the witness of the first that fails, the tuple printed by show."""
     p = len(key) - 1
     current, sign = key, 1
     for _ in range(p + 1):
         current, step = cyclic(current)
         sign *= step
     if (current, sign) != (key, 1):
-        return ()
+        return f"t^{p + 1} != 1 at degree {p}, {show(key)}"
     for j in range(1, p + 1) if p >= 2 else ():  # in degree 1 a face lands in degree 0
         for i in range(j):
             left = linear(lambda x: face(x, i, mul), key_faces[j])
             right = linear(lambda x: face(x, j - 1, mul), key_faces[i])
             if left != right:
-                return (i, j)
+                return f"d_{i} d_{j} != d_{j - 1} d_{i} at degree {p}"
     return None

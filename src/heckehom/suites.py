@@ -564,15 +564,13 @@ def suite_geomlemma(cfg: SuiteConfig) -> SuiteReport:
     return report
 
 
-# the chain identities checked on every windowed tuple, in report order: the
-# case name, the name of the identity in the sweep, the claim
-_TORUS_IDENTITIES = (
-    ("b-squared", "b-squared", "b^2 = 0 on all windowed chains"),
-    ("normalized-identities", "normalized",
-     "B^2 = 0 and bB + Bb = 0 on normalized windowed chains"),
-    ("class-action-commutes", "weight",
-     "the compact-part projection commutes with b, t and B on chains"),
-)
+# the chain identities the torus sweep checks on every windowed tuple, in
+# report order: the name of each in ``hochschild.IDENTITIES``, its claim
+_TORUS_IDENTITIES = {
+    "b-squared": "b^2 = 0 on all windowed chains",
+    "normalized-identities": "B^2 = 0 and bB + Bb = 0 on normalized windowed chains",
+    "class-action-commutes": "the compact-part projection commutes with b, t and B on chains",
+}
 
 
 def suite_torus(cfg: SuiteConfig) -> SuiteReport:
@@ -580,15 +578,14 @@ def suite_torus(cfg: SuiteConfig) -> SuiteReport:
     report = SuiteReport("torus", cfg.seed)
 
     for rank, (window, swept, _) in cfg.torus_plan.items():
-        failed = tr.chain_identity_failures(rank, window, swept)
-        for case, name, claim in _TORUS_IDENTITIES:
-            first, _ = failed.get(name, (None, None))
+        failed = tr.chain_identity_failures(rank, window, dict.fromkeys(_TORUS_IDENTITIES, swept))
+        for name, claim in _TORUS_IDENTITIES.items():
             report.add_bool(
-                f"torus/{case}/r{rank}",
+                f"torus/{name}/r{rank}",
                 claim,
                 {"rank": rank, "window": window, "degrees": swept},
                 name not in failed,
-                str(first),
+                failed.get(name, ""),
             )
 
     for rank, (_, _, wanted) in cfg.torus_plan.items():
@@ -650,7 +647,7 @@ def suite_torus(cfg: SuiteConfig) -> SuiteReport:
             f"torus/pi0-after-B/r{rank}",
             "pi0.hkr.B = 0 on normalized windowed chains",
             {"rank": rank, "window": cfg.torus_window, "degrees": wanted},
-            (str(pi0_after_b[p]) for p in wanted if pi0_after_b[p] is not None),
+            (pi0_after_b[p] for p in wanted if pi0_after_b[p] is not None),
         )
     return report
 
@@ -701,14 +698,20 @@ def suite_engine(cfg: SuiteConfig) -> SuiteReport:
         cutoff = cfg.engine_cutoff
         result = eg.compute_cyclic(spec, cutoff)
         indicator = None if spec.group_table is None else eg.class_weight(spec, {0: 1})
-        # both identity cases come from one sweep, on the stack compute_cyclic built
-        failed = result._stack.verify_structure_identities(cutoff, indicator)
+        # both identity cases come from one sweep, on the stack compute_cyclic
+        # built: the precyclic identities in degrees 1..min(cutoff + 1, 3),
+        # face pairs from 2, where faces compose, and the weight in 0..cutoff
+        top = min(cutoff + 1, 3)
+        wanted = {"precyclic-identities": range(1, top + 1)}
+        if indicator is not None:
+            wanted["class-action-commutes"] = range(cutoff + 1)
+        failed = result._stack.verify_structure_identities(wanted, indicator)
         report.add_bool(
             f"engine/{spec.name}/precyclic-identities",
             "d_i d_j = d_{j-1} d_i for i < j and t^(p+1) = 1 on the chain stack",
-            {"algebra": spec.name, "degrees": f"<= {min(cutoff + 1, 3)}"},
-            "precyclic" not in failed,
-            failed.get("precyclic", ""),
+            {"algebra": spec.name, "degrees": f"<= {top}"},
+            "precyclic-identities" not in failed,
+            failed.get("precyclic-identities", ""),
         )
 
         rule = ENGINE_ORACLE_DIMS.get(spec.name)
@@ -750,8 +753,8 @@ def suite_engine(cfg: SuiteConfig) -> SuiteReport:
                 f"engine/{spec.name}/class-action-commutes",
                 "the class-function idempotent commutes with every structure map",
                 {"algebra": spec.name, "function": "indicator of the identity"},
-                "class-action" not in failed,
-                failed.get("class-action", ""),
+                "class-action-commutes" not in failed,
+                failed.get("class-action-commutes", ""),
             )
             everything = eg.class_weight(spec, {g: 1 for g in range(spec.dim)})
             report.add_bool(

@@ -11,8 +11,8 @@ b adds adjacent entries, t rotates with sign, and the normalized Connes
 operator B inserts 0 in front of the cyclic norm.  Compact restriction is
 ``hochschild.class_action`` with the weight ``_compact``, which keeps the
 tuples whose entries sum to zero.  Labels are decoded only where
-coordinates are read: in ``hkr_key`` and in the witnesses that
-``chain_identity_failures`` and ``homology_square_check`` return.  The
+coordinates are read: in ``hkr_key`` and in ``_printed``, the witness
+text of ``chain_identity_failures`` and ``homology_square_check``.  The
 comparison side is the algebra of differential forms on the dual torus: a
 p-form is a sparse dict over keys (exps, idx), the monomial z^exps times
 dlog(z_{i_1}) ^ ... ^ dlog(z_{i_p}) for idx = (i_1 < ... < i_p), reached
@@ -34,7 +34,7 @@ homology of the invariant sector is the ladder of ``_invariant_sector_dims``.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
+from functools import partial, reduce
 from math import factorial
 
 from . import hochschild as hh
@@ -166,16 +166,18 @@ def sector_keys(rank: int, degree: int, window: int):
             yield prefix + (last,)
 
 
-def chain_identity_failures(rank: int, window: int, degrees) -> dict[str, tuple]:
-    """``hochschild.identity_failures`` on the windowed tuples of the given
-    degrees, with lattice addition, the zero vector and the compact weight:
-    (first failing tuple of vectors, None) for each of "b-squared",
-    "normalized" and "weight" that fails."""
-    wanted = dict.fromkeys(("b-squared", "normalized", "weight"), degrees)
+def _printed(rank: int, key: ChainKey) -> str:
+    """A tuple of labels as the tuple of its vectors, the torus witness text."""
+    return str(tuple(decode(label, rank) for label in key))
+
+
+def chain_identity_failures(rank: int, window: int, wanted: dict) -> dict[str, str]:
+    """``hochschild.identity_failures`` on the windowed tuples, for wanted,
+    each identity to check with its degrees, with lattice addition, the
+    zero vector and the compact weight: the witness of each that fails, a
+    tuple printed as its vectors."""
     tuples = lambda p: windowed_keys(rank, p, window)
-    failed = hh.identity_failures(tuples, wanted, _lattice_mul, 0, _compact)
-    decoded = lambda key: tuple(decode(label, rank) for label in key)
-    return {name: (decoded(key), detail) for name, (key, detail) in failed.items()}
+    return hh.identity_failures(tuples, wanted, _lattice_mul, 0, _compact, partial(_printed, rank))
 
 
 def _invariant_sector_dims(rank: int, window: int, top: int) -> list[QuotientSpace]:
@@ -219,8 +221,9 @@ def homology_square_check(rank: int, window: int, degree: int) -> tuple:
     chain level (``check_square_on_key``), which implies it on cycles up to
     b-boundaries; whether one constant c gives hkr . B = c * d . hkr
     (``measure_hkr_b_constant``), and c, None when both sides vanish on the
-    window; and the first normalized tuple with pi0(hkr(B(x))) != 0, as vectors,
-    or None.  The homology of the invariant sector is H_p of ``_invariant_sector_dims``.
+    window; and the first normalized tuple with pi0(hkr(B(x))) != 0, printed
+    as its vectors, or None.  The homology of the invariant sector is H_p of
+    ``_invariant_sector_dims``.
 
     Exhaustive over the window: the work grows like (2*window+1)^(rank*(p+1)),
     so large ranks want window 1.
@@ -237,7 +240,7 @@ def homology_square_check(rank: int, window: int, degree: int) -> tuple:
         image = hkr(connes_b_key(key), rank, vectors)
         consistent = consistent and measure_hkr_b_constant(ratios, image, form)
         if pi0_after_b is None and pi0(image):
-            pi0_after_b = tuple(vectors[label] for label in key)
+            pi0_after_b = _printed(rank, key)
     constant = ratios.pop() if consistent and ratios else None
     return square_commutes, consistent, constant, pi0_after_b
 

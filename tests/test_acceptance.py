@@ -186,7 +186,8 @@ def test_criterion_7_engine_correctness():
             break
         if spec.group_table is not None:
             weight = eg.class_weight(spec, {0: Fraction(1)})
-            if "class-action" in report._stack.verify_structure_identities(4, weight):
+            wanted = {"class-action-commutes": range(5)}
+            if "class-action-commutes" in report._stack.verify_structure_identities(wanted, weight):
                 ok, detail = False, f"{name}: class action fails to commute"
                 break
     _report(

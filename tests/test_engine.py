@@ -60,7 +60,7 @@ def test_within_compares_the_power_without_building_it():
 def test_precyclic_identities():
     for name in ("dual_numbers", "cyclic_2", "upper_triangular_2"):
         stack = eg.ChainStack(eg.builtin_algebra(name))
-        assert stack.verify_structure_identities(2, None) == {}
+        assert stack.verify_structure_identities({"precyclic-identities": range(1, 4)}) == {}
 
 
 # d_1 replaced by d_0: on Q[Z/3] the first identity it breaks is at degree 3
@@ -228,7 +228,8 @@ def test_class_function_action():
     for key in stack.tuples(1):
         factor = indicator(key)
         assert factor * factor == factor
-    assert stack.verify_structure_identities(2, indicator) == {}
+    wanted = {"precyclic-identities": range(1, 4), "class-action-commutes": range(3)}
+    assert stack.verify_structure_identities(wanted, indicator) == {}
     with pytest.raises(ValueError):
         eg.class_weight(eg.builtin_algebra("dual_numbers"), {0: Fraction(1)})
 

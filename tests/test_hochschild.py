@@ -9,7 +9,7 @@ from heckehom import engine as eg
 from heckehom import hochschild as hh
 from heckehom import suites
 from heckehom import torus as tr
-from heckehom.sparse import add_into
+from heckehom.sparse import add_into, add_term
 
 
 def _lattice_z():
@@ -38,7 +38,8 @@ def _by_degree(keys):
 @pytest.mark.parametrize("name", ALGEBRAS)
 def test_weight_of_the_product_commutes(name):
     keys, mul, unit, weight = ALGEBRAS[name]()
-    assert hh.identity_failures(_by_degree(keys), {"weight": range(3)}, mul, unit, weight) == {}
+    wanted = {"class-action-commutes": range(3)}
+    assert hh.identity_failures(_by_degree(keys), wanted, mul, unit, weight) == {}
 
 
 @pytest.mark.parametrize("name", ALGEBRAS)
@@ -47,23 +48,48 @@ def test_weight_of_the_first_entry_fails(name):
     preserved by B, which puts the unit in front."""
     keys, mul, unit, _ = ALGEBRAS[name]()
     first = lambda key: int(key[0] == unit)
-    failed = hh.identity_failures(_by_degree(keys), {"weight": range(3)}, mul, unit, first)
-    assert list(failed) == ["weight"]
+    wanted = {"class-action-commutes": range(3)}
+    failed = hh.identity_failures(_by_degree(keys), wanted, mul, unit, first)
+    assert list(failed) == ["class-action-commutes"]
 
 
 @pytest.mark.parametrize("name", ALGEBRAS)
 def test_identity_sweep_holds_and_each_identity_fails_on_a_wrong_product(name):
-    """The four identities of the shared sweep hold through degree 2, and
+    """Every identity of the shared sweep holds through degree 2, and
     each fails alone when the unit times 1 is the unit instead of 1."""
     keys, mul, unit, weight = ALGEBRAS[name]()
     tuples = lambda p: [key for key in keys if len(key) == p + 1]
-    names = ("precyclic", "b-squared", "normalized", "weight")
-    wanted = dict.fromkeys(names, range(3))
+    wanted = dict.fromkeys(hh.IDENTITIES, range(3))
     assert hh.identity_failures(tuples, wanted, mul, unit, weight) == {}
     wrong = lambda a, b: {unit: 1} if (a, b) == (unit, 1) else mul(a, b)
-    for identity in names:
+    for identity in hh.IDENTITIES:
         failed = hh.identity_failures(tuples, {identity: range(3)}, wrong, unit, weight)
         assert list(failed) == [identity]
+
+
+def test_B_squared_alone_fails_the_normalized_identities(monkeypatch):
+    """A B that also puts the unit in front of the degree-2 tuples that
+    begin with it breaks B B = 0 only: those are exactly the B-images that
+    B B reads, and bB + Bb never applies B to them."""
+    keys, mul, unit, _ = _lattice_z()
+    connes_B = hh.connes_B
+
+    def wrong(key, unit, out=None, coeff=1):
+        out = connes_B(key, unit, out, coeff)
+        if len(key) == 3 and key[0] == unit:
+            add_term(out, (unit,) + key, coeff)
+        return out
+
+    monkeypatch.setattr(hh, "connes_B", wrong)
+    failed = hh.identity_failures(_by_degree(keys), {"normalized-identities": range(2)}, mul, unit)
+    assert failed == {"normalized-identities": "(-2, -1)"}
+
+
+def test_identity_failures_refuses_an_unknown_name():
+    """A misspelt name would give a case that cannot fail: it is refused."""
+    keys, mul, unit, _ = _lattice_z()
+    with pytest.raises(ValueError, match="normalized"):
+        hh.identity_failures(_by_degree(keys), {"normalized": range(3)}, mul, unit)
 
 
 def test_precyclic_identities_hold_on_the_2x2_matrices():
@@ -72,7 +98,8 @@ def test_precyclic_identities_hold_on_the_2x2_matrices():
     spec = eg.unit_basis(eg.builtin_algebra("matrix_2"))
     tuples = lambda p: itertools.product(range(spec.dim), repeat=p + 1)
     unit = next(iter(spec.unit))
-    assert hh.identity_failures(tuples, {"precyclic": range(1, 4)}, spec.product_vec, unit) == {}
+    wanted = {"precyclic-identities": range(1, 4)}
+    assert hh.identity_failures(tuples, wanted, spec.product_vec, unit) == {}
 
 
 def test_class_action_drops_zero_weights():

@@ -209,7 +209,9 @@ def test_chain_identity_sweep_takes_every_windowed_tuple_once(monkeypatch, rank,
             return connes_B(key, unit, out, coeff)
 
         monkeypatch.setattr(hh, "connes_B", counting)
-        assert tr.chain_identity_failures(rank, window, [degree]) == {}
+        names = ("b-squared", "normalized-identities", "class-action-commutes")
+        wanted = dict.fromkeys(names, [degree])
+        assert tr.chain_identity_failures(rank, window, wanted) == {}
         assert Counter(seen) == Counter(tr.windowed_keys(rank, degree, window))
         assert set(Counter(seen).values()) == {1}
 
@@ -223,9 +225,9 @@ def test_rank_three_weight_witness_is_decoded_across_a_borrow(monkeypatch):
     assert tr.encode((1, -1, 0)) == 2**32 - 2**16
     flipped = lambda key: 1 - compact(key) if key == target else compact(key)
     monkeypatch.setattr(tr, "_compact", flipped)
-    failed = tr.chain_identity_failures(3, 1, [0, 1])
-    assert list(failed) == ["weight"]
-    assert str(failed["weight"][0]) == "((0, 1, 1), (1, -1, 0))"
+    names = ("b-squared", "normalized-identities", "class-action-commutes")
+    failed = tr.chain_identity_failures(3, 1, dict.fromkeys(names, [0, 1]))
+    assert failed == {"class-action-commutes": "((0, 1, 1), (1, -1, 0))"}
 
 
 def test_class_action_commutes_with_structure_maps():
