@@ -10,7 +10,8 @@ follows from these in closed form, one quadratic relation per overlapping
 letter, and ``t_mul`` sums these closed forms in one accumulation pass:
 powers of q are exponent offsets, each factor q - 1 is a shift and a
 difference, and only a pair of general coefficients forms a Laurent
-product.  Inverses of basis elements are computed here as well.
+product.  T_w^-1 is built one letter at a time, T_x T_g^-1 in closed form:
+T_{xg} when xg < x, else q^-1 T_{xg} + (q^-1 - 1) T_x, with no product.
 R-polynomials have a closed form, because R_{x,w} depends only on
 l(w) - l(x); the extraction from the inverse basis elements and the
 descent recursion are kept as its two independent checks.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .laurent import LaurentQ, ONE, ZERO, qpow, to_laurent
+from .laurent import LaurentQ, ONE, ZERO, to_laurent
 from .sparse import Sparse
 from .weyl import E, WeylWord, bruhat_leq, word_mul, _OTHER, _word
 
@@ -97,11 +98,11 @@ def t_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     pair (x, y) with coefficient c gives c(q-1)q^j T_{w_j} for j < m, with
     l(w_j) = l(x) + l(y) - 1 - 2j and w_j starting like x, and c q^m T_{xy}.
     Each pair forms c once: a factor that is a unit monomial q^k (every
-    basis element, the q^-1 of a generator inverse) is an offset k into the
-    other factor's terms, and only two general factors are multiplied.  The
-    terms of c then go straight into one exponent dict per word: c q^(j+1)
-    and -c q^j for each (q-1)q^j, and c q^m for T_{xy}.  No zero is stored,
-    and a word whose terms all cancel is dropped.
+    basis element) is an offset k into the other factor's terms, and only
+    two general factors are multiplied.  The terms of c then go straight
+    into one exponent dict per word: c q^(j+1) and -c q^j for each
+    (q-1)q^j, and c q^m for T_{xy}.  No zero is stored, and a word whose
+    terms all cancel is dropped.
     """
     total: dict[WeylWord, dict] = {}
     right = [(y, y.length, cy, _unit_exponent(cy)) for y, cy in b._terms.items()]
@@ -129,19 +130,31 @@ def t_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     return HeckeElement._new({w: LaurentQ._new(dict(d)) for w, d in total.items() if d})
 
 
-# T_g^{-1} = q^{-1} T_g - (1 - q^{-1}) T_e, forced by the quadratic relation
-_GEN_INVERSE = {
-    letter: HeckeElement(
-        {WeylWord(1, letter): qpow(-1), E: qpow(-1) - 1}
-    )
-    for letter in ("s", "t")
-}
+def _times_generator_inverse(a: HeckeElement, g: str) -> HeckeElement:
+    """a T_g^-1 for a generator g, by T_g^-1 = q^-1 T_g - (1 - q^-1) T_e: each
+    c T_x goes to c T_{xg} when xg < x, else to q^-1 c T_{xg} + (q^-1 c - c) T_x,
+    exponent offsets and one difference: no product, and no image that cancels.
+
+    >>> _times_generator_inverse(basis(WeylWord(1, "s")), "t")
+    (q^-1 - 1)*T[s] + q^-1*T[st]
+    """
+    gw = _word((1, g))
+    total: dict[WeylWord, dict] = {}
+    for x, c in a._terms.items():
+        xg = word_mul(x, gw)
+        longer = xg.length > x.length
+        _add_at(total.setdefault(xg, {}), c._terms, -1 if longer else 0)
+        if longer:
+            _add_at(total.setdefault(x, {}), c._terms, -1)
+            _add_at(total[x], {e: -v for e, v in c._terms.items()}, 0)
+    return HeckeElement._new({w: LaurentQ._new(dict(d)) for w, d in total.items() if d})
+
 
 _INVERSE_CACHE: dict[WeylWord, HeckeElement] = {}
 
 
 def t_inverse(word: WeylWord) -> HeckeElement:
-    """The inverse of T_w, as the reversed product of generator inverses.
+    """The inverse of T_w, one generator inverse per letter.
 
     Cached per word; the cache is a pure memo table.
 
@@ -156,7 +169,7 @@ def t_inverse(word: WeylWord) -> HeckeElement:
     else:
         # T_w = T_g T_{w'} with g the first letter, so T_w^{-1} = T_{w'}^{-1} T_g^{-1}
         rest = WeylWord(word.length - 1, _OTHER[word.first]) if word.length > 1 else E
-        result = t_mul(t_inverse(rest), _GEN_INVERSE[word.first])
+        result = _times_generator_inverse(t_inverse(rest), word.first)
     _INVERSE_CACHE[word] = result
     return result
 

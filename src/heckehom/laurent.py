@@ -65,7 +65,9 @@ class LaurentQ(Sparse):
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._terms.items())))
+        # a constant equals its scalar, so it hashes as that scalar
+        terms = self._terms
+        return hash(terms.get(0, 0) if terms.keys() <= {0} else tuple(sorted(terms.items())))
 
     def __add__(self, other) -> LaurentQ:
         other = _as_laurent(other)

@@ -81,7 +81,7 @@ def _oracle_dims(hh_0: int, hh_p: int, hc_0: int, cutoff: int) -> tuple[list, li
 # the largest n of a Hecke-side suite or table, and the largest word length of
 # rpoly and of the hh0 oracle: t_inverse recurses once per letter, so a cold
 # inverse of (st)^n ends in RecursionError from n = 495, and the work grows fast
-# (table commutator: 3.8 s at n = 100, 29 s at 200; the oracle 5.8 s and 58 s)
+# (table commutator: 1.1 s at n = 100, 8-11 s at 200; the oracle 4.5 s and 53 s)
 HECKE_BOUND = 100
 _TORUS_SWEEP_CAP = 20_000  # exhaustive windowed sweeps stay below this basis size
 _TORUS_SQUARE_CAP = 1_000_000  # the square check's boundary sources stay below this

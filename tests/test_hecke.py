@@ -144,10 +144,65 @@ def test_closed_form_product_matches_generator_peeling():
         assert _stores_no_zero(t_inverse(w))
 
 
+def _generator_inverse(letter):
+    """T_g^-1 = q^-1 T_g - (1 - q^-1) T_e, forced by the quadratic relation."""
+    return basis(WeylWord(1, letter)).scale(qpow(-1)) - one().scale(1 - qpow(-1))
+
+
 def test_generator_inverse():
-    expected = basis(S).scale(qpow(-1)) - one().scale(1 - qpow(-1))
-    assert t_inverse(S) == expected
+    for letter in "st":
+        g = basis(WeylWord(1, letter))
+        assert t_mul(g, _generator_inverse(letter)) == one() == t_mul(_generator_inverse(letter), g)
+    assert t_inverse(S) == _generator_inverse("s")
     assert t_inverse(E) == one()
+
+
+def _element_on(rng, words):
+    """A random element on some of words, with 1-3 rational Laurent terms each."""
+    terms = {}
+    for word in rng.sample(words, rng.randint(1, min(4, len(words)))):
+        exps = rng.sample(range(-4, 5), rng.randint(1, 3))
+        terms[word] = LaurentQ(
+            {e: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)) for e in exps}
+        )
+    return HeckeElement(terms)
+
+
+def test_times_generator_inverse_matches_the_product_with_the_oracle():
+    # words that end in s, words that end in t, T_e alone, and all of them mixed
+    words = list(all_words(12))
+    supports = [
+        [w for w in words if w.last == "s"],
+        [w for w in words if w.last == "t"],
+        [E],
+        words,
+    ]
+    rng = random.Random(30)
+    for support in supports:
+        for _ in range(25):
+            a = _element_on(rng, support)
+            for letter in "st":
+                kernel = hecke._times_generator_inverse(a, letter)
+                assert kernel == t_mul(a, _generator_inverse(letter)), (a, letter)
+                assert _stores_no_zero(kernel), (a, letter)
+    # images that cancel: (1 - q^-1) T_st T_t^-1 = (1 - q^-1) T_s cancels the
+    # (q^-1 - 1) T_s of T_s T_t^-1 = q^-1 T_st + (q^-1 - 1) T_s, and T_s is dropped
+    a = basis(WeylWord.parse("st")).scale(1 - qpow(-1)) + basis(S)
+    product = hecke._times_generator_inverse(a, "t")
+    assert product == basis(WeylWord.parse("st")).scale(qpow(-1)) == t_mul(a, _generator_inverse("t"))
+    assert list(product.terms) == [WeylWord.parse("st")]
+
+
+def test_inverse_is_the_product_of_generator_inverses_up_to_length_30(monkeypatch):
+    # T_w^-1 = T_gn^-1 ... T_g1^-1 for w = g1...gn, each product by the general t_mul
+    monkeypatch.setattr(hecke, "_INVERSE_CACHE", {})
+    for w in all_words(30):
+        product = one()
+        for letter in reversed(w.letters):
+            product = t_mul(product, _generator_inverse(letter))
+        inv = t_inverse(w)
+        assert inv == product, w
+        assert _stores_no_zero(inv), w
 
 
 def test_inverse_of_ts_frozen_value():

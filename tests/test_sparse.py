@@ -6,7 +6,7 @@ import pytest
 
 from heckehom.hecke import HeckeElement
 from heckehom.hh0 import HH0Class
-from heckehom.laurent import LaurentQ, Q
+from heckehom.laurent import ONE, ZERO, LaurentQ, Q
 from heckehom.spectral import LambdaElement
 from heckehom.sparse import add_into, add_term, exact, exact_quotient, linear
 from heckehom.weyl import E, S, T
@@ -99,6 +99,17 @@ def test_linear_extension():
 
 def test_laurent_types_stay_hashable():
     assert len({LaurentQ({1: 2}), LaurentQ({1: Fraction(2)}), CASES["LaurentQ"][0]}) == 2
+
+
+def test_a_constant_hashes_as_the_scalar_it_equals():
+    for scalar in (1, 0, -3, Fraction(1, 2)):
+        constant = LaurentQ({0: scalar})
+        assert constant == scalar and hash(constant) == hash(scalar)
+        assert len({constant, scalar}) == 1
+    assert len({ONE, 1}) == len({ZERO, 0}) == 1
+    assert {Q: "q", 1: "one"}[ONE] == "one"
+    # a polynomial that is no constant is still no scalar
+    assert len({Q, 1, LaurentQ({0: 1, 1: 1}), LaurentQ({-1: 2})}) == 4
 
 
 # per type: an element with one coefficient c, and that coefficient's scalar

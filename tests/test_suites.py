@@ -10,8 +10,8 @@ from heckehom import hochschild as hh
 from heckehom import spectral as sp
 from heckehom import torus as tr
 from heckehom.hh0 import HH0Class
-from heckehom.sparse import add_into
-from heckehom.weyl import WeylWord, all_words
+from heckehom.sparse import add_into, add_term
+from heckehom.weyl import WeylWord, all_words, word_mul
 
 
 def test_check_reads_nothing_after_the_first_witness():
@@ -44,6 +44,20 @@ def _inverse_with_a_longer_term(monkeypatch):
         "t_inverse",
         lambda f: lambda w: f(w) + hecke.basis(WeylWord(w.length + 2, "s")),
     )
+
+
+def _kernel_without_its_difference(monkeypatch):
+    # T_x T_g^-1 taken as q^-1 T_{xg} when xg > x: the (q^-1 - 1) T_x term
+    # is dropped, so T_s^-1 comes out as q^-1 T_s
+    def broken(a, g):
+        out = {}
+        for x, c in a.terms.items():
+            xg = word_mul(x, WeylWord(1, g))
+            add_term(out, xg, c if xg.length < x.length else c.shift(-1))
+        return hecke.HeckeElement(out)
+
+    monkeypatch.setattr(hecke, "_INVERSE_CACHE", {})
+    monkeypatch.setattr(hecke, "_times_generator_inverse", broken)
 
 
 def _opind_map_doubled(monkeypatch):
@@ -125,6 +139,7 @@ BROKEN = [
         ),
         "sts",
     ),
+    ("hecke/inverse-contract", "hecke", {}, _kernel_without_its_difference, "s"),
     (
         "hecke/specialize-q1",
         "hecke",
@@ -143,6 +158,13 @@ BROKEN = [
             lambda f: lambda x, w: f(x, w).shift(1) if w.length >= 3 else f(x, w),
         ),
         "x=e, w=sts",
+    ),
+    (
+        "rpoly/recursion-oracle",
+        "rpoly",
+        {"lmax": 6, "nmax": 2},
+        _kernel_without_its_difference,
+        "x=e, w=s",
     ),
     ("rpoly/vanishing", "rpoly", {"lmax": 6, "nmax": 2}, _inverse_with_a_longer_term, "x=st, w=e"),
     (
@@ -331,6 +353,17 @@ def test_a_broken_statement_fails_with_its_first_witness(
     report = suites._SUITES[suite](suites.SuiteConfig(**config))
     case = next(c for c in report.cases if c.id == case_id)
     assert (case.passed, case.actual) == (False, f"fail {witness}")
+
+
+def test_every_inverse_expansion_fails_on_a_kernel_without_its_difference(monkeypatch):
+    """T_{(ts)^n}^-1 comes out as q^-2n T_{(st)^n}, so each left side is 0,
+    and the signed R-polynomial sum on the right is not."""
+    _kernel_without_its_difference(monkeypatch)
+    report = suites.suite_rpoly(suites.SuiteConfig(lmax=4, nmax=3))
+    cases = [c for c in report.cases if c.id.startswith("rpoly/inverse-expansion/")]
+    assert [c.id for c in cases] == [f"rpoly/inverse-expansion/{n}" for n in (1, 2, 3)]
+    assert all(not c.passed and c.actual == "0" != c.expected for c in cases)
+    assert cases[0].expected == "(q^-1 - 2 + q)*T[e] + (q^-1 - 1)*T[s] + (q^-1 - 1)*T[t]"
 
 
 def test_an_oracle_value_case_fails_on_a_wrong_class(monkeypatch):
