@@ -7,11 +7,11 @@ Basis elements T_w are indexed by Weyl words; multiplication is fixed by
 
 over exact Laurent polynomials in q.  The product of two basis elements
 follows from these in closed form, one quadratic relation per overlapping
-letter, and ``t_mul`` sums these closed forms in one accumulation pass:
-powers of q are exponent offsets, each factor q - 1 is a shift and a
-difference, and only a pair of general coefficients forms a Laurent
-product.  T_w^-1 is built one letter at a time, T_x T_g^-1 in closed form:
-T_{xg} when xg < x, else q^-1 T_{xg} + (q^-1 - 1) T_x, with no product.
+letter.  ``t_mul`` adds these closed forms into one exponent dict per word
+with ``sparse.add_shifted``: powers of q are offsets, each factor q - 1 a
+shift and a difference, and only two general coefficients form a product.
+T_w^-1 is built one letter at a time, T_x T_g^-1 in closed form, the same
+way: T_{xg} when xg < x, else q^-1 T_{xg} + (q^-1 - 1) T_x, no product.
 R-polynomials have a closed form, because R_{x,w} depends only on
 l(w) - l(x); the extraction from the inverse basis elements and the
 descent recursion are kept as its two independent checks.
@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .laurent import LaurentQ, ONE, ZERO, to_laurent
-from .sparse import Sparse
+from .sparse import Sparse, add_shifted
 from .weyl import E, WeylWord, bruhat_leq, word_mul, _OTHER, _word
 
 
@@ -74,22 +74,6 @@ def _unit_exponent(c: LaurentQ) -> int | None:
     return None
 
 
-def _add_at(target: dict, terms: dict, k: int) -> None:
-    """target += q^k * terms on exponent dicts, deleting what cancels."""
-    get = target.get
-    for e, c in terms.items():
-        e += k
-        old = get(e)
-        if old is None:
-            target[e] = c
-        else:
-            v = old + c
-            if v:
-                target[e] = v
-            else:
-                del target[e]
-
-
 def t_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """Bilinear product of the basis products in closed form, in one pass.
 
@@ -122,9 +106,9 @@ def t_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
                 negated = {e: -c for e, c in terms.items()}
                 for j in range(m):
                     d = total.setdefault(_word((xl + yl - 1 - 2 * j, xf)), {})
-                    _add_at(d, terms, k + j + 1)
-                    _add_at(d, negated, k + j)
-            _add_at(total.setdefault(xy, {}), terms, k + m)
+                    add_shifted(d, terms, k + j + 1)
+                    add_shifted(d, negated, k + j)
+            add_shifted(total.setdefault(xy, {}), terms, k + m)
     # dict(d) re-sizes a table that grew through cancellations, which the
     # inverse cache would otherwise keep at its largest
     return HeckeElement._new({w: LaurentQ._new(dict(d)) for w, d in total.items() if d})
@@ -143,10 +127,10 @@ def _times_generator_inverse(a: HeckeElement, g: str) -> HeckeElement:
     for x, c in a._terms.items():
         xg = word_mul(x, gw)
         longer = xg.length > x.length
-        _add_at(total.setdefault(xg, {}), c._terms, -1 if longer else 0)
+        add_shifted(total.setdefault(xg, {}), c._terms, -1 if longer else 0)
         if longer:
-            _add_at(total.setdefault(x, {}), c._terms, -1)
-            _add_at(total[x], {e: -v for e, v in c._terms.items()}, 0)
+            add_shifted(total.setdefault(x, {}), c._terms, -1)
+            add_shifted(total[x], {e: -v for e, v in c._terms.items()}, 0)
     return HeckeElement._new({w: LaurentQ._new(dict(d)) for w, d in total.items() if d})
 
 

@@ -13,10 +13,11 @@ denominators once, on entry, and then reduces it by cross-multiplication,
 ``residue <- a*residue - b*row`` with a = lead/g and b = coeff/g for
 g = gcd(coeff, lead).  It tracks the product of the factors a as ``scale``,
 so that scale*vec = residue + the combination of rows.  The one division
-of coefficients is ``QuotientSpace.coords``, which returns combo / scale.
-Over any other domain there is no gcd to take: rows are stored exactly as
-reduced, and the step is ``residue <- lead*residue - coeff*row``, which
-needs no division, so scale is the product of the leads used.
+of coefficients is ``QuotientSpace.coords``, which returns combo / scale
+on ints and Fractions only.  Over any other domain there is no gcd to
+take: rows are stored exactly as reduced, and the step is
+``residue <- lead*residue - coeff*row``, which needs no division, so
+scale is the product of the leads used, and the caller divides by it.
 
     >>> basis = GaussianBasis()
     >>> basis.insert({0: 4, 1: 2, 2: 6}), basis.row(0)
@@ -293,12 +294,11 @@ class QuotientSpace:
         return len(self.representatives)
 
     def coords(self, vec: dict) -> dict:
-        """Coordinates of vec in the representative basis: combo / scale.
-
-        On ints and Fractions, where the quotient is an exact rational.  Over
-        any other exact integral domain, divide the combo of ``reduce`` by
-        its scale with the domain's own exact division.  Raises ValueError
-        if vec is not in cycles + boundaries.
+        """Coordinates of vec in the representative basis: combo / scale,
+        an ``exact_quotient``, so on ints and Fractions only.  Over any other
+        domain the caller divides the combo of ``reduce`` by its scale, as
+        the trace-quotient oracle does with ``divide_exact``.  Raises
+        ValueError if vec is not in cycles + boundaries.
         """
         residue, combo, scale = self._basis.reduce(vec)
         if residue:

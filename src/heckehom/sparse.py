@@ -1,9 +1,10 @@
 """Finite formal sums with exact coefficients: the one sparse-vector idea.
 
 A sparse vector is a dict {key: coefficient} that stores no zero, so two
-vectors are equal exactly when their dicts are.  ``add_term`` and
-``add_into`` are the package's accumulation loops: they add into such a
-dict in place and delete every entry that cancels to an exact zero;
+vectors are equal exactly when their dicts are.  ``add_term``, ``add_into``
+and ``add_shifted`` (at keys moved by k: times q^k on the exponent dict of a
+Laurent polynomial) are the package's accumulation loops: they add into such
+a dict in place and delete every entry that cancels to an exact zero;
 ``linear`` extends a map on keys linearly.
 Coefficients may be ints, Fractions, Laurent polynomials or any other
 exact type with +, * and truth testing; no float is ever created here.
@@ -97,6 +98,29 @@ def add_into(target: dict, source: dict, coeff=None) -> dict:
         elif old is not None:
             del target[key]
     return target
+
+
+def add_shifted(target: dict, source: dict, k: int) -> None:
+    """target[key + k] += value for each entry of source, deleting what
+    cancels: target += q^k * source on exponent dicts.  source stores no zero.
+
+    >>> target = {0: 1, 1: 2}
+    >>> add_shifted(target, {-1: -1, 0: 3}, 1)
+    >>> target
+    {1: 5}
+    """
+    get = target.get
+    for e, c in source.items():
+        e += k
+        old = get(e)
+        if old is None:
+            target[e] = c
+        else:
+            v = old + c
+            if v:
+                target[e] = v
+            else:
+                del target[e]
 
 
 def linear(op, vec: dict) -> dict:

@@ -3,12 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from heckehom.hecke import HeckeElement
 from heckehom.hh0 import HH0Class
 from heckehom.laurent import ONE, ZERO, LaurentQ, Q
 from heckehom.spectral import LambdaElement
-from heckehom.sparse import add_into, add_term, exact, exact_quotient, linear
+from heckehom.sparse import add_into, add_shifted, add_term, exact, exact_quotient, linear
 from heckehom.weyl import E, S, T
 
 # per type: (a, b, key that cancels in a + b)
@@ -89,6 +90,25 @@ def test_accumulation_helpers():
     source = {6: LaurentQ({0: 1})}
     add_into(target, source)
     assert target[6] is source[6]  # the plain form stores the value, no product by 1
+
+
+_SPARSE = st.dictionaries(
+    st.integers(-4, 4),
+    (st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)).filter(bool),
+    max_size=5,
+)
+
+
+@given(_SPARSE, _SPARSE, st.integers(-3, 3), st.data())
+def test_add_shifted_adds_at_the_offset_and_deletes_what_cancels(target, source, k, data):
+    # some entries of target are cancelled on purpose by the entry of source k below them
+    cancelled = data.draw(st.sets(st.sampled_from(sorted(target))) if target else st.just(set()))
+    source.update({key - k: -target[key] for key in cancelled})
+    expected = add_into(dict(target), {key + k: value for key, value in source.items()})
+    add_shifted(target, source, k)
+    assert target == expected
+    assert all(target.values())
+    assert not cancelled & target.keys()
 
 
 def test_linear_extension():
