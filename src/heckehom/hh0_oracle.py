@@ -1,10 +1,11 @@
 """Independent linear-algebra oracle for the trace quotient.
 
 Works in the truncated space span{T_v : l(v) <= M} modulo the subspace
-spanned by all commutators [T_x, T_y] with l(x) + l(y) <= M, by the
-fraction-free elimination of ``linalg`` over the Laurent polynomials
-Z[q, q^-1], which needs no field of fractions.  The class of T_w is solved for in terms of
-the canonical basis tokens and compared with the rewriting route; the
+spanned by all commutators [T_x, T_y] with l(x) + l(y) <= M: a
+``linalg.QuotientSpace`` of the canonical basis tokens by the commutator
+span, over the Laurent polynomials Z[q, q^-1], whose fraction-free
+elimination needs no field of fractions.  The class of T_w is its
+coordinates in the tokens, compared with the rewriting route; the
 truncation level M = cutoff + MARGIN is part of the oracle's definition.
 
 This module is deliberately independent of hh0.class_of_word: it never
@@ -17,7 +18,7 @@ from .laurent import LaurentQ
 from .weyl import WeylWord, all_words, st_power
 from .hecke import HeckeElement, basis, t_mul
 from .hh0 import HH0Class
-from .linalg import GaussianBasis
+from .linalg import GaussianBasis, QuotientSpace
 
 MARGIN = 2  # the truncation window extends the cutoff by this many letters
 
@@ -35,7 +36,11 @@ class TruncatedTraceOracle:
         self._columns = {w: i for i, w in enumerate(all_words(self.window))}
         self._basis = GaussianBasis()
         self._build_commutator_rows()
-        self._insert_canonical_tokens()
+        self._tokens, elements = zip(*self._canonical_tokens())
+        self._quotient = QuotientSpace(self._basis, [self._vector(e) for e in elements])
+        if self._quotient.dim != len(self._tokens):
+            raise RuntimeError(f"the {len(self._tokens)} canonical tokens are dependent in the"
+                               f" truncated quotient: they span {self._quotient.dim} dimensions")
 
     def _vector(self, element: HeckeElement) -> dict[int, LaurentQ]:
         columns = self._columns
@@ -59,24 +64,14 @@ class TruncatedTraceOracle:
         for n in range(0, self.window // 2 + 1):
             yield (n, basis(st_power(n)))
 
-    def _insert_canonical_tokens(self) -> None:
-        """Each canonical token as a row with payload {token: 1}, so that a
-        reduction reports its combination of the tokens; verified independent."""
-        for token, element in self._canonical_tokens():
-            pivot, _ = self._basis.insert(self._vector(element), payload={token: 1})
-            if pivot is None:
-                raise RuntimeError(
-                    f"canonical token {token!r} is dependent in the truncated quotient"
-                )
-
     def class_of_word(self, word: WeylWord) -> HH0Class:
         """Solve for the class of T_w in the canonical tokens.
 
-        scale*T_w reduces to combo, a combination of the tokens over
-        Z[q, q^-1], and the class is combo / scale.  Raises RuntimeError if
-        T_w does not reduce into the canonical span, and NotDivisible if a
-        coefficient of the class fails to be a Laurent polynomial; either
-        event would be a genuine disagreement to report, not to repair.
+        The class is the coordinates of T_w in the tokens over Z[q, q^-1].
+        Raises RuntimeError if T_w does not lie in the canonical span, and
+        NotDivisible if a coefficient of the class fails to be a Laurent
+        polynomial; either event would be a genuine disagreement to report,
+        not to repair.
 
         >>> sts = WeylWord(3, "s")
         >>> TruncatedTraceOracle(3).class_of_word(sts)
@@ -87,10 +82,9 @@ class TruncatedTraceOracle:
         """
         if word.length > self.cutoff:
             raise ValueError(f"word length {word.length} exceeds oracle cutoff {self.cutoff}")
-        leftover, combo, scale = self._basis.reduce(self._vector(basis(word)))
-        if leftover:
-            raise RuntimeError(f"class of T[{word}] does not lie in the canonical span")
-        # the tokens are the keys of HH0Class, and combo holds nonzero LaurentQs
-        return HH0Class._new(
-            {token: coeff.divide_exact(scale) for token, coeff in combo.items()}
-        )
+        try:
+            coords = self._quotient.coords(self._vector(basis(word)))
+        except ValueError:
+            raise RuntimeError(f"class of T[{word}] does not lie in the canonical span") from None
+        # the tokens are the keys of HH0Class, and coords holds nonzero LaurentQs
+        return HH0Class._new({self._tokens[index]: coeff for index, coeff in coords.items()})

@@ -12,12 +12,12 @@ by the gcd of their combined content.  ``reduce`` clears a vector's
 denominators once, on entry, and then reduces it by cross-multiplication,
 ``residue <- a*residue - b*row`` with a = lead/g and b = coeff/g for
 g = gcd(coeff, lead).  It tracks the product of the factors a as ``scale``,
-so that scale*vec = residue + the combination of rows.  The one division
-of coefficients is ``QuotientSpace.coords``, which returns combo / scale
-on ints and Fractions only.  Over any other domain there is no gcd to
-take: rows are stored exactly as reduced, and the step is
-``residue <- lead*residue - coeff*row``, which needs no division, so
-scale is the product of the leads used, and the caller divides by it.
+so that scale*vec = residue + the combination of rows.  Over any other
+domain there is no gcd to take: rows are stored exactly as reduced, and
+the step is ``residue <- lead*residue - coeff*row``, which needs no
+division, so scale is the product of the leads used.  The one division of
+coefficients, in every domain, is ``QuotientSpace.coords``, which returns
+combo / scale in the cycles as given.
 
     >>> basis = GaussianBasis()
     >>> basis.insert({0: 4, 1: 2, 2: 6}), basis.row(0)
@@ -268,12 +268,12 @@ class QuotientSpace:
     """Quotient of a span of cycles by a span of boundaries.
 
     ``boundaries`` is the echelon basis of the boundary span, with no
-    payloads; the quotient takes it over and extends it by the cycles.
-    Homology representatives are the reduced cycle rows as stored (primitive
-    integer rows on rational input); coords() expresses any vector of
-    cycles+boundaries in that representative basis.  ``dim_cycles`` counts
-    the cycles given, their dimension when they are independent, as those
-    of a kernel pass are.
+    payloads; the quotient takes it over and extends it by the cycles, each
+    inserted with payload {index: 1}.  The representatives are the cycles
+    that get a pivot, as given; coords() expresses any vector of
+    cycles+boundaries in them.  ``dim_cycles`` counts the cycles given,
+    their dimension when they are independent, as those of a kernel pass
+    are.
     """
 
     def __init__(self, boundaries: GaussianBasis, cycles: list[dict]):
@@ -281,31 +281,29 @@ class QuotientSpace:
         self.dim_cycles = len(cycles)
         self.representatives: list[dict] = []
         for vec in cycles:
-            pivot, _ = self._basis.insert(vec)
+            pivot, _ = self._basis.insert(vec, payload={len(self.representatives): 1})
             if pivot is not None:
-                # the stored normalized row is itself the chosen representative
-                row, _ = self._basis._rows[pivot]
-                index = len(self.representatives)
-                self._basis._rows[pivot] = (row, {index: 1})
-                self.representatives.append(row)
+                self.representatives.append(vec)
 
     @property
     def dim(self) -> int:
         return len(self.representatives)
 
     def coords(self, vec: dict) -> dict:
-        """Coordinates of vec in the representative basis: combo / scale,
-        an ``exact_quotient``, so on ints and Fractions only.  Over any other
-        domain the caller divides the combo of ``reduce`` by its scale, as
-        the trace-quotient oracle does with ``divide_exact``.  Raises
-        ValueError if vec is not in cycles + boundaries.
+        """Coordinates of vec in the representatives: the combo of ``reduce``
+        divided by its scale, an ``exact_quotient`` when the scale is an int
+        and a ``divide_exact`` otherwise, which raises NotDivisible where no
+        quotient exists.  Raises ValueError if vec is not in cycles +
+        boundaries.
         """
         residue, combo, scale = self._basis.reduce(vec)
         if residue:
             raise ValueError("vector does not lie in cycles + boundaries")
         if scale == 1:
             return combo
-        return {idx: exact_quotient(val, scale) for idx, val in combo.items()}
+        if type(scale) is int:
+            return {idx: exact_quotient(val, scale) for idx, val in combo.items()}
+        return {idx: val.divide_exact(scale) for idx, val in combo.items()}
 
     def is_boundary(self, vec: dict) -> bool:
         """Whether vec lies in the boundary span; False on a vector that is

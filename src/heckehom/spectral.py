@@ -44,28 +44,25 @@ class LambdaElement(Sparse):
         return "L" if n == 1 else f"L^{n}"
 
 
-def pind_hecke(x: LambdaElement) -> HeckeElement:
-    """Hecke-algebra image of x under pind, before reduction.
-
-    lambda^n -> q^n T_{(ts)^n}^{-1} for n >= 0, lambda^-n -> q^-n T_{(ts)^n}.
-    """
+def _induced(x: LambdaElement, sign: int, power) -> HeckeElement:
+    """The one induction loop: lambda^n -> q^(sign n) T_w^{-1} for sign n > 0,
+    and q^(sign n) T_w otherwise, with w = power(|n|)."""
     total = HeckeElement()
     for n, coeff in x.terms.items():
-        image = t_inverse(ts_power(n)) if n >= 0 else basis(ts_power(-n))
-        total = total + image.scale(coeff.shift(n))
+        word = power(abs(n))
+        image = t_inverse(word) if sign * n > 0 else basis(word)
+        total = total + image.scale(coeff.shift(sign * n))
     return total
+
+
+def pind_hecke(x: LambdaElement) -> HeckeElement:
+    """pind before reduction: lambda^n -> q^n T_{(ts)^n}^{-1}, lambda^-n -> q^-n T_{(ts)^n}."""
+    return _induced(x, 1, ts_power)
 
 
 def opind_hecke(x: LambdaElement) -> HeckeElement:
-    """Hecke-algebra image of x under opind, before reduction.
-
-    lambda^n -> q^-n T_{(st)^n} for n >= 0, lambda^-n -> q^n T_{(st)^n}^{-1}.
-    """
-    total = HeckeElement()
-    for n, coeff in x.terms.items():
-        image = basis(st_power(n)) if n >= 0 else t_inverse(st_power(-n))
-        total = total + image.scale(coeff.shift(-n))
-    return total
+    """opind before reduction: lambda^n -> q^-n T_{(st)^n}, lambda^-n -> q^n T_{(st)^n}^{-1}."""
+    return _induced(x, -1, st_power)
 
 
 def pind_map(x: LambdaElement) -> HH0Class:

@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -40,6 +41,61 @@ def test_load_validates_examples():
         eg.load_algebra(
             eg.AlgebraSpec(name="nounit", dim=1, products={(0, 0): {0: Fraction(1)}}, unit=None)
         )
+
+
+def _dense_witness(spec):
+    """The first basis triple (i, j, k) on which (e_i e_j) e_k != e_i (e_j e_k),
+    from a scan of every triple, or None."""
+    for i, j, k in itertools.product(range(spec.dim), repeat=3):
+        left = spec.multiply(spec.product_vec(i, j), {k: 1})
+        if left != spec.multiply({i: 1}, spec.product_vec(j, k)):
+            return (i, j, k)
+    return None
+
+
+def test_load_algebra_multiplies_on_quadratically_many_triples(monkeypatch):
+    """On Q^30 with the diagonal product, e_i e_j = 0 for i != j, so only the
+    triples with i = j or j = k are visited: O(dim^2) products, not dim^3."""
+    dim = 30
+    spec = eg.AlgebraSpec(
+        name="diagonal",
+        dim=dim,
+        products={(i, i): {i: 1} for i in range(dim)},
+        unit={i: 1 for i in range(dim)},
+    )
+    calls = []
+    multiply = eg.AlgebraSpec.multiply
+    monkeypatch.setattr(eg.AlgebraSpec, "multiply", lambda *args: calls.append(1) or multiply(*args))
+    assert eg.load_algebra(spec) is spec
+    assert len(calls) <= 5 * dim**2
+
+
+def _random_unital_spec(rng, dim):
+    """e_0 is the unit; every other product is zero or a random sparse vector."""
+    products = {(0, j): {j: 1} for j in range(dim)}
+    products.update({(i, 0): {i: 1} for i in range(1, dim)})
+    for i, j in itertools.product(range(1, dim), repeat=2):
+        if rng.random() < 0.3:
+            products[(i, j)] = {k: rng.choice([-1, 1, 2]) for k in rng.sample(range(dim), 1)}
+    return eg.AlgebraSpec(name="random", dim=dim, products=products, unit={0: 1})
+
+
+def test_load_algebra_witness_matches_a_dense_scan():
+    """The sparse scan of load_algebra names the first failing triple of a
+    scan of all dim^3 triples, and accepts exactly the associative specs."""
+    rng = random.Random(17)
+    outcomes = set()
+    for _ in range(200):
+        spec = _random_unital_spec(rng, rng.randint(2, 5))
+        witness = _dense_witness(spec)
+        try:
+            eg.load_algebra(spec)
+            found = None
+        except eg.NotAssociative as err:
+            found = err.witness
+        assert found == witness
+        outcomes.add(witness is None)
+    assert outcomes == {False, True}
 
 
 def test_size_guard():

@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 from heckehom import engine as eg
-from heckehom.linalg import GaussianBasis, homology, kernel_vectors, span_basis
+from heckehom.linalg import GaussianBasis, QuotientSpace, homology, kernel_vectors, span_basis
 from heckehom.sparse import add_into, exact_quotient, linear
 
 
@@ -420,6 +420,29 @@ def test_quotient_coords_of_representatives(name):
         for cols in maps.values():
             for col in cols:
                 _assert_integer_first(col)
+
+
+def test_quotient_coords_divide_over_laurent_polynomials():
+    """coords divides in every domain: over Z[q, q^-1] by divide_exact,
+    which raises NotDivisible where no Laurent quotient exists."""
+    from heckehom.laurent import NotDivisible, Q
+
+    space = QuotientSpace(GaussianBasis(), [{0: Q + 1}])
+    assert space.coords({0: Q * Q - 1}) == {0: Q - 1}
+    assert space.coords({0: Q + 1}) == {0: 1}
+    with pytest.raises(NotDivisible):
+        space.coords({0: Q})
+
+
+def test_quotient_representatives_are_the_cycles_as_given():
+    """A cycle that is not primitive stays the representative, and coords
+    are in it: half of it has coordinate 1/2."""
+    cycle = {0: 4, 1: 2}
+    space = QuotientSpace(GaussianBasis(), [cycle, {0: 2, 1: 1}, {1: 1, 2: 3}])
+    assert space.representatives == [{0: 4, 1: 2}, {1: 1, 2: 3}]
+    assert space.representatives[0] is cycle
+    assert space.coords({0: 2, 1: 1}) == {0: Fraction(1, 2)}
+    assert space.coords({0: 4, 1: 3, 2: 3}) == {0: 1, 1: 1}
 
 
 def _triangle_boundary(cell):

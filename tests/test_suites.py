@@ -366,6 +366,25 @@ def test_every_inverse_expansion_fails_on_a_kernel_without_its_difference(monkey
     assert cases[0].expected == "(q^-1 - 2 + q)*T[e] + (q^-1 - 1)*T[s] + (q^-1 - 1)*T[t]"
 
 
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        # a validation that never rejects
+        lambda f: lambda spec: spec,
+        # a validation that never reads e_1 * e_2, the product the witness needs
+        lambda f: lambda spec: f(spec._replace(
+            products={pair: vec for pair, vec in spec.products.items() if pair != (1, 2)}
+        )),
+    ],
+    ids=["accepts-all", "skips-a-stored-product"],
+)
+def test_the_not_associative_case_fails_on_a_wrong_validation(monkeypatch, wrong):
+    _wrap(monkeypatch, eg, "load_algebra", wrong)
+    report = suites.suite_engine(suites.SuiteConfig(engine_cutoff=0))
+    case = next(c for c in report.cases if c.id == "engine/not-associative")
+    assert (case.passed, case.actual) == (False, "fail")
+
+
 def test_an_oracle_value_case_fails_on_a_wrong_class(monkeypatch):
     """The hh0/oracle/<word> cases compare two rendered classes: a reduction
     that adds [Tt] on words of length >= 3 fails sts and still passes st."""
