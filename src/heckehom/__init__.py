@@ -10,7 +10,8 @@ Subpackages by topic:
     hecke      the Hecke algebra: basis products in closed form, basis
                inverses, R-polynomials
     hh0        the trace quotient and its canonical basis
-    hh0_oracle truncated commutator-space oracle over Z[q, q^-1]
+    hh0_oracle the class of a word solved from the trace of the unramified
+               principal series and three one-dimensional characters
     spectral   induction/restriction operators and the compact-restriction
                identity in degree zero
     hochschild the Hochschild complex on tuple keys: faces, b, t, the

@@ -1,23 +1,18 @@
 """Sparse exact Gaussian elimination, fraction-free.
 
 Vectors are dicts {column: coefficient} with no stored zeros.  Coefficients
-are ints and Fractions, or any other exact integral domain supporting +, -,
-*, bool and ==, such as the Laurent polynomials Z[q, q^-1].  No float ever
-enters.
+are ints and Fractions; no float ever enters.
 
-On ints and Fractions the elimination stays in the integers, in the manner
-of Bareiss (Math. Comp. 22, 1968).  Every stored row is a primitive integer
-row with a positive lead: it is divided, together with its payload, only
-by the gcd of their combined content.  ``reduce`` clears a vector's
+The elimination stays in the integers, in the manner of Bareiss (Math.
+Comp. 22, 1968).  Every stored row is a primitive integer row with a
+positive lead: it is divided, together with its payload, only by the gcd
+of their combined content.  ``reduce`` clears a vector's
 denominators once, on entry, and then reduces it by cross-multiplication,
 ``residue <- a*residue - b*row`` with a = lead/g and b = coeff/g for
 g = gcd(coeff, lead).  It tracks the product of the factors a as ``scale``,
-so that scale*vec = residue + the combination of rows.  Over any other
-domain there is no gcd to take: rows are stored exactly as reduced, and
-the step is ``residue <- lead*residue - coeff*row``, which needs no
-division, so scale is the product of the leads used.  The one division of
-coefficients, in every domain, is ``QuotientSpace.coords``, which returns
-combo / scale in the cycles as given.
+so that scale*vec = residue + the combination of rows.  The one division
+of coefficients is ``QuotientSpace.coords``, which returns combo / scale in
+the cycles as given.
 
     >>> basis = GaussianBasis()
     >>> basis.insert({0: 4, 1: 2, 2: 6}), basis.row(0)
@@ -68,8 +63,7 @@ from .sparse import add_into, exact_quotient
 def _cleared(vec: dict) -> tuple[dict, int]:
     """(den * vec, den) with den the lcm of the denominators of vec's Fractions.
 
-    A copy of vec with scale 1 when it holds no Fraction, so vectors of ints
-    or of any other exact integral domain pass unchanged.
+    A copy of vec with scale 1 when it holds no Fraction.
     """
     dens = {v.denominator for v in vec.values() if type(v) is Fraction}
     if not dens:
@@ -81,16 +75,8 @@ def _cleared(vec: dict) -> tuple[dict, int]:
 def _primitive(vecs: list[dict], sign: int = 1) -> list[dict]:
     """The rational vectors vecs times one common factor, as integer vectors
     whose combined content is 1; sign = -1 negates them as well.
-
-    Vectors of any other type are returned as they are.
     """
-    dens = set()
-    for vec in vecs:
-        for val in vec.values():
-            if type(val) is Fraction:
-                dens.add(val.denominator)
-            elif type(val) is not int:
-                return vecs
+    dens = {val.denominator for vec in vecs for val in vec.values() if type(val) is Fraction}
     if dens:
         den = lcm(*dens)
         vecs = [{col: (val * den).numerator for col, val in vec.items()} for vec in vecs]
@@ -129,10 +115,8 @@ class GaussianBasis:
         """Return (residue, combo, scale): scale*vec = residue + the rows used.
 
         combo is the same combination of the rows' payloads (rows without
-        payloads contribute nothing to it).  On ints and Fractions scale is a
-        positive integer: the lcm of vec's denominators times every factor a
-        of the steps.  On any other exact integral domain it is the product
-        of the leads of the rows used.
+        payloads contribute nothing to it).  scale is a positive integer: the
+        lcm of vec's denominators times every factor a of the steps.
         """
         rows = self._rows
         residue, scale = _cleared(vec)
@@ -149,11 +133,8 @@ class GaussianBasis:
             row, payload = rows[col]
             lead = row[col]
             if lead != 1:
-                if type(lead) is int:
-                    g = gcd(coeff, lead)
-                    a, coeff = lead // g, coeff // g
-                else:
-                    a = lead
+                g = gcd(coeff, lead)
+                a, coeff = lead // g, coeff // g
                 if a != 1:
                     scale *= a
                     for c in residue:
@@ -183,9 +164,9 @@ class GaussianBasis:
         """Insert a vector; return (pivot, dependency).
 
         pivot is None when vec is dependent on the stored rows.  In that
-        case dependency is scale*payload - combo, made primitive on ints and
-        Fractions: the payload expression of the dependency (a kernel element
-        when payloads track preimages).
+        case dependency is scale*payload - combo, as built: the payload
+        expression of the dependency (a kernel element when payloads track
+        preimages), which a caller that keeps it makes primitive.
         """
         residue, combo, scale = self.reduce(vec)
         if payload is None:
@@ -193,14 +174,10 @@ class GaussianBasis:
         else:
             dependency = add_into({k: scale * v for k, v in payload.items()}, combo, -1)
         if not residue:
-            if dependency:
-                dependency = _primitive([dependency])[0]
             return None, dependency
         pivot = min(residue)
-        lead = residue[pivot]
         vecs = [residue] if dependency is None else [residue, dependency]
-        if type(lead) is int:
-            vecs = _primitive(vecs, -1 if lead < 0 else 1)
+        vecs = _primitive(vecs, -1 if residue[pivot] < 0 else 1)
         self._rows[pivot] = (vecs[0], None if dependency is None else vecs[1])
         return pivot, None
 
@@ -237,7 +214,7 @@ def kernel_vectors(images) -> tuple[list[dict], GaussianBasis]:
     for idx, vec in images:
         pivot, dependency = basis.insert(vec, payload={idx: 1})
         if pivot is None and dependency:
-            kernel.append(dependency)
+            kernel.append(_primitive([dependency])[0])
     basis._rows = {pivot: (row, None) for pivot, (row, _) in basis._rows.items()}
     return kernel, basis
 
@@ -260,7 +237,7 @@ def intersect_with_columns(vectors, keep) -> list[dict]:
         pivot, dependency = basis.insert(outside, payload=dict(vec))
         if pivot is None and dependency:
             if all(keep(c) for c in dependency):
-                result.append(dependency)
+                result.append(_primitive([dependency])[0])
     return result
 
 
@@ -291,19 +268,15 @@ class QuotientSpace:
 
     def coords(self, vec: dict) -> dict:
         """Coordinates of vec in the representatives: the combo of ``reduce``
-        divided by its scale, an ``exact_quotient`` when the scale is an int
-        and a ``divide_exact`` otherwise, which raises NotDivisible where no
-        quotient exists.  Raises ValueError if vec is not in cycles +
-        boundaries.
+        divided by its scale, by ``exact_quotient``.  Raises ValueError if vec
+        is not in cycles + boundaries.
         """
         residue, combo, scale = self._basis.reduce(vec)
         if residue:
             raise ValueError("vector does not lie in cycles + boundaries")
         if scale == 1:
             return combo
-        if type(scale) is int:
-            return {idx: exact_quotient(val, scale) for idx, val in combo.items()}
-        return {idx: val.divide_exact(scale) for idx, val in combo.items()}
+        return {idx: exact_quotient(val, scale) for idx, val in combo.items()}
 
     def is_boundary(self, vec: dict) -> bool:
         """Whether vec lies in the boundary span; False on a vector that is

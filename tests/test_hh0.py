@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from heckehom.laurent import LaurentQ, NotDivisible, Q, qpow
-from heckehom.weyl import S, T, WeylWord, all_words, st_power, ts_power
+from heckehom import hh0_oracle
+from heckehom.laurent import LaurentQ, NotDivisible, ONE, Q, qpow
+from heckehom.sparse import add_into
+from heckehom.weyl import E, S, T, WeylWord, all_words, st_power, ts_power
 from heckehom.hecke import basis, t_mul
 from heckehom.hh0 import HH0Class, class_of_word, reduce_to_hh0
 from heckehom.hh0_oracle import TruncatedTraceOracle
@@ -101,9 +103,28 @@ def test_per_word_route_catches_a_dropped_shift(monkeypatch):
     assert next(_horner_mismatches(), None) is not None
 
 
+def test_generator_matrices_satisfy_the_quadratic_relation():
+    """pi(T_g)^2 = (q - 1) pi(T_g) + q for both generators."""
+    for g, matrix in hh0_oracle._GENERATORS.items():
+        square = hh0_oracle._times(matrix, matrix)
+        for i in (0, 1):
+            for j in (0, 1):
+                expected = {0: Q} if i == j else {}
+                add_into(expected, matrix[i][j], Q - 1)
+                assert square[i][j] == expected, (g, i, j)
+
+
+def test_trace_of_st_powers():
+    """tr pi(T_(st)^n) = q^n (lambda^n + lambda^-n), and 2 at n = 0."""
+    values = TruncatedTraceOracle(40)._values
+    for n in range(21):
+        trace, _ = values[st_power(n)]
+        assert trace == ({0: 2} if n == 0 else {n: qpow(n), -n: qpow(n)}), n
+
+
 def test_oracle_agreement():
-    oracle = TruncatedTraceOracle(6)
-    for w in all_words(6):
+    oracle = TruncatedTraceOracle(40)
+    for w in all_words(40):
         assert oracle.class_of_word(w) == class_of_word(w), w
 
 
@@ -116,37 +137,39 @@ def _oracle_class_of(oracle, element):
     return total
 
 
-def _patch_tokens(monkeypatch, edit):
-    """Give the oracle edit(its canonical tokens) as its canonical tokens."""
-    original = TruncatedTraceOracle._canonical_tokens
-    monkeypatch.setattr(
-        TruncatedTraceOracle, "_canonical_tokens", lambda self: edit(list(original(self)))
-    )
+def _disagrees(oracle, word):
+    try:
+        return oracle.class_of_word(word) != class_of_word(word)
+    except (RuntimeError, NotDivisible):
+        return True
 
 
-def test_oracle_rejects_a_dependent_token(monkeypatch):
-    _patch_tokens(monkeypatch, lambda tokens: tokens + [("x", basis(WeylWord(3, "s")))])
-    with pytest.raises(RuntimeError, match="dependent"):
-        TruncatedTraceOracle(3)
-
-
-def test_oracle_rejects_a_class_outside_the_tokens(monkeypatch):
-    _patch_tokens(monkeypatch, lambda tokens: [tok for tok in tokens if tok[0] != "t"])
-    oracle = TruncatedTraceOracle(3)
-    assert oracle.class_of_word(S) == HH0Class({"s": 1})
-    with pytest.raises(RuntimeError, match="canonical span"):
-        oracle.class_of_word(T)
+def test_a_wrong_t_entry_makes_a_short_word_disagree(monkeypatch):
+    """pi(T_t) with the sign of its lower-left entry flipped."""
+    (a, b), (c, d) = hh0_oracle._GENERATORS["t"]
+    monkeypatch.setitem(hh0_oracle._GENERATORS, "t", ((a, b), ({1: -ONE}, d)))
+    oracle = TruncatedTraceOracle(8)
+    assert any(_disagrees(oracle, w) for w in all_words(8))
 
 
 def test_oracle_rejects_a_class_that_is_not_laurent(monkeypatch):
-    # with (1 + q)*T_s as the s token, the class of T_s is 1/(1 + q) times it
-    _patch_tokens(
-        monkeypatch,
-        lambda tokens: [(tok, basis(S).scale(Q + 1) if tok == "s" else el) for tok, el in tokens],
-    )
+    """With T_s sent to q^2 by the character (q, -1), the difference of the
+    mixed characters on T_s is q^2 + 1, which q + 1 does not divide."""
+    monkeypatch.setitem(hh0_oracle._CHARACTERS, "s", (Q, Q * Q, -ONE))
     oracle = TruncatedTraceOracle(3)
-    assert oracle.class_of_word(T) == HH0Class({"t": 1})
+    assert oracle.class_of_word(E) == HH0Class({0: 1})
     with pytest.raises(NotDivisible):
+        oracle.class_of_word(S)
+
+
+def test_oracle_rejects_a_class_outside_the_tokens(monkeypatch):
+    """A trace that is not symmetric in lambda is the trace of no class in
+    the span of the tokens: pi(T_s) with lambda added to its lower-right entry."""
+    (a, b), (c, d) = hh0_oracle._GENERATORS["s"]
+    monkeypatch.setitem(hh0_oracle._GENERATORS, "s", ((a, b), (c, {**d, 1: ONE})))
+    oracle = TruncatedTraceOracle(3)
+    assert oracle.class_of_word(E) == HH0Class({0: 1})
+    with pytest.raises(RuntimeError, match="not symmetric"):
         oracle.class_of_word(S)
 
 

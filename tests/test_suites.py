@@ -10,6 +10,7 @@ from heckehom import hochschild as hh
 from heckehom import spectral as sp
 from heckehom import torus as tr
 from heckehom.hh0 import HH0Class
+from heckehom.laurent import LaurentQ
 from heckehom.sparse import add_into, add_term
 from heckehom.weyl import WeylWord, all_words, word_mul
 
@@ -121,7 +122,23 @@ _TORUS_R1 = {"torus_ranks": (1,), "torus_window": 1}
 _TORUS_R2 = {"torus_ranks": (2,), "torus_window": 1}
 
 
-# case id, suite, config, mutation, the first witness in order of the stream
+def _chi_m_keeping_lambda_0(monkeypatch):
+    monkeypatch.setattr(
+        sp, "chi_m", lambda x: sp.LambdaElement({n: c for n, c in x.terms.items() if n >= 0})
+    )
+
+
+def _hc_0_plus_1(f):
+    def compute_cyclic(spec, cutoff):
+        report = f(spec, cutoff)
+        report.hc_dims[0] += 1
+        return report
+
+    return compute_cyclic
+
+
+# case id, suite, config, mutation, the first witness in order of the stream;
+# for a value case, its (expected, actual)
 BROKEN = [
     (
         "hecke/associativity",
@@ -332,6 +349,53 @@ BROKEN = [
         ),
         "tuple (0, 1, 0)",
     ),
+    (
+        "hh0/oracle/st",
+        "hh0",
+        {"nmax": 2, "reduce_oracle_cutoff": 2},
+        lambda m: m.setattr(LaurentQ, "shift", lambda self, k: self),
+        ("oracle error: (-2*q + 2*q^2) is not divisible by (1 + q)", "[E(1)]"),
+    ),
+    # the lambda^0 term that chi_m keeps reaches one_gc on [Ts], [Tt] and [E(0)]
+    (
+        "clozel/Ts",
+        "clozel",
+        {"nmax": 2},
+        _chi_m_keeping_lambda_0,
+        "one_gc(Ts) = (1 - q)*[E(0)] + [Ts]",
+    ),
+    *(
+        (
+            f"commutator/{name}/0",
+            "commutator",
+            {"nmax": 2},
+            _chi_m_keeping_lambda_0,
+            ("0", "-2*[E(0)]"),
+        )
+        for name in ("direct-vs-closed", "alternative-form")
+    ),
+    (
+        "rpoly/closed-form/3",
+        "rpoly",
+        {"lmax": 2, "nmax": 3},
+        lambda m: _wrap(
+            m,
+            suites,
+            "r_polynomial",
+            lambda f: lambda x, w: f(x, w).shift(1) if w.length - x.length >= 6 else f(x, w),
+        ),
+        (
+            "q - 2*q^2 + 2*q^3 - 2*q^4 + 2*q^5 - 2*q^6 + q^7",
+            "1 - 2*q + 2*q^2 - 2*q^3 + 2*q^4 - 2*q^5 + q^6",
+        ),
+    ),
+    (
+        "engine/ground_field/degree-0",
+        "engine",
+        {"engine_cutoff": 0},
+        lambda m: _wrap(m, eg, "compute_cyclic", _hc_0_plus_1),
+        ("1", "2"),
+    ),
 ]
 
 
@@ -352,7 +416,8 @@ def test_a_broken_statement_fails_with_its_first_witness(
     mutate(monkeypatch)
     report = suites._SUITES[suite](suites.SuiteConfig(**config))
     case = next(c for c in report.cases if c.id == case_id)
-    assert (case.passed, case.actual) == (False, f"fail {witness}")
+    shown = ("pass", f"fail {witness}") if isinstance(witness, str) else witness
+    assert (case.passed, case.expected, case.actual) == (False, *shown)
 
 
 def test_every_inverse_expansion_fails_on_a_kernel_without_its_difference(monkeypatch):
