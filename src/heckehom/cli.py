@@ -108,6 +108,9 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_verify(args) -> int:
     given = {k: v for k, v in vars(args).items() if k in SuiteConfig._fields}
     cfg = SuiteConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in given.items()})
+    cfg.validate(SUITE_TARGETS if args.target == "all" else (args.target,))
+    if args.out:  # created, not emptied: an unwritable path stops the run before any suite
+        open(args.out, "a", encoding="utf-8").close()
     report = run_suite(args.target, cfg)
     _emit(report.render(args.format), args.out)
     return EXIT_PASS if report.passed else EXIT_FAIL

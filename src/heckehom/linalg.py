@@ -5,14 +5,14 @@ are ints and Fractions; no float ever enters.
 
 The elimination stays in the integers, in the manner of Bareiss (Math.
 Comp. 22, 1968).  Every stored row is a primitive integer row with a
-positive lead: it is divided, together with its payload, only by the gcd
-of their combined content.  ``reduce`` clears a vector's
-denominators once, on entry, and then reduces it by cross-multiplication,
-``residue <- a*residue - b*row`` with a = lead/g and b = coeff/g for
-g = gcd(coeff, lead).  It tracks the product of the factors a as ``scale``,
-so that scale*vec = residue + the combination of rows.  The one division
-of coefficients is ``QuotientSpace.coords``, which returns combo / scale in
-the cycles as given.
+positive lead: it is divided, together with its payload, an integer
+vector, only by the gcd of their combined content.  ``reduce`` clears a
+vector's denominators once, on entry, and then reduces it by
+cross-multiplication, ``residue <- a*residue - b*row`` with a = lead/g
+and b = coeff/g for g = gcd(coeff, lead).  It tracks the product of the
+factors a as ``scale``, so that scale*vec = residue + the combination of
+rows.  The one division of coefficients is ``QuotientSpace.coords``,
+which returns combo / scale in the cycles as given.
 
     >>> basis = GaussianBasis()
     >>> basis.insert({0: 4, 1: 2, 2: 6}), basis.row(0)
@@ -73,13 +73,9 @@ def _cleared(vec: dict) -> tuple[dict, int]:
 
 
 def _primitive(vecs: list[dict], sign: int = 1) -> list[dict]:
-    """The rational vectors vecs times one common factor, as integer vectors
-    whose combined content is 1; sign = -1 negates them as well.
+    """The integer vectors vecs divided by their combined content, so that it
+    is 1; sign = -1 negates them as well.
     """
-    dens = {val.denominator for vec in vecs for val in vec.values() if type(val) is Fraction}
-    if dens:
-        den = lcm(*dens)
-        vecs = [{col: (val * den).numerator for col, val in vec.items()} for vec in vecs]
     divisor = sign * gcd(*(val for vec in vecs for val in vec.values()))
     if divisor == 1:
         return vecs
@@ -89,10 +85,10 @@ def _primitive(vecs: list[dict], sign: int = 1) -> list[dict]:
 class GaussianBasis:
     """Incremental echelon basis of a row space, with optional payloads.
 
-    A payload rides along with its row under normalization; reducing a
-    vector reports the payload combination of the rows that were used.
-    Payloads are how kernels, intersections and quotient coordinates are
-    extracted from one elimination pass.
+    A payload, an integer vector, rides along with its row under
+    normalization; reducing a vector reports the payload combination of the
+    rows that were used.  Payloads are how kernels, intersections and
+    quotient coordinates are extracted from one elimination pass.
     """
 
     __slots__ = ("_rows",)
@@ -223,21 +219,21 @@ def intersect_with_columns(vectors, keep) -> list[dict]:
     """Spanning set of span(vectors) ∩ {support inside keep}.
 
     ``keep`` is a predicate on columns.  Eliminates on the discarded
-    columns while tracking full vectors; dependencies are exactly the
-    combinations supported on the kept columns.  The test oracle of the
-    torus boundaries, which the torus itself no longer cuts to a window.
+    columns while tracking full vectors, cleared of denominators, as
+    payloads; dependencies are exactly the combinations supported on the
+    kept columns.  The test oracle of the torus boundaries, which the torus
+    itself no longer cuts to a window.
     """
     basis = GaussianBasis()
     result = []
-    for vec in vectors:
+    for vec, _ in map(_cleared, vectors):
         outside = {c: v for c, v in vec.items() if not keep(c)}
         if not outside:
-            result.append(dict(vec))
+            result.append(vec)
             continue
-        pivot, dependency = basis.insert(outside, payload=dict(vec))
-        if pivot is None and dependency:
-            if all(keep(c) for c in dependency):
-                result.append(_primitive([dependency])[0])
+        pivot, dependency = basis.insert(outside, payload=vec)
+        if pivot is None and dependency and all(keep(c) for c in dependency):
+            result.append(_primitive([dependency])[0])
     return result
 
 
@@ -246,16 +242,16 @@ class QuotientSpace:
 
     ``boundaries`` is the echelon basis of the boundary span, with no
     payloads; the quotient takes it over and extends it by the cycles, each
-    inserted with payload {index: 1}.  The representatives are the cycles
-    that get a pivot, as given; coords() expresses any vector of
-    cycles+boundaries in them.  ``dim_cycles`` counts the cycles given,
-    their dimension when they are independent, as those of a kernel pass
-    are.
+    inserted with payload {index: 1}.  ``cycles`` keeps the cycles as given,
+    and the representatives are those that get a pivot; coords() expresses
+    any vector of cycles+boundaries in them.  ``dim_cycles`` counts the
+    cycles, their dimension when they are independent, as those of a kernel
+    pass are.
     """
 
     def __init__(self, boundaries: GaussianBasis, cycles: list[dict]):
         self._basis = boundaries
-        self.dim_cycles = len(cycles)
+        self.cycles = cycles
         self.representatives: list[dict] = []
         for vec in cycles:
             pivot, _ = self._basis.insert(vec, payload={len(self.representatives): 1})
@@ -265,6 +261,10 @@ class QuotientSpace:
     @property
     def dim(self) -> int:
         return len(self.representatives)
+
+    @property
+    def dim_cycles(self) -> int:
+        return len(self.cycles)
 
     def coords(self, vec: dict) -> dict:
         """Coordinates of vec in the representatives: the combo of ``reduce``

@@ -124,13 +124,6 @@ class SuiteConfig(namedtuple(
         if "engine" in targets:
             # load every algebra now: a bad spec file or an algebra too large
             # for the cutoff stops the run before any suite
-            for spec in self.engine_specs:
-                try:
-                    eg._guard(spec, self.engine_cutoff)
-                except eg.TooLarge as err:
-                    raise ConfigError(
-                        f"algebra {spec.name!r} at engine cutoff {self.engine_cutoff}: {err}"
-                    ) from None
             _reject_repeats("engine algebra", [spec.name for spec in self.engine_specs])
 
     @cached_property
@@ -168,15 +161,21 @@ class SuiteConfig(namedtuple(
     @cached_property
     def engine_specs(self) -> list[eg.AlgebraSpec]:
         """The default built-ins, then the algebras of engine_spec_files, each
-        loaded once.  A spec file too large for the engine cutoff is parsed
-        but not validated, since its associativity check costs O(dim^5) on
-        dense structure constants: ``validate`` refuses it with the guard's error."""
-        files = [eg.load_algebra_file(path, self._guarded_check) for path in self.engine_spec_files]
-        return [eg.builtin_algebra(name) for name in DEFAULT_ENGINE_ALGEBRAS] + files
+        loaded once and held to the engine's guard as it loads, a spec file
+        before its O(dim^5) checks; ConfigError names the first too large."""
 
-    def _guarded_check(self, spec: eg.AlgebraSpec) -> eg.AlgebraSpec:
-        fits = eg.within(spec.dim, self.engine_cutoff + 1, eg.CHAIN_GUARD)
-        return eg.load_algebra(spec) if fits else spec
+        def guarded(spec: eg.AlgebraSpec) -> eg.AlgebraSpec:
+            try:
+                eg._guard(spec, self.engine_cutoff)
+            except eg.TooLarge as err:
+                raise ConfigError(
+                    f"algebra {spec.name!r} at engine cutoff {self.engine_cutoff}: {err}"
+                ) from None
+            return spec
+
+        builtins = [guarded(eg.builtin_algebra(name)) for name in DEFAULT_ENGINE_ALGEBRAS]
+        check = lambda spec: eg.load_algebra(guarded(spec))
+        return builtins + [eg.load_algebra_file(path, check) for path in self.engine_spec_files]
 
 
 def csv_text(rows) -> str:
@@ -632,7 +631,7 @@ def suite_torus(cfg: SuiteConfig) -> SuiteReport:
             )
 
         for p in sbi:
-            ok = tr.compact_part_of_b_image_is_boundary(rank, cfg.torus_window, p, ladder[p + 1])
+            ok = tr.compact_part_of_b_image_is_boundary(ladder[p], ladder[p + 1])
             report.add_bool(
                 f"torus/sbi-instance/r{rank}/p{p}",
                 "class_action(B(z)) is a boundary for every windowed invariant cycle z",

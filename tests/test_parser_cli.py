@@ -418,6 +418,32 @@ def test_bad_spec_file_stops_verify_all_before_any_suite(tmp_path, capsys, monke
     assert entered == []
 
 
+def test_unwritable_out_stops_verify_all_before_any_suite(tmp_path, capsys, monkeypatch):
+    from heckehom import suites
+
+    entered = []
+    for name in suites._SUITES:
+        monkeypatch.setitem(suites._SUITES, name, lambda cfg, name=name: entered.append(name))
+    path = tmp_path / "missing" / "x.json"
+    assert main(["verify", "all", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0]
+    assert entered == [] and not path.parent.exists()
+
+
+def test_out_is_left_as_it_is_when_validation_stops_the_run(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text("kept\n")
+    assert main(["verify", "all", "--engine-cutoff", "20", "--out", str(path)]) == 2
+    assert path.read_text() == "kept\n"
+    assert main(["verify", "clozel", "--nmax", "1", "--out", str(tmp_path / "new.txt")]) == 0
+    assert (tmp_path / "new.txt").read_text().startswith("suite: clozel")
+    assert main(["verify", "clozel", "--nmax", "1", "--out", str(path)]) == 0
+    assert path.read_text() == (tmp_path / "new.txt").read_text()
+
+
 def test_spec_over_the_guard_is_refused_before_its_checks(tmp_path, capsys, monkeypatch):
     """The guard reads the parsed dim, so a spec file too large for the cutoff
     exits 2 without its unit and associativity checks, O(dim^5) on dense

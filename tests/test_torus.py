@@ -246,9 +246,9 @@ def _square(rank, window, degree):
 
 
 def _sbi(rank, window, degree):
-    """The SBI check on H_{degree+1} of its own homology ladder."""
-    quotient = tr._invariant_sector_dims(rank, window, degree + 1)[degree + 1]
-    return tr.compact_part_of_b_image_is_boundary(rank, window, degree, quotient)
+    """The SBI check on H_degree and H_{degree+1} of its own homology ladder."""
+    ladder = tr._invariant_sector_dims(rank, window, degree + 1)
+    return tr.compact_part_of_b_image_is_boundary(ladder[degree], ladder[degree + 1])
 
 
 def test_square_check_rank_one():
@@ -323,16 +323,19 @@ def test_normalize_chain():
 
 def test_suite_torus_eliminates_each_sector_degree_once_per_rank(monkeypatch):
     # verify torus --window 1: one homology ladder per rank, in which every
-    # sector source of degrees 1 to top + 1 is taken once
+    # sector source of degrees 1 to top + 1 is taken once, and no boundary
+    # is formed outside a ladder
     from heckehom.suites import SuiteConfig, suite_torus
 
-    calls, seen = [], []
+    calls, seen, outside, running = [], [], [], []
     homology, boundary_key = tr.homology, tr.boundary_key
 
     def counting_homology(bases, boundary, closed=True):
         calls.append(len(bases) - 2)
         seen.clear()
+        running.append(True)
         quotients = homology(bases, boundary, closed)
+        running.pop()
         # labels carry no rank: the sources of exactly one of ranks 1 and 2
         # are taken, those of the rank of this call, in --rank order
         sources = lambda rank: sorted(
@@ -346,13 +349,14 @@ def test_suite_torus_eliminates_each_sector_degree_once_per_rank(monkeypatch):
         return quotients
 
     def counting_boundary(key):
-        seen.append(key)
+        (seen if running else outside).append(key)
         return boundary_key(key)
 
     monkeypatch.setattr(tr, "homology", counting_homology)
     monkeypatch.setattr(tr, "boundary_key", counting_boundary)
     assert suite_torus(SuiteConfig(torus_window=1)).passed
     assert calls == [2, 2]  # ranks 1 and 2, up to H_2
+    assert outside == []
 
 
 def test_open_sector_needs_the_full_top_pass():
