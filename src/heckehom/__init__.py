@@ -70,7 +70,6 @@ from .engine import (
     compute_cyclic,
     compute_hochschild,
     load_algebra,
-    sbi_exactness_check,
 )
 from .exprparse import ParseError, parse_hecke, parse_laurent
 

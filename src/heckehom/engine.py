@@ -1,23 +1,25 @@
 """Exact Hochschild and cyclic homology of small unital algebras.
 
-An algebra is given by structure constants, stored as ints where they are
-integral (as in every built-in algebra) and as Fractions otherwise; the
-engine builds the normalized Hochschild complex A (x) (A/k)^(x)p on tuple
-keys, with the boundary b and the normalized Connes operator B = s N of
-``hochschild`` (after a change of basis that makes the unit a basis
-vector), and computes homology by exact sparse elimination in that
-integer-first arithmetic: ``linalg.homology`` on a closed complex.
-Cyclic homology comes from the (b, B) mixed complex; the S, B, I maps
-between the computed groups are produced on explicit homology bases, so
-exactness of the long sequence can be verified by rank counting.  A
-basis key of Tot_n is (j, key) for a basis key of C_{n-2j}.  On a group
-algebra, a class function F acts on chains and on Tot by the diagonal
-action of ``hochschild``, with the plain weight F(g_0 ... g_p) of
+An algebra is given by structure constants, ints where integral and
+Fractions otherwise; the engine builds the normalized Hochschild complex
+A (x) (A/k)^(x)p on tuple keys, with b and the normalized Connes operator
+B = s N of ``hochschild`` (after a change of basis that makes the unit a
+basis vector), and computes homology exactly by ``linalg.homology`` on a
+closed complex.  Cyclic homology comes from the (b, B) mixed complex, whose
+Tot_n has the basis keys (j, key) for key in C_{n-2j}.  ``compute_cyclic``
+returns one immutable ``HomologyReport``: the stack, chain_dims, HH and HC
+(hh, hc and their dims), the S, B, I maps on explicit homology bases, and
+in ``report.exactness`` the rank count at each node of the S-B-I sequence.
+On a group algebra, a class function F acts on chains and on Tot by the
+diagonal action of ``hochschild``, with the plain weight F(g_0 ... g_p) of
 ``class_weight``, and is checked against the structure maps in the one
 identity sweep of ``hochschild``, with the precyclic identities.
 
 Chains one degree above the report cutoff are always built, so every
-reported dimension is unaffected by the truncation.
+reported dimension is unaffected by the truncation.  ``_guard`` refuses a
+cutoff N at which C_{N+1} (dim^(N+1) tuples), the normalized C_{N+1}
+(dim*(dim-1)^(N+1)) or the top degree t = max(N, min(N+1, 3)) of the
+identity sweep (dim^(t+1)) has more than CHAIN_GUARD tuples.
 """
 
 from __future__ import annotations
@@ -312,36 +314,35 @@ class ChainStack:
 ExactnessNode = namedtuple("ExactnessNode", "node rank_in rank_out dim exact")
 
 
-class HomologyReport:
-    def __init__(self, algebra: str, cutoff: int, hh_dims: list[int], _stack: ChainStack | None = None):
-        self.algebra, self.cutoff, self.hh_dims, self._stack = algebra, cutoff, hh_dims, _stack
-        self.hc_dims: list[int] | None = None
-        self.exactness: list[ExactnessNode] = []
-        self.chain_dims: list[int] = []
-        self._hh: list[QuotientSpace] = []
-        self._hc: list[QuotientSpace] = []
-        self.i_maps: dict[int, list[dict]] = {}
-        self.s_maps: dict[int, list[dict]] = {}
-        self.b_maps: dict[int, list[dict]] = {}
+class HomologyReport(namedtuple("HomologyReport", "stack cutoff chain_dims hh hh_dims hc hc_dims "
+                                "i_maps s_maps b_maps exactness", defaults=(None,) * 6)):
+    """hh[n], hc[n]: the QuotientSpaces of HH_n, HC_n; each map is keyed by the
+    degree of its domain.  ``compute_hochschild`` leaves the HC fields None."""
+
+    __slots__ = ()
 
 
 def _guard(spec: AlgebraSpec, cutoff: int) -> None:
+    """TooLarge at the first of the module docstring's three counts above CHAIN_GUARD."""
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    if not within(spec.dim, cutoff + 1, CHAIN_GUARD):
-        raise TooLarge(f"dim^(N+1) = {spec.dim}^{cutoff + 1} exceeds the guard {CHAIN_GUARD}")
+    dim, n, top = spec.dim, cutoff + 1, max(cutoff, min(cutoff + 1, 3))
+    for count, base, exponent, cap in [
+        (f"dim^(N+1) = {dim}^{n}", dim, n, CHAIN_GUARD),
+        (f"dim*(dim-1)^(N+1) = {dim}*{dim - 1}^{n}", dim - 1, n, CHAIN_GUARD // dim),
+        (f"dim^(t+1) = {dim}^{top + 1} at sweep degree t = {top}", dim, top + 1, CHAIN_GUARD),
+    ]:
+        if not within(base, exponent, cap):
+            raise TooLarge(f"{count} exceeds the guard {CHAIN_GUARD}")
 
 
 def compute_hochschild(spec: AlgebraSpec, cutoff: int) -> HomologyReport:
     """Exact HH_0..HH_cutoff with representative cycles."""
     _guard(spec, cutoff)
     stack = ChainStack(spec)
-    report = HomologyReport(algebra=spec.name, cutoff=cutoff, hh_dims=[], _stack=stack)
-    report.chain_dims = [stack.dim_chain(p) for p in range(cutoff + 2)]
-    bases = [stack.keys(p) for p in range(cutoff + 2)]
-    report._hh = homology(bases, stack.boundary)
-    report.hh_dims = [quotient.dim for quotient in report._hh]
-    return report
+    chain_dims = [stack.dim_chain(p) for p in range(cutoff + 2)]
+    hh_quotients = homology([stack.keys(p) for p in range(cutoff + 2)], stack.boundary)
+    return HomologyReport(stack, cutoff, chain_dims, hh_quotients, [q.dim for q in hh_quotients])
 
 
 def _tot_keys(stack: ChainStack, n: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -361,14 +362,16 @@ def _tot_boundary(stack: ChainStack, tot_key) -> dict:
 
 
 def compute_cyclic(spec: AlgebraSpec, cutoff: int) -> HomologyReport:
-    """HH and HC through the cutoff, with S, B, I on homology bases."""
+    """HH and HC through the cutoff, with S, B, I on homology bases and the
+    exactness of the S-B-I sequence."""
     report = compute_hochschild(spec, cutoff)
-    stack = report._stack
+    stack = report.stack
     bases = [_tot_keys(stack, n) for n in range(cutoff + 2)]
-    report._hc = homology(bases, lambda key: _tot_boundary(stack, key))
-    report.hc_dims = [quotient.dim for quotient in report._hc]
-    _build_sbi_maps(report)
-    return report
+    hc = homology(bases, lambda key: _tot_boundary(stack, key))
+    report = report._replace(hc=hc, hc_dims=[quotient.dim for quotient in hc])
+    i_maps, s_maps, b_maps = _build_sbi_maps(report)
+    report = report._replace(i_maps=i_maps, s_maps=s_maps, b_maps=b_maps)
+    return report._replace(exactness=_exactness(report))
 
 
 def _matrix_of(domain_reps, apply_map, codomain: QuotientSpace) -> list[dict]:
@@ -376,10 +379,11 @@ def _matrix_of(domain_reps, apply_map, codomain: QuotientSpace) -> list[dict]:
     return [codomain.coords(apply_map(rep)) for rep in domain_reps]
 
 
-def _build_sbi_maps(report: HomologyReport) -> None:
-    """I includes C_n as the j = 0 part of Tot_n, S drops j by one and B
-    applies the Connes operator to the j = 0 part."""
-    stack = report._stack
+def _build_sbi_maps(report: HomologyReport) -> tuple[dict, dict, dict]:
+    """The I, S and B maps, each keyed by the degree of its domain: I
+    includes C_n as the j = 0 part of Tot_n, S drops j by one and B applies
+    the Connes operator to the j = 0 part."""
+    stack, hc = report.stack, report.hc
 
     def include(rep):
         return {(0, key): c for key, c in rep.items()}
@@ -390,13 +394,15 @@ def _build_sbi_maps(report: HomologyReport) -> None:
     def bmap(rep):
         return linear(stack.connes_B, {key: c for (j, key), c in rep.items() if not j})
 
+    i_maps, s_maps, b_maps = {}, {}, {}
     for n in range(report.cutoff + 1):
-        hc_reps = report._hc[n].representatives
-        report.i_maps[n] = _matrix_of(report._hh[n].representatives, include, report._hc[n])
+        hc_reps = hc[n].representatives
+        i_maps[n] = _matrix_of(report.hh[n].representatives, include, hc[n])
         if n >= 2:
-            report.s_maps[n] = _matrix_of(hc_reps, drop, report._hc[n - 2])
+            s_maps[n] = _matrix_of(hc_reps, drop, hc[n - 2])
         if n + 1 <= report.cutoff:
-            report.b_maps[n] = _matrix_of(hc_reps, bmap, report._hh[n + 1])
+            b_maps[n] = _matrix_of(hc_reps, bmap, report.hh[n + 1])
+    return i_maps, s_maps, b_maps
 
 
 def _mat_compose(second: list[dict], first: list[dict]) -> list[dict]:
@@ -404,14 +410,9 @@ def _mat_compose(second: list[dict], first: list[dict]) -> list[dict]:
     return [linear(second.__getitem__, col) for col in first]
 
 
-def sbi_exactness_check(report: HomologyReport) -> list[ExactnessNode]:
+def _exactness(report: HomologyReport) -> list[ExactnessNode]:
     """Exactness of ... -> HC_{n+1} -S-> HC_{n-1} -B-> HH_n -I-> HC_n -> ...
-
-    at every node computable within the cutoff; results are stored on the
-    report and returned.
-    """
-    if report.hc_dims is None:
-        raise ValueError("run compute_cyclic first")
+    at every node computable within the cutoff."""
     cutoff = report.cutoff
     nodes: list[ExactnessNode] = []
 
@@ -430,7 +431,6 @@ def sbi_exactness_check(report: HomologyReport) -> list[ExactnessNode]:
     for m in range(cutoff - 1):
         node(f"HC_{m} (after S)", report.s_maps.get(m + 2, []), report.b_maps.get(m, []),
              report.hc_dims[m])
-    report.exactness = nodes
     return nodes
 
 
@@ -463,7 +463,7 @@ def idempotent_commutator_square_is_zero(report: HomologyReport, e_weight, f_wei
         act = lambda rep: hh.class_action(rep, lambda tot_key: weight(tot_key[1]))
         return _matrix_of(hc.representatives, act, hc)
 
-    for hc in report._hc:
+    for hc in report.hc:
         e_mat, f_mat = matrix(e_weight, hc), matrix(f_weight, hc)
         ef = _mat_compose(e_mat, f_mat)
         fe = _mat_compose(f_mat, e_mat)

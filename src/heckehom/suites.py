@@ -700,7 +700,7 @@ def suite_engine(cfg: SuiteConfig) -> SuiteReport:
         wanted = {"precyclic-identities": range(1, top + 1)}
         if indicator is not None:
             wanted["class-action-commutes"] = range(cutoff + 1)
-        failed = result._stack.verify_structure_identities(wanted, indicator)
+        failed = result.stack.verify_structure_identities(wanted, indicator)
         report.add_bool(
             f"engine/{spec.name}/precyclic-identities",
             "d_i d_j = d_{j-1} d_i for i < j and t^(p+1) = 1 on the chain stack",
@@ -728,8 +728,7 @@ def suite_engine(cfg: SuiteConfig) -> SuiteReport:
             result.hh_dims[0],
             result.hc_dims[0],
         )
-        nodes = eg.sbi_exactness_check(result)
-        for node in nodes:
+        for node in result.exactness:
             report.add_bool(
                 f"engine/{spec.name}/exact/{node.node.replace(' ', '')}",
                 "the S-B-I long sequence is exact at this node",

@@ -177,7 +177,7 @@ def test_criterion_7_engine_correctness():
     for name, (hh_expected, hc_expected) in cases.items():
         spec = eg.builtin_algebra(name)
         report = eg.compute_cyclic(spec, 4)
-        nodes = eg.sbi_exactness_check(report)
+        nodes = report.exactness
         if report.hh_dims != hh_expected or report.hc_dims != hc_expected:
             ok, detail = False, f"{name}: HH={report.hh_dims}, HC={report.hc_dims}"
             break
@@ -187,7 +187,7 @@ def test_criterion_7_engine_correctness():
         if spec.group_table is not None:
             weight = eg.class_weight(spec, {0: Fraction(1)})
             wanted = {"class-action-commutes": range(5)}
-            if "class-action-commutes" in report._stack.verify_structure_identities(wanted, weight):
+            if "class-action-commutes" in report.stack.verify_structure_identities(wanted, weight):
                 ok, detail = False, f"{name}: class action fails to commute"
                 break
     _report(
@@ -209,7 +209,7 @@ def test_criterion_8_higher_homology_scope():
     commutes, consistent, _, _ = tr.homology_square_check(1, 2, 1)
     torus_instance = commutes and consistent
     engine_instance = eg.compute_cyclic(eg.builtin_algebra("cyclic_2"), 2)
-    engine_ok = all(node.exact for node in eg.sbi_exactness_check(engine_instance))
+    engine_ok = all(node.exact for node in engine_instance.exactness)
     _report(
         "criterion 8: higher-homology statements are covered only by their torus and finite-dimensional instances",
         torus_instance and engine_ok,

@@ -221,7 +221,7 @@ def test_unit_basis():
 
 def test_chain_dims_are_normalized():
     report = eg.compute_hochschild(eg.builtin_algebra("cyclic_5"), 3)
-    stack = report._stack
+    stack = report.stack
     assert report.chain_dims == [5, 20, 80, 320, 1280]
     for p in range(5):
         keys = stack.keys(p)
@@ -256,7 +256,7 @@ def _sbi_exact(report):
 
 def test_sbi_exactness():
     report = eg.compute_cyclic(eg.builtin_algebra("ground_field"), 4)
-    nodes = eg.sbi_exactness_check(report)
+    nodes = report.exactness
     assert nodes and all(node.exact for node in nodes)
     assert _sbi_exact(report)
     # S: HC_2 -> HC_0 is an isomorphism for the ground field
@@ -264,13 +264,34 @@ def test_sbi_exactness():
     assert span_basis(s_matrix).rank == 1 == report.hc_dims[2] == report.hc_dims[0]
     for name in ("cyclic_3", "upper_triangular_2", "dual_numbers"):
         result = eg.compute_cyclic(eg.builtin_algebra(name), 3)
-        assert all(node.exact for node in eg.sbi_exactness_check(result))
+        assert all(node.exact for node in result.exactness)
+
+
+def test_cyclic_report_is_a_complete_immutable_record():
+    """compute_cyclic returns the exactness nodes with the groups, and no
+    field of the report can be assigned afterwards."""
+    report = eg.compute_cyclic(eg.builtin_algebra("cyclic_2"), 2)
+    assert [tuple(node) for node in report.exactness] == [
+        ("HH_0", 0, 2, 2, True),
+        ("HH_1", 0, 0, 0, True),
+        ("HH_2", 0, 0, 0, True),
+        ("HC_0 (after I)", 2, 0, 2, True),
+        ("HC_1 (after I)", 0, 0, 0, True),
+        ("HC_2 (after I)", 0, 2, 2, True),
+        ("HC_0 (after S)", 2, 0, 2, True),
+    ]
+    for field in eg.HomologyReport._fields:
+        with pytest.raises(AttributeError):
+            setattr(report, field, None)
+    hochschild_only = eg.compute_hochschild(eg.builtin_algebra("cyclic_2"), 2)
+    assert hochschild_only.hh_dims == report.hh_dims == [2, 0, 0]
+    assert hochschild_only.hc is hochschild_only.exactness is None
 
 
 def test_class_function_action():
     spec = eg.builtin_algebra("cyclic_2")
     report = eg.compute_cyclic(spec, 3)
-    stack = report._stack
+    stack = report.stack
     indicator = eg.class_weight(spec, {0: Fraction(1)})
     # F = 1 acts as the identity in every degree
     ones = eg.class_weight(spec, {0: Fraction(1), 1: Fraction(1)})
@@ -371,7 +392,6 @@ def test_group_algebra_closed_form_at_cutoff_4(m):
     report = eg.compute_cyclic(eg.builtin_algebra(f"cyclic_{m}"), 4)
     assert report.hh_dims == [m, 0, 0, 0, 0]
     assert report.hc_dims == [m, 0, m, 0, m]
-    eg.sbi_exactness_check(report)
     assert _sbi_exact(report)
 
 
@@ -410,27 +430,30 @@ def test_single_pass_homology_matches_two_pass_oracle(name):
     cutoff = 3
     spec = eg.builtin_algebra(name)
     report = eg.compute_cyclic(spec, cutoff)
-    stack = report._stack
+    stack = report.stack
     hh_bases = [stack.keys(p) for p in range(cutoff + 2)]
     tot_bases = [eg._tot_keys(stack, n) for n in range(cutoff + 2)]
 
-    oracle = eg.HomologyReport(algebra=name, cutoff=cutoff, hh_dims=[], _stack=stack)
-    oracle._hh = _two_pass_quotients(hh_bases, stack.boundary, cutoff)
-    oracle._hc = _two_pass_quotients(
-        tot_bases, lambda key: eg._tot_boundary(stack, key), cutoff
+    oracle = eg.HomologyReport(
+        stack=stack,
+        cutoff=cutoff,
+        chain_dims=None,
+        hh=_two_pass_quotients(hh_bases, stack.boundary, cutoff),
+        hh_dims=None,
+        hc=_two_pass_quotients(tot_bases, lambda key: eg._tot_boundary(stack, key), cutoff),
     )
-    eg._build_sbi_maps(oracle)
+    i_maps, s_maps, b_maps = eg._build_sbi_maps(oracle)
 
-    assert [q.dim for q in oracle._hh] == report.hh_dims
-    assert [q.dim for q in oracle._hc] == report.hc_dims
-    for mine, theirs in zip(report._hh + report._hc, oracle._hh + oracle._hc):
+    assert [q.dim for q in oracle.hh] == report.hh_dims
+    assert [q.dim for q in oracle.hc] == report.hc_dims
+    for mine, theirs in zip(report.hh + report.hc, oracle.hh + oracle.hc):
         # the oracle's boundary rows are its full boundary span
         assert mine.dim_cycles - mine.dim == theirs._basis.rank - theirs.dim
         _same_columns(mine.representatives, theirs.representatives)
     for maps, oracle_maps in (
-        (report.i_maps, oracle.i_maps),
-        (report.s_maps, oracle.s_maps),
-        (report.b_maps, oracle.b_maps),
+        (report.i_maps, i_maps),
+        (report.s_maps, s_maps),
+        (report.b_maps, b_maps),
     ):
         assert maps.keys() == oracle_maps.keys()
         for n in maps:

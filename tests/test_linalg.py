@@ -187,8 +187,7 @@ def test_coefficients_are_never_float(rational):
 
 def test_engine_homology_coefficients_are_exact():
     report = eg.compute_cyclic(eg.builtin_algebra("upper_triangular_2"), 2)
-    eg.sbi_exactness_check(report)
-    for quotient in report._hh + report._hc:
+    for quotient in report.hh + report.hc:
         for pivot in quotient._basis.pivots:
             row, payload = quotient._basis.row(pivot)
             _assert_exact(row)
@@ -366,7 +365,7 @@ def test_quotient_coords_of_representatives(name):
     {i: 1}, half of it {i: 1/2}, and every S/B/I matrix entry follows
     sparse.exact."""
     report = eg.compute_cyclic(eg.builtin_algebra(name), 3)
-    for quotient in report._hh + report._hc:
+    for quotient in report.hh + report.hc:
         for index, rep in enumerate(quotient.representatives):
             coords = quotient.coords(rep)
             assert coords == {index: 1} and type(coords[index]) is int

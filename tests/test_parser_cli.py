@@ -467,9 +467,42 @@ def test_spec_over_the_guard_is_refused_before_its_checks(tmp_path, capsys, monk
         "error: algebra 'z11' at engine cutoff 4: dim^(N+1) = 11^5 exceeds the guard 100000\n"
     )
     assert "z11" not in checked
-    # within the guard the same file is checked
-    SuiteConfig(engine_cutoff=3, engine_spec_files=(str(path),)).validate(("engine",))
+    # within the guard the same file is checked; at cutoff 3 its normalized
+    # C_4 has 11 * 10^4 tuples, so cutoff 2 is the largest the guard admits
+    SuiteConfig(engine_cutoff=2, engine_spec_files=(str(path),)).validate(("engine",))
     assert checked == ["z11"]
+
+
+@pytest.mark.parametrize(
+    "m, count",
+    [
+        # 60^2 = 3,600, but the normalized C_2 has 60 * 59^2 = 208,860 tuples
+        (60, "dim*(dim-1)^(N+1) = 60*59^2"),
+        # 47 * 46^2 = 99,452, but the sweep's degree 2 has 47^3 = 103,823 tuples
+        (47, "dim^(t+1) = 47^3 at sweep degree t = 2"),
+    ],
+)
+def test_spec_is_refused_for_the_chains_the_engine_builds(tmp_path, capsys, monkeypatch, m, count):
+    """Q^m, m orthogonal idempotents, at cutoff 1: dim^(N+1) is within the
+    guard, but a chain space the engine builds is not.  It exits 2 before
+    its checks, with every suite stubbed."""
+    from heckehom import engine as eg
+    from heckehom import suites
+
+    entered = []
+    for name in suites._SUITES:
+        monkeypatch.setitem(suites._SUITES, name, lambda cfg, name=name: entered.append(name))
+    monkeypatch.setattr(eg, "load_algebra", lambda spec: entered.append("load_algebra") or spec)
+    products = [{"i": i, "j": i, "coeffs": [int(k == i) for k in range(m)]} for i in range(m)]
+    path = tmp_path / "diagonal.json"
+    path.write_text(json.dumps({"name": f"q{m}", "dim": m, "unit": [1] * m, "products": products}))
+    assert main(["verify", "engine", "--engine-cutoff", "1", "--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: algebra 'q{m}' at engine cutoff 1: {count} exceeds the guard 100000\n"
+    )
+    assert entered == []
 
 
 @pytest.mark.parametrize(

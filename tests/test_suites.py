@@ -1,6 +1,9 @@
 """SuiteReport.check, and a negative control for every case it decides."""
 
+import json
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +155,34 @@ def _hc_0_plus_1(f):
     return compute_cyclic
 
 
+def _accepts_every_spec(f):
+    return lambda spec: spec
+
+
+def _oracle_rule_plus_1(entry):
+    """One more at one entry of the dual numbers' oracle rule (HH_0, HH_p for
+    p >= 1, HC_0): the expected side of the hh-dims and hc-dims cases."""
+
+    def mutate(monkeypatch):
+        rule = list(suites.ENGINE_ORACLE_DIMS["dual_numbers"])
+        rule[entry] += 1
+        monkeypatch.setitem(suites.ENGINE_ORACLE_DIMS, "dual_numbers", tuple(rule))
+
+    return mutate
+
+
+def _compact_reads_first_entry(monkeypatch):
+    monkeypatch.setattr(tr, "_compact", lambda key: int(not key[0]))  # the first label is 0
+
+
+def _without_s_maps(f):
+    def build_sbi_maps(report):
+        i_maps, _, b_maps = f(report)
+        return i_maps, {}, b_maps
+
+    return build_sbi_maps
+
+
 # case id, suite, config, mutation, the first witness in order of the stream;
 # for a value case, its (expected, actual)
 BROKEN = [
@@ -287,8 +318,26 @@ BROKEN = [
         "torus/class-action-commutes/r1",
         "torus",
         _TORUS_R1,
-        lambda m: m.setattr(tr, "_compact", lambda key: int(not key[0])),
+        _compact_reads_first_entry,
         "((-2,),)",
+    ),
+    # the same weight breaks the square on tuples such as ((1,), (-1,))
+    ("torus/square/r1/p1", "torus", _TORUS_R1, _compact_reads_first_entry, ("pass", "fail")),
+    # B sent to zero: hkr . B = c * d . hkr holds only with c = 0
+    (
+        "torus/hkr-b-constant/r1/p0",
+        "torus",
+        _TORUS_R1,
+        lambda m: m.setattr(tr, "connes_b_key", lambda key: {}),
+        ("pass", "fail"),
+    ),
+    # B without its cyclic norm: B(a, -a) = (0, a, -a) is not a boundary
+    (
+        "torus/sbi-instance/r1/p1",
+        "torus",
+        _TORUS_R1,
+        lambda m: m.setattr(tr, "connes_b_key", lambda key: {(0,) + key: 1}),
+        ("pass", "fail"),
     ),
     # rank 2: each fault on a tuple that is not the smallest rotation of its
     # orbit, where the sweep starts the orbit
@@ -412,6 +461,13 @@ BROKEN = [
         for name in ("direct-vs-closed", "alternative-form")
     ),
     (
+        "rpoly/inverse-expansion/1",
+        "rpoly",
+        {"lmax": 1, "nmax": 1},
+        _kernel_without_its_difference,
+        ("(q^-1 - 2 + q)*T[e] + (q^-1 - 1)*T[s] + (q^-1 - 1)*T[t]", "0"),
+    ),
+    (
         "rpoly/closed-form/3",
         "rpoly",
         {"lmax": 2, "nmax": 3},
@@ -427,6 +483,18 @@ BROKEN = [
         ),
     ),
     (
+        "engine/not-associative",
+        "engine",
+        {"engine_cutoff": 0},
+        lambda m: _wrap(m, eg, "load_algebra", _accepts_every_spec),
+        ("pass", "fail"),
+    ),
+    *(
+        (f"engine/dual_numbers/{kind}-dims", "engine", {"engine_cutoff": 0},
+         _oracle_rule_plus_1(entry), ("[3]", "[2]"))
+        for kind, entry in (("hh", 0), ("hc", 2))
+    ),
+    (
         "engine/ground_field/degree-0",
         "engine",
         {"engine_cutoff": 0},
@@ -438,9 +506,7 @@ BROKEN = [
         "engine/ground_field/exact/HC_0(afterS)",
         "engine",
         {"engine_cutoff": 2},
-        lambda m: _wrap(
-            m, eg, "_build_sbi_maps", lambda f: lambda report: f(report) or report.s_maps.clear()
-        ),
+        lambda m: _wrap(m, eg, "_build_sbi_maps", _without_s_maps),
         ("pass", "fail"),
     ),
     # a validation that skips the unit checks when no unit is given
@@ -484,6 +550,41 @@ def test_a_broken_statement_fails_with_its_first_witness(
     assert (case.passed, case.expected, case.actual) == (False, *shown)
 
 
+# the case families of the default report with no BROKEN row, each with the
+# reason that no mutant can make it fail
+VACUOUS = {
+    "engine/*/idempotent-commutator": "the 'everything' weight acts as the identity and "
+    "both actions are diagonal on chains, so [e, F]^2 = 0 on every computed group",
+}
+
+# the parts of a case id that name an instance, not a check: a Weyl word, a
+# number, a rank r<n> or degree p<n>, an algebra or S-B-I node (each with
+# '_'), or a token such as Ts or E0
+_INSTANCE = re.compile(r"[st]+|e|[rp]?-?[0-9]+|.*_.*|[A-Z].*")
+
+
+def _family(case_id: str) -> str:
+    """The case family of an id: each instance part replaced by '*'."""
+    return "/".join("*" if _INSTANCE.fullmatch(part) else part for part in case_id.split("/"))
+
+
+def _without_a_row(families, rows) -> set:
+    return families - {_family(case_id) for case_id, *_ in rows} - VACUOUS.keys()
+
+
+def test_every_case_family_has_a_broken_row_or_is_vacuous():
+    golden = Path(__file__).with_name("golden") / "verify_all.json"
+    families = {_family(case["id"]) for case in json.loads(golden.read_text())["cases"]}
+    assert len(families) == 39
+    assert {"engine/*/exact/*", "torus/square/*/*", "clozel/*", "geomlemma/*"} <= families
+    assert _without_a_row(families, BROKEN) == set()
+    # a vacuity entry names a family of the report that has no row
+    assert VACUOUS.keys() <= families - {_family(case_id) for case_id, *_ in BROKEN}
+    # negative control: a family whose rows are dropped is found
+    rows = [row for row in BROKEN if not row[0].startswith("torus/sbi-instance/")]
+    assert _without_a_row(families, rows) == {"torus/sbi-instance/*/*"}
+
+
 def test_every_inverse_expansion_fails_on_a_kernel_without_its_difference(monkeypatch):
     """T_{(ts)^n}^-1 comes out as q^-2n T_{(st)^n}, so each left side is 0,
     and the signed R-polynomial sum on the right is not."""
@@ -499,7 +600,7 @@ def test_every_inverse_expansion_fails_on_a_kernel_without_its_difference(monkey
     "wrong",
     [
         # a validation that never rejects
-        lambda f: lambda spec: spec,
+        _accepts_every_spec,
         # a validation that never reads e_1 * e_2, the product the witness needs
         lambda f: lambda spec: f(spec._replace(
             products={pair: vec for pair, vec in spec.products.items() if pair != (1, 2)}
@@ -532,19 +633,30 @@ def test_an_oracle_value_case_fails_on_a_wrong_class(monkeypatch):
 
 
 def test_each_engine_algebra_builds_one_chain_stack(monkeypatch):
-    """compute_cyclic builds the stack, and the identity sweep runs on it."""
-    built = []
+    """compute_cyclic builds the stack, and the identity sweep runs on it;
+    the suite reads only public fields of the report."""
+    built, read = [], []
 
     class Counted(eg.ChainStack):
         def __init__(self, spec):
             built.append(spec.name)
             super().__init__(spec)
 
+    class Watched(eg.HomologyReport):
+        __slots__ = ()
+
+        def __getattribute__(self, name):
+            read.append(name)
+            return super().__getattribute__(name)
+
     monkeypatch.setattr(eg, "ChainStack", Counted)
+    _wrap(monkeypatch, eg, "compute_cyclic", lambda f: lambda *args: Watched(*f(*args)))
     cfg = suites.SuiteConfig(engine_cutoff=2)
     assert suites.suite_engine(cfg).passed
     assert Counter(built) == Counter(spec.name for spec in cfg.engine_specs)
     assert len(built) == len(suites.DEFAULT_ENGINE_ALGEBRAS)
+    assert {"stack", "exactness"} <= set(read)
+    assert [name for name in read if name.startswith("_")] == []
 
 
 def test_engine_oracle_holds_above_cutoff_4():
@@ -559,9 +671,7 @@ def test_engine_oracle_holds_above_cutoff_4():
 def test_a_wrong_engine_oracle_rule_fails(monkeypatch, entry):
     """Negative control: one wrong entry of the dual numbers' rule (HH_0,
     HH_p for p >= 1, HC_0) fails its case at cutoff 5."""
-    rule = list(suites.ENGINE_ORACLE_DIMS["dual_numbers"])
-    rule[entry] += 1
-    monkeypatch.setitem(suites.ENGINE_ORACLE_DIMS, "dual_numbers", tuple(rule))
+    _oracle_rule_plus_1(entry)(monkeypatch)
     monkeypatch.setattr(suites, "DEFAULT_ENGINE_ALGEBRAS", ("dual_numbers",))
     cases = {c.id: c.passed for c in suites.suite_engine(suites.SuiteConfig(engine_cutoff=5)).cases}
     failed = {name for name, passed in cases.items() if not passed}
