@@ -5,15 +5,20 @@ Fractions otherwise; the engine builds the normalized Hochschild complex
 A (x) (A/k)^(x)p on tuple keys, with b and the normalized Connes operator
 B = s N of ``hochschild`` (after a change of basis that makes the unit a
 basis vector), and computes homology exactly by ``linalg.homology`` on a
-closed complex.  Cyclic homology comes from the (b, B) mixed complex, whose
-Tot_n has the basis keys (j, key) for key in C_{n-2j}.  ``compute_cyclic``
+closed complex.  Cyclic homology is that of the (b, B) mixed complex, whose
+Tot_n is the sum of the C_{n-2j}.  It is not eliminated: the kernel passes of
+HH already give a contraction of C onto HH, and the perturbation lemma
+(Brown, *The twisted Eilenberg-Zilber theorem*, 1965; Crainic,
+arXiv:math/0403266) turns B into the differential of a model on the sum of
+the HH_{n-2j}, no larger than HH (``Contraction``).  ``compute_cyclic``
 returns one immutable ``HomologyReport``: the stack, chain_dims, HH and HC
 (hh, hc and their dims), the S, B, I maps on explicit homology bases, and
 in ``report.exactness`` the rank count at each node of the S-B-I sequence.
 On a group algebra, a class function F acts on chains and on Tot by the
 diagonal action of ``hochschild``, with the plain weight F(g_0 ... g_p) of
 ``class_weight``, and is checked against the structure maps in the one
-identity sweep of ``hochschild``, with the precyclic identities.
+identity sweep of ``hochschild``, with the precyclic identities; on the
+model it acts as p_oo F i_oo.
 
 Chains one degree above the report cutoff are always built, so every
 reported dimension is unaffected by the truncation.  ``_guard`` refuses a
@@ -315,9 +320,12 @@ ExactnessNode = namedtuple("ExactnessNode", "node rank_in rank_out dim exact")
 
 
 class HomologyReport(namedtuple("HomologyReport", "stack cutoff chain_dims hh hh_dims hc hc_dims "
-                                "i_maps s_maps b_maps exactness", defaults=(None,) * 6)):
+                                "i_maps s_maps b_maps exactness contraction",
+                                defaults=(None,) * 7)):
     """hh[n], hc[n]: the QuotientSpaces of HH_n, HC_n; each map is keyed by the
-    degree of its domain.  ``compute_hochschild`` leaves the HC fields None."""
+    degree of its domain.  hc[n] is the homology of the model (``Contraction``),
+    and its representatives are model cycles.  ``compute_hochschild`` leaves the
+    HC fields None."""
 
     __slots__ = ()
 
@@ -337,38 +345,119 @@ def _guard(spec: AlgebraSpec, cutoff: int) -> None:
 
 
 def compute_hochschild(spec: AlgebraSpec, cutoff: int) -> HomologyReport:
-    """Exact HH_0..HH_cutoff with representative cycles."""
+    """Exact HH_0..HH_cutoff with representative cycles; the quotients below
+    the cutoff keep the preimages of their boundaries (``linalg.homology``),
+    which ``Contraction`` reads."""
     _guard(spec, cutoff)
     stack = ChainStack(spec)
     chain_dims = [stack.dim_chain(p) for p in range(cutoff + 2)]
-    hh_quotients = homology([stack.keys(p) for p in range(cutoff + 2)], stack.boundary)
+    bases = [stack.keys(p) for p in range(cutoff + 2)]
+    hh_quotients = homology(bases, stack.boundary, preimages=True)
     return HomologyReport(stack, cutoff, chain_dims, hh_quotients, [q.dim for q in hh_quotients])
 
 
-def _tot_keys(stack: ChainStack, n: int) -> list[tuple[int, tuple[int, ...]]]:
-    """The basis of Tot_n: (j, key) for the basis keys of C_{n - 2j}."""
-    return [(j, key) for j in range(n // 2 + 1) for key in stack.keys(n - 2 * j)]
+class Contraction:
+    """The contraction (i, p, h) of the normalized complex onto HH that the
+    kernel passes build, and the small model of HC that it gives.
 
+    The passes split C_m = W_m + b(W_{m+1}) + H_m: W_m is spanned by the
+    preimages of the image rows of the pass over C_m, and H_m by the
+    representatives of HH_m.  i includes the representatives, p takes
+    coordinates in them, and h(bw) = w, with h = 0 on W_m and on H_m; then
+    1 - ip = bh + hb and h^2 = ph = hi = 0.  h is known below the cutoff N,
+    whose top pass keeps no preimages.
 
-def _tot_boundary(stack: ChainStack, tot_key) -> dict:
-    """(b + B) on a basis key of Tot_n, in Tot_{n-1}."""
-    j, key = tot_key
-    out = {}
-    if len(key) > 1:
-        out = {(j, image): c for image, c in stack.boundary(key).items()}
-    if j:
-        out.update(((j - 1, image), c) for image, c in stack.connes_B(key).items())
-    return out
+    The model has the basis keys (j, (m, i)) in degree n = m + 2j, for the
+    representatives i of HH_m, m <= N; its differential is
+    d'(j, x) = sum_{k < j} (j - k - 1, p B (-hB)^k x), the perturbation of
+    the zero differential of HH by B (``tail``).
+    """
+
+    def __init__(self, report: HomologyReport):
+        self.stack, self.hh, self.cutoff = report.stack, report.hh, report.cutoff
+        # tails[m][i]: tail of representative i of HH_m as far as the cutoff allows
+        self.tails = [
+            [self.tail(rep, m, (self.cutoff - m + 1) // 2) for rep in quotient.representatives]
+            for m, quotient in enumerate(self.hh)
+        ]
+
+    def split(self, chain: dict, m: int) -> tuple[dict, dict | None]:
+        """(p(chain), h(chain)) for a chain of C_m; h is None at the cutoff."""
+        w = self.hh[m - 1].preimage(linear(self.stack.boundary, chain)) if m else {}
+        rest = add_into(dict(chain), w, -1)
+        coords = self.hh[m].coords(rest)
+        if m == self.cutoff:
+            return coords, None
+        for i, c in coords.items():
+            add_into(rest, self.hh[m].representatives[i], -c)
+        return coords, self.hh[m].preimage(rest)
+
+    def tail(self, chain: dict, m: int, count: int) -> tuple[list[dict], list[dict]]:
+        """The chains y_k and the classes p B y_k for k < count, for y_0 = chain
+        in C_m and y_{k+1} = -h B y_k; y_count only when h is known on B y_{count-1},
+        below the cutoff."""
+        ys, pbs = [chain], []
+        for k in range(count):
+            coords, h = self.split(linear(self.stack.connes_B, ys[k]), m + 2 * k + 1)
+            pbs.append(coords)
+            if h is not None:
+                ys.append({key: -c for key, c in h.items()})
+        return ys, pbs
+
+    def keys(self, n: int) -> list:
+        """The basis of the model in degree n."""
+        return [(j, (n - 2 * j, i)) for j in range(n // 2 + 1) if n - 2 * j <= self.cutoff
+                for i in range(self.hh[n - 2 * j].dim)]
+
+    def boundary(self, key) -> dict:
+        """d' on a basis key of the model."""
+        j, (m, i) = key
+        pbs = self.tails[m][i][1]
+        return {(j - k - 1, (m + 2 * k + 1, x)): c for k in range(j) for x, c in pbs[k].items()}
+
+    def connes(self, vec: dict) -> dict:
+        """B on a model cycle of degree n, in the coordinates of HH_{n+1}:
+        (j, x) -> p B (-hB)^j x."""
+        out = {}
+        for (j, (m, i)), c in vec.items():
+            add_into(out, self.tails[m][i][1][j], c)
+        return {x: exact(c) for x, c in out.items()}
+
+    def include(self, vec: dict) -> dict:
+        """i_oo on a model chain: (j, x) -> sum_{k <= j} (j - k, (-hB)^k x), on
+        the keys (j, key) of Tot_n = sum_j C_{n-2j}."""
+        out = {}
+        for (j, (m, i)), c in vec.items():
+            ys = self.tails[m][i][0]
+            for k in range(j + 1):
+                add_into(out, {(j - k, key): v for key, v in ys[k].items()}, c)
+        return out
+
+    def project(self, chain: dict) -> dict:
+        """p_oo on a chain of Tot_n: (j, u) -> (j, p u) - sum_{l < j} (j - l - 1, p B t_l),
+        for t_0 = h u and t_{l+1} = -h B t_l."""
+        parts: dict = {}
+        for (j, key), c in chain.items():
+            parts.setdefault(j, {})[key] = c
+        out = {}
+        for j, part in parts.items():
+            m = len(next(iter(part))) - 1
+            coords, h = self.split(part, m)
+            add_into(out, {(j, (m, x)): c for x, c in coords.items()})
+            if j:
+                for l, pb in enumerate(self.tail(h, m + 1, j)[1]):
+                    add_into(out, {(j - l - 1, (m + 2 * l + 2, x)): c for x, c in pb.items()}, -1)
+        return out
 
 
 def compute_cyclic(spec: AlgebraSpec, cutoff: int) -> HomologyReport:
     """HH and HC through the cutoff, with S, B, I on homology bases and the
-    exactness of the S-B-I sequence."""
+    exactness of the S-B-I sequence; HC is the homology of the model of
+    ``Contraction``."""
     report = compute_hochschild(spec, cutoff)
-    stack = report.stack
-    bases = [_tot_keys(stack, n) for n in range(cutoff + 2)]
-    hc = homology(bases, lambda key: _tot_boundary(stack, key))
-    report = report._replace(hc=hc, hc_dims=[quotient.dim for quotient in hc])
+    model = Contraction(report)
+    hc = homology([model.keys(n) for n in range(cutoff + 2)], model.boundary)
+    report = report._replace(hc=hc, hc_dims=[quotient.dim for quotient in hc], contraction=model)
     i_maps, s_maps, b_maps = _build_sbi_maps(report)
     report = report._replace(i_maps=i_maps, s_maps=s_maps, b_maps=b_maps)
     return report._replace(exactness=_exactness(report))
@@ -380,28 +469,22 @@ def _matrix_of(domain_reps, apply_map, codomain: QuotientSpace) -> list[dict]:
 
 
 def _build_sbi_maps(report: HomologyReport) -> tuple[dict, dict, dict]:
-    """The I, S and B maps, each keyed by the degree of its domain: I
-    includes C_n as the j = 0 part of Tot_n, S drops j by one and B applies
-    the Connes operator to the j = 0 part."""
-    stack, hc = report.stack, report.hc
-
-    def include(rep):
-        return {(0, key): c for key, c in rep.items()}
+    """The I, S and B maps on the model, each keyed by the degree of its
+    domain: I includes HH_n as j = 0, S drops j by one and B is
+    ``Contraction.connes``."""
+    hc = report.hc
 
     def drop(rep):
-        return {(j - 1, key): c for (j, key), c in rep.items() if j}
-
-    def bmap(rep):
-        return linear(stack.connes_B, {key: c for (j, key), c in rep.items() if not j})
+        return {(j - 1, x): c for (j, x), c in rep.items() if j}
 
     i_maps, s_maps, b_maps = {}, {}, {}
     for n in range(report.cutoff + 1):
         hc_reps = hc[n].representatives
-        i_maps[n] = _matrix_of(report.hh[n].representatives, include, hc[n])
+        i_maps[n] = [hc[n].coords({(0, (n, i)): 1}) for i in range(report.hh_dims[n])]
         if n >= 2:
             s_maps[n] = _matrix_of(hc_reps, drop, hc[n - 2])
         if n + 1 <= report.cutoff:
-            b_maps[n] = _matrix_of(hc_reps, bmap, report.hh[n + 1])
+            b_maps[n] = [report.contraction.connes(rep) for rep in hc_reps]
     return i_maps, s_maps, b_maps
 
 
@@ -456,11 +539,15 @@ def class_weight(spec: AlgebraSpec, values: dict[int, Coeff]):
 
 def idempotent_commutator_square_is_zero(report: HomologyReport, e_weight, f_weight) -> bool:
     """[e, F]^2 = 0 on every computed cyclic homology group, for the actions
-    of two class-function weights (``class_weight``), each Tot key (j, key)
-    weighted by its key."""
+    of two class-function weights (``class_weight``).  F acts on Tot, each
+    key (j, key) weighted by its key, and commutes with b and B (the identity
+    sweep checks it); on the model it acts as p_oo F i_oo (``Contraction``)."""
+    model = report.contraction
 
     def matrix(weight, hc: QuotientSpace) -> list[dict]:
-        act = lambda rep: hh.class_action(rep, lambda tot_key: weight(tot_key[1]))
+        def act(rep):
+            return model.project(hh.class_action(model.include(rep), lambda key: weight(key[1])))
+
         return _matrix_of(hc.representatives, act, hc)
 
     for hc in report.hc:

@@ -13,9 +13,8 @@ A value has one representation at a time: it is an int or a Fraction until
 operation on two numbers is an operation on numbers; once either operand
 is an element, a number operand is lifted to a constant element.
 Division is exact and only defined between numbers (the "a/b" rational
-notation).  parse_laurent and parse_scalar refuse inputs that use more of
-the language than their grammar allows.  Errors carry the offending
-position.
+notation).  parse_laurent refuses an input with a basis token.  Errors
+carry the offending position.
 
 Parentheses nest at most MAX_NESTING deep, which keeps the recursive
 descent well inside the interpreter's recursion limit; a run of unary
@@ -25,7 +24,7 @@ minus signs is read in a loop and nests nothing.
 from __future__ import annotations
 
 from .laurent import LaurentQ, qpow
-from .sparse import exact, exact_quotient
+from .sparse import exact_quotient
 from .weyl import E, WeylWord
 from .hecke import HeckeElement, basis
 
@@ -201,16 +200,3 @@ def parse_laurent(text: str) -> LaurentQ:
             raise ParseError(f"basis token T[{word}] not allowed here", 0)
     return element.coefficient(E)
 
-
-def parse_scalar(text: str):
-    """Parse an exact rational scalar, under the rule of ``sparse.exact``.
-
-    >>> parse_scalar("1/2*2"), parse_scalar("3/2")
-    (1, Fraction(3, 2))
-    """
-    poly = parse_laurent(text)
-    if poly.is_zero:
-        return 0
-    if set(poly.terms) != {0}:
-        raise ParseError("expected a scalar, found powers of q", 0)
-    return exact(poly.coefficient(0))

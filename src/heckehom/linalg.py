@@ -33,8 +33,7 @@ Under min-column pivoting the set of pivot columns depends only on the row
 space, so the order in which vectors are inserted changes the work and the
 stored rows, never a rank, a pivot set or a dimension.  The engine and the
 torus insert the sources of every boundary map in one order,
-``elimination_order``: decreasing key order (on the keys (j, key) of the
-total complex, j descending, then key descending).  The reason is a
+``elimination_order``: decreasing key order.  The reason is a
 matching of sources with faces, as in algebraic discrete Morse theory
 (Kaczynski, Mrozek and Slusarek, Comput. Math. Appl. 35, 1998; Skoldberg,
 Trans. AMS 358, 2006).  The lead of a Hochschild boundary image is mostly
@@ -45,10 +44,12 @@ the rows stay sparse; in increasing order almost every pivot is a column
 that reduction filled in.  On b_5 of Q[Z/5], 855 of the 1,020 stored rows
 have their pivot on a face of their own source (26 in increasing order),
 432 are stored with no step at all (17), and the rows hold 8,765 entries
-instead of 20,903.  On the total complex, high j first puts the sources
-whose images carry the Connes operator first, and so spans the cycles
-sooner, which the top pass of ``homology`` uses on a closed complex: it
-stops inserting once its rank equals the number of cycles below.
+instead of 20,903.  The top pass of ``homology`` on a closed complex stops
+inserting once its rank equals the number of cycles below.  The (b, B)
+total complex, on keys (j, key) with j descending first, is eliminated only
+by the tests, as the oracle of the engine's cyclic homology; there high j
+first puts the sources whose images carry the Connes operator first, and so
+spans the cycles sooner.
 """
 
 from __future__ import annotations
@@ -177,6 +178,12 @@ class GaussianBasis:
         self._rows[pivot] = (vecs[0], None if dependency is None else vecs[1])
         return pivot, None
 
+    def without_payloads(self) -> GaussianBasis:
+        """A basis of the same rows, shared, with no payloads."""
+        basis = GaussianBasis()
+        basis._rows = {pivot: (row, None) for pivot, (row, _) in self._rows.items()}
+        return basis
+
 
 def elimination_order(keys) -> list:
     """The sources of a boundary map in the order a pass inserts them:
@@ -196,14 +203,16 @@ def span_basis(vectors) -> GaussianBasis:
     return basis
 
 
-def kernel_vectors(images) -> tuple[list[dict], GaussianBasis]:
+def kernel_vectors(images, preimages: bool = False) -> tuple[list[dict], GaussianBasis]:
     """Kernel and image of a linear map given as (source_index, image_vector) pairs.
 
     Returns the coefficient vectors over the source indices spanning the
-    kernel, and the echelon basis of the image without payloads.  The image
-    basis has the pivots of the one span_basis builds from the same vectors
-    in the same order, each row a positive multiple of the row there: a row
-    is made primitive together with its payload.
+    kernel, and the echelon basis of the image, without payloads unless
+    preimages is set: then each row keeps its payload, the combination of
+    sources whose image it is.  The image basis has the pivots of the one
+    span_basis builds from the same vectors in the same order, each row a
+    positive multiple of the row there: a row is made primitive together
+    with its payload.
     """
     basis = GaussianBasis()
     kernel = []
@@ -211,8 +220,7 @@ def kernel_vectors(images) -> tuple[list[dict], GaussianBasis]:
         pivot, dependency = basis.insert(vec, payload={idx: 1})
         if pivot is None and dependency:
             kernel.append(_primitive([dependency])[0])
-    basis._rows = {pivot: (row, None) for pivot, (row, _) in basis._rows.items()}
-    return kernel, basis
+    return kernel, basis if preimages else basis.without_payloads()
 
 
 def intersect_with_columns(vectors, keep) -> list[dict]:
@@ -246,11 +254,15 @@ class QuotientSpace:
     and the representatives are those that get a pivot; coords() expresses
     any vector of cycles+boundaries in them.  ``dim_cycles`` counts the
     cycles, their dimension when they are independent, as those of a kernel
-    pass are.
+    pass are.  With ``preimages``, the boundary rows carry the payloads a
+    kernel pass with preimages leaves, each row b(w) with payload w; the
+    quotient keeps that basis apart, so that coords() and is_boundary() read
+    the representatives only, and preimage() reads it.
     """
 
-    def __init__(self, boundaries: GaussianBasis, cycles: list[dict]):
-        self._basis = boundaries
+    def __init__(self, boundaries: GaussianBasis, cycles: list[dict], preimages: bool = False):
+        self._preimages = boundaries if preimages else None
+        self._basis = boundaries.without_payloads() if preimages else boundaries
         self.cycles = cycles
         self.representatives: list[dict] = []
         for vec in cycles:
@@ -284,8 +296,24 @@ class QuotientSpace:
         residue, combo, _ = self._basis.reduce(vec)
         return not residue and not combo
 
+    def preimage(self, vec: dict) -> dict:
+        """A chain w with b(w) = vec, from the payloads of the boundary rows:
+        0 for vec = 0.  Raises ValueError if vec is not a boundary, or is not
+        0 and the quotient was built without preimages.
+        """
+        if not vec:
+            return {}
+        if self._preimages is None:
+            raise ValueError("the quotient keeps no preimages")
+        residue, combo, scale = self._preimages.reduce(vec)
+        if residue:
+            raise ValueError("vector is not a boundary")
+        if scale == 1:
+            return combo
+        return {key: exact_quotient(val, scale) for key, val in combo.items()}
 
-def homology(bases, boundary, closed: bool = True) -> list[QuotientSpace]:
+
+def homology(bases, boundary, closed: bool = True, preimages: bool = False) -> list[QuotientSpace]:
     """H_0..H_top of a complex with basis keys bases[p] of C_p, p <= top + 1.
 
     boundary(key) is the image in C_{p-1} of a basis key of C_p.  Each map
@@ -298,7 +326,10 @@ def homology(bases, boundary, closed: bool = True) -> list[QuotientSpace]:
     the span of bases[top]: then every boundary is a cycle there, and the
     top pass stops once its rank reaches dim Z, when every later source is
     dependent.  A truncated complex whose images leave its bases, as the
-    torus window, is not closed, and its top pass runs in full.
+    torus window, is not closed, and its top pass runs in full.  With
+    ``preimages``, each kernel pass keeps the preimage payloads of its rows
+    for the quotient of the degree below (``QuotientSpace.preimage``); the
+    top pass keeps none, so H_top has no preimages.
 
     The boundary of a triangle, then of the filled triangle:
 
@@ -311,8 +342,8 @@ def homology(bases, boundary, closed: bool = True) -> list[QuotientSpace]:
     cycles = [{key: 1} for key in bases[0]]
     for keys in bases[1:-1]:
         images = ((key, boundary(key)) for key in elimination_order(keys))
-        next_cycles, boundaries = kernel_vectors(images)
-        quotients.append(QuotientSpace(boundaries, cycles))
+        next_cycles, boundaries = kernel_vectors(images, preimages)
+        quotients.append(QuotientSpace(boundaries, cycles, preimages))
         cycles = next_cycles
     boundaries = GaussianBasis()
     for key in elimination_order(bases[-1]):

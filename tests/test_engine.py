@@ -351,6 +351,169 @@ def test_spec_file_gets_no_group_table():
     assert eg.load_algebra_file(eg._ALGEBRA_DIR / "cyclic_5.json").group_table is None
 
 
+# ---------------------------------------------------------------------------
+# the Tot oracle: HC eliminated from the whole (b, B) total complex, the
+# engine's route before the perturbed model
+
+
+def _tot_keys(stack, n):
+    """The basis of Tot_n: (j, key) for the basis keys of C_{n - 2j}."""
+    return [(j, key) for j in range(n // 2 + 1) for key in stack.keys(n - 2 * j)]
+
+
+def _tot_boundary(stack, tot_key):
+    """(b + B) on a basis key of Tot_n, in Tot_{n-1}."""
+    j, key = tot_key
+    out = {}
+    if len(key) > 1:
+        out = {(j, image): c for image, c in stack.boundary(key).items()}
+    if j:
+        out.update(((j - 1, image), c) for image, c in stack.connes_B(key).items())
+    return out
+
+
+def _tot_maps(hh_q, hc_q, connes_B, cutoff):
+    """I, S and B on Tot representatives: I includes C_n as the j = 0 part of
+    Tot_n, S drops j by one and B applies connes_B to the j = 0 part."""
+
+    def include(rep):
+        return {(0, key): c for key, c in rep.items()}
+
+    def drop(rep):
+        return {(j - 1, key): c for (j, key), c in rep.items() if j}
+
+    def bmap(rep):
+        return linear(connes_B, {key: c for (j, key), c in rep.items() if not j})
+
+    i_maps, s_maps, b_maps = {}, {}, {}
+    for n in range(cutoff + 1):
+        hc_reps = hc_q[n].representatives
+        i_maps[n] = eg._matrix_of(hh_q[n].representatives, include, hc_q[n])
+        if n >= 2:
+            s_maps[n] = eg._matrix_of(hc_reps, drop, hc_q[n - 2])
+        if n + 1 <= cutoff:
+            b_maps[n] = eg._matrix_of(hc_reps, bmap, hh_q[n + 1])
+    return i_maps, s_maps, b_maps
+
+
+def _tot_report(stack, cutoff, quotients=homology):
+    """The HomologyReport of the Tot route, with quotients(bases, boundary)
+    for both complexes, and its exactness nodes."""
+    hh_q = quotients([stack.keys(p) for p in range(cutoff + 2)], stack.boundary)
+    tot = [_tot_keys(stack, n) for n in range(cutoff + 2)]
+    hc_q = quotients(tot, lambda key: _tot_boundary(stack, key))
+    i_maps, s_maps, b_maps = _tot_maps(hh_q, hc_q, stack.connes_B, cutoff)
+    report = eg.HomologyReport(
+        stack, cutoff, None, hh_q, [q.dim for q in hh_q], hc_q, [q.dim for q in hc_q],
+        i_maps, s_maps, b_maps,
+    )
+    return report._replace(exactness=eg._exactness(report))
+
+
+def _sbi_ranks(i_maps, s_maps, b_maps):
+    """The rank of each I, S and B map, keyed by (name, degree)."""
+    maps = zip("ISB", (i_maps, s_maps, b_maps))
+    return {(name, n): span_basis(cols).rank for name, by_n in maps for n, cols in by_n.items()}
+
+
+def _report_ranks(report):
+    return _sbi_ranks(report.i_maps, report.s_maps, report.b_maps)
+
+
+def _assert_matches_tot(report, oracle):
+    """HC dimensions, S/B/I ranks and every exactness node agree."""
+    assert report.hh_dims == oracle.hh_dims
+    assert report.hc_dims == oracle.hc_dims
+    assert _report_ranks(report) == _report_ranks(oracle)
+    assert [tuple(node) for node in report.exactness] == [tuple(node) for node in oracle.exactness]
+
+
+def _unital_spec(name, dim, products):
+    """e_0 is the unit; products holds the other nonzero products."""
+    table = {(0, j): {j: 1} for j in range(dim)}
+    table.update({(i, 0): {i: 1} for i in range(1, dim)})
+    table.update(products)
+    return eg.load_algebra(eg.AlgebraSpec(name=name, dim=dim, products=table, unit={0: 1}))
+
+
+def _square_zero():
+    """Q + Q^2 with square-zero product: x y = y x = x^2 = y^2 = 0."""
+    return _unital_spec("square_zero", 3, {})
+
+
+def _two_squares():
+    """Q[a, b]/(a^2, b^2) on the basis 1, a, b, ab: H_{-1}(I_2(2))."""
+    return _unital_spec("two_squares", 4, {(1, 2): {3: 1}, (2, 1): {3: 1}})
+
+
+# (algebra, cutoff) pairs on which the model is checked against the Tot oracle
+_MODEL_CASES = [
+    *((name, 3 if name in ("cyclic_5", "cyclic_6") else 4) for name in eg.BUILTIN_ALGEBRAS),
+    ("dual_numbers", 6),
+    ("square_zero", 5),
+    ("two_squares", 4),
+]
+
+
+def _spec(name):
+    """A built-in algebra, or a test algebra of this file, by name."""
+    tests = {"square_zero": _square_zero, "two_squares": _two_squares,
+             "half_unit_dual_numbers": _half_unit_dual_numbers}
+    return tests[name]() if name in tests else eg.builtin_algebra(name)
+
+
+@pytest.mark.parametrize("name, cutoff", _MODEL_CASES)
+def test_model_matches_tot_oracle(name, cutoff):
+    """The perturbed model and the elimination of Tot agree on the HC
+    dimensions, the S/B/I ranks and every exactness node."""
+    report = eg.compute_cyclic(_spec(name), cutoff)
+    _assert_matches_tot(report, _tot_report(report.stack, cutoff))
+
+
+def _contraction_failure(report):
+    """The first side condition of the perturbation lemma that fails, or None:
+    on every basis key x of C_m, m < N, 1 - ip = bh + hb and ph = 0, and
+    h^2 = 0 where h is known (below N); hi = 0 and pi = 1 on the
+    representatives; d'd' = 0 on every basis key of the model."""
+    model, stack = report.contraction, report.stack
+    b = lambda chain: linear(stack.boundary, chain)
+    for m in range(report.cutoff):
+        for i, rep in enumerate(report.hh[m].representatives):
+            if model.split(rep, m) != ({i: 1}, {}):
+                return f"pi = 1, hi = 0 on representative {i} of HH_{m}"
+        for key in stack.keys(m):
+            coords, h = model.split({key: 1}, m)
+            left = {key: 1}
+            for i, c in coords.items():
+                add_into(left, report.hh[m].representatives[i], -c)
+            right = add_into(b(h), model.split(b({key: 1}), m - 1)[1] if m else {})
+            if left != right:
+                return f"1 - ip = bh + hb on {key}"
+            if any(model.split(h, m + 1)):  # h is None on C_N
+                return f"h^2 = ph = 0 on {key}"
+    for n in range(report.cutoff + 2):
+        for key in model.keys(n):
+            if linear(model.boundary, model.boundary(key)):
+                return f"d'd' = 0 on {key}"
+    return None
+
+
+@pytest.mark.parametrize("name, cutoff", _MODEL_CASES)
+def test_contraction_meets_the_side_conditions(name, cutoff):
+    assert _contraction_failure(eg.compute_cyclic(_spec(name), cutoff)) is None
+
+
+def test_a_contraction_with_one_payload_negated_fails():
+    """Negative control: h with the payload of one boundary row of C_1
+    negated breaks 1 - ip = bh + hb."""
+    report = eg.compute_cyclic(eg.builtin_algebra("cyclic_3"), 4)
+    preimages = report.hh[1]._preimages
+    pivot = min(preimages.pivots)
+    row, payload = preimages.row(pivot)
+    preimages._rows[pivot] = (row, {key: -c for key, c in payload.items()})
+    assert _contraction_failure(report).startswith("1 - ip = bh + hb on ")
+
+
 def _homology_counting_top(bases, boundary, cutoff):
     """linalg.homology, and how many sources of the top degree it took."""
     top = set(bases[cutoff + 1])
@@ -377,8 +540,8 @@ def test_top_pass_stops_once_it_spans_the_cycles():
     assert quotients[cutoff].dim == 0
     # HC_2 != 0: the boundaries never fill the cycles, so every source is taken
     cutoff = 2
-    bases = [eg._tot_keys(stack, n) for n in range(cutoff + 2)]
-    boundary = lambda key: eg._tot_boundary(stack, key)
+    bases = [_tot_keys(stack, n) for n in range(cutoff + 2)]
+    boundary = lambda key: _tot_boundary(stack, key)
     quotients, taken = _homology_counting_top(bases, boundary, cutoff)
     assert taken == len(bases[cutoff + 1])
     full = span_basis(boundary(key) for key in bases[cutoff + 1])
@@ -427,37 +590,21 @@ def _same_columns(left, right):
     "name", ["ground_field", "dual_numbers", "cyclic_2", "cyclic_3", "upper_triangular_2"]
 )
 def test_single_pass_homology_matches_two_pass_oracle(name):
+    """HH entry by entry against the two-pass route; HC, whose
+    representatives are model cycles, by its dimensions, S/B/I ranks and
+    exactness nodes against the two-pass elimination of Tot."""
     cutoff = 3
-    spec = eg.builtin_algebra(name)
-    report = eg.compute_cyclic(spec, cutoff)
+    report = eg.compute_cyclic(eg.builtin_algebra(name), cutoff)
     stack = report.stack
-    hh_bases = [stack.keys(p) for p in range(cutoff + 2)]
-    tot_bases = [eg._tot_keys(stack, n) for n in range(cutoff + 2)]
-
-    oracle = eg.HomologyReport(
-        stack=stack,
-        cutoff=cutoff,
-        chain_dims=None,
-        hh=_two_pass_quotients(hh_bases, stack.boundary, cutoff),
-        hh_dims=None,
-        hc=_two_pass_quotients(tot_bases, lambda key: eg._tot_boundary(stack, key), cutoff),
+    oracle = _tot_report(
+        stack, cutoff, lambda bases, boundary: _two_pass_quotients(bases, boundary, cutoff)
     )
-    i_maps, s_maps, b_maps = eg._build_sbi_maps(oracle)
-
     assert [q.dim for q in oracle.hh] == report.hh_dims
-    assert [q.dim for q in oracle.hc] == report.hc_dims
-    for mine, theirs in zip(report.hh + report.hc, oracle.hh + oracle.hc):
+    for mine, theirs in zip(report.hh, oracle.hh):
         # the oracle's boundary rows are its full boundary span
         assert mine.dim_cycles - mine.dim == theirs._basis.rank - theirs.dim
         _same_columns(mine.representatives, theirs.representatives)
-    for maps, oracle_maps in (
-        (report.i_maps, i_maps),
-        (report.s_maps, s_maps),
-        (report.b_maps, b_maps),
-    ):
-        assert maps.keys() == oracle_maps.keys()
-        for n in maps:
-            _same_columns(maps[n], oracle_maps[n])
+    _assert_matches_tot(report, oracle)
 
 
 def _half_unit_dual_numbers():
@@ -517,36 +664,26 @@ def _unnormalized_oracle(spec, cutoff):
     hh_q = _two_pass_quotients([tuples(p) for p in range(cutoff + 2)], b, cutoff)
     tot = [[(j, k) for j in range(n // 2 + 1) for k in tuples(n - 2 * j)] for n in range(cutoff + 2)]
     hc_q = _two_pass_quotients(tot, tot_boundary, cutoff)
-    ranks = {}
-    for n in range(cutoff + 1):
-        hc_reps = hc_q[n].representatives
-        include = lambda rep: {(0, k): c for k, c in rep.items()}
-        ranks["I", n] = span_basis(eg._matrix_of(hh_q[n].representatives, include, hc_q[n])).rank
-        if n >= 2:
-            drop = lambda rep: {(j - 1, k): c for (j, k), c in rep.items() if j}
-            ranks["S", n] = span_basis(eg._matrix_of(hc_reps, drop, hc_q[n - 2])).rank
-        if n + 1 <= cutoff:
-            bmap = lambda rep: linear(B, {k: c for (j, k), c in rep.items() if not j})
-            ranks["B", n] = span_basis(eg._matrix_of(hc_reps, bmap, hh_q[n + 1])).rank
+    ranks = _sbi_ranks(*_tot_maps(hh_q, hc_q, B, cutoff))
     return [q.dim for q in hh_q], [q.dim for q in hc_q], ranks
+
+
+# non-semisimple, with HC_odd != 0: the cutoff and HC of each; HC_1 of the
+# square-zero algebra Q + Q^2 is Lambda^2 Q^2 by hand
+_EXPECTED_HC = {"square_zero": (5, [3, 1, 5, 4, 9, 10]), "two_squares": (4, [4, 1, 5, 2, 6])}
 
 
 @pytest.mark.parametrize(
     "name",
     ["ground_field", "dual_numbers", "cyclic_2", "cyclic_3", "upper_triangular_2",
-     "half_unit_dual_numbers"],
+     "half_unit_dual_numbers", *_EXPECTED_HC],
 )
 def test_normalized_engine_matches_unnormalized_oracle(name):
-    cutoff = 3
-    if name == "half_unit_dual_numbers":
-        spec = _half_unit_dual_numbers()
-    else:
-        spec = eg.builtin_algebra(name)
+    cutoff, hc_dims = _EXPECTED_HC.get(name, (3, None))
+    spec = _spec(name)
     report = eg.compute_cyclic(spec, cutoff)
-    hh_dims, hc_dims, ranks = _unnormalized_oracle(spec, cutoff)
-    assert report.hh_dims == hh_dims
-    assert report.hc_dims == hc_dims
-    mine = {}
-    for name, maps in (("I", report.i_maps), ("S", report.s_maps), ("B", report.b_maps)):
-        mine.update(((name, n), span_basis(cols).rank) for n, cols in maps.items())
-    assert mine == ranks
+    oracle_hh, oracle_hc, ranks = _unnormalized_oracle(spec, cutoff)
+    assert report.hh_dims == oracle_hh
+    assert report.hc_dims == oracle_hc
+    assert hc_dims is None or report.hc_dims == hc_dims
+    assert _report_ranks(report) == ranks

@@ -406,6 +406,27 @@ def test_is_boundary():
         h1.coords({(0, 1): 1})
 
 
+def test_preimage_reads_the_payloads_of_a_kernel_pass():
+    """With preimages, b(preimage(v)) = v on every boundary below the top,
+    and coords and is_boundary still read the representatives only; the top
+    degree and a quotient built without preimages keep none."""
+    edges = [(0, 1), (1, 2), (0, 2)]
+    bases = [[0, 1, 2], edges, [(0, 1, 2)], []]
+    h0, h1, h2 = homology(bases, _triangle_boundary, preimages=True)
+    rim = {(0, 1): 1, (1, 2): 1, (0, 2): -1}
+    assert h1.preimage(rim) == {(0, 1, 2): 1}
+    assert h1.preimage(_over(rim, 2)) == {(0, 1, 2): Fraction(1, 2)}
+    assert linear(_triangle_boundary, h0.preimage({2: 1, 0: -1})) == {2: 1, 0: -1}
+    assert h1.is_boundary(rim) and h1.coords(rim) == {} and h1.dim == 0
+    assert h0.coords({2: 1, 0: -1}) == {} and h0.dim == 1
+    assert h2.preimage({}) == {}
+    with pytest.raises(ValueError):
+        h1.preimage({(0, 1): 1})  # not a boundary
+    plain = homology(bases, _triangle_boundary)[1]
+    with pytest.raises(ValueError):
+        plain.preimage(rim)
+
+
 def _square_zero_spec(coeff: str) -> str:
     """Q[x]/(x^3) on the basis 1, x, y with x * x = coeff * y."""
     products = [{"i": 0, "j": j, "coeffs": ["1" if k == j else "0" for k in range(3)]}

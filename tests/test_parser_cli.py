@@ -12,16 +12,28 @@ from pathlib import Path
 
 import pytest
 
-from heckehom.exprparse import MAX_NESTING, ParseError, parse_hecke, parse_laurent, parse_scalar
+from heckehom.exprparse import MAX_NESTING, ParseError, parse_hecke, parse_laurent
 from heckehom.hecke import basis, one
 from heckehom.hh0 import class_of_word
 from heckehom.laurent import Q, qpow
+from heckehom.sparse import exact
 from heckehom.weyl import S, T, WeylWord
 from heckehom.cli import main
 from heckehom.engine import _ALGEBRA_DIR
 from heckehom.suites import ConfigError, SuiteConfig, run_suite
 
 from test_hecke import random_element
+
+
+def parse_scalar(text: str):
+    """Parse an exact rational scalar, under the rule of ``sparse.exact``: a
+    Laurent polynomial with no power of q but q^0."""
+    poly = parse_laurent(text)
+    if poly.is_zero:
+        return 0
+    if set(poly.terms) != {0}:
+        raise ParseError("expected a scalar, found powers of q", 0)
+    return exact(poly.coefficient(0))
 
 
 def test_parse_examples():
@@ -31,6 +43,8 @@ def test_parse_examples():
     assert parse_hecke("3/2*q*T[t]") == basis(T).scale(Q * Fraction(3, 2))
     assert parse_laurent("q^-1 + q") == qpow(-1) + Q
     assert parse_scalar("-5/3") == -parse_scalar("5/3")
+    assert (parse_scalar("1/2*2"), parse_scalar("3/2")) == (1, Fraction(3, 2))
+    assert type(parse_scalar("1/2*2")) is int
     assert parse_hecke("-q + 1") == one().scale(1 - Q)
 
 
