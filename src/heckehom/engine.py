@@ -352,7 +352,7 @@ def compute_hochschild(spec: AlgebraSpec, cutoff: int) -> HomologyReport:
     stack = ChainStack(spec)
     chain_dims = [stack.dim_chain(p) for p in range(cutoff + 2)]
     bases = [stack.keys(p) for p in range(cutoff + 2)]
-    hh_quotients = homology(bases, stack.boundary, preimages=True)
+    hh_quotients = homology(bases, stack.boundary)
     return HomologyReport(stack, cutoff, chain_dims, hh_quotients, [q.dim for q in hh_quotients])
 
 

@@ -203,16 +203,15 @@ def span_basis(vectors) -> GaussianBasis:
     return basis
 
 
-def kernel_vectors(images, preimages: bool = False) -> tuple[list[dict], GaussianBasis]:
+def kernel_vectors(images) -> tuple[list[dict], GaussianBasis]:
     """Kernel and image of a linear map given as (source_index, image_vector) pairs.
 
     Returns the coefficient vectors over the source indices spanning the
-    kernel, and the echelon basis of the image, without payloads unless
-    preimages is set: then each row keeps its payload, the combination of
-    sources whose image it is.  The image basis has the pivots of the one
-    span_basis builds from the same vectors in the same order, each row a
-    positive multiple of the row there: a row is made primitive together
-    with its payload.
+    kernel, and the echelon basis of the image, each row with its payload,
+    the combination of sources whose image it is.  The image basis has the
+    pivots of the one span_basis builds from the same vectors in the same
+    order, each row a positive multiple of the row there: a row is made
+    primitive together with its payload.
     """
     basis = GaussianBasis()
     kernel = []
@@ -220,7 +219,7 @@ def kernel_vectors(images, preimages: bool = False) -> tuple[list[dict], Gaussia
         pivot, dependency = basis.insert(vec, payload={idx: 1})
         if pivot is None and dependency:
             kernel.append(_primitive([dependency])[0])
-    return kernel, basis if preimages else basis.without_payloads()
+    return kernel, basis
 
 
 def intersect_with_columns(vectors, keep) -> list[dict]:
@@ -248,21 +247,20 @@ def intersect_with_columns(vectors, keep) -> list[dict]:
 class QuotientSpace:
     """Quotient of a span of cycles by a span of boundaries.
 
-    ``boundaries`` is the echelon basis of the boundary span, with no
-    payloads; the quotient takes it over and extends it by the cycles, each
-    inserted with payload {index: 1}.  ``cycles`` keeps the cycles as given,
-    and the representatives are those that get a pivot; coords() expresses
-    any vector of cycles+boundaries in them.  ``dim_cycles`` counts the
-    cycles, their dimension when they are independent, as those of a kernel
-    pass are.  With ``preimages``, the boundary rows carry the payloads a
-    kernel pass with preimages leaves, each row b(w) with payload w; the
-    quotient keeps that basis apart, so that coords() and is_boundary() read
-    the representatives only, and preimage() reads it.
+    ``boundaries`` is the echelon basis of the boundary span.  Its rows may
+    carry the payloads a kernel pass leaves, each row b(w) with payload w:
+    the quotient keeps that basis apart for preimage(), and extends a copy
+    without payloads by the cycles, each inserted with payload {index: 1},
+    so that coords() and is_boundary() read the representatives only.
+    ``cycles`` keeps the cycles as given, and the representatives are those
+    that get a pivot; coords() expresses any vector of cycles+boundaries in
+    them.  ``dim_cycles`` counts the cycles, their dimension when they are
+    independent, as those of a kernel pass are.
     """
 
-    def __init__(self, boundaries: GaussianBasis, cycles: list[dict], preimages: bool = False):
-        self._preimages = boundaries if preimages else None
-        self._basis = boundaries.without_payloads() if preimages else boundaries
+    def __init__(self, boundaries: GaussianBasis, cycles: list[dict]):
+        self._preimages = boundaries
+        self._basis = boundaries.without_payloads()
         self.cycles = cycles
         self.representatives: list[dict] = []
         for vec in cycles:
@@ -299,21 +297,21 @@ class QuotientSpace:
     def preimage(self, vec: dict) -> dict:
         """A chain w with b(w) = vec, from the payloads of the boundary rows:
         0 for vec = 0.  Raises ValueError if vec is not a boundary, or is not
-        0 and the quotient was built without preimages.
+        0 and the boundary rows carry no payloads, as those of a top pass.
         """
         if not vec:
             return {}
-        if self._preimages is None:
-            raise ValueError("the quotient keeps no preimages")
         residue, combo, scale = self._preimages.reduce(vec)
         if residue:
             raise ValueError("vector is not a boundary")
+        if not combo:
+            raise ValueError("the boundary rows keep no preimages")
         if scale == 1:
             return combo
         return {key: exact_quotient(val, scale) for key, val in combo.items()}
 
 
-def homology(bases, boundary, closed: bool = True, preimages: bool = False) -> list[QuotientSpace]:
+def homology(bases, boundary, closed: bool = True) -> list[QuotientSpace]:
     """H_0..H_top of a complex with basis keys bases[p] of C_p, p <= top + 1.
 
     boundary(key) is the image in C_{p-1} of a basis key of C_p.  Each map
@@ -326,10 +324,10 @@ def homology(bases, boundary, closed: bool = True, preimages: bool = False) -> l
     the span of bases[top]: then every boundary is a cycle there, and the
     top pass stops once its rank reaches dim Z, when every later source is
     dependent.  A truncated complex whose images leave its bases, as the
-    torus window, is not closed, and its top pass runs in full.  With
-    ``preimages``, each kernel pass keeps the preimage payloads of its rows
-    for the quotient of the degree below (``QuotientSpace.preimage``); the
-    top pass keeps none, so H_top has no preimages.
+    torus window, is not closed, and its top pass runs in full.  Each kernel
+    pass leaves the preimage payloads of its rows to the quotient of the
+    degree below (``QuotientSpace.preimage``); the top pass keeps none, so
+    H_top has no preimages.
 
     The boundary of a triangle, then of the filled triangle:
 
@@ -342,8 +340,8 @@ def homology(bases, boundary, closed: bool = True, preimages: bool = False) -> l
     cycles = [{key: 1} for key in bases[0]]
     for keys in bases[1:-1]:
         images = ((key, boundary(key)) for key in elimination_order(keys))
-        next_cycles, boundaries = kernel_vectors(images, preimages)
-        quotients.append(QuotientSpace(boundaries, cycles, preimages))
+        next_cycles, boundaries = kernel_vectors(images)
+        quotients.append(QuotientSpace(boundaries, cycles))
         cycles = next_cycles
     boundaries = GaussianBasis()
     for key in elimination_order(bases[-1]):

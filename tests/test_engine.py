@@ -474,7 +474,8 @@ def _contraction_failure(report):
     """The first side condition of the perturbation lemma that fails, or None:
     on every basis key x of C_m, m < N, 1 - ip = bh + hb and ph = 0, and
     h^2 = 0 where h is known (below N); hi = 0 and pi = 1 on the
-    representatives; d'd' = 0 on every basis key of the model."""
+    representatives; d'd' = 0 on every basis key of the model; and the
+    chain-level identities of ``_perturbation_failure``."""
     model, stack = report.contraction, report.stack
     b = lambda chain: linear(stack.boundary, chain)
     for m in range(report.cutoff):
@@ -495,6 +496,40 @@ def _contraction_failure(report):
         for key in model.keys(n):
             if linear(model.boundary, model.boundary(key)):
                 return f"d'd' = 0 on {key}"
+    return _perturbation_failure(report)
+
+
+def _perturbation_failure(report):
+    """The first identity of the perturbed maps that fails, or None, in
+    degrees n <= N against the Tot oracle's differential D = b + B: on every
+    basis key of the model, D i_oo = i_oo d', p_oo i_oo = 1, and, below N,
+    B = p B on the j = 0 part of i_oo; on every HC representative, i_oo is a
+    Tot cycle and B = the HH coordinates of B on its j = 0 part.
+
+    The keys matter: on every algebra tested pB(-hB)^k = 0 for k >= 1, so on
+    a model cycle the j >= 1 terms of B cancel level by level, and a B that
+    ignored j would still agree on every representative."""
+    model, stack, cutoff = report.contraction, report.stack, report.cutoff
+    tot_d = lambda chain: linear(lambda key: _tot_boundary(stack, key), chain)
+
+    def connes_of_bottom(chain):
+        return linear(stack.connes_B, {key: c for (j, key), c in chain.items() if not j})
+
+    for n in range(cutoff + 1):
+        for key in model.keys(n):
+            lifted = model.include({key: 1})
+            if tot_d(lifted) != model.include(model.boundary(key)):
+                return f"D i = i d' on {key}"
+            if model.project(lifted) != {key: 1}:
+                return f"p i = 1 on {key}"
+            if n < cutoff and model.connes({key: 1}) != model.split(connes_of_bottom(lifted), n + 1)[0]:
+                return f"B = p B i on {key}"
+        for rep in report.hc[n].representatives:
+            lifted = model.include(rep)
+            if tot_d(lifted):
+                return f"i of an HC_{n} representative is a Tot cycle"
+            if n < cutoff and model.connes(rep) != report.hh[n + 1].coords(connes_of_bottom(lifted)):
+                return f"B of an HC_{n} representative"
     return None
 
 

@@ -172,17 +172,10 @@ def test_coefficients_are_never_float(rational):
     assert kernel
     for vec in kernel:
         _assert_exact(vec)
-    basis = GaussianBasis()
-    for idx, vec in images:
-        basis.insert(vec, payload={idx: 1})
-    for pivot in basis.pivots:
-        row, payload = basis.row(pivot)
-        _assert_exact(row)
-        _assert_exact(payload)
     for pivot in image.pivots:
         row, payload = image.row(pivot)
         _assert_exact(row)
-        assert payload is None
+        _assert_exact(payload)
 
 
 def test_engine_homology_coefficients_are_exact():
@@ -215,16 +208,17 @@ def test_integer_leads_stay_integral():
 def test_kernel_pass_image_equals_boundary_pass(rational):
     """The image basis of a kernel pass is the span basis of the same
     vectors, row for row and in key order, up to each row's positive scalar:
-    a row is made primitive together with its payload."""
+    a row is made primitive together with its payload, the combination of
+    the vectors whose image it is."""
     rng = random.Random(31 + rational)
     vectors = _random_matrix(rng, 45, 25, rational)
     _, image = kernel_vectors(enumerate(vectors))
     span = span_basis(vectors)
     assert list(image.pivots) == list(span.pivots)
     for pivot in span.pivots:
-        row, span_row = image.row(pivot)[0], span.row(pivot)[0]
+        (row, payload), span_row = image.row(pivot), span.row(pivot)[0]
         assert _same(_over(row, row[pivot]), _over(span_row, span_row[pivot]))
-        assert image.row(pivot)[1] is None
+        assert linear(vectors.__getitem__, payload) == row
 
 
 @pytest.mark.parametrize("rational", [False, True], ids=["int", "fraction"])
@@ -407,12 +401,12 @@ def test_is_boundary():
 
 
 def test_preimage_reads_the_payloads_of_a_kernel_pass():
-    """With preimages, b(preimage(v)) = v on every boundary below the top,
-    and coords and is_boundary still read the representatives only; the top
-    degree and a quotient built without preimages keep none."""
+    """b(preimage(v)) = v on every boundary below the top, and coords and
+    is_boundary still read the representatives only; boundary rows without
+    payloads, as those of a top pass, give no preimage."""
     edges = [(0, 1), (1, 2), (0, 2)]
     bases = [[0, 1, 2], edges, [(0, 1, 2)], []]
-    h0, h1, h2 = homology(bases, _triangle_boundary, preimages=True)
+    h0, h1, h2 = homology(bases, _triangle_boundary)
     rim = {(0, 1): 1, (1, 2): 1, (0, 2): -1}
     assert h1.preimage(rim) == {(0, 1, 2): 1}
     assert h1.preimage(_over(rim, 2)) == {(0, 1, 2): Fraction(1, 2)}
@@ -422,9 +416,10 @@ def test_preimage_reads_the_payloads_of_a_kernel_pass():
     assert h2.preimage({}) == {}
     with pytest.raises(ValueError):
         h1.preimage({(0, 1): 1})  # not a boundary
-    plain = homology(bases, _triangle_boundary)[1]
+    top = homology(bases[:3], _triangle_boundary)[1]
+    assert top.is_boundary(rim)
     with pytest.raises(ValueError):
-        plain.preimage(rim)
+        top.preimage(rim)
 
 
 def _square_zero_spec(coeff: str) -> str:
