@@ -53,7 +53,10 @@ def face(key: tuple, i: int, mul) -> dict:
         head, a, b, tail = key[:i], key[i], key[i + 1], key[i + 2 :]
     else:
         head, a, b, tail = (), key[p], key[0], key[1:p]
-    return {head + (label,) + tail: c for label, c in mul(a, b).items()}
+    out = {}  # a loop, not a comprehension, which is a frame per call on CPython < 3.12
+    for label, c in mul(a, b).items():
+        out[head + (label,) + tail] = c
+    return out
 
 
 def boundary(key: tuple, mul, out: dict | None = None, coeff=1) -> dict:
@@ -215,7 +218,11 @@ def identity_failures(tuples, wanted: dict, mul, unit, weight=None, show=str) ->
 def _precyclic_failure(key: tuple, key_faces: list[dict], mul, show) -> str | None:
     """t^(p+1) = 1 and, for p >= 2, d_i d_j = d_{j-1} d_i (i < j) on one
     tuple of degree p, given its faces: None when both hold, and otherwise
-    the witness of the first that fails, the tuple printed by show."""
+    the witness of the first that fails, the tuple printed by show.
+
+    Each double face is one ``face`` call when the face it acts on is a
+    single tuple, scaled by its coefficient when that is not 1; a face of
+    no or several terms goes through ``linear``."""
     p = len(key) - 1
     current, sign = key, 1
     for _ in range(p + 1):
@@ -225,8 +232,15 @@ def _precyclic_failure(key: tuple, key_faces: list[dict], mul, show) -> str | No
         return f"t^{p + 1} != 1 at degree {p}, {show(key)}"
     for j in range(1, p + 1) if p >= 2 else ():  # in degree 1 a face lands in degree 0
         for i in range(j):
-            left = linear(lambda x: face(x, i, mul), key_faces[j])
-            right = linear(lambda x: face(x, j - 1, mul), key_faces[i])
-            if left != right:
+            if _face_of(key_faces[j], i, mul) != _face_of(key_faces[i], j - 1, mul):
                 return f"d_{i} d_{j} != d_{j - 1} d_{i} at degree {p}"
     return None
+
+
+def _face_of(image: dict, i: int, mul) -> dict:
+    """d_i on a chain, one ``face`` call when the chain is a single tuple."""
+    if len(image) != 1:
+        return linear(lambda x: face(x, i, mul), image)
+    ((x, c),) = image.items()
+    out = face(x, i, mul)
+    return out if c == 1 else {y: c * v for y, v in out.items()}

@@ -102,6 +102,47 @@ def test_precyclic_identities_hold_on_the_2x2_matrices():
     assert hh.identity_failures(tuples, wanted, spec.product_vec, unit) == {}
 
 
+# Q[x]/(x^2) on the basis {1, y = 1 + x}, where y y = 2y - 1: the faces of
+# (y, y, ...) have two terms, so the double faces of the precyclic check
+# take the ``linear`` branch; and Q[x]/(x^2 - 4), where x x = 4: one-tuple
+# faces with a coefficient other than 1
+_MULTI_TERM = {
+    "two-term": {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {1: 2, 0: -1}},
+    "scaled": {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: 4}},
+}
+
+
+def _multi_term(name):
+    spec = eg.load_algebra(eg.AlgebraSpec(name=name, dim=2, products=_MULTI_TERM[name], unit={0: 1}))
+    return lambda p: itertools.product(range(2), repeat=p + 1), spec.product_vec
+
+
+@pytest.mark.parametrize("name", _MULTI_TERM)
+def test_precyclic_identities_hold_with_several_terms_and_coefficients(name, monkeypatch):
+    tuples, mul = _multi_term(name)
+    linear, calls = hh.linear, []
+    monkeypatch.setattr(hh, "linear", lambda op, vec: calls.append(vec) or linear(op, vec))
+    wanted = {"precyclic-identities": range(1, 4)}
+    assert hh.identity_failures(tuples, wanted, mul, 0) == {}
+    assert bool(calls) == (name == "two-term")
+
+
+@pytest.mark.parametrize("i, witness", [(0, "d_0 d_1 != d_0 d_0"), (2, "d_0 d_2 != d_1 d_0")])
+def test_a_face_that_drops_a_term_fails_the_precyclic_identities(i, witness, monkeypatch):
+    """d_i that keeps only the first term of a two-term image, the other
+    faces intact: the double faces through ``linear`` see it in degree 2."""
+    tuples, mul = _multi_term("two-term")
+    face = hh.face
+
+    def wrong(key, j, mul):
+        out = face(key, j, mul)
+        return dict([next(iter(out.items()))]) if j == i and len(out) == 2 else out
+
+    monkeypatch.setattr(hh, "face", wrong)
+    failed = hh.identity_failures(tuples, {"precyclic-identities": range(1, 4)}, mul, 0)
+    assert failed == {"precyclic-identities": f"{witness} at degree 2"}
+
+
 def test_class_action_drops_zero_weights():
     vec = {(0, 1): 2, (1, 1): 5, (2, 1): -1}
     assert hh.class_action(vec, lambda key: key[0]) == {(1, 1): 5, (2, 1): -2}
