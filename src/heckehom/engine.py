@@ -134,24 +134,32 @@ _ALGEBRA_DIR = Path(__file__).with_name("algebras")
 BUILTIN_ALGEBRAS = tuple(sorted(path.stem for path in _ALGEBRA_DIR.glob("*.json")))
 
 
+def monoid_table(spec: AlgebraSpec) -> list[list[int]] | None:
+    """The table of e_i * e_j = e_{table[i][j]} when every product of two
+    basis vectors is one basis vector with coefficient 1, else None: the
+    one test for a monoid basis, which decides the group table of a shipped
+    algebra and the product form of a ``ChainStack``.
+
+    >>> monoid_table(builtin_algebra("cyclic_3")), monoid_table(builtin_algebra("dual_numbers"))
+    ([[0, 1, 2], [1, 2, 0], [2, 0, 1]], None)
+    """
+    vecs = [[spec.product_vec(i, j) for j in range(spec.dim)] for i in range(spec.dim)]
+    if all(list(vec.values()) == [1] for row in vecs for vec in row):
+        return [[min(vec) for vec in row] for row in vecs]
+    return None
+
+
 def builtin_algebra(name: str) -> AlgebraSpec:
     """A shipped algebra, with its group_table when its basis is a group.
 
-    The table is set when every product e_i * e_j is one basis vector with
-    coefficient 1, which among the shipped files holds exactly for the
-    group algebras.  It is derived for the shipped files only: a user's
-    spec file is taken as it is written.
-
-    >>> builtin_algebra("cyclic_3").group_table
-    [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    The table is ``monoid_table``, which among the shipped files is set
+    exactly for the group algebras.  It is derived for the shipped files
+    only: a user's spec file is taken as it is written.
     """
     if name not in BUILTIN_ALGEBRAS:
         raise SpecError(f"unknown built-in algebra {name!r}")
     spec = load_algebra_file(_ALGEBRA_DIR / f"{name}.json")
-    vecs = [[spec.product_vec(i, j) for j in range(spec.dim)] for i in range(spec.dim)]
-    if all(list(vec.values()) == [1] for row in vecs for vec in row):
-        return spec._replace(group_table=[[min(vec) for vec in row] for row in vecs])
-    return spec
+    return spec._replace(group_table=monoid_table(spec))
 
 
 def _is_int(value) -> bool:
@@ -277,12 +285,15 @@ class ChainStack:
     unit after the first entry; b and B are those of ``hochschild`` with
     the spec's product.  The spec is first put in a basis in which the unit
     is a basis vector (``unit_basis``); dimensions and ranks do not depend
-    on the basis.
+    on the basis.  The product, ``mul``, is a ``hochschild.LabelProduct``
+    when that basis is a monoid (``monoid_table``), else ``product_vec``.
     """
 
     def __init__(self, spec: AlgebraSpec):
         self.spec = unit_basis(spec)
         self.unit = next(iter(self.spec.unit))
+        table = monoid_table(self.spec)
+        self.mul = hh.LabelProduct(lambda a, b: table[a][b]) if table else self.spec.product_vec
 
     def dim_chain(self, p: int) -> int:
         """The dimension of the normalized C_p."""
@@ -299,7 +310,7 @@ class ChainStack:
         return product(range(self.spec.dim), repeat=p + 1)
 
     def boundary(self, key: tuple[int, ...]) -> dict:
-        return hh.normalize(hh.boundary(key, self.spec.product_vec), self.unit)
+        return hh.normalize(hh.boundary(key, self.mul), self.unit)
 
     def connes_B(self, key: tuple[int, ...]) -> dict:
         return hh.connes_B(key, self.unit)
@@ -308,7 +319,7 @@ class ChainStack:
         """``hochschild.identity_failures`` over every tuple of the stack, for
         wanted and weight, with each witness tuple printed as "tuple (...)"."""
         return hh.identity_failures(
-            self.tuples, wanted, self.spec.product_vec, self.unit, weight, "tuple {}".format
+            self.tuples, wanted, self.mul, self.unit, weight, "tuple {}".format
         )
 
 

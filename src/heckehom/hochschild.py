@@ -1,12 +1,18 @@
 """The Hochschild complex of a unital algebra, on tuple keys.
 
-An algebra enters through the product of two basis labels,
-``mul(a, b) -> {label: coeff}``, and the label of its unit.  A degree-p
-chain is a sparse dict over (p+1)-tuples of labels.  This module holds the
-structure every such algebra shares (Loday, *Cyclic Homology*, ch. 1-2):
+An algebra enters through the product of two basis labels and the label
+of its unit.  The product has one of two forms: ``mul(a, b) -> {label:
+coeff}``, or, when the basis is closed under multiplication with
+coefficient 1 (a monoid, as for a group algebra), a ``LabelProduct``
+whose ``label(a, b)`` is the label of the product.  Then the Hochschild
+complex is the linearized cyclic bar construction, a cyclic set (Loday,
+*Cyclic Homology*, 7.3-7.4): every face of a tuple is one tuple, and the
+faces form no dict.  A degree-p chain is a sparse dict over (p+1)-tuples
+of labels.  This module holds the structure every such algebra shares
+(Loday, ch. 1-2):
 
-- the faces d_i and the alternating boundary b = sum (-1)^i d_i, on any
-  tuple;
+- the faces d_i, one tuple or a dict as the product's form, and the
+  alternating boundary b = sum (-1)^i d_i, on any tuple;
 - the signed cyclic operator t;
 - the degeneracy test and the projection onto the normalized complex
   C(A)/D, spanned by the tuples with no unit after the first entry;
@@ -26,12 +32,15 @@ structure every such algebra shares (Loday, *Cyclic Homology*, ch. 1-2):
   b b, bB + Bb and B B add into one dict each.
 
 On the lattice Z (labels are integers, the product is addition, the unit
-is 0):
+is 0), in both forms:
 
->>> add = lambda a, b: {a + b: 1}
->>> boundary((1, 2, 3), add)
-{(3, 3): 1, (1, 5): -1, (4, 2): 1}
->>> boundary((1, -1), add)
+>>> import operator
+>>> add, labels = lambda a, b: {a + b: 1}, LabelProduct(operator.add)
+>>> face((1, 2, 3), 1, add), face((1, 2, 3), 1, labels)
+({(1, 5): 1}, (1, 5))
+>>> boundary((1, 2, 3), add) == boundary((1, 2, 3), labels) == {(3, 3): 1, (1, 5): -1, (4, 2): 1}
+True
+>>> boundary((1, -1), labels)
 {}
 >>> connes_B((1, 2), 0)
 {(0, 1, 2): 1, (0, 2, 1): -1}
@@ -41,18 +50,30 @@ is 0):
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .sparse import add_into, add_term, linear
 
 
-def face(key: tuple, i: int, mul) -> dict:
+class LabelProduct(namedtuple("LabelProduct", "label")):
+    """The product of a monoid basis: label(a, b) is the label of the
+    product of the basis vectors a and b, whose coefficient is 1."""
+
+    __slots__ = ()
+
+
+def face(key: tuple, i: int, mul) -> tuple | dict:
     """d_i on one tuple: entries i and i + 1 multiplied; d_p multiplies the
-    last entry into the first.  Faces exist from degree 1 on, so their
-    composites d_i d_j exist from degree 2 on."""
+    last entry into the first.  One tuple for a ``LabelProduct``, else a
+    dict.  Faces exist from degree 1 on, so their composites d_i d_j exist
+    from degree 2 on."""
     p = len(key) - 1
     if i < p:
         head, a, b, tail = key[:i], key[i], key[i + 1], key[i + 2 :]
     else:
         head, a, b, tail = (), key[p], key[0], key[1:p]
+    if type(mul) is LabelProduct:
+        return head + (mul.label(a, b),) + tail
     out = {}  # a loop, not a comprehension, which is a frame per call on CPython < 3.12
     for label, c in mul(a, b).items():
         out[head + (label,) + tail] = c
@@ -67,16 +88,20 @@ def boundary(key: tuple, mul, out: dict | None = None, coeff=1) -> dict:
     {(1, 5): -2, (4, 2): 2}
     """
     out, p = {} if out is None else out, len(key) - 1
+    label = mul.label if type(mul) is LabelProduct else None
     for i in range(p + 1) if p else ():
-        # the faces of ``face`` and the accumulation of ``sparse.add_term``,
-        # inline: this loop is the hot path of the engine and the torus
+        # the faces of ``face`` inline, and for a dict product the accumulation
+        # of ``sparse.add_term``: this loop is the hot path of the engine and the torus
         if i < p:
             head, a, b, tail = key[:i], key[i], key[i + 1], key[i + 2 :]
         else:
             head, a, b, tail = (), key[p], key[0], key[1:p]
         sign = -coeff if i % 2 else coeff
-        for label, c in mul(a, b).items():
-            image = head + (label,) + tail
+        if label:  # one tuple, coefficient 1: no product dict
+            add_term(out, head + (label(a, b),) + tail, sign)
+            continue
+        for x, c in mul(a, b).items():
+            image = head + (x,) + tail
             value = c * sign
             old = out.get(image)
             new = value if old is None else old + value
@@ -159,6 +184,8 @@ def identity_failures(tuples, wanted: dict, mul, unit, weight=None, show=str) ->
     if unknown := wanted.keys() - set(IDENTITIES):
         raise ValueError(f"unknown chain identities: {', '.join(sorted(unknown))}")
     failed: dict = {}
+    single = type(mul) is LabelProduct  # then every face is one tuple, not a dict
+    add_face = add_term if single else add_into
 
     def fail(name, key, text=None):
         if name not in failed or key < failed[name][0]:
@@ -186,7 +213,7 @@ def identity_failures(tuples, wanted: dict, mul, unit, weight=None, show=str) ->
                 if b_squared or normalized:  # b only where it is checked
                     b_image: dict = {}
                     for i, image in enumerate(key_faces):
-                        add_into(b_image, image, -1 if i % 2 else None)
+                        add_face(b_image, image, -1 if i % 2 else 1)
                     if b_squared:
                         bb: dict = {}
                         for other, c in b_image.items():
@@ -207,7 +234,9 @@ def identity_failures(tuples, wanted: dict, mul, unit, weight=None, show=str) ->
                     if BB or bB_Bb:
                         fail("normalized-identities", key)
                 if weighed:
-                    here, images = weight(key), (B_image, {cyclic(key)[0]: 1}, *key_faces)
+                    # one tuple per face: the list of faces is one image
+                    faces = [key_faces] if single else key_faces
+                    here, images = weight(key), (B_image, (cyclic(key)[0],), *faces)
                     if any(weight(other) != here for image in images for other in image):
                         fail("class-action-commutes", key)
 
@@ -215,14 +244,15 @@ def identity_failures(tuples, wanted: dict, mul, unit, weight=None, show=str) ->
     return {name: witness(*failed[name]) for name in IDENTITIES if name in failed}
 
 
-def _precyclic_failure(key: tuple, key_faces: list[dict], mul, show) -> str | None:
+def _precyclic_failure(key: tuple, key_faces: list, mul, show) -> str | None:
     """t^(p+1) = 1 and, for p >= 2, d_i d_j = d_{j-1} d_i (i < j) on one
     tuple of degree p, given its faces: None when both hold, and otherwise
     the witness of the first that fails, the tuple printed by show.
 
     Each double face is one ``face`` call when the face it acts on is a
-    single tuple, scaled by its coefficient when that is not 1; a face of
-    no or several terms goes through ``linear``."""
+    single tuple: a tuple of a ``LabelProduct``, or a dict of one term,
+    scaled by its coefficient when that is not 1; a face of no or several
+    terms goes through ``linear``."""
     p = len(key) - 1
     current, sign = key, 1
     for _ in range(p + 1):
@@ -237,8 +267,10 @@ def _precyclic_failure(key: tuple, key_faces: list[dict], mul, show) -> str | No
     return None
 
 
-def _face_of(image: dict, i: int, mul) -> dict:
-    """d_i on a chain, one ``face`` call when the chain is a single tuple."""
+def _face_of(image: tuple | dict, i: int, mul) -> tuple | dict:
+    """d_i on a face, one ``face`` call when the face is a single tuple."""
+    if type(image) is tuple:
+        return face(image, i, mul)
     if len(image) != 1:
         return linear(lambda x: face(x, i, mul), image)
     ((x, c),) = image.items()

@@ -35,6 +35,7 @@ each degree eliminated once, whose cycles the SBI check also reads.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import partial, reduce
 from math import factorial
 
@@ -60,14 +61,14 @@ def decode(label: int, rank: int) -> tuple[int, ...]:
     return decode(high, rank - 1) + (digit - _BOX,)
 
 
-def _lattice_mul(a: int, b: int) -> dict[int, int]:
-    """The product of two basis vectors of the group algebra: lattice addition."""
-    return {a + b: 1}
+# the product of two basis vectors of the group algebra, lattice addition:
+# the label of the product, which has coefficient 1
+_LATTICE = hh.LabelProduct(operator.add)
 
 
 def boundary_key(key: ChainKey) -> dict[ChainKey, int]:
     """Alternating face sum on a single basis tuple (unnormalized)."""
-    return hh.boundary(key, _lattice_mul)
+    return hh.boundary(key, _LATTICE)
 
 
 def connes_b_key(key: ChainKey) -> dict[ChainKey, int]:
@@ -178,7 +179,7 @@ def chain_identity_failures(rank: int, window: int, wanted: dict) -> dict[str, s
     zero vector and the compact weight: the witness of each that fails, a
     tuple printed as its vectors."""
     tuples = lambda p: windowed_keys(rank, p, window)
-    return hh.identity_failures(tuples, wanted, _lattice_mul, 0, _compact, partial(_printed, rank))
+    return hh.identity_failures(tuples, wanted, _LATTICE, 0, _compact, partial(_printed, rank))
 
 
 def _invariant_sector_dims(rank: int, window: int, top: int) -> list[QuotientSpace]:

@@ -13,6 +13,7 @@ import pytest
 
 from heckehom import engine as eg
 from heckehom import hochschild as hh
+from heckehom import suites
 from heckehom.linalg import QuotientSpace, elimination_order, homology, kernel_vectors, span_basis
 from heckehom.sparse import add_into, add_term, linear
 
@@ -167,8 +168,6 @@ def test_matrix_2_spec_passes_every_engine_case(capsys):
 def test_symmetric_3_spec_passes_every_engine_case(tmp_path, monkeypatch, capsys):
     """Q[S_3], a noncommutative group algebra given as a spec file: HH_0 is
     spanned by the 3 conjugacy classes, and over Q the higher HH vanish."""
-    from heckehom import suites
-
     perms = list(itertools.permutations(range(3)))  # the identity first
     products = [
         {"i": i, "j": j, "coeffs": [int(c == tuple(a[k] for k in b)) for c in perms]}
@@ -349,6 +348,64 @@ def test_builtin_group_tables():
 def test_spec_file_gets_no_group_table():
     # only built-ins derive a table; a user's file is taken as it is written
     assert eg.load_algebra_file(eg._ALGEBRA_DIR / "cyclic_5.json").group_table is None
+
+
+def _has_label_product(spec) -> bool:
+    return isinstance(eg.ChainStack(spec).mul, hh.LabelProduct)
+
+
+def test_label_product_exactly_on_monoid_bases(monkeypatch):
+    """A ``ChainStack`` takes a ``LabelProduct`` exactly when every product
+    of two basis vectors, in the basis of ``unit_basis``, is one basis vector
+    with coefficient 1: on the group algebras, also from a spec file."""
+    for name in eg.BUILTIN_ALGEBRAS:
+        group = name == "ground_field" or name.startswith("cyclic_")
+        assert _has_label_product(eg.builtin_algebra(name)) == group, name
+    assert eg.monoid_table(eg.unit_basis(eg.builtin_algebra("matrix_2"))) is None
+    # x x = 4: one basis vector, with coefficient 4
+    scaled = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: 4}}
+    assert not _has_label_product(eg.load_algebra(eg.AlgebraSpec("scaled", 2, scaled, {0: 1})))
+    path = eg._ALGEBRA_DIR / "cyclic_5.json"
+    assert _has_label_product(eg.load_algebra_file(path))
+    # and through --spec: the stack the engine suite builds for the file
+    forms, compute_cyclic = {}, eg.compute_cyclic
+
+    def recorded(spec, cutoff):
+        report = compute_cyclic(spec, cutoff)
+        forms[spec.name] = isinstance(report.stack.mul, hh.LabelProduct)
+        return report
+
+    monkeypatch.setattr(eg, "compute_cyclic", recorded)
+    suites.suite_engine(suites.SuiteConfig(engine_cutoff=1, engine_spec_files=(str(path),)))
+    assert forms["cyclic_5"] and not forms["dual_numbers"]
+    assert forms == {name: name == "ground_field" or name.startswith("cyclic_") for name in forms}
+
+
+@pytest.mark.parametrize("name", ["cyclic_3", "cyclic_5"])
+def test_both_product_forms_give_the_same_homology_and_witnesses(name, monkeypatch):
+    """HH and HC dimensions and the sweep's witnesses, on passing input, with
+    the first-entry weight and with d_1 replaced by d_0, are the same with the
+    ``LabelProduct`` and with the dict product forced."""
+    spec = eg.builtin_algebra(name)
+    wanted = {"precyclic-identities": range(1, 4), "class-action-commutes": range(3)}
+    weights = [eg.class_weight(spec, {0: 1}), lambda key: int(key[0] == 0)]
+    face = hh.face
+
+    def run():
+        report = eg.compute_cyclic(spec, 3)
+        stack = report.stack
+        found = [stack.verify_structure_identities(wanted, weight) for weight in weights]
+        with monkeypatch.context() as m:
+            m.setattr(hh, "face", lambda key, i, mul: face(key, 0 if i == 1 else i, mul))
+            found.append(stack.verify_structure_identities(wanted, weights[0]))
+        return type(stack.mul), (report.hh_dims, report.hc_dims, found)
+
+    label_form, label = run()
+    monkeypatch.setattr(eg, "monoid_table", lambda spec: None)
+    dict_form, forced = run()
+    assert (label_form, dict_form) == (hh.LabelProduct, type(spec.product_vec))
+    assert label == forced
+    assert [bool(failed) for failed in label[2]] == [False, True, True]
 
 
 # ---------------------------------------------------------------------------

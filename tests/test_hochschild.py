@@ -1,6 +1,7 @@
 """The class-function action on tuple keys and its commutation check."""
 
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,22 +13,40 @@ from heckehom import torus as tr
 from heckehom.sparse import add_into, add_term
 
 
-def _lattice_z():
-    """Tuples of Z with entries in [-2, 2], degrees 0..2, and F(product) for
-    F the indicator of 0."""
+def _lattice_z(form="dict"):
+    """Tuples of Z with entries in [-2, 2], degrees 0..2, addition as the
+    product in the form asked for, and F(product) for F the indicator of 0."""
     keys = [key for p in range(3) for key in itertools.product(range(-2, 3), repeat=p + 1)]
-    return keys, lambda a, b: {a + b: 1}, 0, lambda key: int(sum(key) == 0)
+    mul = hh.LabelProduct(operator.add) if form == "label" else lambda a, b: {a + b: 1}
+    return keys, mul, 0, lambda key: int(sum(key) == 0)
 
 
-def _cyclic_3():
-    """Tuples of Z/3, degrees 0..2, and F(product) for F the indicator of e."""
+def _cyclic_3(form="dict"):
+    """Tuples of Z/3, degrees 0..2, the product in the form asked for, and
+    F(product) for F the indicator of e."""
     spec = eg.builtin_algebra("cyclic_3")
     keys = [key for p in range(3) for key in itertools.product(range(3), repeat=p + 1)]
-    weight = eg.class_weight(spec, {0: 1})
-    return keys, spec.product_vec, 0, weight
+    table = eg.monoid_table(spec)
+    mul = hh.LabelProduct(lambda a, b: table[a][b]) if form == "label" else spec.product_vec
+    return keys, mul, 0, eg.class_weight(spec, {0: 1})
 
 
 ALGEBRAS = {"lattice_Z": _lattice_z, "cyclic_3": _cyclic_3}
+# the two forms of a product: {label: coeff} dicts, and a ``LabelProduct``
+FORMS = ("dict", "label")
+# each fixture in each form; the dict form keeps the fixture's name as its id
+IN_BOTH_FORMS = [
+    pytest.param(name, form, id=name if form == "dict" else f"{name}-{form}")
+    for name in ALGEBRAS
+    for form in FORMS
+]
+
+
+def _unit_times_1_is_the_unit(mul, unit):
+    """The product with unit * 1 = unit instead of 1, in the form of mul."""
+    if isinstance(mul, hh.LabelProduct):
+        return hh.LabelProduct(lambda a, b: unit if (a, b) == (unit, 1) else mul.label(a, b))
+    return lambda a, b: {unit: 1} if (a, b) == (unit, 1) else mul(a, b)
 
 
 def _by_degree(keys):
@@ -35,43 +54,41 @@ def _by_degree(keys):
     return lambda p: [key for key in keys if len(key) == p + 1]
 
 
-@pytest.mark.parametrize("name", ALGEBRAS)
-def test_weight_of_the_product_commutes(name):
-    keys, mul, unit, weight = ALGEBRAS[name]()
+@pytest.mark.parametrize("name, form", IN_BOTH_FORMS)
+def test_weight_of_the_product_commutes(name, form):
+    keys, mul, unit, weight = ALGEBRAS[name](form)
     wanted = {"class-action-commutes": range(3)}
     assert hh.identity_failures(_by_degree(keys), wanted, mul, unit, weight) == {}
 
 
-@pytest.mark.parametrize("name", ALGEBRAS)
-def test_weight_of_the_first_entry_fails(name):
+@pytest.mark.parametrize("name, form", IN_BOTH_FORMS)
+def test_weight_of_the_first_entry_fails(name, form):
     """Negative control: a weight that reads only the first entry is not
     preserved by B, which puts the unit in front."""
-    keys, mul, unit, _ = ALGEBRAS[name]()
+    keys, mul, unit, _ = ALGEBRAS[name](form)
     first = lambda key: int(key[0] == unit)
     wanted = {"class-action-commutes": range(3)}
     failed = hh.identity_failures(_by_degree(keys), wanted, mul, unit, first)
     assert list(failed) == ["class-action-commutes"]
 
 
-@pytest.mark.parametrize("name", ALGEBRAS)
-def test_identity_sweep_holds_and_each_identity_fails_on_a_wrong_product(name):
+@pytest.mark.parametrize("name, form", IN_BOTH_FORMS)
+def test_identity_sweep_holds_and_each_identity_fails_on_a_wrong_product(name, form):
     """Every identity of the shared sweep holds through degree 2, and
     each fails alone when the unit times 1 is the unit instead of 1."""
-    keys, mul, unit, weight = ALGEBRAS[name]()
+    keys, mul, unit, weight = ALGEBRAS[name](form)
     tuples = lambda p: [key for key in keys if len(key) == p + 1]
     wanted = dict.fromkeys(hh.IDENTITIES, range(3))
     assert hh.identity_failures(tuples, wanted, mul, unit, weight) == {}
-    wrong = lambda a, b: {unit: 1} if (a, b) == (unit, 1) else mul(a, b)
+    wrong = _unit_times_1_is_the_unit(mul, unit)
     for identity in hh.IDENTITIES:
         failed = hh.identity_failures(tuples, {identity: range(3)}, wrong, unit, weight)
         assert list(failed) == [identity]
 
 
-def test_B_squared_alone_fails_the_normalized_identities(monkeypatch):
+def _B_with_a_unit_term(monkeypatch):
     """A B that also puts the unit in front of the degree-2 tuples that
-    begin with it breaks B B = 0 only: those are exactly the B-images that
-    B B reads, and bB + Bb never applies B to them."""
-    keys, mul, unit, _ = _lattice_z()
+    begin with it."""
     connes_B = hh.connes_B
 
     def wrong(key, unit, out=None, coeff=1):
@@ -81,8 +98,41 @@ def test_B_squared_alone_fails_the_normalized_identities(monkeypatch):
         return out
 
     monkeypatch.setattr(hh, "connes_B", wrong)
-    failed = hh.identity_failures(_by_degree(keys), {"normalized-identities": range(2)}, mul, unit)
-    assert failed == {"normalized-identities": "(-2, -1)"}
+
+
+def test_B_squared_alone_fails_the_normalized_identities(monkeypatch):
+    """The B of ``_B_with_a_unit_term`` breaks B B = 0 only, in both product
+    forms: the tuples it changes are exactly the B-images that B B reads,
+    and bB + Bb never applies B to them."""
+    _B_with_a_unit_term(monkeypatch)
+    for form in FORMS:
+        keys, mul, unit, _ = _lattice_z(form)
+        wanted = {"normalized-identities": range(2)}
+        failed = hh.identity_failures(_by_degree(keys), wanted, mul, unit)
+        assert failed == {"normalized-identities": "(-2, -1)"}, form
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_both_product_forms_give_the_same_failures(name, monkeypatch):
+    """The sweep returns the same dict with the dict product and with the
+    ``LabelProduct``: on passing input, and under each mutant above, the
+    wrong unit product, the first-entry weight and the B of
+    ``_B_with_a_unit_term``; each identity asked for alone and all at once."""
+    wanted = [{identity: range(3)} for identity in hh.IDENTITIES]
+    wanted.append(dict.fromkeys(hh.IDENTITIES, range(3)))
+
+    def failures(form):
+        keys, mul, unit, weight = ALGEBRAS[name](form)
+        first = lambda key: int(key[0] == unit)
+        runs = [(mul, weight), (_unit_times_1_is_the_unit(mul, unit), weight), (mul, first)]
+        found = [hh.identity_failures(_by_degree(keys), w, m, unit, f) for m, f in runs for w in wanted]
+        with monkeypatch.context() as m:
+            _B_with_a_unit_term(m)
+            return found + [hh.identity_failures(_by_degree(keys), w, mul, unit, weight) for w in wanted]
+
+    found = failures("dict")
+    assert found == failures("label")
+    assert {} in found and len({str(failed) for failed in found}) > 2
 
 
 def test_identity_failures_refuses_an_unknown_name():
@@ -159,19 +209,23 @@ def test_torus_class_action_case_can_fail(monkeypatch):
 
 
 def _product_and_unit(name):
-    """The product, the unit and some labels: Z with entries in [-2, 2], or
-    a spec in the basis of ``unit_basis``, where the dual numbers have
-    eps * eps = {} and M_2 has products of two terms."""
-    if name == "lattice_Z":
-        return (lambda a, b: {a + b: 1}), 0, range(-2, 3)
-    spec = eg.unit_basis(eg.builtin_algebra(name))
-    return spec.product_vec, next(iter(spec.unit)), range(spec.dim)
+    """The product, the unit and some labels: Z with entries in [-2, 2], in
+    either form, or a built-in algebra with the product of its
+    ``ChainStack``, a ``LabelProduct`` on Z/3, and dicts on the dual numbers,
+    where eps * eps = {}, and on M_2, whose products in the basis of
+    ``unit_basis`` have two terms."""
+    if name.startswith("lattice_Z"):
+        return _lattice_z("label" if name.endswith("-label") else "dict")[1], 0, range(-2, 3)
+    stack = eg.ChainStack(eg.builtin_algebra(name))
+    return stack.mul, stack.unit, range(stack.spec.dim)
 
 
 _COEFFS = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
 
 
-@pytest.mark.parametrize("name", ["lattice_Z", "dual_numbers", "matrix_2"])
+@pytest.mark.parametrize(
+    "name", ["lattice_Z", "lattice_Z-label", "cyclic_3", "dual_numbers", "matrix_2"]
+)
 @settings(max_examples=50)
 @given(data=st.data())
 def test_boundary_and_connes_B_add_into_out(name, data):

@@ -82,7 +82,9 @@ def _long_words_doubled(f):
 
 
 def _added(out, image, coeff):
-    """A wrong image as boundary and connes_B return it: coeff * image added into out."""
+    """A wrong image as boundary and connes_B return it: coeff * image added
+    into out.  image may be a face of a ``LabelProduct``, one tuple."""
+    image = {image: 1} if isinstance(image, tuple) else image
     return add_into({} if out is None else out, image, coeff)
 
 
