@@ -65,8 +65,8 @@ class LabelProduct(namedtuple("LabelProduct", "label")):
 def face(key: tuple, i: int, mul) -> tuple | dict:
     """d_i on one tuple: entries i and i + 1 multiplied; d_p multiplies the
     last entry into the first.  One tuple for a ``LabelProduct``, else a
-    dict.  Faces exist from degree 1 on, so their composites d_i d_j exist
-    from degree 2 on."""
+    dict with one tuple per term of the product.  Faces exist from degree 1
+    on, so their composites d_i d_j exist from degree 2 on."""
     p = len(key) - 1
     if i < p:
         head, a, b, tail = key[:i], key[i], key[i + 1], key[i + 2 :]
@@ -74,15 +74,14 @@ def face(key: tuple, i: int, mul) -> tuple | dict:
         head, a, b, tail = (), key[p], key[0], key[1:p]
     if type(mul) is LabelProduct:
         return head + (mul.label(a, b),) + tail
-    out = {}  # a loop, not a comprehension, which is a frame per call on CPython < 3.12
-    for label, c in mul(a, b).items():
-        out[head + (label,) + tail] = c
-    return out
+    return {head + (label,) + tail: c for label, c in mul(a, b).items()}
 
 
 def boundary(key: tuple, mul, out: dict | None = None, coeff=1) -> dict:
     """out += coeff * b(key) as ``sparse.add_into`` adds, for b = sum_i (-1)^i d_i
     on one tuple (zero in degree 0); returns out, a new dict when None.
+    Each face, or each term of a face of a dict product, goes in by
+    ``sparse.add_term``.
 
     >>> boundary((1, 2, 3), lambda a, b: {a + b: 1}, {(3, 3): -2}, 2)
     {(1, 5): -2, (4, 2): 2}
@@ -90,8 +89,7 @@ def boundary(key: tuple, mul, out: dict | None = None, coeff=1) -> dict:
     out, p = {} if out is None else out, len(key) - 1
     label = mul.label if type(mul) is LabelProduct else None
     for i in range(p + 1) if p else ():
-        # the faces of ``face`` inline, and for a dict product the accumulation
-        # of ``sparse.add_term``: this loop is the hot path of the engine and the torus
+        # the faces of ``face`` inline, so that a label product forms no dict
         if i < p:
             head, a, b, tail = key[:i], key[i], key[i + 1], key[i + 2 :]
         else:
@@ -101,14 +99,7 @@ def boundary(key: tuple, mul, out: dict | None = None, coeff=1) -> dict:
             add_term(out, head + (label(a, b),) + tail, sign)
             continue
         for x, c in mul(a, b).items():
-            image = head + (x,) + tail
-            value = c * sign
-            old = out.get(image)
-            new = value if old is None else old + value
-            if new:
-                out[image] = new
-            elif old is not None:
-                del out[image]
+            add_term(out, head + (x,) + tail, c * sign)
     return out
 
 
@@ -249,10 +240,8 @@ def _precyclic_failure(key: tuple, key_faces: list, mul, show) -> str | None:
     tuple of degree p, given its faces: None when both hold, and otherwise
     the witness of the first that fails, the tuple printed by show.
 
-    Each double face is one ``face`` call when the face it acts on is a
-    single tuple: a tuple of a ``LabelProduct``, or a dict of one term,
-    scaled by its coefficient when that is not 1; a face of no or several
-    terms goes through ``linear``."""
+    Each double face is one ``face`` call on a face that is the tuple of a
+    ``LabelProduct``, and goes through ``linear`` on a face that is a dict."""
     p = len(key) - 1
     current, sign = key, 1
     for _ in range(p + 1):
@@ -268,11 +257,8 @@ def _precyclic_failure(key: tuple, key_faces: list, mul, show) -> str | None:
 
 
 def _face_of(image: tuple | dict, i: int, mul) -> tuple | dict:
-    """d_i on a face, one ``face`` call when the face is a single tuple."""
+    """d_i on a face: one ``face`` call on the tuple of a ``LabelProduct``,
+    ``linear`` on the dict of any other product."""
     if type(image) is tuple:
         return face(image, i, mul)
-    if len(image) != 1:
-        return linear(lambda x: face(x, i, mul), image)
-    ((x, c),) = image.items()
-    out = face(x, i, mul)
-    return out if c == 1 else {y: c * v for y, v in out.items()}
+    return linear(lambda x: face(x, i, mul), image)

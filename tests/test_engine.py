@@ -503,18 +503,29 @@ def _two_squares():
     return _unital_spec("two_squares", 4, {(1, 2): {3: 1}, (2, 1): {3: 1}})
 
 
+def _hecke_i2_2_at_minus_1():
+    """H_{-1}(I_2(2)) on the basis T_e, T_s, T_t, T_st of its spec file:
+    T_g T_g = -2 T_g - T_e, T_s T_t = T_t T_s = T_st.  It is ``_two_squares``
+    with a = T_s + T_e, b = T_t + T_e, but the contraction depends on the
+    basis: at cutoff 4 four tails p B (-hB)^k, k >= 1, of its model are
+    nonzero.  Its products have several terms, so it takes the dict product."""
+    return eg.load_algebra_file(Path(__file__).parent / "algebras" / "hecke_i2_2_at_minus_1.json")
+
+
 # (algebra, cutoff) pairs on which the model is checked against the Tot oracle
 _MODEL_CASES = [
     *((name, 3 if name in ("cyclic_5", "cyclic_6") else 4) for name in eg.BUILTIN_ALGEBRAS),
     ("dual_numbers", 6),
     ("square_zero", 5),
     ("two_squares", 4),
+    ("hecke_i2_2_at_minus_1", 4),
 ]
 
 
 def _spec(name):
     """A built-in algebra, or a test algebra of this file, by name."""
     tests = {"square_zero": _square_zero, "two_squares": _two_squares,
+             "hecke_i2_2_at_minus_1": _hecke_i2_2_at_minus_1,
              "half_unit_dual_numbers": _half_unit_dual_numbers}
     return tests[name]() if name in tests else eg.builtin_algebra(name)
 
@@ -563,9 +574,11 @@ def _perturbation_failure(report):
     B = p B on the j = 0 part of i_oo; on every HC representative, i_oo is a
     Tot cycle and B = the HH coordinates of B on its j = 0 part.
 
-    The keys matter: on every algebra tested pB(-hB)^k = 0 for k >= 1, so on
+    The keys matter: on most algebras tested pB(-hB)^k = 0 for k >= 1, so on
     a model cycle the j >= 1 terms of B cancel level by level, and a B that
-    ignored j would still agree on every representative."""
+    ignored j would still agree on every representative.  H_{-1}(I_2(2)) at
+    cutoff 4 has nonzero tails, and there D i = i d' fails for a d' cut to
+    its k = 0 term."""
     model, stack, cutoff = report.contraction, report.stack, report.cutoff
     tot_d = lambda chain: linear(lambda key: _tot_boundary(stack, key), chain)
 
@@ -604,6 +617,21 @@ def test_a_contraction_with_one_payload_negated_fails():
     row, payload = preimages.row(pivot)
     preimages._rows[pivot] = (row, {key: -c for key, c in payload.items()})
     assert _contraction_failure(report).startswith("1 - ip = bh + hb on ")
+
+
+def test_a_model_differential_without_its_tails_fails(monkeypatch):
+    """Negative control: d' cut to its k = 0 term, p B x, on an algebra
+    whose tails p B (-hB)^k x, k >= 1, are not all zero."""
+    report = eg.compute_cyclic(_hecke_i2_2_at_minus_1(), 4)
+    assert any(pbs[k] for by_rep in report.contraction.tails for _, pbs in by_rep for k in range(1, len(pbs)))
+
+    def untailed(self, key):
+        j, (m, i) = key
+        pbs = self.tails[m][i][1]
+        return {(j - 1, (m + 1, x)): c for x, c in pbs[0].items()} if j else {}
+
+    monkeypatch.setattr(eg.Contraction, "boundary", untailed)
+    assert _contraction_failure(report) == "D i = i d' on (2, (0, 1))"
 
 
 def _homology_counting_top(bases, boundary, cutoff):

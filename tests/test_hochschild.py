@@ -153,9 +153,9 @@ def test_precyclic_identities_hold_on_the_2x2_matrices():
 
 
 # Q[x]/(x^2) on the basis {1, y = 1 + x}, where y y = 2y - 1: the faces of
-# (y, y, ...) have two terms, so the double faces of the precyclic check
-# take the ``linear`` branch; and Q[x]/(x^2 - 4), where x x = 4: one-tuple
-# faces with a coefficient other than 1
+# (y, y, ...) have two terms; and Q[x]/(x^2 - 4), where x x = 4: one-tuple
+# faces with a coefficient other than 1.  Both are dict products, so every
+# double face of the precyclic check goes through ``linear``
 _MULTI_TERM = {
     "two-term": {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {1: 2, 0: -1}},
     "scaled": {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: 4}},
@@ -174,7 +174,7 @@ def test_precyclic_identities_hold_with_several_terms_and_coefficients(name, mon
     monkeypatch.setattr(hh, "linear", lambda op, vec: calls.append(vec) or linear(op, vec))
     wanted = {"precyclic-identities": range(1, 4)}
     assert hh.identity_failures(tuples, wanted, mul, 0) == {}
-    assert bool(calls) == (name == "two-term")
+    assert calls
 
 
 @pytest.mark.parametrize("i, witness", [(0, "d_0 d_1 != d_0 d_0"), (2, "d_0 d_2 != d_1 d_0")])
