@@ -20,6 +20,7 @@ descent recursion are kept as its two independent checks.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .laurent import LaurentQ, ONE, ZERO, to_laurent
 from .sparse import Sparse, add_shifted
@@ -86,8 +87,11 @@ def t_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     two general factors are multiplied.  The terms of c then go straight
     into one exponent dict per word: c q^(j+1) and -c q^j for each
     (q-1)q^j, and c q^m for T_{xy}.  No zero is stored, and a word whose
-    terms all cancel is dropped.
+    terms all cancel is dropped.  Rational factors are written over the lcms
+    of their denominators: every pair is summed in ints, each word reduced once.
     """
+    a, da = _numerators(a)
+    b, db = _numerators(b)
     total: dict[WeylWord, dict] = {}
     right = [(y, y.length, cy, _unit_exponent(cy)) for y, cy in b._terms.items()]
     for x, cx in a._terms.items():
@@ -109,6 +113,26 @@ def t_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
                     add_shifted(d, terms, k + j + 1)
                     add_shifted(d, negated, k + j)
             add_shifted(total.setdefault(xy, {}), terms, k + m)
+    return _over(total, da * db)
+
+
+def _numerators(a: HeckeElement) -> tuple[HeckeElement, int]:
+    """(n, d) with a = n / d: d the lcm of a's denominators, and n over 1."""
+    d = 1
+    for c in a._terms.values():
+        if c._den != 1:
+            d = lcm(d, c._den)
+    if d == 1:
+        return a, 1
+    return HeckeElement._new({w: LaurentQ._new({e: v * (d // c._den) for e, v in c._terms.items()})
+                              for w, c in a._terms.items()}), d
+
+
+def _over(total: dict, den: int) -> HeckeElement:
+    """The element with the exponent dicts of total over den, each word's
+    coefficient reduced once; a word whose terms all cancelled is dropped."""
+    if den != 1:
+        return HeckeElement._new({w: LaurentQ._reduced(d, den) for w, d in total.items() if d})
     # dict(d) re-sizes a table that grew through cancellations, which the
     # inverse cache would otherwise keep at its largest
     return HeckeElement._new({w: LaurentQ._new(dict(d)) for w, d in total.items() if d})
@@ -117,11 +141,13 @@ def t_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
 def _times_generator_inverse(a: HeckeElement, g: str) -> HeckeElement:
     """a T_g^-1 for a generator g, by T_g^-1 = q^-1 T_g - (1 - q^-1) T_e: each
     c T_x goes to c T_{xg} when xg < x, else to q^-1 c T_{xg} + (q^-1 c - c) T_x,
-    exponent offsets and one difference: no product, and no image that cancels.
+    exponent offsets and one difference: no product, and no image that cancels;
+    a rational a is written over the lcm of its denominators first.
 
     >>> _times_generator_inverse(basis(WeylWord(1, "s")), "t")
     (q^-1 - 1)*T[s] + q^-1*T[st]
     """
+    a, den = _numerators(a)
     gw = _word((1, g))
     total: dict[WeylWord, dict] = {}
     for x, c in a._terms.items():
@@ -131,7 +157,7 @@ def _times_generator_inverse(a: HeckeElement, g: str) -> HeckeElement:
         if longer:
             add_shifted(total.setdefault(x, {}), c._terms, -1)
             add_shifted(total[x], {e: -v for e, v in c._terms.items()}, 0)
-    return HeckeElement._new({w: LaurentQ._new(dict(d)) for w, d in total.items() if d})
+    return _over(total, den)
 
 
 _INVERSE_CACHE: dict[WeylWord, HeckeElement] = {}

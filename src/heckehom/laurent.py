@@ -1,20 +1,20 @@
-"""Sparse Laurent polynomials in the parameter q.
+"""Sparse Laurent polynomials in q with exact rational coefficients.
 
-The Hecke algebra and everything built on it live over Z[q, q^-1], so the
-coefficients follow the one rule of ``sparse.exact``: ints stay ints, an
-integral Fraction is stored as an int, no float is ever accepted, and every
-division of coefficients is an ``exact_quotient``.  Integer inputs keep
-integer coefficients; a Fraction appears only from a rational input or a
-quotient that is not integral.  Every element is a sparse mapping with zero
-coefficients dropped (see ``sparse``), so equality of mappings is exact
-equality of values.  Multiplying by q^k is an exponent shift, ``shift``,
-and multiplying by q - 1 is a shift and a difference, ``times_q_minus_1``:
-neither forms a product.
+The Hecke algebra and everything built on it live over Z[q, q^-1], so a
+polynomial is stored as sparse integer numerators {exp: int}, no zero kept,
+over one positive denominator, in lowest terms (as FLINT's fmpq_poly): the
+gcd of the denominator and the numerators is 1, and zero has denominator 1.
+So +, -, * and shifts run on Python ints, and equal values are stored alike.
+A coefficient read out (``terms``, ``coefficient``, printing, ``evaluate``,
+``divide_exact``) is an int when integral, else a Fraction (``sparse.exact``).
+Multiplying by q^k is an exponent shift, ``shift``, and by q - 1 a shift and
+a difference, ``times_q_minus_1``: neither forms a product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .sparse import Sparse, add_into, add_shifted, exact, exact_quotient
 
@@ -24,8 +24,8 @@ class NotDivisible(ArithmeticError):
 
 
 class LaurentQ(Sparse):
-    """Sparse Laurent polynomial in q whose coefficients follow ``sparse.exact``:
-    ints stay ints, integral Fractions become ints, and every quotient is exact.
+    """Sparse Laurent polynomial in q: integer numerators over one positive
+    denominator in lowest terms, read out under the rule of ``sparse.exact``.
 
     >>> (Q - 1) * (Q + 1) == Q**2 - 1
     True
@@ -37,6 +37,22 @@ class LaurentQ(Sparse):
 
     _key = staticmethod(int)
     _coerce = staticmethod(exact)
+
+    def _store(self, data: dict) -> None:
+        # the values are exact, so over their lcm the numerators have gcd 1
+        den = 1
+        for c in data.values():
+            if type(c) is not int:
+                den = lcm(den, c.denominator)
+        if den != 1:
+            data = {e: c.numerator * (den // c.denominator) for e, c in data.items()}
+        self._terms, self._den = data, den
+
+    @classmethod
+    def _reduced(cls, terms: dict, den: int) -> LaurentQ:
+        """terms / den in lowest terms: int terms, no zero, den > 0."""
+        g = gcd(den, *terms.values())
+        return cls._new(terms, den) if g == 1 else cls._new({e: n // g for e, n in terms.items()}, den // g)
 
     @staticmethod
     def _token(exp: int) -> str:
@@ -59,21 +75,25 @@ class LaurentQ(Sparse):
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        other = _as_laurent(other)
+        other = other if type(other) is LaurentQ else _as_laurent(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._terms == other._terms
+        return self._terms == other._terms and self._den == other._den
 
     def __hash__(self) -> int:
         # a constant equals its scalar, so it hashes as that scalar
         terms = self._terms
-        return hash(terms.get(0, 0) if terms.keys() <= {0} else tuple(sorted(terms.items())))
+        return hash(self.coefficient(0) if terms.keys() <= {0} else (self._den, tuple(sorted(terms.items()))))
 
     def __add__(self, other) -> LaurentQ:
-        other = _as_laurent(other)
+        other = other if type(other) is LaurentQ else _as_laurent(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._new(add_into(dict(self._terms), other._terms))
+        if self._den == other._den == 1:
+            return self._new(add_into(dict(self._terms), other._terms))
+        den = lcm(self._den, other._den)
+        out = add_into({}, self._terms, den // self._den)
+        return self._reduced(add_into(out, other._terms, den // other._den), den)
 
     __radd__ = __add__
 
@@ -81,7 +101,7 @@ class LaurentQ(Sparse):
         return -self + other
 
     def __mul__(self, other) -> LaurentQ:
-        other = _as_laurent(other)
+        other = other if type(other) is LaurentQ else _as_laurent(other)
         if other is NotImplemented:
             return NotImplemented
         out: dict = {}
@@ -102,9 +122,13 @@ class LaurentQ(Sparse):
                         out[e] = v
                     else:
                         del out[e]
-        return self._new(out)
+        den = self._den * other._den
+        return self._new(out) if den == 1 else self._reduced(out, den)
 
     __rmul__ = __mul__
+
+    def scale(self, coeff) -> LaurentQ:
+        return self * LaurentQ({0: coeff})
 
     def shift(self, k: int) -> LaurentQ:
         """q^k times self, by moving every exponent up by k; self when k is 0.
@@ -116,7 +140,7 @@ class LaurentQ(Sparse):
         """
         if not k:
             return self
-        return self._new({e + k: c for e, c in self._terms.items()})
+        return self._new({e + k: n for e, n in self._terms.items()}, self._den)
 
     def times_q_minus_1(self) -> LaurentQ:
         """(q - 1) times self, as the shift q*self minus self: no product.
@@ -127,9 +151,10 @@ class LaurentQ(Sparse):
         >>> a.times_q_minus_1() == a * (Q - 1)
         True
         """
-        out = {e: -c for e, c in self._terms.items()}
+        out = {e: -n for e, n in self._terms.items()}
         add_shifted(out, self._terms, 1)
-        return self._new(out)
+        # the content of (q - 1) * N is that of N (Gauss), so still lowest terms
+        return self._new(out, self._den)
 
     def __pow__(self, n: int) -> LaurentQ:
         if not isinstance(n, int):
@@ -162,10 +187,10 @@ class LaurentQ(Sparse):
         if self.is_zero:
             return ZERO
         shift = self.valuation() - other.valuation()
-        rem = {e - self.valuation(): c for e, c in self._terms.items()}
-        den = {e - other.valuation(): c for e, c in other._terms.items()}
-        dd = max(den)
-        dlead = den[dd]
+        rem = {e - self.valuation(): c for e, c in self.terms.items()}
+        divisor = {e - other.valuation(): c for e, c in other.terms.items()}
+        dd = max(divisor)
+        dlead = divisor[dd]
         quot: dict = {}
         while rem:
             rd = max(rem)
@@ -174,17 +199,17 @@ class LaurentQ(Sparse):
             c = exact_quotient(rem[rd], dlead)
             e = rd - dd
             quot[e] = c
-            # rem -= c q^e * den, which cancels the leading term rem[rd]
-            add_shifted(rem, {de: -(c * dc) for de, dc in den.items()}, e)
+            # rem -= c q^e * divisor, which cancels the leading term rem[rd]
+            add_shifted(rem, {de: -(c * dc) for de, dc in divisor.items()}, e)
         return LaurentQ({e + shift: c for e, c in quot.items()})
 
     def evaluate(self, value) -> Fraction:
         """Substitute an exact rational value for q."""
         x = Fraction(exact(value))  # with an int x, x**-k would be a float
         total = Fraction(0)
-        for exp, coeff in self._terms.items():
-            total += coeff * x**exp
-        return total
+        for exp, n in self._terms.items():
+            total += n * x**exp
+        return total if self._den == 1 else total / self._den
 
 
 def _as_laurent(value):

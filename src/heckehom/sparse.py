@@ -10,17 +10,18 @@ Coefficients may be ints, Fractions, Laurent polynomials or any other
 exact type with +, * and truth testing; no float is ever created here.
 
 The package's one rule for scalar coefficients lives here too: ``exact``
-keeps ints, demotes integral Fractions to ints and refuses floats, and every
-division of scalars is an ``exact_quotient``, demoted in the same way; a
-Fraction comes only from a rational input or a non-integral quotient.
+keeps ints (a bool becomes its int), demotes integral Fractions to ints and
+refuses floats, and every division of scalars, also a coefficient read out
+over a denominator, is an ``exact_quotient``, demoted in the same way.
 
 ``Sparse`` is the base of every element type (Laurent polynomials in q,
 Hecke elements, HH0 classes and elements of H(Lambda)); Hochschild chains
 and forms, of the engine and of the torus, stay plain dicts.  A subclass
-declares how a key is validated, a coefficient coerced and a key printed;
-the one constructor ``Sparse(terms)``, the vector-space operations, the
-coefficient lookup and the renderer are shared.  Elements are immutable: every operation returns a new element,
-and ``_new`` wraps a freshly built dict without copying it.
+declares how a key is validated, a coefficient coerced and a key printed,
+and may store the coerced dict its own way (``_store``); the one constructor
+``Sparse(terms)``, the vector-space operations, the coefficient lookup and
+the renderer are shared, and read each stored value over ``_den`` (1 but in
+``LaurentQ``).  Elements are immutable; ``_new`` wraps a fresh dict without a copy.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from fractions import Fraction
 def exact(value):
     """An exact scalar: an int, or a non-integral Fraction; a string is parsed.
 
-    >>> exact(6), exact(Fraction(4, 2)), exact("6/3")
-    (6, 2, 2)
+    >>> exact(6), exact(Fraction(4, 2)), exact("6/3"), exact(True), type(exact(True))
+    (6, 2, 2, 1, <class 'int'>)
     >>> exact("3/4")
     Fraction(3, 4)
     >>> exact(0.5)
@@ -41,7 +42,7 @@ def exact(value):
     TypeError: not an exact rational: 0.5
     """
     if isinstance(value, int):
-        return value
+        return +value  # a bool becomes the int 0 or 1
     if isinstance(value, str):
         value = Fraction(value)
     elif not isinstance(value, Fraction):
@@ -141,7 +142,7 @@ class Sparse:
     built on these.  Operands of +, - and == must have the same type.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     _order = None
 
@@ -154,7 +155,13 @@ class Sparse:
                 c = coerce(coeff)
                 if c:
                     data[key] = c
-        self._terms = data
+        self._store(data)
+
+    def __init_subclass__(cls):
+        cls._zero = cls._coerce(0)  # the coefficient of an absent key, made once
+
+    def _store(self, data: dict) -> None:
+        self._terms, self._den = data, 1
 
     def _key(self, key):
         return key
@@ -164,15 +171,16 @@ class Sparse:
         return coeff
 
     @classmethod
-    def _new(cls, terms: dict):
-        """An element on a zero-free dict of valid keys, taken without a copy."""
+    def _new(cls, terms: dict, den: int = 1):
+        """An element on a zero-free dict of valid keys over den, taken without a copy."""
         result = object.__new__(cls)
-        result._terms = terms
+        result._terms, result._den = terms, den
         return result
 
     @property
     def terms(self) -> dict:
-        return dict(self._terms)
+        den = self._den
+        return dict(self._terms) if den == 1 else {key: exact_quotient(c, den) for key, c in self._terms.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -181,7 +189,7 @@ class Sparse:
     def coefficient(self, key):
         """The coefficient of key: the coerced zero when key is absent."""
         c = self._terms.get(key)
-        return self._coerce(0) if c is None else c
+        return self._zero if c is None else c if self._den == 1 else exact_quotient(c, self._den)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -194,7 +202,7 @@ class Sparse:
         return self._new(add_into(dict(self._terms), other._terms))
 
     def __neg__(self):
-        return self._new({key: -c for key, c in self._terms.items()})
+        return self._new({key: -c for key, c in self._terms.items()}, self._den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -215,7 +223,7 @@ class Sparse:
         >>> parse_hecke("(1 - q)*T[t] - 1/2*q^-2*T[e]")
         -1/2*q^-2*T[e] + (1 - q)*T[t]
         """
-        terms = self._terms
+        terms = self._terms if self._den == 1 else self.terms
         if not terms:
             return "0"
         token_of = self._token
@@ -232,7 +240,7 @@ class Sparse:
                 ((inner_key, c),) = inner.items()
                 head = coeff._token(inner_key)
                 token = f"{head}*{token}" if head and token else head or token
-                coeff = c
+                coeff = c if coeff._den == 1 else exact_quotient(c, coeff._den)
             if coeff < 0:
                 out.append(" - " if out else "-")
                 coeff = -coeff

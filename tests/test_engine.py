@@ -567,7 +567,7 @@ def _contraction_failure(report):
     return _perturbation_failure(report)
 
 
-def _perturbation_failure(report):
+def _perturbation_failure(report, degrees=None):
     """The first identity of the perturbed maps that fails, or None, in
     degrees n <= N against the Tot oracle's differential D = b + B: on every
     basis key of the model, D i_oo = i_oo d', p_oo i_oo = 1, and, below N,
@@ -578,14 +578,20 @@ def _perturbation_failure(report):
     a model cycle the j >= 1 terms of B cancel level by level, and a B that
     ignored j would still agree on every representative.  H_{-1}(I_2(2)) at
     cutoff 4 has nonzero tails, and there D i = i d' fails for a d' cut to
-    its k = 0 term."""
+    its k = 0 term.
+
+    HC_N reads d' out of degree N + 1 too, where i_oo cannot be formed (h is
+    unknown at the cutoff).  So, unless ``degrees`` limits the check, that d'
+    must equal the d' of the cutoff-(N + 1) model on the same keys, where
+    the same identities are checked in degree N + 1: a d' cut to k = 0 then
+    fails at cutoff 3 as well."""
     model, stack, cutoff = report.contraction, report.stack, report.cutoff
     tot_d = lambda chain: linear(lambda key: _tot_boundary(stack, key), chain)
 
     def connes_of_bottom(chain):
         return linear(stack.connes_B, {key: c for (j, key), c in chain.items() if not j})
 
-    for n in range(cutoff + 1):
+    for n in range(cutoff + 1) if degrees is None else degrees:
         for key in model.keys(n):
             lifted = model.include({key: 1})
             if tot_d(lifted) != model.include(model.boundary(key)):
@@ -600,7 +606,13 @@ def _perturbation_failure(report):
                 return f"i of an HC_{n} representative is a Tot cycle"
             if n < cutoff and model.connes(rep) != report.hh[n + 1].coords(connes_of_bottom(lifted)):
                 return f"B of an HC_{n} representative"
-    return None
+    if degrees is not None:
+        return None
+    higher = eg.compute_cyclic(stack.spec, cutoff + 1)
+    for key in model.keys(cutoff + 1):
+        if model.boundary(key) != higher.contraction.boundary(key):
+            return f"d' out of degree {cutoff + 1} on {key} differs at cutoff {cutoff + 1}"
+    return _perturbation_failure(higher, [cutoff + 1])
 
 
 @pytest.mark.parametrize("name, cutoff", _MODEL_CASES)
@@ -632,6 +644,9 @@ def test_a_model_differential_without_its_tails_fails(monkeypatch):
 
     monkeypatch.setattr(eg.Contraction, "boundary", untailed)
     assert _contraction_failure(report) == "D i = i d' on (2, (0, 1))"
+    # at cutoff 3 the cut d' first differs out of degree 4, which the
+    # cutoff-4 model checks
+    assert _contraction_failure(eg.compute_cyclic(_hecke_i2_2_at_minus_1(), 3)) == "D i = i d' on (2, (0, 1))"
 
 
 def _homology_counting_top(bases, boundary, cutoff):
