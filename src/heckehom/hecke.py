@@ -133,8 +133,7 @@ def _over(total: dict, den: int) -> HeckeElement:
     coefficient reduced once; a word whose terms all cancelled is dropped."""
     if den != 1:
         return HeckeElement._new({w: LaurentQ._reduced(d, den) for w, d in total.items() if d})
-    # dict(d) re-sizes a table that grew through cancellations, which the
-    # inverse cache would otherwise keep at its largest
+    # dict(d) re-sizes a table grown through cancellations, which the inverse cache would keep
     return HeckeElement._new({w: LaurentQ._new(dict(d)) for w, d in total.items() if d})
 
 

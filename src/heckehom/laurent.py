@@ -196,7 +196,8 @@ class LaurentQ(Sparse):
             rd = max(rem)
             if rd < dd:
                 raise NotDivisible(f"({self}) is not divisible by ({other})")
-            c = exact_quotient(rem[rd], dlead)
+            c, r = divmod(rem[rd], dlead)  # a step that divides exactly forms no Fraction
+            c = exact_quotient(rem[rd], dlead) if r else c
             e = rd - dd
             quot[e] = c
             # rem -= c q^e * divisor, which cancels the leading term rem[rd]
